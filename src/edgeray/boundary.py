@@ -27,21 +27,36 @@ after the signed arc
 
 constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
+
+Partner search shoots many geodesics from one point: every launch
+direction of an edge event (and of each refinement round of the
+relatedness test) is integrated as one ODE whose state carries a
+trailing lane axis, with the fiber metric evaluated by numpy-compiled
+coefficient expressions.  Single geodesics (the limit map, the boundary
+flow, the two orientations of a one-dimensional fiber) keep the scalar
+right-hand side, which is cheaper per solve when there is only a lane
+or two.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import FlowEscapedError, IntegrationDivergedError
+from .errors import (DegenerateMetricError, FlowEscapedError,
+                     IntegrationDivergedError)
 from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
+_BATCH_MIN_LANES = 3   # fewer geodesics are solved one at a time
+_CAP_LANES = 64        # about this many launch directions per refinement round
+_CAP_ROUNDS = 40
+_CAP_FLOOR = 1e-10     # cap radius (radians) below which refinement stops
 
 
 def fiber_norm(spec, y, z, zeta):
@@ -122,6 +137,50 @@ def fiber_geodesic_point(spec, y, z0, direction, arc):
     zeta0 = fiber_unit_covector(spec, y, z0, direction)
     zs, _ = fiber_cogeodesic_flow(spec, y, z0, zeta0, [arc])
     return zs[0]
+
+
+def _shoot(spec, y, z0, zeta0s, arc):
+    """Endpoints after signed arc of the cogeodesics from z0, one per row
+    of zeta0s (shape (n, f)), integrated as one ODE over n lanes.
+
+    The right-hand side is the cogeodesic field of _cogeodesic_rhs with
+    a trailing lane axis; a singular fiber metric raises
+    DegenerateMetricError and a non-finite lane IntegrationDivergedError.
+    """
+    zeta0s = np.asarray(zeta0s, float)
+    n, f = zeta0s.shape
+    kzz = spec.evaluator().kzz
+    zvars = [(a, 1 + spec.b + a) for a in range(f)
+             if kzz.nonzero_derivs[1 + spec.b + a]]
+
+    def rhs(s, state):
+        z, zeta = state[:f * n].reshape(f, n), state[f * n:].reshape(f, n)
+        try:
+            w = np.linalg.solve(kzz.lanes(None, 0.0, y, z),
+                                zeta.T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError as err:
+            raise DegenerateMetricError("fiber metric not invertible: %s"
+                                        % err)
+        dzeta = np.zeros((f, n))
+        for a, v in zvars:
+            dzeta[a] = 0.5 * np.einsum("in,nij,jn->n", w,
+                                       kzz.lanes(v, 0.0, y, z), w)
+        out = np.concatenate((w.ravel(), dzeta.ravel()))
+        if not np.all(np.isfinite(out)):
+            raise IntegrationDivergedError("fiber geodesic lanes left the "
+                                           "finite range of the metric")
+        return out
+
+    state0 = np.concatenate((np.repeat(z0, n), zeta0s.T.ravel()))
+    if not np.all(np.isfinite(state0)):
+        raise IntegrationDivergedError("non-finite fiber geodesic launch")
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(rhs, (0.0, arc), state0, method="RK45",
+                        t_eval=[arc], rtol=_GEO_RTOL, atol=_GEO_ATOL)
+    if sol.status != 0:
+        raise IntegrationDivergedError("fiber geodesic integration failed: "
+                                       "%s" % sol.message)
+    return sol.y[:f * n, -1].reshape(f, n).T
 
 
 @dataclass(frozen=True)
@@ -295,81 +354,95 @@ def _direction_grid(f, n):
     return [d / np.linalg.norm(d) for d in dirs]
 
 
+def _geodesic_ends(spec, y, z0, directions, arc):
+    """Endpoints of the unit geodesics from z0 in each direction after arc.
+
+    Three or more lanes are shot as one ODE; fewer are solved one at a
+    time, because per solve the lane-axis right-hand side costs more than
+    the scalar one.
+    """
+    if len(directions) < _BATCH_MIN_LANES:
+        return [fiber_geodesic_point(spec, y, z0, d, arc) for d in directions]
+    zetas = [fiber_unit_covector(spec, y, z0, d) for d in directions]
+    return list(_shoot(spec, y, z0, zetas, arc))
+
+
 def geometric_partners(spec, y, z_bar, n_directions=None, dedup_tol=1e-6):
     """Fiber points at unit-speed geodesic distance exactly pi from z_bar.
 
-    Samples initial directions, flows each geodesic to arc pi, wraps
-    periodic coordinates and deduplicates.  For one-dimensional fibers
-    the two orientations are used directly.
+    Samples initial directions, shoots every geodesic to arc pi in one
+    batch, wraps periodic coordinates and deduplicates.  For
+    one-dimensional fibers the two orientations are used directly.
     """
     if n_directions is None:
         n_directions = 2 if spec.f == 1 else 64
     y = np.atleast_1d(np.asarray(y, float))
     z_bar = np.atleast_1d(np.asarray(z_bar, float))
     out = []
-    for direction in _direction_grid(spec.f, n_directions):
-        z_end = spec.fiber.wrap(fiber_geodesic_point(spec, y, z_bar,
-                                                     direction, math.pi))
+    for z_end in _geodesic_ends(spec, y, z_bar,
+                                _direction_grid(spec.f, n_directions),
+                                math.pi):
+        z_end = spec.fiber.wrap(z_end)
         if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
                    < dedup_tol for seen in out):
             out.append(z_end)
     return out
 
 
+def _cap(center, radius, m):
+    """Unit directions around center: geodesic offsets on a grid of
+    2m + 1 steps in [-radius, radius] along each tangent axis, center
+    left out.  Returns (directions, whether each lies on the cap's rim).
+    """
+    basis = np.linalg.svd(center[None, :])[2][1:]
+    steps = np.linspace(-radius, radius, 2 * m + 1)
+    index = np.array([ix for ix in itertools.product(range(2 * m + 1),
+                                                     repeat=len(basis))
+                      if any(i != m for i in ix)])
+    offsets = steps[index] @ basis
+    angle = np.linalg.norm(offsets, axis=1)[:, None]
+    directions = np.cos(angle) * center + np.sin(angle) * offsets / angle
+    rim = np.any((index == 0) | (index == 2 * m), axis=1)
+    return directions, rim
+
+
 def is_geometrically_related(spec, y, z1, z2, tol=1e-6, n_directions=None):
     """Whether a unit-speed fiber geodesic of arc pi joins z1 to z2.
 
-    Shoots geodesics over a direction grid and refines the best
-    candidate by golden-section search on the launch angle (trivial for
-    one-dimensional fibers).  The distance reported is the coordinate
-    defect of the best endpoint.
+    Shoots geodesics over a direction grid, then (for f >= 2) refines
+    the best candidate in rounds: each round shoots a grid on a cap of
+    launch directions around the best so far, and the cap shrinks
+    unless the best lies on its rim.  The distance reported is the
+    coordinate defect of the best endpoint.
     """
     y = np.atleast_1d(np.asarray(y, float))
     z1 = np.atleast_1d(np.asarray(z1, float))
     z2 = np.atleast_1d(np.asarray(z2, float))
-
-    def defect_of(z_end):
-        return float(np.linalg.norm(spec.fiber.coordinate_delta(z_end, z2)))
-
-    if spec.f == 1:
-        best = (math.inf, np.array([1.0]))
-        for direction in _direction_grid(1, 2):
-            d = defect_of(fiber_geodesic_point(spec, y, z1, direction,
-                                               math.pi))
-            if d < best[0]:
-                best = (d, direction)
-        return PartnerResult(best[0] <= tol, best[0], best[1])
-
+    f = spec.f
     if n_directions is None:
         n_directions = 64
 
-    def defect_angle(a):
-        direction = np.zeros(spec.f)
-        direction[0], direction[1] = math.cos(a), math.sin(a)
-        return defect_of(fiber_geodesic_point(spec, y, z1, direction,
-                                              math.pi))
+    def defects(directions):
+        return [float(np.linalg.norm(spec.fiber.coordinate_delta(z, z2)))
+                for z in _geodesic_ends(spec, y, z1, directions, math.pi)]
 
-    angles = (np.arange(n_directions) + 0.5) * (2.0 * math.pi / n_directions)
-    defects = [defect_angle(a) for a in angles]
-    i0 = int(np.argmin(defects))
-    lo = angles[i0] - 2.0 * math.pi / n_directions
-    hi = angles[i0] + 2.0 * math.pi / n_directions
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, bnd = lo, hi
-    c = bnd - invphi * (bnd - a)
-    d = a + invphi * (bnd - a)
-    fc, fd = defect_angle(c), defect_angle(d)
-    for _ in range(60):
-        if fc < fd:
-            bnd, d, fd = d, c, fc
-            c = bnd - invphi * (bnd - a)
-            fc = defect_angle(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (bnd - a)
-            fd = defect_angle(d)
-    a_best = 0.5 * (a + bnd)
-    best = defect_angle(a_best)
-    direction = np.zeros(spec.f)
-    direction[0], direction[1] = math.cos(a_best), math.sin(a_best)
-    return PartnerResult(best <= tol, best, direction)
+    grid = np.array(_direction_grid(f, n_directions))
+    grid_defects = defects(grid)
+    i = int(np.argmin(grid_defects))
+    best_dir, best = grid[i], grid_defects[i]
+    if f > 1:
+        others = np.delete(grid, i, axis=0) @ best_dir
+        radius = float(np.arccos(np.clip(others.max(), -1.0, 1.0)))
+        m = max(2, round(_CAP_LANES ** (1.0 / (f - 1)) / 2))
+        for _ in range(_CAP_ROUNDS):
+            if best <= 1e-3 * tol or radius < _CAP_FLOOR:
+                break
+            cap, rim = _cap(best_dir, radius, m)
+            cap_defects = defects(cap)
+            j = int(np.argmin(cap_defects))
+            if cap_defects[j] < best:
+                best_dir, best = cap[j], cap_defects[j]
+                if rim[j]:
+                    continue
+            radius /= m
+    return PartnerResult(best <= tol, best, best_dir)

@@ -16,7 +16,7 @@ or parenthesis denotes multiplication (``2x`` means ``2*x``).
 Expressions parse to a small immutable AST that supports exact symbolic
 differentiation, light simplification, round-trippable formatting, and
 compilation to plain Python callables ``g(x, y, z)`` used by the metric
-evaluator.
+evaluator, over floats or, with numpy functions, over arrays.
 """
 
 from __future__ import annotations
@@ -435,16 +435,16 @@ def _to_source(node):
     return "(%s %s %s)" % (_to_source(node.left), node.op, _to_source(node.right))
 
 
-_COMPILE_GLOBALS = {
-    "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-    "_sqrt": math.sqrt, "_log": math.log, "__builtins__": {},
-}
+def compile_expr(node, functions=math):
+    """Compile an AST to a function ``g(x, y, z)``.
 
-
-def compile_expr(node):
-    """Compile an AST to a scalar function ``g(x, y, z)``."""
-    source = "lambda x, y, z: " + _to_source(node)
-    return eval(source, dict(_COMPILE_GLOBALS))
+    ``functions`` supplies sin, cos, exp, sqrt and log: ``math`` gives a
+    scalar function; ``numpy`` gives one that also accepts arrays, so
+    each ``z[a]`` may be a vector of lanes.
+    """
+    namespace = {"_" + name: getattr(functions, name) for name in FUNCTIONS}
+    namespace["__builtins__"] = {}
+    return eval("lambda x, y, z: " + _to_source(node), namespace)
 
 
 def evaluate(node, x, y, z):

@@ -246,15 +246,45 @@ class _Block:
 
     def __init__(self, matrix, var_names):
         self.shape = (len(matrix), len(matrix[0]) if matrix else 0)
+        self.value_nodes = matrix
+        self.deriv_nodes = [[[ex.diff(entry, var) for entry in row]
+                             for row in matrix] for var in var_names]
         self.value_fns = [[ex.compile_expr(entry) for entry in row]
                           for row in matrix]
-        self.deriv_fns = [[[ex.compile_expr(ex.diff(entry, var))
-                            for entry in row] for row in matrix]
-                          for var in var_names]
+        self.deriv_fns = [[[ex.compile_expr(entry) for entry in row]
+                           for row in nodes] for nodes in self.deriv_nodes]
         self.nonzero_derivs = [
-            any(ex.diff(entry, var) != ex.Num(0.0)
-                for row in matrix for entry in row)
-            for var in var_names]
+            any(entry != ex.Num(0.0) for row in nodes for entry in row)
+            for nodes in self.deriv_nodes]
+        self._lane_tables = {}
+
+    def _lane_table(self, v):
+        """(constant entries, numpy functions of the others) for v."""
+        table = self._lane_tables.get(v)
+        if table is None:
+            nodes = self.value_nodes if v is None else self.deriv_nodes[v]
+            const = np.zeros((1,) + self.shape)
+            fns = []
+            for i, row in enumerate(nodes):
+                for j, node in enumerate(row):
+                    if isinstance(node, ex.Num):
+                        const[0, i, j] = node.value
+                    else:
+                        fns.append((i, j, ex.compile_expr(node, np)))
+            table = self._lane_tables[v] = (const, fns)
+        return table
+
+    def lanes(self, v, x, y, z):
+        """The matrix (v None) or its partial in direction v at many points.
+
+        z has shape (f, n), one column per lane; the result has shape
+        (n, rows, cols).  The numpy functions are compiled on first use.
+        """
+        const, fns = self._lane_table(v)
+        out = np.repeat(const, z.shape[-1], axis=0)
+        for i, j, fn in fns:
+            out[:, i, j] = fn(x, y, z)
+        return out
 
     def value(self, x, y, z):
         rows, cols = self.shape

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from ._config import format_value, parse_value, split_statements
 from .errors import ConfigError, DimensionError
@@ -369,6 +368,8 @@ def fan_directions(dim, count, seed):
     """Low-discrepancy unit directions in R^dim, deterministic per seed."""
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
+    # scipy.stats is slow to import and only fans need it
+    from scipy.stats import norm, qmc
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     with warnings.catch_warnings():
         # fan counts need not be powers of two; balance is irrelevant here

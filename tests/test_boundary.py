@@ -26,7 +26,9 @@ from edgeray import (
     make_metric_spec,
     wave_symbol,
 )
-from edgeray.errors import FlowEscapedError
+from edgeray.boundary import _direction_grid, _shoot
+from edgeray.errors import (DegenerateMetricError, FlowEscapedError,
+                            IntegrationDivergedError)
 
 
 def _edge_point(spec, rng, t=0.0):
@@ -382,3 +384,66 @@ def test_geodesic_point_respects_variable_speed():
                                math.pi)
     delta = spec.fiber.coordinate_delta(got, np.array([fwd]))
     assert abs(float(delta[0])) < 1e-9
+
+
+@pytest.mark.parametrize("name, y, z_bar, n", [
+    ("sphere_edge", [0.0], [1.2, 0.4], 64),
+    ("radius_two_circle", [], [0.3], 2),
+    ("perturbed_edge(0.3)", [0.1], [0.7], 2),
+    ("product_edge(1, 2)", [0.2], [0.3, 1.0], 64),
+])
+def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
+    """Every lane of one batched shot lands where its own solve does,
+    and the partner search finds as many points as serial solves."""
+    if name == "radius_two_circle":
+        spec = make_metric_spec(0, 1, k=[["4"]],
+                                fiber="circle(%r)" % (2.0 * math.pi))
+    else:
+        spec = builtin_scene(name).spec
+    y, z_bar = np.array(y), np.array(z_bar)
+    directions = _direction_grid(spec.f, n)
+    zetas = [fiber_unit_covector(spec, y, z_bar, d) for d in directions]
+    batched = _shoot(spec, y, z_bar, zetas, math.pi)
+    single = [fiber_geodesic_point(spec, y, z_bar, d, math.pi)
+              for d in directions]
+    assert batched.shape == (len(directions), spec.f)
+    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-9)
+    serial_partners = []
+    for z_end in single:
+        z_end = spec.fiber.wrap(z_end)
+        if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
+                   < 1e-6 for seen in serial_partners):
+            serial_partners.append(z_end)
+    partners = geometric_partners(spec, y, z_bar, n_directions=n)
+    assert len(partners) == len(serial_partners)
+
+
+def test_batched_shot_raises_typed_errors():
+    """A singular fiber metric or a lane that overflows raises the typed
+    errors of the single-geodesic path, never LinAlgError or NaN."""
+    singular = make_metric_spec(0, 2, k=[["1", "0"], ["0", "z1"]],
+                                fiber="chart")
+    with pytest.raises(DegenerateMetricError):
+        _shoot(singular, np.zeros(0), np.zeros(2), np.eye(2), 1.0)
+    growing = make_metric_spec(0, 1, k=[["exp(z1)"]], fiber="chart")
+    for bad in (1e200, math.nan):
+        with pytest.raises(IntegrationDivergedError):
+            _shoot(growing, np.zeros(0), np.zeros(1),
+                   np.array([[1.0], [-1.0], [bad]]), 1.0)
+
+
+def test_related_search_on_three_torus():
+    """Flat T^3: z1 + (0, 0, pi) is at geodesic distance exactly pi, out
+    of the (z1, z2) plane; a point 0.05 beyond it is not."""
+    spec = builtin_scene("product_edge(1, 3)").spec
+    y = np.array([0.1])
+    z1 = np.array([0.4, 1.1, 2.0])
+    res = is_geometrically_related(spec, y, z1,
+                                   spec.fiber.wrap(z1 + [0.0, 0.0, math.pi]))
+    assert res.related
+    assert res.distance < 1e-6
+    assert abs(res.direction[2]) == pytest.approx(1.0, abs=1e-6)
+    near_miss = spec.fiber.wrap(z1 + [0.0, 0.0, math.pi + 0.05])
+    res2 = is_geometrically_related(spec, y, z1, near_miss)
+    assert not res2.related
+    assert res2.distance == pytest.approx(0.05, rel=0.2)
