@@ -5,82 +5,39 @@ under the exact Hamiltonian flow of the metric symbol in the interior,
 hit the edge in finite time, and continue along diffractive, geometric
 or glancing branches.  Exact rational bookkeeping tracks the Sobolev
 regularity carried by each branch.
+
+The names below are what the ``edgeray`` command and the README example
+use, plus the error types; everything else is imported from the module
+that defines it (``edgeray.boundary``, ``edgeray.metric``, ...).
 """
 
-from .boundary import (BoundaryFlowConstants, FiberState, PartnerResult,
-                       boundary_arc_swept, boundary_flow,
-                       boundary_flow_constants, boundary_maximal_interval,
-                       fiber_circumference, fiber_cogeodesic_flow,
-                       fiber_geodesic, fiber_geodesic_point,
-                       fiber_limit_point, fiber_norm, fiber_unit_covector,
-                       geometric_partners, is_geometrically_related)
+from .boundary import geometric_partners, is_geometrically_related
 from .errors import (ConfigError, DegenerateMetricError, DimensionError,
                      EdgeRayError, ExprSyntaxError, FlowEscapedError,
                      IllConditionedEventError, IntegrationDivergedError,
                      LaunchFailedError, NumericalError, StepLimitError)
-from .expr import compile_expr, diff, format_expr, parse_expr, simplify
-from .gbb import (BoundaryEvent, BranchKind, BranchPolicy, GbbBranch,
-                  GbbPath, LipschitzReport, TangentialPath, backward_event,
-                  branch_hyperbolic, child_or_event_data,
-                  continue_glancing, detect_boundary_event, lipschitz_check,
-                  trace_gbb, verify_handoff)
-from .hamiltonian import (BoundaryData, FlowSettings, LinearizationResult,
-                          RayEnd, RaySegment, Termination,
-                          first_order_boundary_readoff, hamilton_field,
-                          integrate_interior, linearization_at_radial,
-                          rescaled_field, stable_manifold_launch)
-from .metric import (EdgeMetricSpec, FiberTopology, MetricEvaluator,
-                     make_metric_spec, transverse_momentum,
-                     validate_normal_form, wave_symbol)
-from .orders import (BranchOrder, CoisotropicResult, LagrangianOrders,
-                     Nonfocusing, OrderBound, OrderRequirement,
-                     RegularityRecord, annotate_path, apply_diffractive,
-                     apply_geometric, as_rational, coisotropic_eps_loss,
+from .gbb import trace_gbb
+from .hamiltonian import linearization_at_radial
+from .metric import validate_normal_form
+from .orders import (annotate_path, coisotropic_eps_loss,
                      edge_threshold_check, fundamental_solution_orders,
                      lagrangian_nonfocusing_degree)
-from .phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
-                    classify_boundary, normalize_cosphere,
-                    radial_point_test)
-from .rays_io import RayDump, build_dump, emit_plot_data, serialize_dump
-from .run import RayResult, ScenarioResult, run_scenario
-from .scenes import (BUILTIN_SCENES, PointSource, SceneConfig, blow_down,
-                     blow_down_segment, builtin_scene, fan_directions,
-                     parse_scene, scenario_rays, scene_values,
-                     serialize_scene)
+from .phase import CospherePoint
+from .rays_io import serialize_dump
+from .run import run_scenario
+from .scenes import builtin_scene, parse_scene
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_SCENES", "BoundaryClass", "BoundaryData", "BoundaryEvent",
-    "BoundaryFlowConstants", "BranchKind", "BranchOrder", "BranchPolicy",
-    "CoisotropicResult", "ConfigError", "CospherePoint",
-    "DegenerateMetricError", "DimensionError", "EdgeMetricSpec",
-    "EdgePhasePoint", "EdgeRayError", "ExprSyntaxError",
-    "FiberState", "FiberTopology", "FlowEscapedError", "FlowSettings",
-    "GbbBranch", "GbbPath", "IllConditionedEventError",
-    "IntegrationDivergedError", "LagrangianOrders", "LaunchFailedError",
-    "LinearizationResult", "LipschitzReport", "MetricEvaluator",
-    "Nonfocusing", "NumericalError", "OrderBound", "OrderRequirement",
-    "PartnerResult", "PointSource", "RayDump", "RayEnd", "RayResult",
-    "RaySegment", "RegularityRecord", "ScenarioResult", "SceneConfig",
-    "StepLimitError", "TangentialPath", "Termination", "annotate_path",
-    "apply_diffractive", "apply_geometric", "as_rational",
-    "backward_event", "blow_down", "blow_down_segment", "boundary_arc_swept", "boundary_flow",
-    "boundary_flow_constants", "boundary_maximal_interval", "build_dump",
-    "builtin_scene", "branch_hyperbolic", "child_or_event_data", "classify_boundary",
-    "coisotropic_eps_loss", "continue_glancing", "detect_boundary_event",
-    "edge_threshold_check", "emit_plot_data", "fan_directions",
-    "fiber_circumference", "fiber_cogeodesic_flow", "fiber_geodesic",
-    "fiber_geodesic_point", "fiber_limit_point", "fiber_norm",
-    "fiber_unit_covector", "first_order_boundary_readoff",
-    "fundamental_solution_orders", "geometric_partners", "hamilton_field",
-    "integrate_interior", "is_geometrically_related",
+    "ConfigError", "CospherePoint", "DegenerateMetricError",
+    "DimensionError", "EdgeRayError", "ExprSyntaxError", "FlowEscapedError",
+    "IllConditionedEventError", "IntegrationDivergedError",
+    "LaunchFailedError", "NumericalError", "StepLimitError",
+    "annotate_path", "builtin_scene", "coisotropic_eps_loss",
+    "edge_threshold_check", "fundamental_solution_orders",
+    "geometric_partners", "is_geometrically_related",
     "lagrangian_nonfocusing_degree", "linearization_at_radial",
-    "lipschitz_check", "make_metric_spec", "normalize_cosphere",
-    "compile_expr", "diff", "format_expr", "parse_expr", "simplify",
-    "parse_scene", "radial_point_test",
-    "rescaled_field", "run_scenario", "scenario_rays", "scene_values", "serialize_dump",
-    "serialize_scene", "stable_manifold_launch", "trace_gbb",
-    "transverse_momentum", "validate_normal_form", "verify_handoff",
-    "wave_symbol",
+    "parse_scene", "run_scenario", "serialize_dump", "trace_gbb",
+    "validate_normal_form",
 ]

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError)
@@ -66,11 +66,19 @@ def fiber_norm(spec, y, z, zeta):
 
 
 def fiber_unit_covector(spec, y, z, direction):
-    """Covector zeta with |zeta|_K = 1 generating fiber velocity direction."""
+    """Covector zeta with |zeta|_K = 1 generating fiber velocity direction.
+
+    Raises DegenerateMetricError when the fiber metric at z is not
+    positive along the direction.
+    """
     ev = spec.evaluator()
     kzz = ev.kzz.value(0.0, np.asarray(y, float), np.asarray(z, float))
     w = np.asarray(direction, float)
-    speed = math.sqrt(float(w @ kzz @ w))
+    speed2 = float(w @ kzz @ w)
+    if not speed2 >= 0.0:
+        raise DegenerateMetricError("fiber metric not positive at z=%s: "
+                                    "w.k.w = %.3g" % (np.round(z, 6), speed2))
+    speed = math.sqrt(speed2)
     if speed == 0.0:
         raise ValueError("zero fiber direction")
     return (kzz @ w) / speed
@@ -183,57 +191,6 @@ def _shoot(spec, y, z0, zeta0s, arc):
     return sol.y[:f * n, -1].reshape(f, n).T
 
 
-@dataclass(frozen=True)
-class FiberState:
-    """A unit-speed fiber geodesic state over base point y."""
-
-    y: np.ndarray
-    z: np.ndarray
-    v: np.ndarray          # velocity, |v|_k = 1
-    speed: float           # conserved |zeta|_K of the generating covector
-
-    def unit_defect(self, spec):
-        kzz = spec.evaluator().kzz.value(0.0, self.y, self.z)
-        return abs(math.sqrt(float(self.v @ kzz @ self.v)) - 1.0)
-
-
-def fiber_geodesic(spec, y, z0, v0, length):
-    """Unit-speed geodesic of the fiber metric k(0, y, .) after arc length.
-
-    v0 is normalized to unit k-speed; raises FlowEscapedError when a
-    chart-only fiber trajectory leaves the chart box.
-    """
-    y = np.atleast_1d(np.asarray(y, float))
-    zeta0 = fiber_unit_covector(spec, y, z0, v0)
-    zs, zetas = fiber_cogeodesic_flow(spec, y, z0, zeta0, [length])
-    z, zeta = zs[0], zetas[0]
-    if spec.fiber.kind == "chart":
-        for a, (lo, hi) in enumerate(spec.z_box):
-            slack = max(hi - lo, 1.0)
-            if not lo - slack <= z[a] <= hi + slack:
-                raise FlowEscapedError("fiber geodesic left the chart box "
-                                       "in coordinate z%d" % (a + 1))
-    K = spec.evaluator().fiber_cometric(y, z)
-    return FiberState(y=y, z=z, v=K @ zeta, speed=1.0)
-
-
-def fiber_circumference(spec, y, samples=None):
-    """Total length of an f = 1 periodic fiber (None when not closed)."""
-    if spec.f != 1:
-        raise ValueError("circumference is defined for one-dimensional fibers")
-    period = spec.fiber.periods[0]
-    if period is None:
-        return None
-    y = np.atleast_1d(np.asarray(y, float))
-    ev = spec.evaluator()
-
-    def speed(zc):
-        return math.sqrt(ev.kzz.value(0.0, y, np.array([zc]))[0, 0])
-
-    total, _ = quad(speed, 0.0, period, limit=200)
-    return total
-
-
 # --- the boundary flow itself -------------------------------------------
 
 def _scalar_constants(xi0, m):
@@ -303,11 +260,6 @@ def boundary_flow(spec, q, s):
     return EdgePhasePoint(t=q.t, x=0.0, y=q.y.copy(), z=zs[0],
                           tau=q.tau * stretch, xi=m * math.tan(phase),
                           eta=q.eta * stretch, zeta=zetas[0])
-
-
-def boundary_arc_swept(spec, q, s):
-    """Fiber arc length swept by the boundary flow from q over [0, s]."""
-    return fiber_norm(spec, q.y, q.z, q.zeta) * s
 
 
 # --- fiber limit map ----------------------------------------------------

@@ -404,6 +404,12 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None,
         raise ConfigError("t_span must be increasing")
     if q0.t < t0:
         raise ConfigError("launch point starts before t_span")
+    if not q0.x > settings.x_stop:
+        raise ConfigError("launch point x = %.6g is not above x_stop = %.6g"
+                          % (q0.x, settings.x_stop))
+    if q0.tau == 0.0:
+        raise ConfigError("launch point has tau = 0; light rays need "
+                          "tau != 0")
     root = GbbBranch(branch_id="0", kind=BranchKind.INCIDENT, seed=q0)
     path = GbbPath(spec=spec, policy=policy, branches={"0": root})
     queue = deque(["0"])

@@ -36,11 +36,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import expr as ex
 from .errors import (IllConditionedEventError, IntegrationDivergedError,
                      LaunchFailedError, StepLimitError)
 from .metric import transverse_momentum
-from .phase import CospherePoint, EdgePhasePoint
+from .phase import EdgePhasePoint
 
 
 @dataclass(frozen=True)
@@ -122,76 +121,15 @@ def rescaled_field(spec, q):
 
 
 def _rescaled_vector(ev, vec, sgn_tau):
-    b, f = ev.b, ev.f
-    x = vec[1]
-    y = vec[2:2 + b]
-    z = vec[2 + b:2 + b + f]
-    isig = 2 + b + f
-    sigma = vec[isig]
-    u = vec[isig + 1:]
-    G = ev.edge_matrix(x, y, z)
-    dG = ev.edge_matrix_derivs(x, y, z)
-    w = np.linalg.solve(G, u)
-    p_hat = 1.0 - float(u @ w)
-    w_xi = w[0]
-    w_eta = w[1:1 + b]
-    w_zeta = w[1 + b:]
-    quad = np.einsum("i,vij,j->v", w, dG, w)
-    eta_hat = u[1:1 + b]
-    zeta_hat = u[1 + b:]
-    out = np.empty_like(vec)
-    out[0] = -sgn_tau * x
-    out[1] = x * w_xi
-    out[2:2 + b] = x * w_eta
-    out[2 + b:isig] = w_zeta
-    out[isig] = -sigma * w_xi
-    out[isig + 1] = (-p_hat + 1.0 - float(eta_hat @ w_eta)
-                     + 0.5 * x * quad[0] - vec[isig + 1] * w_xi)
-    out[isig + 2:isig + 2 + b] = 0.5 * x * quad[1:1 + b]
-    out[isig + 2 + b:] = 0.5 * quad[1 + b:] - zeta_hat * w_xi
-    return out
-
-
-def product_hamilton_field(spec, q):
-    """Closed-form field for true product metrics dx^2 + h(y) + x^2 k(y,z).
-
-    Serves as an independent cross-check of hamilton_field; raises
-    ValueError when the spec has h', kyy, kyz terms or x-dependent blocks.
-    """
-    zero = ex.Num(0.0)
-    extra = [entry for mat in (spec.hprime, spec.kyy, spec.kyz)
-             for row in mat for entry in row if entry != zero]
-    if extra:
-        raise ValueError("not a product metric: correction blocks present")
-    for mat in (spec.h, spec.k):
-        for row in mat:
-            for entry in row:
-                if "x" in ex.free_vars(entry):
-                    raise ValueError("not a product metric: x-dependent block")
-    ev = spec.evaluator()
-    b, f = spec.b, spec.f
-    h = ev.h.value(0.0, q.y, q.z) if b else np.zeros((0, 0))
-    kzz = ev.kzz.value(0.0, q.y, q.z)
-    H = np.linalg.inv(h) if b else h
-    K = np.linalg.inv(kzz)
-    Heta = H @ q.eta
-    Kzeta = K @ q.zeta
-    dy = np.empty(b)
-    deta = np.empty(b)
-    for i in range(b):
-        dh = ev.h.deriv(1 + i, 0.0, q.y, q.z)
-        dk = ev.kzz.deriv(1 + i, 0.0, q.y, q.z)
-        dy[i] = q.x * Heta[i]
-        deta[i] = (q.xi * q.eta[i]
-                   + 0.5 * q.x * (float(Heta @ dh @ Heta)
-                                  + float(Kzeta @ dk @ Kzeta)))
-    dzeta = np.empty(f)
-    for a in range(f):
-        dk = ev.kzz.deriv(1 + b + a, 0.0, q.y, q.z)
-        dzeta[a] = 0.5 * float(Kzeta @ dk @ Kzeta)
-    out = np.concatenate((
-        [-q.tau * q.x, q.xi * q.x], dy, K @ q.zeta,
-        [q.tau * q.xi, q.xi ** 2 + float(q.zeta @ Kzeta)], deta, dzeta))
+    # The field at tau = sgn_tau, pushed through the gauge change: sigma
+    # and the hatted covector scale by -w_xi, which keeps it exact at
+    # sigma = 0.
+    isig = 2 + ev.b + ev.f
+    out = _field_vector(ev, np.concatenate((vec[:isig], [sgn_tau],
+                                            vec[isig + 1:])))
+    w_xi = out[isig] * sgn_tau
+    out[isig] = -vec[isig] * w_xi
+    out[isig + 1:] -= vec[isig + 1:] * w_xi
     return out
 
 
@@ -393,28 +331,6 @@ class BoundaryData:
     def io(self):
         return (RayEnd.INCOMING if self.xi_hat * self.sgn_tau > 0
                 else RayEnd.OUTGOING)
-
-
-def first_order_boundary_readoff(spec, q, io):
-    """Leading-order boundary data of the ray through a near-edge point q.
-
-    The fiber point is estimated through the fiber limit map, which
-    absorbs the residual fiber arc of the spiral; without it the
-    estimate would trail the limit by the arctan(|zeta|/xi) arc.
-    """
-    from .boundary import fiber_limit_point
-    scale = abs(q.tau)
-    xi_hat = q.xi / scale
-    eta_hat = q.eta / scale
-    H = spec.evaluator().base_cometric(q.y)
-    sgn_io = 1.0 if io == RayEnd.INCOMING else -1.0
-    dt = sgn_io * q.x / abs(xi_hat)
-    t_bar = q.t + dt
-    sgn_tau = 1 if q.tau > 0 else -1
-    y_bar = q.y + dt * (-(H @ eta_hat) / sgn_tau) if spec.b else q.y.copy()
-    z_bar = fiber_limit_point(spec, q)
-    return BoundaryData(t_bar=t_bar, y_bar=y_bar, z_bar=z_bar,
-                        sgn_tau=sgn_tau, xi_hat=xi_hat, eta_hat=eta_hat)
 
 
 def _seed_from_data(spec, data, io, eps):

@@ -382,20 +382,13 @@ class MetricEvaluator:
     def fiber_cometric(self, y, z):
         """K = inverse fiber block at x = 0."""
         kzz = self.kzz.value(0.0, y, z)
+        if not np.isfinite(kzz).all():
+            raise DegenerateMetricError("fiber metric not finite at z=%s"
+                                        % np.round(z, 6))
         try:
             return np.linalg.inv(kzz)
         except np.linalg.LinAlgError as err:
             raise DegenerateMetricError("fiber metric not invertible: %s" % err)
-
-    def fiber_cometric_derivs(self, y, z):
-        """(K, dK/dz_a stack) at x = 0."""
-        kzz = self.kzz.value(0.0, y, z)
-        K = np.linalg.inv(kzz)
-        dK = np.empty((self.f, self.f, self.f))
-        for a in range(self.f):
-            dkzz = self.kzz.deriv(1 + self.b + a, 0.0, y, z)
-            dK[a] = -K @ dkzz @ K
-        return K, dK
 
     def base_cometric(self, y):
         """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
@@ -403,50 +396,6 @@ class MetricEvaluator:
             return np.zeros((0, 0))
         h = self.h.value(0.0, y, np.zeros(self.f))
         return np.linalg.inv(h)
-
-
-@dataclass(frozen=True)
-class DualMetricFrame:
-    """Inverse-metric data G^{-1} at a chart point, with block views."""
-
-    x: float
-    b: int
-    f: int
-    matrix: np.ndarray
-    cond: float
-
-    @property
-    def normal_entry(self):
-        return self.matrix[0, 0]
-
-    @property
-    def base_block(self):
-        return self.matrix[1:1 + self.b, 1:1 + self.b]
-
-    @property
-    def fiber_block(self):
-        return self.matrix[1 + self.b:, 1 + self.b:]
-
-    @property
-    def base_fiber_cross(self):
-        return self.matrix[1:1 + self.b, 1 + self.b:]
-
-    @property
-    def normal_cross(self):
-        return self.matrix[0, 1:]
-
-
-def eval_dual_metric(spec, x, y, z):
-    """Evaluate G^{-1} at (x, y, z) with a conditioning check."""
-    ev = spec.evaluator()
-    G = ev.edge_matrix(x, np.asarray(y, float), np.asarray(z, float))
-    cond = float(np.linalg.cond(G))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateMetricError(
-            "metric condition number %.3g at x=%.3g exceeds %.1g"
-            % (cond, x, COND_LIMIT))
-    return DualMetricFrame(x=float(x), b=spec.b, f=spec.f,
-                           matrix=np.linalg.inv(G), cond=cond)
 
 
 def wave_symbol(spec, q):

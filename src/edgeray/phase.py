@@ -1,14 +1,9 @@
 """Phase-space point types, gauges, and boundary classification.
 
 Points of the rescaled cotangent bundle carry coordinates
-(t, x, y, z, tau, xi, eta, zeta) dual to (dt/x, dx/x, dy/x, dz).  Two
-derived descriptions are used throughout:
-
-* the unit gauge, dividing the covector by |tau| (sigma = 1/|tau| kept
-  as the scale bookkeeping variable, sigma = 0 marking ideal points);
-* the compressed coordinates (xi_b, mu, zeta_b) = (x*xi, (tau, eta),
-  x*zeta), in which approach to the boundary is continuous and the fast
-  fiber data degenerate.
+(t, x, y, z, tau, xi, eta, zeta) dual to (dt/x, dx/x, dy/x, dz).  The
+unit gauge divides the covector by |tau| (sigma = 1/|tau| kept as the
+scale bookkeeping variable, sigma = 0 marking ideal points).
 
 Classification of boundary points into elliptic / glancing / hyperbolic
 uses the sign of the margin tau_hat^2 - |eta_hat|^2_h = 1 - |eta_hat|^2
@@ -22,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .metric import wave_symbol
 
 
 class BoundaryClass(enum.Enum):
@@ -132,31 +125,6 @@ class CospherePoint:
                               zeta=self.zeta_hat / self.sigma)
 
 
-@dataclass(frozen=True)
-class CompressedPoint:
-    """Image under (x, ., xi, mu, zeta) -> (x, ., x*xi, mu, x*zeta)."""
-
-    t: float
-    x: float
-    y: np.ndarray
-    z: np.ndarray
-    xi_b: float
-    mu: np.ndarray      # (tau, eta)
-    zeta_b: np.ndarray
-    fiber_quotient: bool
-
-
-def compress(q):
-    """Compress an edge phase point; over x = 0 the fast data degenerate."""
-    at_boundary = q.x == 0.0
-    return CompressedPoint(
-        t=q.t, x=q.x, y=q.y.copy(), z=q.z.copy(),
-        xi_b=q.x * q.xi,
-        mu=np.concatenate(([q.tau], q.eta)),
-        zeta_b=q.x * q.zeta,
-        fiber_quotient=at_boundary)
-
-
 def normalize_cosphere(q):
     """Divide the covector by |tau|; requires tau != 0."""
     if q.tau == 0.0:
@@ -178,7 +146,7 @@ def boundary_margin(spec, q):
 
 
 def classify_boundary(spec, q, tol_g=1e-9):
-    """Classify a compressed boundary point by the slow-data margin."""
+    """Classify a boundary point (x = 0) by the slow-data margin."""
     if q.x != 0.0:
         raise ValueError("classification applies to boundary points (x = 0)")
     margin = boundary_margin(spec, q)
@@ -212,7 +180,3 @@ def radial_point_test(spec, q, tol=1e-9):
     zeta_mag = float(np.linalg.norm(q.zeta_hat)) if q.zeta_hat.size else 0.0
     return q.x < tol and zeta_mag < tol
 
-
-def on_characteristic(spec, q, tol=1e-9):
-    """Check p(q) = 0 relative to tau^2."""
-    return abs(wave_symbol(spec, q)) <= tol * q.tau * q.tau

@@ -1,4 +1,4 @@
-"""Result serialization: ray dumps (CSV / JSON lines) and plot data.
+"""Result serialization: ray dumps (CSV / JSON lines).
 
 Column order is fixed so dumps diff cleanly; floats are written with
 repr (shortest round-trip form), making output bytes a pure function
@@ -10,11 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
-
-KIND_CODES = {"incident": 0, "diffracted": 1, "geometric": 2, "glancing": 3}
 
 
 def dump_columns(b, f):
@@ -95,46 +91,3 @@ def serialize_dump(dump, fmt):
         return to_jsonl(dump)
     raise ConfigError("unknown dump format %r" % fmt)
 
-
-PROJECTIONS = ("tx", "yx", "fiber-angle")
-
-
-def emit_plot_data(dump, projection, branches=None):
-    """Columnar plot text: one block per (ray, branch), kind encoded.
-
-    Projections: tx -> (t, x); yx -> (y1, x); fiber-angle -> (t, z1).
-    branches optionally restricts to specific branch ids.
-    """
-    if projection not in PROJECTIONS:
-        raise ConfigError("unknown projection %r (have: %s)"
-                          % (projection, ", ".join(PROJECTIONS)))
-    cols = dump.columns
-    it, ix = cols.index("t"), cols.index("x")
-    if projection == "tx":
-        pick = (it, ix)
-    elif projection == "yx":
-        if dump.b < 1:
-            raise ConfigError("yx projection needs a base coordinate")
-        pick = (cols.index("y1"), ix)
-    else:
-        pick = (it, cols.index("z1"))
-    blocks = []
-    current_key = None
-    lines = []
-    for row in dump.rows:
-        if branches is not None and row[1] not in branches:
-            continue
-        key = (row[0], row[1])
-        if key != current_key:
-            if lines:
-                blocks.append("\n".join(lines))
-            lines = []
-            current_key = key
-        kind = KIND_CODES.get(row[2], -1)
-        lines.append("%s %s %d" % (_fmt(row[pick[0]]), _fmt(row[pick[1]]),
-                                   kind))
-    if lines:
-        blocks.append("\n".join(lines))
-    if not blocks:
-        raise ConfigError("no rows matched the plot selection")
-    return "\n\n".join(blocks) + "\n"

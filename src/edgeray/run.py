@@ -1,14 +1,11 @@
 """Scenario driver: trace every ray of a scene and assemble outputs.
 
-Rays in a fan are independent; they are traced on a worker pool capped
-by the EDGERAY_THREADS environment variable.  Results are assembled in
-launch order, so the output bytes do not depend on the worker count.
+Rays are traced one after another on one thread, in launch order, so
+the output bytes are a pure function of the scene and its seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .gbb import trace_gbb
@@ -33,38 +30,25 @@ class ScenarioResult:
 
 
 def worker_count(n_tasks):
-    cap = os.environ.get("EDGERAY_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            cap = 1
-        return max(1, min(cap, n_tasks))
-    return max(1, min(os.cpu_count() or 1, n_tasks))
+    """Always 1: run_scenario traces rays serially, on one thread.
+
+    Kept only because the benchmark in bench/ still reads it (the run
+    environment, the per-layer tracer and the self-test); the next
+    benchmark change deletes it together with those uses.
+    """
+    return 1
 
 
 def run_scenario(config):
     """Trace all rays of a scene; deterministic for a fixed config+seed."""
     spec = config.spec
-    spec.evaluator()  # warm the compiled-coefficient cache before fan-out
-    rays = scenario_rays(config)
-
-    def trace_one(item):
-        index, q0 = item
+    results = []
+    for index, q0 in enumerate(scenario_rays(config)):
         path = trace_gbb(spec, q0, config.t_span, config.policy,
                          config.settings)
         record = annotate_path(path, config.s_incident, config.nonfocusing,
                                clean_flags=config.clean)
-        return RayResult(ray_id=index, path=path, record=record)
-
-    items = list(enumerate(rays))
-    workers = worker_count(len(items))
-    if workers == 1:
-        results = [trace_one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trace_one, items))
-    results.sort(key=lambda r: r.ray_id)
+        results.append(RayResult(ray_id=index, path=path, record=record))
     dump = build_dump(spec, [(r.ray_id, r.path, r.record) for r in results])
     result = ScenarioResult(config=config, results=results, dump=dump,
                             summary="")

@@ -12,38 +12,42 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
-from edgeray import (
-    BoundaryData,
-    CospherePoint,
-    EdgePhasePoint,
-    FlowSettings,
-    OrderBound,
-    OrderRequirement,
-    PointSource,
-    RayEnd,
-    Termination,
-    blow_down_segment,
+from edgeray.boundary import (
     boundary_maximal_interval,
-    builtin_scene,
-    coisotropic_eps_loss,
-    detect_boundary_event,
-    edge_threshold_check,
     fiber_cogeodesic_flow,
     fiber_norm,
-    fundamental_solution_orders,
     geometric_partners,
-    integrate_interior,
     is_geometrically_related,
-    linearization_at_radial,
+)
+from edgeray.expr import diff, evaluate, format_expr, parse_expr
+from edgeray.gbb import (
+    GEOMETRIC_ONLY,
+    SAME_FIBER,
+    detect_boundary_event,
     lipschitz_check,
-    run_scenario,
-    serialize_dump,
-    stable_manifold_launch,
     trace_gbb,
     verify_handoff,
 )
-from edgeray.expr import diff, evaluate, format_expr, parse_expr
-from edgeray.gbb import GEOMETRIC_ONLY, SAME_FIBER
+from edgeray.hamiltonian import (
+    BoundaryData,
+    FlowSettings,
+    RayEnd,
+    Termination,
+    integrate_interior,
+    linearization_at_radial,
+    stable_manifold_launch,
+)
+from edgeray.orders import (
+    OrderBound,
+    OrderRequirement,
+    coisotropic_eps_loss,
+    edge_threshold_check,
+    fundamental_solution_orders,
+)
+from edgeray.phase import CospherePoint, EdgePhasePoint
+from edgeray.rays_io import serialize_dump
+from edgeray.run import run_scenario
+from edgeray.scenes import PointSource, blow_down_segment, builtin_scene
 
 
 def _verdict(num, ok, desc):

@@ -5,35 +5,34 @@ import math
 import numpy as np
 import pytest
 
-from edgeray import (
-    BoundaryClass,
-    BoundaryData,
-    BoundaryEvent,
-    EdgePhasePoint,
-    FlowSettings,
-    RayEnd,
-    Termination,
-    builtin_scene,
-    child_or_event_data,
-    continue_glancing,
-    detect_boundary_event,
-    integrate_interior,
-    lipschitz_check,
-    make_metric_spec,
-    stable_manifold_launch,
-    trace_gbb,
-    verify_handoff,
-)
 from edgeray.errors import ConfigError, IllConditionedEventError
 from edgeray.gbb import (
     GEOMETRIC_ONLY,
     SAME_FIBER,
+    BoundaryEvent,
     BranchKind,
     BranchPolicy,
     backward_event,
     branch_hyperbolic,
+    child_or_event_data,
+    continue_glancing,
+    detect_boundary_event,
     fan,
+    lipschitz_check,
+    trace_gbb,
+    verify_handoff,
 )
+from edgeray.hamiltonian import (
+    BoundaryData,
+    FlowSettings,
+    RayEnd,
+    Termination,
+    integrate_interior,
+    stable_manifold_launch,
+)
+from edgeray.metric import make_metric_spec
+from edgeray.phase import BoundaryClass, EdgePhasePoint
+from edgeray.scenes import builtin_scene
 
 
 def _flat_incoming(spec, t0, x0, y0, z0, xi, eta):

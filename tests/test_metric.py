@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from edgeray.errors import ConfigError, DegenerateMetricError, DimensionError
-from edgeray.metric import (EdgeMetricSpec, eval_dual_metric,
-                            make_metric_spec, metric_spec_values,
-                            parse_metric_spec, transverse_momentum,
-                            validate_normal_form, wave_symbol)
+from edgeray.boundary import fiber_norm
+from edgeray.metric import (EdgeMetricSpec, make_metric_spec,
+                            metric_spec_values, parse_metric_spec,
+                            transverse_momentum, validate_normal_form,
+                            wave_symbol)
 from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene
 
@@ -158,9 +159,23 @@ def test_transverse_momentum_solves_characteristic():
 
 def test_dual_metric_frame_blocks():
     spec = _curvy_spec()
-    frame = eval_dual_metric(spec, 0.25, np.array([0.1]),
-                             np.array([0.3, 0.9]))
-    assert frame.normal_entry == pytest.approx(1.0)
-    assert np.all(np.abs(frame.normal_cross) < 1e-14)
-    assert frame.base_block.shape == (1, 1)
-    assert frame.fiber_block.shape == (2, 2)
+    ev = spec.evaluator()
+    Ginv = ev.dual_matrix(0.25, np.array([0.1]), np.array([0.3, 0.9]))
+    assert Ginv[0, 0] == pytest.approx(1.0)
+    assert np.all(np.abs(Ginv[0, 1:]) < 1e-14)
+    assert Ginv[ev.sy, ev.sy].shape == (1, 1)
+    assert Ginv[ev.sz, ev.sz].shape == (2, 2)
+
+
+def test_fiber_cometric_rejects_non_finite_fiber_metric():
+    """k = 1/z1 is infinite at z1 = 0: a typed error, not |zeta|_K = 0."""
+    spec = make_metric_spec(b=0, f=1, k=[["1/z1"]], fiber="chart",
+                            z_box=[(-1.0, 1.0)])
+    ev = spec.evaluator()
+    with np.errstate(divide="ignore"), pytest.raises(DegenerateMetricError):
+        ev.fiber_cometric(np.zeros(0), np.array([0.0]))
+    with np.errstate(divide="ignore"), pytest.raises(DegenerateMetricError):
+        fiber_norm(spec, np.zeros(0), np.array([0.0]), np.array([1.0]))
+    K = ev.fiber_cometric(np.zeros(0), np.array([0.5]))
+    assert np.array_equal(K, np.linalg.inv(ev.kzz.value(
+        0.0, np.zeros(0), np.array([0.5]))))

@@ -9,25 +9,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgeray import (
+from edgeray.gbb import trace_gbb
+from edgeray.hamiltonian import RayEnd
+from edgeray.orders import (
+    INFINITE_ORDER,
     BranchOrder,
-    EdgePhasePoint,
     Nonfocusing,
     OrderBound,
     OrderRequirement,
-    RayEnd,
     annotate_path,
     apply_diffractive,
     apply_geometric,
+    as_bound,
     as_rational,
-    builtin_scene,
+    bound_max,
     coisotropic_eps_loss,
     edge_threshold_check,
     fundamental_solution_orders,
     lagrangian_nonfocusing_degree,
-    trace_gbb,
 )
-from edgeray.orders import INFINITE_ORDER, as_bound, bound_max
+from edgeray.phase import EdgePhasePoint
+from edgeray.scenes import builtin_scene
 
 
 def test_rational_coercion_uses_decimal_strings():

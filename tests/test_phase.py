@@ -1,4 +1,4 @@
-"""Phase-space gauges, compression, and boundary classification."""
+"""Phase-space gauges and boundary classification."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from edgeray.phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
                            boundary_margin, characteristic_defect,
-                           classify_boundary, compress, normalize_cosphere,
-                           on_characteristic, radial_point_test)
-from edgeray.metric import transverse_momentum
+                           classify_boundary, normalize_cosphere,
+                           radial_point_test)
+from edgeray.metric import transverse_momentum, wave_symbol
 from edgeray.scenes import builtin_scene
 
 
@@ -56,14 +56,6 @@ def test_scaling_is_fiber_dilation():
     u, u2 = normalize_cosphere(q), normalize_cosphere(q2)
     assert np.allclose(u.to_vector()[5:], u2.to_vector()[5:])
     assert u2.sigma == pytest.approx(u.sigma / 3.0)
-
-
-def test_compress_marks_boundary_quotient():
-    c = compress(_point(x=0.25, xi=2.0, zeta=np.array([0.8])))
-    assert c.xi_b == pytest.approx(0.5)
-    assert c.zeta_b[0] == pytest.approx(0.2)
-    assert not c.fiber_quotient
-    assert compress(_point(x=0.0)).fiber_quotient
 
 
 def test_classification_trichotomy():
@@ -136,7 +128,8 @@ def test_characteristic_membership():
         xi = transverse_momentum(spec, x, y, z, tau, eta, zeta, -1)
         q = EdgePhasePoint(t=0.0, x=x, y=y, z=z, tau=tau, xi=xi,
                            eta=eta, zeta=zeta)
-        assert on_characteristic(spec, q)
+        assert abs(wave_symbol(spec, q)) <= 1e-9 * q.tau ** 2
         u = normalize_cosphere(q)
         assert characteristic_defect(spec, u) < 1e-12
-        assert not on_characteristic(spec, _point(x=x, tau=3 * tau))
+        off = _point(x=x, tau=3 * tau)
+        assert not abs(wave_symbol(spec, off)) <= 1e-9 * off.tau ** 2

@@ -7,25 +7,24 @@ import math
 import numpy as np
 import pytest
 
-from edgeray import (
-    EdgePhasePoint,
+from edgeray.cli import _load_scene, main
+from edgeray.errors import ConfigError, DimensionError
+from edgeray.hamiltonian import integrate_interior
+from edgeray.metric import wave_symbol
+from edgeray.phase import EdgePhasePoint
+from edgeray.rays_io import dump_columns, serialize_dump
+from edgeray.run import run_scenario
+from edgeray.scenes import (
     PointSource,
     blow_down,
     blow_down_segment,
     builtin_scene,
     fan_directions,
-    integrate_interior,
     parse_scene,
-    run_scenario,
     scenario_rays,
     scene_values,
-    serialize_dump,
     serialize_scene,
-    wave_symbol,
 )
-from edgeray.cli import _load_scene, main
-from edgeray.errors import ConfigError, DimensionError
-from edgeray.rays_io import dump_columns, emit_plot_data
 
 BUILTINS = ("product_cone(1.3)", "product_edge(1, 1)", "product_edge(2, 2)",
             "blowup_curve_r3", "perturbed_edge(0.3)", "sphere_edge")
@@ -211,6 +210,18 @@ def test_cli_trace_scene_file(tmp_path, capsys):
     assert "scene custom" in out
 
 
+def test_cli_trace_rejects_source_at_edge_or_with_zero_tau(tmp_path, capsys):
+    """A source at or below x_stop, or with tau = 0, is a config error."""
+    for source in ("[0.0, 5e-5, 0.3, 1.0, -1.0, 0.0]",
+                   "[0.0, 1e-4, 0.3, 1.0, -1.0, 0.0]",
+                   "[0.0, 0.5, 0.3, 0.0, 0.0, 0.0]"):
+        scene = tmp_path / "scene.cfg"
+        scene.write_text("builtin = product_cone(1.0)\nsource = %s\n"
+                         % source)
+        assert main(["trace", str(scene)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_cli_eigencheck(capsys):
     assert main(["eigencheck", "product_edge(1, 1)", "--count", "3"]) == 0
     out = capsys.readouterr().out
@@ -242,27 +253,6 @@ def test_cli_orders(capsys):
     out = capsys.readouterr().out
     assert "k'=>8" in out
     assert main(["orders"]) == 2
-
-
-def test_plot_data_projections():
-    config = builtin_scene("product_edge(1, 1)")
-    result = run_scenario(config)
-    dump = result.dump
-    text = emit_plot_data(dump, "tx")
-    first = text.splitlines()[0].split()
-    assert len(first) == 3 and first[2] == "0"
-    assert "\n\n" in text  # one block per branch
-    emit_plot_data(dump, "yx")
-    emit_plot_data(dump, "fiber-angle")
-    with pytest.raises(ConfigError, match="unknown projection"):
-        emit_plot_data(dump, "3d")
-    only_root = emit_plot_data(dump, "tx", branches={"0"})
-    assert "\n\n" not in only_root
-    with pytest.raises(ConfigError, match="no rows"):
-        emit_plot_data(dump, "tx", branches={"9"})
-    cone = run_scenario(builtin_scene("product_cone(1.0)")).dump
-    with pytest.raises(ConfigError, match="base coordinate"):
-        emit_plot_data(cone, "yx")
 
 
 def test_dump_formats():
