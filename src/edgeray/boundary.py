@@ -49,6 +49,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError)
+from .expr import Num
+from .metric import fiber_inverse, solve
 from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
@@ -72,7 +74,8 @@ def fiber_unit_covector(spec, y, z, direction):
     positive along the direction.
     """
     ev = spec.evaluator()
-    kzz = ev.kzz.value(0.0, np.asarray(y, float), np.asarray(z, float))
+    G = ev.kernel(0.0, np.asarray(y, float), np.asarray(z, float))[0]
+    kzz = G[ev.sz, ev.sz]
     w = np.asarray(direction, float)
     speed2 = float(w @ kzz @ w)
     if not speed2 >= 0.0:
@@ -85,17 +88,16 @@ def fiber_unit_covector(spec, y, z, direction):
 
 
 def _cogeodesic_rhs(ev, y):
-    b, f = ev.b, ev.f
+    b, f, sz = ev.b, ev.f, ev.sz
 
     def rhs(s, state):
         z = state[:f]
         zeta = state[f:]
-        K = ev.fiber_cometric(y, z)
-        w = K @ zeta
+        G, dG = ev.kernel(0.0, y, z)
+        w = fiber_inverse(G[sz, sz], z) @ zeta
         dzeta = np.empty(f)
         for a in range(f):
-            dk = ev.kzz.deriv(1 + b + a, 0.0, y, z)
-            dzeta[a] = 0.5 * float(w @ dk @ w)
+            dzeta[a] = 0.5 * float(w @ dG[1 + b + a][sz, sz] @ w)
         return np.concatenate((w, dzeta))
 
     return rhs
@@ -159,16 +161,12 @@ def _shoot(spec, y, z0, zeta0s, arc):
     n, f = zeta0s.shape
     kzz = spec.evaluator().kzz
     zvars = [(a, 1 + spec.b + a) for a in range(f)
-             if kzz.nonzero_derivs[1 + spec.b + a]]
+             if any(node != Num(0.0) for row in kzz.deriv_nodes[1 + spec.b + a]
+                    for node in row)]
 
     def rhs(s, state):
         z, zeta = state[:f * n].reshape(f, n), state[f * n:].reshape(f, n)
-        try:
-            w = np.linalg.solve(kzz.lanes(None, 0.0, y, z),
-                                zeta.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError as err:
-            raise DegenerateMetricError("fiber metric not invertible: %s"
-                                        % err)
+        w = solve(kzz.lanes(None, 0.0, y, z), zeta.T[:, :, None])[:, :, 0].T
         dzeta = np.zeros((f, n))
         for a, v in zvars:
             dzeta[a] = 0.5 * np.einsum("in,nij,jn->n", w,

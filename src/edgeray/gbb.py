@@ -281,7 +281,7 @@ class TangentialPath:
 
 def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
     ev = spec.evaluator()
-    b = spec.b
+    b, sy, z0 = spec.b, ev.sy, np.zeros(spec.f)
     if b == 0 or delta == 0.0:
         ts = np.array([t0, t0 + delta])
         return TangentialPath(t=ts, y=np.zeros((2, b)),
@@ -290,12 +290,11 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
     def rhs(lam, state):
         y = state[:b]
         eta = state[b:]
-        h = ev.h.value(0.0, y, np.zeros(spec.f))
-        He = np.linalg.solve(h, eta)
+        G, dG = ev.kernel(0.0, y, z0)
+        He = np.linalg.solve(G[sy, sy], eta)
         deta = np.empty(b)
         for i in range(b):
-            dh = ev.h.deriv(1 + i, 0.0, y, np.zeros(spec.f))
-            deta[i] = -0.5 * float(He @ dh @ He) / sgn_tau
+            deta[i] = -0.5 * float(He @ dG[1 + i][sy, sy] @ He) / sgn_tau
         return np.concatenate((-He / sgn_tau, deta))
 
     sol = solve_ivp(rhs, (0.0, delta), np.concatenate((y0, eta0)),
@@ -305,7 +304,7 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
     etas = sol.y[b:].T
     drift = 0.0
     for y, eta in zip(ys, etas):
-        h = ev.h.value(0.0, y, np.zeros(spec.f))
+        h = ev.kernel(0.0, y, z0)[0][sy, sy]
         drift = max(drift, abs(float(eta @ np.linalg.solve(h, eta)) - 1.0))
     return TangentialPath(t=t0 + sol.t, y=ys, eta_hat=etas, norm_drift=drift)
 
@@ -326,7 +325,7 @@ def continue_glancing(spec, event, delta, settings=None):
     ev = spec.evaluator()
     eta0 = event.eta_hat.copy()
     if spec.b:
-        h = ev.h.value(0.0, event.y_bar, np.zeros(spec.f))
+        h = ev.kernel(0.0, event.y_bar, np.zeros(spec.f))[0][ev.sy, ev.sy]
         norm = math.sqrt(float(eta0 @ np.linalg.solve(h, eta0)))
         eta0 = eta0 / norm
     path = _tangential_flow(spec, event.t_bar, event.y_bar, eta0,
@@ -335,7 +334,7 @@ def continue_glancing(spec, event, delta, settings=None):
     eta_end = path.eta_hat[-1]
     xi_re = -event.sgn_tau * settings.glancing_xi
     if spec.b:
-        h = ev.h.value(0.0, y_end, np.zeros(spec.f))
+        h = ev.kernel(0.0, y_end, np.zeros(spec.f))[0][ev.sy, ev.sy]
         eta_norm2 = float(eta_end @ np.linalg.solve(h, eta_end))
         eta_re = eta_end * math.sqrt((1.0 - xi_re * xi_re) / eta_norm2)
     else:
@@ -410,6 +409,10 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None,
     if q0.tau == 0.0:
         raise ConfigError("launch point has tau = 0; light rays need "
                           "tau != 0")
+    if not settings.x_stop < settings.eps_launch:
+        raise ConfigError("x_stop = %.6g must lie below the launch height "
+                          "eps_launch = %.6g of outgoing rays"
+                          % (settings.x_stop, settings.eps_launch))
     root = GbbBranch(branch_id="0", kind=BranchKind.INCIDENT, seed=q0)
     path = GbbPath(spec=spec, policy=policy, branches={"0": root})
     queue = deque(["0"])

@@ -30,6 +30,7 @@ algebraically.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,7 +39,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (IllConditionedEventError, IntegrationDivergedError,
                      LaunchFailedError, StepLimitError)
-from .metric import transverse_momentum
+from .metric import solve, transverse_momentum
 from .phase import EdgePhasePoint
 
 
@@ -87,9 +88,8 @@ def _field_vector(ev, vec):
     itau = 2 + b + f
     tau = vec[itau]
     u = vec[itau + 1:]
-    G = ev.edge_matrix(x, y, z)
-    dG = ev.edge_matrix_derivs(x, y, z)
-    w = np.linalg.solve(G, u)
+    G, dG = ev.kernel(x, y, z)
+    w = solve(G, u)
     p = tau * tau - float(u @ w)
     w_xi = w[0]
     w_eta = w[1:1 + b]
@@ -172,7 +172,7 @@ class RaySegment:
         for i, row in enumerate(self.states):
             G = ev.edge_matrix(row[1], row[2:2 + b], row[2 + b:itau])
             u = row[itau + 1:]
-            p[i] = row[itau] ** 2 - float(u @ np.linalg.solve(G, u))
+            p[i] = row[itau] ** 2 - float(u @ solve(G, u))
         tau = self.states[:, itau]
         return {
             "p": p,
@@ -205,8 +205,12 @@ def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
         raise ValueError("tau must be nonzero along light rays")
     ev = spec.evaluator()
     itau = 2 + spec.b + spec.f
+    evaluations = itertools.count(1)
 
     def rhs(s, vec):
+        if next(evaluations) > settings.max_steps:
+            raise StepLimitError("integration passed its budget of %d "
+                                 "evaluations" % settings.max_steps)
         field = _field_vector(ev, vec)
         scale = direction / (vec[1] * abs(vec[itau]))
         return field * scale
@@ -234,9 +238,6 @@ def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
                     dense_output=True, events=events)
     if sol.status == -1:
         raise IntegrationDivergedError("integrator failed: %s" % sol.message)
-    if sol.nfev > settings.max_steps:
-        raise StepLimitError("integration used %d evaluations (budget %d)"
-                             % (sol.nfev, settings.max_steps))
     if sol.status == 1:
         if len(sol.t_events[0]):
             termination = Termination.BOUNDARY_APPROACH

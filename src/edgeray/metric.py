@@ -22,12 +22,13 @@ G^{-1}, and the wave-operator symbol in this scaling is
     p = tau^2 - (xi, eta, zeta) . G^{-1} . (xi, eta, zeta).
 
 Coefficient entries are expression ASTs (see expr); the evaluator
-compiles every entry and its exact symbolic partials once and assembles
-numeric matrices on demand.
+generates one function per metric that returns G and every partial
+dG/dv from a single call, and each pointwise reader slices it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -242,20 +243,13 @@ def metric_spec_values(spec):
 # --- pointwise evaluation ---------------------------------------------
 
 class _Block:
-    """Compiled value and partial-derivative functions for one matrix."""
+    """Coefficient ASTs of one matrix, their partials, and lane functions."""
 
     def __init__(self, matrix, var_names):
         self.shape = (len(matrix), len(matrix[0]) if matrix else 0)
         self.value_nodes = matrix
         self.deriv_nodes = [[[ex.diff(entry, var) for entry in row]
                              for row in matrix] for var in var_names]
-        self.value_fns = [[ex.compile_expr(entry) for entry in row]
-                          for row in matrix]
-        self.deriv_fns = [[[ex.compile_expr(entry) for entry in row]
-                           for row in nodes] for nodes in self.deriv_nodes]
-        self.nonzero_derivs = [
-            any(entry != ex.Num(0.0) for row in nodes for entry in row)
-            for nodes in self.deriv_nodes]
         self._lane_tables = {}
 
     def _lane_table(self, v):
@@ -286,31 +280,71 @@ class _Block:
             out[:, i, j] = fn(x, y, z)
         return out
 
-    def value(self, x, y, z):
-        rows, cols = self.shape
-        out = np.empty(self.shape)
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = self.value_fns[i][j](x, y, z)
-        return out
 
-    def deriv(self, v, x, y, z):
-        rows, cols = self.shape
-        out = np.zeros(self.shape)
-        if not self.nonzero_derivs[v]:
-            return out
-        fns = self.deriv_fns[v]
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = fns[i][j](x, y, z)
-        return out
+def _generate_kernel(spec, names):
+    """kernel(x, y, z) -> (G, dG), one statement per distinct entry.
+
+    The y rows spell out the normal form term by term, zeros included, so
+    their rounding does not depend on which coefficients vanish:
+    G_yy = (h + x*h') + (x*x)*kyy, G_yz = x*kyz, and their x partials add
+    the product-rule terms + h' + (2x)*kyy and + kyz.
+    """
+    b, f = spec.b, spec.f
+    nv = 1 + b + f
+    body, locals_, entries = [], {}, {0: "1.0"}   # flat slot -> value
+
+    def local(text):
+        if text not in locals_:
+            locals_[text] = "c%d" % len(locals_)
+            body.append("    %s = %s" % (locals_[text], text))
+        return locals_[text]
+
+    def term(matrix, v, i, j):   # v = 0: the entry, v = 1 + u: d/du
+        node = matrix[i][j] if v == 0 else ex.diff(matrix[i][j], names[v - 1])
+        if isinstance(node, ex.Num):
+            return repr(node.value)
+        return local(ex._to_source(node))
+
+    for v in range(1 + nv):
+        def put(i, j, text):
+            if text != "0.0":   # the slots start at zero
+                entries[(v * nv + i) * nv + j] = text
+
+        for a, c in itertools.product(range(f), repeat=2):
+            put(1 + b + a, 1 + b + c, term(spec.k, v, a, c))
+        for i, j in itertools.product(range(b), repeat=2):
+            text = "(%s + x * %s) + (x * x) * %s" % (
+                term(spec.h, v, i, j), term(spec.hprime, v, i, j),
+                term(spec.kyy, v, i, j))
+            if v == 1:
+                text = "(%s + %s) + (2.0 * x) * %s" % (
+                    local(text), term(spec.hprime, 0, i, j),
+                    term(spec.kyy, 0, i, j))
+            put(1 + i, 1 + j, local(text))
+        for i, a in itertools.product(range(b), range(f)):
+            text = "x * %s" % term(spec.kyz, v, i, a)
+            if v == 1:
+                text += " + %s" % term(spec.kyz, 0, i, a)
+            put(1 + i, 1 + b + a, local(text))
+            put(1 + b + a, 1 + i, local(text))
+    namespace = {"_" + name: getattr(math, name) for name in ex.FUNCTIONS}
+    namespace.update(__builtins__={}, _zeros=np.zeros,
+                     _slots=np.array(list(entries), dtype=np.intp))
+    exec("def kernel(x, y, z):\n%s\n    out = _zeros(%d)\n"
+         "    out[_slots] = (%s,)\n    return (out[:%d].reshape(%d, %d),"
+         " out[%d:].reshape(%d, %d, %d))"
+         % ("\n".join(body), nv * nv * (1 + nv),
+            ", ".join(entries.values()), nv * nv, nv, nv, nv * nv, nv,
+            nv, nv), namespace)
+    return namespace["kernel"]
 
 
 class MetricEvaluator:
-    """Assembles G, dG and derived quantities at chart points.
+    """Evaluates G, dG and derived quantities at chart points.
 
     Index order for matrix slots and for derivative directions is
-    (x, y1..yb, z1..zf); nv = 1 + b + f.
+    (x, y1..yb, z1..zf); nv = 1 + b + f.  ``kernel(x, y, z)`` returns
+    (G, dG) with dG[v] = dG/dv, shapes (nv, nv) and (nv, nv, nv).
     """
 
     def __init__(self, spec):
@@ -320,49 +354,18 @@ class MetricEvaluator:
         self.b, self.f = b, f
         vars_ = ["x"] + ["y%d" % (i + 1) for i in range(b)] \
                       + ["z%d" % (a + 1) for a in range(f)]
-        self.var_names = vars_
-        self.h = _Block(spec.h, vars_)
-        self.hp = _Block(spec.hprime, vars_)
         self.kzz = _Block(spec.k, vars_)
-        self.kyy = _Block(spec.kyy, vars_)
-        self.kyz = _Block(spec.kyz, vars_)
         self.sy = slice(1, 1 + b)
         self.sz = slice(1 + b, 1 + b + f)
+        self.kernel = _generate_kernel(spec, vars_)
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""
-        G = np.zeros((self.nv, self.nv))
-        G[0, 0] = 1.0
-        if self.b:
-            G[self.sy, self.sy] = (self.h.value(x, y, z)
-                                   + x * self.hp.value(x, y, z)
-                                   + x * x * self.kyy.value(x, y, z))
-            cross = x * self.kyz.value(x, y, z)
-            G[self.sy, self.sz] = cross
-            G[self.sz, self.sy] = cross.T
-        G[self.sz, self.sz] = self.kzz.value(x, y, z)
-        return G
+        return self.kernel(x, y, z)[0]
 
     def edge_matrix_derivs(self, x, y, z):
         """Stack dG/dv for v in (x, y.., z..); shape (nv, nv, nv)."""
-        dG = np.zeros((self.nv, self.nv, self.nv))
-        for v in range(self.nv):
-            dk = self.kzz.deriv(v, x, y, z)
-            dG[v][self.sz, self.sz] = dk
-            if not self.b:
-                continue
-            hpv = self.hp.deriv(v, x, y, z)
-            kyyv = self.kyy.deriv(v, x, y, z)
-            kyzv = self.kyz.deriv(v, x, y, z)
-            dyy = self.h.deriv(v, x, y, z) + x * hpv + x * x * kyyv
-            dyz = x * kyzv
-            if v == 0:  # extra product-rule terms from the explicit x factors
-                dyy = dyy + self.hp.value(x, y, z) + 2.0 * x * self.kyy.value(x, y, z)
-                dyz = dyz + self.kyz.value(x, y, z)
-            dG[v][self.sy, self.sy] = dyy
-            dG[v][self.sy, self.sz] = dyz
-            dG[v][self.sz, self.sy] = dyz.T
-        return dG
+        return self.kernel(x, y, z)[1]
 
     def dual_matrix(self, x, y, z, check=True):
         """G^{-1}; raises DegenerateMetricError past the condition limit."""
@@ -381,21 +384,33 @@ class MetricEvaluator:
 
     def fiber_cometric(self, y, z):
         """K = inverse fiber block at x = 0."""
-        kzz = self.kzz.value(0.0, y, z)
-        if not np.isfinite(kzz).all():
-            raise DegenerateMetricError("fiber metric not finite at z=%s"
-                                        % np.round(z, 6))
-        try:
-            return np.linalg.inv(kzz)
-        except np.linalg.LinAlgError as err:
-            raise DegenerateMetricError("fiber metric not invertible: %s" % err)
+        return fiber_inverse(self.kernel(0.0, y, z)[0][self.sz, self.sz], z)
 
     def base_cometric(self, y):
         """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
         if not self.b:
             return np.zeros((0, 0))
-        h = self.h.value(0.0, y, np.zeros(self.f))
-        return np.linalg.inv(h)
+        G = self.kernel(0.0, y, np.zeros(self.f))[0]
+        return np.linalg.inv(G[self.sy, self.sy])
+
+
+def solve(matrix, rhs):
+    """matrix^{-1} rhs; a singular matrix raises DegenerateMetricError."""
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateMetricError("metric not invertible: %s" % err)
+
+
+def fiber_inverse(kzz, z):
+    """kzz^{-1}; DegenerateMetricError if kzz is not finite or singular."""
+    if not np.isfinite(kzz).all():
+        raise DegenerateMetricError("fiber metric not finite at z=%s"
+                                    % np.round(z, 6))
+    try:
+        return np.linalg.inv(kzz)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateMetricError("fiber metric not invertible: %s" % err)
 
 
 def wave_symbol(spec, q):

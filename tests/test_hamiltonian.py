@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from edgeray import expr as ex
+from edgeray import hamiltonian
+from edgeray.errors import DegenerateMetricError, StepLimitError
 from edgeray.hamiltonian import (BoundaryData, FlowSettings, RayEnd,
-                                 Termination, hamilton_field,
+                                 RaySegment, Termination, hamilton_field,
                                  integrate_interior, linearization_at_radial,
                                  rescaled_field, stable_manifold_launch)
 from edgeray.metric import make_metric_spec, transverse_momentum, wave_symbol
@@ -29,16 +32,22 @@ def _char_point(spec, rng, x_lo=0.1, x_hi=0.8):
                           tau=tau, xi=xi, eta=eta, zeta=zeta)
 
 
+def _at_edge(matrix, q, var=None):
+    """A coefficient block, or its partial in var, at (0, q.y, q.z)."""
+    return np.array([[ex.evaluate(node if var is None else ex.diff(node, var),
+                                  0.0, q.y, q.z) for node in row]
+                     for row in matrix])
+
+
 def _product_hamilton_field(spec, q):
     """Closed-form field for product metrics dx^2 + h(y) + x^2 k(y, z).
 
     An oracle for hamilton_field, valid only on specs without h', kyy,
     kyz terms and with x-independent blocks (the product_* scenes).
     """
-    ev = spec.evaluator()
     b, f = spec.b, spec.f
-    h = ev.h.value(0.0, q.y, q.z) if b else np.zeros((0, 0))
-    kzz = ev.kzz.value(0.0, q.y, q.z)
+    h = _at_edge(spec.h, q) if b else np.zeros((0, 0))
+    kzz = _at_edge(spec.k, q)
     H = np.linalg.inv(h) if b else h
     K = np.linalg.inv(kzz)
     Heta = H @ q.eta
@@ -46,15 +55,15 @@ def _product_hamilton_field(spec, q):
     dy = np.empty(b)
     deta = np.empty(b)
     for i in range(b):
-        dh = ev.h.deriv(1 + i, 0.0, q.y, q.z)
-        dk = ev.kzz.deriv(1 + i, 0.0, q.y, q.z)
+        dh = _at_edge(spec.h, q, "y%d" % (i + 1))
+        dk = _at_edge(spec.k, q, "y%d" % (i + 1))
         dy[i] = q.x * Heta[i]
         deta[i] = (q.xi * q.eta[i]
                    + 0.5 * q.x * (float(Heta @ dh @ Heta)
                                   + float(Kzeta @ dk @ Kzeta)))
     dzeta = np.empty(f)
     for a in range(f):
-        dk = ev.kzz.deriv(1 + b + a, 0.0, q.y, q.z)
+        dk = _at_edge(spec.k, q, "z%d" % (a + 1))
         dzeta[a] = 0.5 * float(Kzeta @ dk @ Kzeta)
     return np.concatenate((
         [-q.tau * q.x, q.xi * q.x], dy, K @ q.zeta,
@@ -183,6 +192,38 @@ def test_boundary_approach_termination():
     assert seg.x[-1] == pytest.approx(FlowSettings().x_stop, rel=1e-9)
     # the flat radial ray moves at unit speed: x = 0.9 - s exactly
     assert np.max(np.abs(seg.x - (0.9 - seg.s))) < 1e-9
+
+
+def test_singular_metric_is_a_typed_error():
+    """k = z1^2 is singular at z1 = 0: the field and the conserved
+    quantities raise DegenerateMetricError, not a bare LinAlgError."""
+    spec = make_metric_spec(0, 1, k=[["z1^2"]], fiber="chart")
+    q = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([0.0]),
+                       tau=1.0, xi=0.6, eta=np.zeros(0), zeta=np.array([0.8]))
+    with pytest.raises(DegenerateMetricError):
+        hamilton_field(spec, q)
+    segment = RaySegment(spec=spec, direction=-1, s=np.zeros(1),
+                         states=q.to_vector()[None, :],
+                         termination=Termination.TIME_LIMIT)
+    with pytest.raises(DegenerateMetricError):
+        segment.conserved_log()
+
+
+def test_step_budget_is_enforced_while_integrating(monkeypatch):
+    """The evaluation budget stops the integrator as it is passed."""
+    calls = []
+    field_vector = hamiltonian._field_vector
+
+    def counted(ev, vec):
+        calls.append(1)
+        return field_vector(ev, vec)
+    monkeypatch.setattr(hamiltonian, "_field_vector", counted)
+    spec = builtin_scene("perturbed_edge(0.3)").spec
+    q0 = _char_point(spec, np.random.default_rng(5))
+    with pytest.raises(StepLimitError):
+        integrate_interior(spec, q0, direction=-1, s_max=2.0,
+                           settings=FlowSettings(max_steps=60))
+    assert 0 < len(calls) <= 61
 
 
 def test_chart_exit_termination():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from edgeray import expr as ex
 from edgeray.errors import ConfigError, DegenerateMetricError, DimensionError
 from edgeray.boundary import fiber_norm
 from edgeray.metric import (EdgeMetricSpec, make_metric_spec,
@@ -30,6 +31,100 @@ def _curvy_spec():
     )
 
 
+def _coupled_spec():
+    """A b=2, f=2 metric whose h', kyy and kyz depend on x, so every
+    product-rule term of dG/dx is nonzero."""
+    return make_metric_spec(
+        b=2, f=2,
+        h=[["1 + 0.1*x*y1^2", "0.05*y2"], ["0.05*y2", "1.5 + 0.1*cos(y1)"]],
+        hprime=[["0.2*sin(z1) + x", "0.1*y1*z2"],
+                ["0.1*y1*z2", "0.3*cos(z2)*x^2"]],
+        k=[["1 + 0.3*cos(z1 - z2)", "0.1*sin(y1)*x"],
+           ["0.1*sin(y1)*x", "2 + 0.2*x*cos(z2)"]],
+        kyy=[["0.05*cos(z2) - x", "0.02*x*y2"], ["0.02*x*y2", "0.04*y1*y2"]],
+        kyz=[["0.04*sin(z1) + x^2", "0.03*cos(y1)"],
+             ["0.02*x*z1", "0.05*y2*sin(z2)"]],
+        fiber="torus",
+    )
+
+
+# Oracle: the per-block assembly of G and dG, entry by entry through the
+# tree-walking evaluator.
+
+def _block(matrix, x, y, z, var=None):
+    return np.array([[ex.evaluate(node if var is None else ex.diff(node, var),
+                                  x, y, z) for node in row] for row in matrix])
+
+
+def _oracle_edge_matrix(spec, x, y, z):
+    b, nv = spec.b, 1 + spec.b + spec.f
+    sy, sz = slice(1, 1 + b), slice(1 + b, nv)
+    G = np.zeros((nv, nv))
+    G[0, 0] = 1.0
+    if b:
+        G[sy, sy] = (_block(spec.h, x, y, z) + x * _block(spec.hprime, x, y, z)
+                     + x * x * _block(spec.kyy, x, y, z))
+        cross = x * _block(spec.kyz, x, y, z)
+        G[sy, sz] = cross
+        G[sz, sy] = cross.T
+    G[sz, sz] = _block(spec.k, x, y, z)
+    return G
+
+
+def _oracle_edge_matrix_derivs(spec, x, y, z):
+    b, nv = spec.b, 1 + spec.b + spec.f
+    sy, sz = slice(1, 1 + b), slice(1 + b, nv)
+    names = (["x"] + ["y%d" % (i + 1) for i in range(b)]
+             + ["z%d" % (a + 1) for a in range(spec.f)])
+    dG = np.zeros((nv, nv, nv))
+    for v, var in enumerate(names):
+        dG[v][sz, sz] = _block(spec.k, x, y, z, var)
+        if not b:
+            continue
+        dyy = (_block(spec.h, x, y, z, var)
+               + x * _block(spec.hprime, x, y, z, var)
+               + x * x * _block(spec.kyy, x, y, z, var))
+        dyz = x * _block(spec.kyz, x, y, z, var)
+        if v == 0:  # extra product-rule terms from the explicit x factors
+            dyy = (dyy + _block(spec.hprime, x, y, z)
+                   + 2.0 * x * _block(spec.kyy, x, y, z))
+            dyz = dyz + _block(spec.kyz, x, y, z)
+        dG[v][sy, sy] = dyy
+        dG[v][sy, sz] = dyz
+        dG[v][sz, sy] = dyz.T
+    return dG
+
+
+CUSTOM_SPECS = {
+    "coupled b=2 f=2": _coupled_spec,
+    "curvy b=1 f=2": _curvy_spec,
+    "b=0 f=2": lambda: make_metric_spec(
+        b=0, f=2, k=[["1 + x*z1^2", "0.1*x"], ["0.1*x", "2 + sin(z2)"]],
+        fiber="torus"),
+}
+
+
+@pytest.mark.parametrize("name", ["product_cone(1.3)", "product_edge(1, 1)",
+                                  "product_edge(2, 3)", "blowup_curve_r3",
+                                  "perturbed_edge(0.3)", "sphere_edge"]
+                         + sorted(CUSTOM_SPECS))
+def test_kernel_is_bitwise_the_per_block_assembly(name):
+    spec = (CUSTOM_SPECS[name]() if name in CUSTOM_SPECS
+            else builtin_scene(name).spec)
+    ev = spec.evaluator()
+    rng = np.random.default_rng(7)
+    for k in range(20):
+        x = 0.0 if k < 4 else float(rng.uniform(0.0, 0.9))
+        y = rng.uniform(-0.8, 0.8, spec.b)
+        z = rng.uniform(0.2, 2.9, spec.f)
+        G, dG = ev.kernel(x, y, z)
+        assert G.tobytes() == _oracle_edge_matrix(spec, x, y, z).tobytes()
+        assert dG.tobytes() == _oracle_edge_matrix_derivs(spec, x, y,
+                                                          z).tobytes()
+        assert ev.edge_matrix(x, y, z).tobytes() == G.tobytes()
+        assert ev.edge_matrix_derivs(x, y, z).tobytes() == dG.tobytes()
+
+
 def test_edge_matrix_structure():
     spec = _curvy_spec()
     ev = spec.evaluator()
@@ -47,27 +142,27 @@ def test_edge_matrix_structure():
 
 
 def test_edge_matrix_derivs_match_finite_differences():
-    spec = _curvy_spec()
-    ev = spec.evaluator()
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = float(rng.uniform(0.05, 0.8))
-        y = rng.uniform(-0.8, 0.8, 1)
-        z = rng.uniform(0.0, 2 * math.pi, 2)
-        dG = ev.edge_matrix_derivs(x, y, z)
-        h = 1e-6
-        for v in range(ev.nv):
-            def at(t):
-                xx, yy, zz = x, y.copy(), z.copy()
-                if v == 0:
-                    xx = x + t
-                elif v <= spec.b:
-                    yy[v - 1] += t
-                else:
-                    zz[v - 1 - spec.b] += t
-                return ev.edge_matrix(xx, yy, zz)
-            fd = (at(h) - at(-h)) / (2 * h)
-            assert np.max(np.abs(dG[v] - fd)) < 5e-9
+    for spec in (_curvy_spec(), _coupled_spec()):
+        ev = spec.evaluator()
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            x = float(rng.uniform(0.05, 0.8))
+            y = rng.uniform(-0.8, 0.8, spec.b)
+            z = rng.uniform(0.0, 2 * math.pi, 2)
+            dG = ev.edge_matrix_derivs(x, y, z)
+            h = 1e-6
+            for v in range(ev.nv):
+                def at(t):
+                    xx, yy, zz = x, y.copy(), z.copy()
+                    if v == 0:
+                        xx = x + t
+                    elif v <= spec.b:
+                        yy[v - 1] += t
+                    else:
+                        zz[v - 1 - spec.b] += t
+                    return ev.edge_matrix(xx, yy, zz)
+                fd = (at(h) - at(-h)) / (2 * h)
+                assert np.max(np.abs(dG[v] - fd)) < 5e-9
 
 
 def test_dual_matrix_inverse_and_degeneracy():
@@ -177,5 +272,5 @@ def test_fiber_cometric_rejects_non_finite_fiber_metric():
     with np.errstate(divide="ignore"), pytest.raises(DegenerateMetricError):
         fiber_norm(spec, np.zeros(0), np.array([0.0]), np.array([1.0]))
     K = ev.fiber_cometric(np.zeros(0), np.array([0.5]))
-    assert np.array_equal(K, np.linalg.inv(ev.kzz.value(
-        0.0, np.zeros(0), np.array([0.5]))))
+    assert np.array_equal(K, np.linalg.inv(_block(
+        spec.k, 0.0, np.zeros(0), np.array([0.5]))))

@@ -222,6 +222,21 @@ def test_cli_trace_rejects_source_at_edge_or_with_zero_tau(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
+                                                            capsys):
+    """Outgoing rays are seeded at eps_launch = 1e-3, so an x_stop at or
+    above it is a config error, from the scene or from --x-stop."""
+    scene = tmp_path / "scene.cfg"
+    text = ("builtin = product_cone(1.0)\n"
+            "source = [0.0, 0.5, 0.3, 1.0, 1.0, 0.0]\nt_span = [0.0, 1.0]\n")
+    scene.write_text(text + "x_stop = 0.002\n")
+    assert main(["trace", str(scene)]) == 2
+    assert "config error" in capsys.readouterr().err
+    scene.write_text(text)
+    assert main(["trace", str(scene), "--x-stop", "0.001"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_eigencheck(capsys):
     assert main(["eigencheck", "product_edge(1, 1)", "--count", "3"]) == 0
     out = capsys.readouterr().out
