@@ -28,14 +28,14 @@ after the signed arc
 constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
 
-Partner search shoots many geodesics from one point: every launch
-direction of an edge event (and of each refinement round of the
-relatedness test) is integrated as one ODE whose state carries a
-trailing lane axis, with the fiber metric evaluated by numpy-compiled
-coefficient expressions.  Single geodesics (the limit map, the boundary
-flow, the two orientations of a one-dimensional fiber) keep the scalar
-right-hand side, which is cheaper per solve when there is only a lane
-or two.
+Every fiber geodesic is a lane of one shooter, ``_shoot``: the lanes of
+a call (each with its own start, covector and signed parameter arc) are
+integrated as one ODE in a normalised parameter, with the fiber metric
+and its partials from the evaluator's generated ``fiber`` function.  A
+partner search shoots all launch directions of an edge event at once
+(and each refinement round of the relatedness test), an edge event
+shoots the limit points of its whole extrapolation ladder at once, and
+the cogeodesic flow runs one lane per sign of its parameter samples.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError)
-from .expr import Num
-from .metric import fiber_inverse, solve
+from .metric import solve
 from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
-_BATCH_MIN_LANES = 3   # fewer geodesics are solved one at a time
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
 _CAP_FLOOR = 1e-10     # cap radius (radians) below which refinement stops
@@ -73,9 +71,7 @@ def fiber_unit_covector(spec, y, z, direction):
     Raises DegenerateMetricError when the fiber metric at z is not
     positive along the direction.
     """
-    ev = spec.evaluator()
-    G = ev.kernel(0.0, np.asarray(y, float), np.asarray(z, float))[0]
-    kzz = G[ev.sz, ev.sz]
+    kzz = spec.evaluator().fiber(y, z)[0]
     w = np.asarray(direction, float)
     speed2 = float(w @ kzz @ w)
     if not speed2 >= 0.0:
@@ -87,106 +83,72 @@ def fiber_unit_covector(spec, y, z, direction):
     return (kzz @ w) / speed
 
 
-def _cogeodesic_rhs(ev, y):
-    b, f, sz = ev.b, ev.f, ev.sz
+def _shoot(spec, y, z0, zeta0, arc, u=(1.0,)):
+    """(z, zeta) at the parameter fractions u of fiber cogeodesic lanes.
 
-    def rhs(s, state):
-        z = state[:f]
-        zeta = state[f:]
-        G, dG = ev.kernel(0.0, y, z)
-        w = fiber_inverse(G[sz, sz], z) @ zeta
-        dzeta = np.empty(f)
-        for a in range(f):
-            dzeta[a] = 0.5 * float(w @ dG[1 + b + a][sz, sz] @ w)
-        return np.concatenate((w, dzeta))
+    Lane k starts at (y[k], z0[k], zeta0[k]) and follows the cogeodesic
+    flow of the fiber cometric for the signed parameter arc[k]; y, z0 and
+    zeta0 broadcast against the n lanes of arc.  All lanes are one ODE in
+    the fraction u in [0, 1], whose state carries a leading lane axis.
+    Returns z and zeta of shape (len(u), n, f).  A singular fiber metric
+    raises DegenerateMetricError and a non-finite lane
+    IntegrationDivergedError.
+    """
+    ev = spec.evaluator()
+    arc = np.asarray(arc, float)
+    n, f, dirs = arc.size, spec.f, list(ev.fiber_dirs)
+    y = np.broadcast_to(y, (n, spec.b))
+    state0 = np.stack((np.broadcast_to(z0, (n, f)),
+                       np.broadcast_to(zeta0, (n, f))), axis=1)
+    if not (np.all(np.isfinite(state0)) and np.all(np.isfinite(arc))):
+        raise IntegrationDivergedError("non-finite fiber geodesic launch")
+    if not arc.any():
+        states = np.broadcast_to(state0, (len(u), n, 2, f))
+        return states[:, :, 0].copy(), states[:, :, 1].copy()
 
-    return rhs
+    def rhs(_, state):
+        z, zeta = state.reshape(n, 2, f).transpose(1, 0, 2)
+        kzz, dkzz = ev.fiber(y, z)
+        out = np.zeros((n, 2, f))
+        out[:, 0] = w = solve(kzz, zeta[:, :, None])[:, :, 0]
+        if dirs:
+            out[:, 1, dirs] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dkzz, w)
+        out *= arc[:, None, None]
+        if not np.isfinite(out).all():
+            raise IntegrationDivergedError("fiber geodesic lanes left the "
+                                           "finite range of the metric")
+        return out.ravel()
+
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
+                        t_eval=u, rtol=_GEO_RTOL, atol=_GEO_ATOL)
+    if sol.status != 0:
+        raise IntegrationDivergedError("fiber geodesic integration failed: "
+                                       "%s" % sol.message)
+    states = sol.y.T.reshape(len(u), n, 2, f)
+    return states[:, :, 0], states[:, :, 1]
 
 
 def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     """Cogeodesic flow of the fiber cometric; returns (z, zeta) samples.
 
     The parameter matches the boundary flow parameter: the fiber arc
-    advances at the constant rate |zeta0|_K.
+    advances at the constant rate |zeta0|_K.  One lane runs to the most
+    negative and one to the most positive s, sampled on the way.
     """
-    y = np.atleast_1d(np.asarray(y, float))
-    z0 = np.atleast_1d(np.asarray(z0, float))
-    zeta0 = np.atleast_1d(np.asarray(zeta0, float))
-    s_values = np.atleast_1d(np.asarray(s_values, float))
-    ev = spec.evaluator()
-    f = spec.f
-    order = np.argsort(s_values)
-    zs = np.empty((len(s_values), f))
-    zetas = np.empty((len(s_values), f))
-    rhs = _cogeodesic_rhs(ev, y)
-    state0 = np.concatenate((z0, zeta0))
-    for sign in (-1.0, 1.0):
-        sel = [i for i in order if (s_values[i] < 0) == (sign < 0)]
-        if not sel:
-            continue
-        targets = sorted(abs(s_values[i]) for i in sel)
-        span = targets[-1]
-        if span == 0.0:
-            for i in sel:
-                zs[i], zetas[i] = z0, zeta0
-            continue
-        sol = solve_ivp(lambda s, st: sign * rhs(s, st), (0.0, span), state0,
-                        method="RK45", rtol=_GEO_RTOL, atol=_GEO_ATOL,
-                        dense_output=True)
-        if sol.status != 0:
-            raise IntegrationDivergedError("fiber geodesic integration "
-                                           "failed: %s" % sol.message)
-        for i in sel:
-            st = sol.sol(abs(s_values[i]))
-            zs[i], zetas[i] = st[:f], st[f:]
-    return zs, zetas
+    s = np.atleast_1d(np.asarray(s_values, float))
+    lo, hi = min(s.min(), 0.0), max(s.max(), 0.0)
+    lane = (s >= 0.0).astype(int)
+    u = s / np.where(lane, hi or 1.0, lo)
+    u_eval = np.unique(u)
+    zs, zetas = _shoot(spec, y, z0, zeta0, [lo, hi], u_eval)
+    at = np.searchsorted(u_eval, u)
+    return zs[at, lane], zetas[at, lane]
 
 
 def fiber_geodesic_point(spec, y, z0, direction, arc):
     """Endpoint of the unit-speed fiber geodesic from z0 after signed arc."""
-    zeta0 = fiber_unit_covector(spec, y, z0, direction)
-    zs, _ = fiber_cogeodesic_flow(spec, y, z0, zeta0, [arc])
-    return zs[0]
-
-
-def _shoot(spec, y, z0, zeta0s, arc):
-    """Endpoints after signed arc of the cogeodesics from z0, one per row
-    of zeta0s (shape (n, f)), integrated as one ODE over n lanes.
-
-    The right-hand side is the cogeodesic field of _cogeodesic_rhs with
-    a trailing lane axis; a singular fiber metric raises
-    DegenerateMetricError and a non-finite lane IntegrationDivergedError.
-    """
-    zeta0s = np.asarray(zeta0s, float)
-    n, f = zeta0s.shape
-    kzz = spec.evaluator().kzz
-    zvars = [(a, 1 + spec.b + a) for a in range(f)
-             if any(node != Num(0.0) for row in kzz.deriv_nodes[1 + spec.b + a]
-                    for node in row)]
-
-    def rhs(s, state):
-        z, zeta = state[:f * n].reshape(f, n), state[f * n:].reshape(f, n)
-        w = solve(kzz.lanes(None, 0.0, y, z), zeta.T[:, :, None])[:, :, 0].T
-        dzeta = np.zeros((f, n))
-        for a, v in zvars:
-            dzeta[a] = 0.5 * np.einsum("in,nij,jn->n", w,
-                                       kzz.lanes(v, 0.0, y, z), w)
-        out = np.concatenate((w.ravel(), dzeta.ravel()))
-        if not np.all(np.isfinite(out)):
-            raise IntegrationDivergedError("fiber geodesic lanes left the "
-                                           "finite range of the metric")
-        return out
-
-    state0 = np.concatenate((np.repeat(z0, n), zeta0s.T.ravel()))
-    if not np.all(np.isfinite(state0)):
-        raise IntegrationDivergedError("non-finite fiber geodesic launch")
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(rhs, (0.0, arc), state0, method="RK45",
-                        t_eval=[arc], rtol=_GEO_RTOL, atol=_GEO_ATOL)
-    if sol.status != 0:
-        raise IntegrationDivergedError("fiber geodesic integration failed: "
-                                       "%s" % sol.message)
-    return sol.y[:f * n, -1].reshape(f, n).T
+    return _geodesic_ends(spec, y, z0, [direction], arc)[0]
 
 
 # --- the boundary flow itself -------------------------------------------
@@ -271,17 +233,22 @@ def fiber_limit_point(spec, q):
     with m = |zeta|_K.  Constant along the flow on either side of the
     closest approach (exactly at x = 0, to first order in x nearby).
     """
-    m = fiber_norm(spec, q.y, q.z, q.zeta)
-    if m == 0.0:
-        if q.xi == 0.0:
-            raise ValueError("fiber limit undefined on radial directions")
-        return q.z.copy()
-    if q.xi == 0.0:
-        arc = 0.5 * math.pi
-    else:
-        arc = math.atan(m / q.xi)
-    zs, _ = fiber_cogeodesic_flow(spec, q.y, q.z, q.zeta / m, [arc])
-    return zs[0]
+    return fiber_limit_points(spec, q.y[None], q.z[None], np.array([q.xi]),
+                              q.zeta[None])[0]
+
+
+def fiber_limit_points(spec, y, z, xi, zeta):
+    """fiber_limit_point of many phase points, one per row of y, z and
+    zeta (and entry of xi), from one shot."""
+    K = spec.evaluator().fiber_cometric(y, z)
+    m = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", zeta, K, zeta), 0.0))
+    moving = m > 0.0
+    if np.any(~moving & (xi == 0.0)):
+        raise ValueError("fiber limit undefined on radial directions")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
+    unit = zeta / np.where(moving, m, 1.0)[:, None]
+    return _shoot(spec, y, z, unit, np.where(moving, arc, 0.0))[0][-1]
 
 
 # --- geometric partners -------------------------------------------------
@@ -305,16 +272,10 @@ def _direction_grid(f, n):
 
 
 def _geodesic_ends(spec, y, z0, directions, arc):
-    """Endpoints of the unit geodesics from z0 in each direction after arc.
-
-    Three or more lanes are shot as one ODE; fewer are solved one at a
-    time, because per solve the lane-axis right-hand side costs more than
-    the scalar one.
-    """
-    if len(directions) < _BATCH_MIN_LANES:
-        return [fiber_geodesic_point(spec, y, z0, d, arc) for d in directions]
+    """Endpoints of the unit geodesics from z0 in each direction after
+    arc, shot as one ODE; shape (len(directions), f)."""
     zetas = [fiber_unit_covector(spec, y, z0, d) for d in directions]
-    return list(_shoot(spec, y, z0, zetas, arc))
+    return _shoot(spec, y, z0, zetas, np.full(len(zetas), arc))[0][-1]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None, dedup_tol=1e-6):

@@ -15,8 +15,8 @@ or parenthesis denotes multiplication (``2x`` means ``2*x``).
 
 Expressions parse to a small immutable AST that supports exact symbolic
 differentiation, light simplification, round-trippable formatting, and
-compilation to plain Python callables ``g(x, y, z)`` used by the metric
-evaluator, over floats or, with numpy functions, over arrays.
+compilation to Python source, from which the metric evaluator generates
+its functions, and to scalar callables ``g(x, y, z)``.
 """
 
 from __future__ import annotations
@@ -435,14 +435,9 @@ def _to_source(node):
     return "(%s %s %s)" % (_to_source(node.left), node.op, _to_source(node.right))
 
 
-def compile_expr(node, functions=math):
-    """Compile an AST to a function ``g(x, y, z)``.
-
-    ``functions`` supplies sin, cos, exp, sqrt and log: ``math`` gives a
-    scalar function; ``numpy`` gives one that also accepts arrays, so
-    each ``z[a]`` may be a vector of lanes.
-    """
-    namespace = {"_" + name: getattr(functions, name) for name in FUNCTIONS}
+def compile_expr(node):
+    """Compile an AST to a scalar function ``g(x, y, z)``."""
+    namespace = {"_" + name: getattr(math, name) for name in FUNCTIONS}
     namespace["__builtins__"] = {}
     return eval("lambda x, y, z: " + _to_source(node), namespace)
 

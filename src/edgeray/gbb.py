@@ -31,15 +31,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .boundary import fiber_limit_point, geometric_partners
+from .boundary import fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, RayEnd, Termination,
                           integrate_interior, stable_manifold_launch)
+from .metric import solve
 from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
                     normalize_cosphere)
 
 N_LADDER = 7
 LADDER_RATIO = 1.6
+GLANCING_INTERVAL = 0.5   # tangential travel of a glancing continuation
 
 
 class BranchKind:
@@ -156,11 +158,8 @@ def detect_boundary_event(spec, segment, settings=None, branch_id="0"):
     y_seq = states[:, 2:2 + b]
     xi_hat_seq = states[:, itau + 1] / abs_tau
     eta_hat_seq = states[:, itau + 2:itau + 2 + b] / abs_tau[:, None]
-    ups = []
-    for row in states:
-        q = EdgePhasePoint.from_vector(row, b, f)
-        ups.append(fiber_limit_point(spec, q))
-    ups = np.array(ups)
+    ups = fiber_limit_points(spec, y_seq, states[:, 2 + b:itau],
+                             states[:, itau + 1], states[:, itau + 2 + b:])
     # Unwrap the fiber-limit sequence so the fit sees a continuous curve.
     for j in range(1, len(ups)):
         ups[j] = ups[j - 1] + spec.fiber.coordinate_delta(ups[j], ups[j - 1])
@@ -291,7 +290,7 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
         y = state[:b]
         eta = state[b:]
         G, dG = ev.kernel(0.0, y, z0)
-        He = np.linalg.solve(G[sy, sy], eta)
+        He = solve(G[sy, sy], eta)
         deta = np.empty(b)
         for i in range(b):
             deta[i] = -0.5 * float(He @ dG[1 + i][sy, sy] @ He) / sgn_tau
@@ -305,7 +304,7 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
     drift = 0.0
     for y, eta in zip(ys, etas):
         h = ev.kernel(0.0, y, z0)[0][sy, sy]
-        drift = max(drift, abs(float(eta @ np.linalg.solve(h, eta)) - 1.0))
+        drift = max(drift, abs(float(eta @ solve(h, eta)) - 1.0))
     return TangentialPath(t=t0 + sol.t, y=ys, eta_hat=etas, norm_drift=drift)
 
 
@@ -326,7 +325,7 @@ def continue_glancing(spec, event, delta, settings=None):
     eta0 = event.eta_hat.copy()
     if spec.b:
         h = ev.kernel(0.0, event.y_bar, np.zeros(spec.f))[0][ev.sy, ev.sy]
-        norm = math.sqrt(float(eta0 @ np.linalg.solve(h, eta0)))
+        norm = math.sqrt(float(eta0 @ solve(h, eta0)))
         eta0 = eta0 / norm
     path = _tangential_flow(spec, event.t_bar, event.y_bar, eta0,
                             event.sgn_tau, delta)
@@ -335,7 +334,7 @@ def continue_glancing(spec, event, delta, settings=None):
     xi_re = -event.sgn_tau * settings.glancing_xi
     if spec.b:
         h = ev.kernel(0.0, y_end, np.zeros(spec.f))[0][ev.sy, ev.sy]
-        eta_norm2 = float(eta_end @ np.linalg.solve(h, eta_end))
+        eta_norm2 = float(eta_end @ solve(h, eta_end))
         eta_re = eta_end * math.sqrt((1.0 - xi_re * xi_re) / eta_norm2)
     else:
         eta_re = eta_end
@@ -386,8 +385,7 @@ class GbbPath:
                 if self.branches[bid].segment is not None]
 
 
-def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None,
-              glancing_interval=0.5):
+def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None):
     """Trace the broken bicharacteristic tree from an interior point.
 
     Alternates interior integration, event extrapolation and branching
@@ -442,7 +440,7 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None,
             launches = branch_hyperbolic(spec, event, policy, settings)
         else:
             tangential, re_data = continue_glancing(
-                spec, event, min(glancing_interval, t1 - event.t_bar),
+                spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar),
                 settings)
             branch.tangential = tangential
             launches = [BranchLaunch(data=re_data, kind=BranchKind.GLANCING,
@@ -513,7 +511,7 @@ class LipschitzReport:
     finite: bool
 
 
-def lipschitz_check(path, settings=None, probe_junctions=True):
+def lipschitz_check(path, settings=None):
     """Difference quotients of the slow variables along a traced path.
 
     Along segments the quotient uses the unit-|dt| parameter; across
@@ -557,8 +555,6 @@ def lipschitz_check(path, settings=None, probe_junctions=True):
             fiber_jumps.append(float(np.max(np.abs(
                 spec.fiber.coordinate_delta(child.fiber_point,
                                             event.z_bar)))))
-            if not probe_junctions:
-                continue
             defects = verify_handoff(spec, child.seed,
                                      child_or_event_data(child, event),
                                      settings)

@@ -59,7 +59,6 @@ class FlowSettings:
     fd_step: float = 1e-6
     event_fit_tol: float = 1e-5
     glancing_xi: float = 1e-6
-    seed: int = 0
 
 
 class Termination(enum.Enum):
@@ -187,7 +186,7 @@ class RaySegment:
 
 
 def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
-                       x_stop=None, check_drift=True):
+                       x_stop=None):
     """Integrate the flow from q0 with the unit-|dt| parametrization.
 
     direction multiplies the field; the parameter s then advances t at
@@ -248,12 +247,11 @@ def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
     segment = RaySegment(spec=spec, direction=direction, s=sol.t.copy(),
                          states=sol.y.T.copy(), termination=termination,
                          dense=sol.sol, nfev=sol.nfev)
-    if check_drift:
-        rel = np.abs(segment.conserved_log()["p_rel"])
-        if rel.max() > settings.p_drift_max:
-            raise IntegrationDivergedError(
-                "characteristic drift |p|/tau^2 = %.3g exceeds %.1g"
-                % (rel.max(), settings.p_drift_max))
+    rel = np.abs(segment.conserved_log()["p_rel"])
+    if rel.max() > settings.p_drift_max:
+        raise IntegrationDivergedError(
+            "characteristic drift |p|/tau^2 = %.3g exceeds %.1g"
+            % (rel.max(), settings.p_drift_max))
     return segment
 
 

@@ -21,9 +21,12 @@ G^{-1}, and the wave-operator symbol in this scaling is
 
     p = tau^2 - (xi, eta, zeta) . G^{-1} . (xi, eta, zeta).
 
-Coefficient entries are expression ASTs (see expr); the evaluator
-generates one function per metric that returns G and every partial
-dG/dv from a single call, and each pointwise reader slices it.
+Coefficient entries are expression ASTs (see expr).  From their source
+the evaluator generates two functions per metric: one returns G and
+every partial dG/dv from a single call, and each pointwise reader slices
+it; the other returns the x = 0 fiber block kzz and its nonzero z
+partials over a lane axis, for the fiber-geodesic shooter and the fiber
+cometric.
 """
 
 from __future__ import annotations
@@ -242,43 +245,31 @@ def metric_spec_values(spec):
 
 # --- pointwise evaluation ---------------------------------------------
 
-class _Block:
-    """Coefficient ASTs of one matrix, their partials, and lane functions."""
+class _Source:
+    """Body of a generated function: one local per distinct expression."""
 
-    def __init__(self, matrix, var_names):
-        self.shape = (len(matrix), len(matrix[0]) if matrix else 0)
-        self.value_nodes = matrix
-        self.deriv_nodes = [[[ex.diff(entry, var) for entry in row]
-                             for row in matrix] for var in var_names]
-        self._lane_tables = {}
+    def __init__(self):
+        self.body, self.names = [], {}
 
-    def _lane_table(self, v):
-        """(constant entries, numpy functions of the others) for v."""
-        table = self._lane_tables.get(v)
-        if table is None:
-            nodes = self.value_nodes if v is None else self.deriv_nodes[v]
-            const = np.zeros((1,) + self.shape)
-            fns = []
-            for i, row in enumerate(nodes):
-                for j, node in enumerate(row):
-                    if isinstance(node, ex.Num):
-                        const[0, i, j] = node.value
-                    else:
-                        fns.append((i, j, ex.compile_expr(node, np)))
-            table = self._lane_tables[v] = (const, fns)
-        return table
+    def local(self, text):
+        if text not in self.names:
+            self.names[text] = "c%d" % len(self.names)
+            self.body.append("    %s = %s" % (self.names[text], text))
+        return self.names[text]
 
-    def lanes(self, v, x, y, z):
-        """The matrix (v None) or its partial in direction v at many points.
+    def term(self, node):
+        if isinstance(node, ex.Num):
+            return repr(node.value)
+        return self.local(ex._to_source(node))
 
-        z has shape (f, n), one column per lane; the result has shape
-        (n, rows, cols).  The numpy functions are compiled on first use.
-        """
-        const, fns = self._lane_table(v)
-        out = np.repeat(const, z.shape[-1], axis=0)
-        for i, j, fn in fns:
-            out[:, i, j] = fn(x, y, z)
-        return out
+    def define(self, head, tail, functions, **names):
+        """Exec "def head: body; tail" with sin..log from functions."""
+        namespace = {"_" + name: getattr(functions, name)
+                     for name in ex.FUNCTIONS}
+        namespace.update(names, __builtins__={})
+        exec("def %s:\n%s\n%s" % (head, "\n".join(self.body), tail),
+             namespace)
+        return namespace[head[:head.index("(")]]
 
 
 def _generate_kernel(spec, names):
@@ -291,19 +282,11 @@ def _generate_kernel(spec, names):
     """
     b, f = spec.b, spec.f
     nv = 1 + b + f
-    body, locals_, entries = [], {}, {0: "1.0"}   # flat slot -> value
-
-    def local(text):
-        if text not in locals_:
-            locals_[text] = "c%d" % len(locals_)
-            body.append("    %s = %s" % (locals_[text], text))
-        return locals_[text]
+    src, entries = _Source(), {0: "1.0"}   # flat slot -> value
 
     def term(matrix, v, i, j):   # v = 0: the entry, v = 1 + u: d/du
         node = matrix[i][j] if v == 0 else ex.diff(matrix[i][j], names[v - 1])
-        if isinstance(node, ex.Num):
-            return repr(node.value)
-        return local(ex._to_source(node))
+        return src.term(node)
 
     for v in range(1 + nv):
         def put(i, j, text):
@@ -318,25 +301,52 @@ def _generate_kernel(spec, names):
                 term(spec.kyy, v, i, j))
             if v == 1:
                 text = "(%s + %s) + (2.0 * x) * %s" % (
-                    local(text), term(spec.hprime, 0, i, j),
+                    src.local(text), term(spec.hprime, 0, i, j),
                     term(spec.kyy, 0, i, j))
-            put(1 + i, 1 + j, local(text))
+            put(1 + i, 1 + j, src.local(text))
         for i, a in itertools.product(range(b), range(f)):
             text = "x * %s" % term(spec.kyz, v, i, a)
             if v == 1:
                 text += " + %s" % term(spec.kyz, 0, i, a)
-            put(1 + i, 1 + b + a, local(text))
-            put(1 + b + a, 1 + i, local(text))
-    namespace = {"_" + name: getattr(math, name) for name in ex.FUNCTIONS}
-    namespace.update(__builtins__={}, _zeros=np.zeros,
-                     _slots=np.array(list(entries), dtype=np.intp))
-    exec("def kernel(x, y, z):\n%s\n    out = _zeros(%d)\n"
-         "    out[_slots] = (%s,)\n    return (out[:%d].reshape(%d, %d),"
-         " out[%d:].reshape(%d, %d, %d))"
-         % ("\n".join(body), nv * nv * (1 + nv),
-            ", ".join(entries.values()), nv * nv, nv, nv, nv * nv, nv,
-            nv, nv), namespace)
-    return namespace["kernel"]
+            put(1 + i, 1 + b + a, src.local(text))
+            put(1 + b + a, 1 + i, src.local(text))
+    return src.define(
+        "kernel(x, y, z)",
+        "    out = _zeros(%d)\n    out[_slots] = (%s,)\n"
+        "    return out[:%d].reshape(%d, %d), out[%d:].reshape(%d, %d, %d)"
+        % (nv * nv * (1 + nv), ", ".join(entries.values()), nv * nv, nv,
+           nv, nv * nv, nv, nv, nv),
+        math, _zeros=np.zeros, _slots=np.array(list(entries), dtype=np.intp))
+
+
+def _generate_fiber(spec):
+    """(fiber(y, z) -> (kzz, dkzz), dirs) at x = 0, numpy functions.
+
+    dirs lists the fiber directions a along which kzz varies; dkzz[..., d]
+    is dkzz/dz_{dirs[d]}.  Only nonzero entries are written, each
+    symmetric pair from one statement.
+    """
+    f = spec.f
+    zs = ["z%d" % (a + 1) for a in range(f)]
+    dirs = [a for a in range(f)
+            if any(ex.diff(node, zs[a]) != ex.Num(0.0)
+                   for row in spec.k for node in row)]
+    src, lines = _Source(), []
+    src.body.append("    x, y, z = 0.0, _asarray(y).T, _asarray(z).T")
+    for d, a in enumerate([None] + dirs):
+        for i, j in itertools.combinations_with_replacement(range(f), 2):
+            node = spec.k[i][j] if a is None else ex.diff(spec.k[i][j], zs[a])
+            if node != ex.Num(0.0):
+                text = src.term(node)
+                lines += ["    out[..., %d, %d, %d] = %s" % (d, p, q, text)
+                          for p, q in {(i, j), (j, i)}]
+    fiber = src.define(
+        "fiber(y, z)",
+        "    out = _zeros(z.T.shape[:-1] + (%d, %d, %d))\n%s\n"
+        "    return out[..., 0, :, :], out[..., 1:, :, :]"
+        % (1 + len(dirs), f, f, "\n".join(lines)),
+        np, _zeros=np.zeros, _asarray=np.asarray)
+    return fiber, tuple(dirs)
 
 
 class MetricEvaluator:
@@ -345,6 +355,11 @@ class MetricEvaluator:
     Index order for matrix slots and for derivative directions is
     (x, y1..yb, z1..zf); nv = 1 + b + f.  ``kernel(x, y, z)`` returns
     (G, dG) with dG[v] = dG/dv, shapes (nv, nv) and (nv, nv, nv).
+    ``fiber(y, z)`` returns the x = 0 fiber block kzz and its partials
+    dkzz/dz_a for the directions a in ``fiber_dirs``, shapes (f, f) and
+    (len(fiber_dirs), f, f); y and z may carry a leading lane axis
+    (shapes (n, b) and (n, f)), which the results then carry too, as
+    numpy.linalg stacks matrices.
     """
 
     def __init__(self, spec):
@@ -354,10 +369,10 @@ class MetricEvaluator:
         self.b, self.f = b, f
         vars_ = ["x"] + ["y%d" % (i + 1) for i in range(b)] \
                       + ["z%d" % (a + 1) for a in range(f)]
-        self.kzz = _Block(spec.k, vars_)
         self.sy = slice(1, 1 + b)
         self.sz = slice(1 + b, 1 + b + f)
         self.kernel = _generate_kernel(spec, vars_)
+        self.fiber, self.fiber_dirs = _generate_fiber(spec)
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""
@@ -383,15 +398,26 @@ class MetricEvaluator:
                                         % (x, err))
 
     def fiber_cometric(self, y, z):
-        """K = inverse fiber block at x = 0."""
-        return fiber_inverse(self.kernel(0.0, y, z)[0][self.sz, self.sz], z)
+        """K = inverse fiber block at x = 0, per lane like ``fiber``.
+
+        Raises DegenerateMetricError where kzz is not finite or singular.
+        """
+        kzz = self.fiber(y, z)[0]
+        if not np.isfinite(kzz).all():
+            raise DegenerateMetricError("fiber metric not finite at z=%s"
+                                        % np.round(z, 6))
+        try:
+            return np.linalg.inv(kzz)
+        except np.linalg.LinAlgError as err:
+            raise DegenerateMetricError("fiber metric not invertible: %s"
+                                        % err)
 
     def base_cometric(self, y):
         """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
         if not self.b:
             return np.zeros((0, 0))
         G = self.kernel(0.0, y, np.zeros(self.f))[0]
-        return np.linalg.inv(G[self.sy, self.sy])
+        return solve(G[self.sy, self.sy], np.eye(self.b))
 
 
 def solve(matrix, rhs):
@@ -400,17 +426,6 @@ def solve(matrix, rhs):
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as err:
         raise DegenerateMetricError("metric not invertible: %s" % err)
-
-
-def fiber_inverse(kzz, z):
-    """kzz^{-1}; DegenerateMetricError if kzz is not finite or singular."""
-    if not np.isfinite(kzz).all():
-        raise DegenerateMetricError("fiber metric not finite at z=%s"
-                                    % np.round(z, 6))
-    try:
-        return np.linalg.inv(kzz)
-    except np.linalg.LinAlgError as err:
-        raise DegenerateMetricError("fiber metric not invertible: %s" % err)
 
 
 def wave_symbol(spec, q):

@@ -7,12 +7,14 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from edgeray import expr as ex
 from edgeray.boundary import (
     _direction_grid,
     _shoot,
     boundary_flow,
     boundary_flow_constants,
     boundary_maximal_interval,
+    fiber_cogeodesic_flow,
     fiber_geodesic_point,
     fiber_limit_point,
     fiber_norm,
@@ -370,6 +372,39 @@ def test_geodesic_point_respects_variable_speed():
     assert abs(float(delta[0])) < 1e-9
 
 
+def _oracle_kzz(spec, y, z, var=None):
+    """kzz at (0, y, z), or its partial in var, by the tree-walking
+    evaluator."""
+    return np.array([[ex.evaluate(node if var is None else ex.diff(node, var),
+                                  0.0, y, z) for node in row]
+                     for row in spec.k])
+
+
+def _oracle_shot(spec, y, z0, zeta0, arc):
+    """(z, zeta) after parameter arc along one cogeodesic, solved on its
+    own on _oracle_kzz."""
+    f = spec.f
+
+    def rhs(s, state):
+        z, zeta = state[:f], state[f:]
+        w = np.linalg.solve(_oracle_kzz(spec, y, z), zeta)
+        return np.concatenate((w, [
+            0.5 * w @ _oracle_kzz(spec, y, z, "z%d" % (a + 1)) @ w
+            for a in range(f)]))
+
+    state0 = np.concatenate((z0, zeta0))
+    if arc == 0.0:
+        return state0[:f], state0[f:]
+    sol = solve_ivp(rhs, (0.0, arc), state0, method="DOP853", rtol=1e-13,
+                    atol=1e-15)
+    return sol.y[:f, -1], sol.y[f:, -1]
+
+
+def _oracle_unit_covector(spec, y, z, w):
+    kzz = _oracle_kzz(spec, y, z)
+    return kzz @ w / math.sqrt(w @ kzz @ w)
+
+
 @pytest.mark.parametrize("name, y, z_bar, n", [
     ("sphere_edge", [0.0], [1.2, 0.4], 64),
     ("radius_two_circle", [], [0.3], 2),
@@ -377,20 +412,21 @@ def test_geodesic_point_respects_variable_speed():
     ("product_edge(1, 2)", [0.2], [0.3, 1.0], 64),
 ])
 def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
-    """Every lane of one batched shot lands where its own solve does,
-    and the partner search finds as many points as serial solves."""
+    """Every lane of one batched shot lands where an independent solve of
+    its cogeodesic lands, and the partner search finds as many points as
+    those solves."""
     if name == "radius_two_circle":
         spec = make_metric_spec(0, 1, k=[["4"]],
                                 fiber="circle(%r)" % (2.0 * math.pi))
     else:
         spec = builtin_scene(name).spec
     y, z_bar = np.array(y), np.array(z_bar)
-    directions = _direction_grid(spec.f, n)
-    zetas = [fiber_unit_covector(spec, y, z_bar, d) for d in directions]
-    batched = _shoot(spec, y, z_bar, zetas, math.pi)
-    single = [fiber_geodesic_point(spec, y, z_bar, d, math.pi)
-              for d in directions]
-    assert batched.shape == (len(directions), spec.f)
+    zetas = [_oracle_unit_covector(spec, y, z_bar, d)
+             for d in _direction_grid(spec.f, n)]
+    batched = _shoot(spec, y, z_bar, zetas, np.full(n, math.pi))[0][-1]
+    single = [_oracle_shot(spec, y, z_bar, zeta, math.pi)[0]
+              for zeta in zetas]
+    assert batched.shape == (n, spec.f)
     np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-9)
     serial_partners = []
     for z_end in single:
@@ -402,18 +438,86 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
     assert len(partners) == len(serial_partners)
 
 
+@pytest.mark.parametrize("name", ["perturbed_edge(0.3)", "sphere_edge",
+                                  "coupled"])
+def test_shot_lanes_keep_their_own_start_and_arc(name):
+    """Lanes with their own y, start point, covector and signed arc (zero
+    and negative included) each match an independent solve, in z and
+    zeta, at the end and half way."""
+    if name == "coupled":
+        spec = make_metric_spec(
+            1, 2, h=[["1"]], fiber="torus",
+            k=[["1 + 0.3*cos(z1 - z2)", "0.1*sin(y1)"],
+               ["0.1*sin(y1)", "2 + 0.2*y1*sin(z2)"]])
+    else:
+        spec = builtin_scene(name).spec
+    rng = np.random.default_rng(4)
+    arcs = np.array([0.0, -1.3, 2.1, -0.4, 0.7, math.pi])
+    ys = rng.uniform(-0.5, 0.5, (len(arcs), spec.b))
+    zs = rng.uniform(0.4, 2.6, (len(arcs), spec.f))
+    zetas = rng.uniform(-1.0, 1.0, (len(arcs), spec.f))
+    got_z, got_zeta = _shoot(spec, ys, zs, zetas, arcs, u=(0.5, 1.0))
+    assert got_z.shape == got_zeta.shape == (2, len(arcs), spec.f)
+    for k, arc in enumerate(arcs):
+        for i, frac in enumerate((0.5, 1.0)):
+            z, zeta = _oracle_shot(spec, ys[k], zs[k], zetas[k], frac * arc)
+            np.testing.assert_allclose(got_z[i, k], z, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(got_zeta[i, k], zeta, rtol=0.0,
+                                       atol=1e-9)
+    np.testing.assert_array_equal(got_z[:, 0], zs[[0, 0]])
+
+
+def test_cogeodesic_flow_samples_both_signs():
+    """Unsorted samples on both sides of s = 0, with unequal reach, each
+    match an independent solve to that parameter."""
+    spec = builtin_scene("perturbed_edge(0.3)").spec
+    y, z0, zeta0 = np.array([0.1]), np.array([0.7]), np.array([0.8])
+    s = np.array([0.4, -1.1, 2.0, 0.0, -0.3, 0.9])
+    zs, zetas = fiber_cogeodesic_flow(spec, y, z0, zeta0, s)
+    for k, sk in enumerate(s):
+        z, zeta = _oracle_shot(spec, y, z0, zeta0, sk)
+        np.testing.assert_allclose(zs[k], z, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(zetas[k], zeta, rtol=0.0, atol=1e-9)
+
+
 def test_batched_shot_raises_typed_errors():
     """A singular fiber metric or a lane that overflows raises the typed
-    errors of the single-geodesic path, never LinAlgError or NaN."""
+    errors, never LinAlgError or NaN, from the shooter and from each
+    reader of it."""
+    none = np.zeros(0)
     singular = make_metric_spec(0, 2, k=[["1", "0"], ["0", "z1"]],
                                 fiber="chart")
+    at_zero = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.zeros(2), tau=1.0,
+                             xi=0.5, eta=none, zeta=np.array([0.0, 1.0]))
     with pytest.raises(DegenerateMetricError):
-        _shoot(singular, np.zeros(0), np.zeros(2), np.eye(2), 1.0)
+        _shoot(singular, none, np.zeros(2), np.eye(2), np.ones(2))
+    with pytest.raises(DegenerateMetricError):
+        fiber_cogeodesic_flow(singular, none, np.zeros(2),
+                              np.array([1.0, 0.0]), [-0.5, 0.5])
+    with pytest.raises(DegenerateMetricError):
+        fiber_limit_point(singular, at_zero)
+    with pytest.raises(DegenerateMetricError):
+        boundary_flow(singular, at_zero, 0.1)
     growing = make_metric_spec(0, 1, k=[["exp(z1)"]], fiber="chart")
     for bad in (1e200, math.nan):
         with pytest.raises(IntegrationDivergedError):
-            _shoot(growing, np.zeros(0), np.zeros(1),
-                   np.array([[1.0], [-1.0], [bad]]), 1.0)
+            _shoot(growing, none, np.zeros(1),
+                   np.array([[1.0], [-1.0], [bad]]), np.ones(3))
+        with pytest.raises(IntegrationDivergedError):
+            fiber_cogeodesic_flow(growing, none, np.zeros(1),
+                                  np.array([bad]), [1.0])
+    with pytest.raises(IntegrationDivergedError):
+        fiber_limit_point(growing, EdgePhasePoint(
+            t=0.0, x=0.0, y=none, z=np.zeros(1), tau=1.0, xi=0.5, eta=none,
+            zeta=np.array([math.nan])))
+    # A unit geodesic of k = exp(-2 z1) reaches z1 = +inf after arc 1.
+    escaping = make_metric_spec(0, 1, k=[["exp(-2*z1)"]], fiber="chart")
+    q = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.zeros(1), tau=1.0,
+                       xi=0.0, eta=none, zeta=np.array([1.0]))
+    with pytest.raises(IntegrationDivergedError):
+        fiber_limit_point(escaping, q)
+    with pytest.raises(IntegrationDivergedError):
+        boundary_flow(escaping, q, 1.4)
 
 
 def test_related_search_on_three_torus():

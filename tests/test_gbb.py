@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from edgeray.errors import ConfigError, IllConditionedEventError
+from edgeray.errors import (ConfigError, DegenerateMetricError,
+                            IllConditionedEventError)
 from edgeray.gbb import (
     GEOMETRIC_ONLY,
     SAME_FIBER,
     BoundaryEvent,
     BranchKind,
     BranchPolicy,
+    _tangential_flow,
     backward_event,
     branch_hyperbolic,
     child_or_event_data,
@@ -236,6 +238,24 @@ def test_glancing_continuation_curved_base_great_circle():
     np.testing.assert_allclose(path.y[:, 1], -(path.t - 0.0), atol=1e-10)
     assert path.norm_drift < 1e-10
     assert data.y_bar[1] == pytest.approx(-0.8, abs=1e-10)
+
+
+def test_singular_base_block_is_a_typed_error():
+    """h = y1 is singular at y = 0: the base cometric, the tangential flow
+    and the glancing continuation raise DegenerateMetricError."""
+    spec = make_metric_spec(1, 1, h=[["y1"]], k=[["1"]])
+    y0, eta0 = np.zeros(1), np.array([1.0])
+    with pytest.raises(DegenerateMetricError):
+        spec.evaluator().base_cometric(y0)
+    with pytest.raises(DegenerateMetricError):
+        _tangential_flow(spec, 0.0, y0, eta0, 1, 0.4)
+    event = BoundaryEvent(branch_id="0",
+                          boundary_class=BoundaryClass.GLANCING,
+                          t_bar=0.0, y_bar=y0, z_bar=np.array([0.3]),
+                          sgn_tau=1, xi_hat=0.0, eta_hat=eta0, margin=0.0,
+                          char_defect=0.0, residual=0.0)
+    with pytest.raises(DegenerateMetricError):
+        continue_glancing(spec, event, 0.4)
 
 
 def test_trace_flat_cone_assembles_two_branches():

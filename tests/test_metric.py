@@ -104,13 +104,18 @@ CUSTOM_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", ["product_cone(1.3)", "product_edge(1, 1)",
-                                  "product_edge(2, 3)", "blowup_curve_r3",
-                                  "perturbed_edge(0.3)", "sphere_edge"]
-                         + sorted(CUSTOM_SPECS))
-def test_kernel_is_bitwise_the_per_block_assembly(name):
-    spec = (CUSTOM_SPECS[name]() if name in CUSTOM_SPECS
+BUILTINS = ["product_cone(1.3)", "product_edge(1, 1)", "product_edge(2, 3)",
+            "blowup_curve_r3", "perturbed_edge(0.3)", "sphere_edge"]
+
+
+def _spec(name):
+    return (CUSTOM_SPECS[name]() if name in CUSTOM_SPECS
             else builtin_scene(name).spec)
+
+
+@pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
+def test_kernel_is_bitwise_the_per_block_assembly(name):
+    spec = _spec(name)
     ev = spec.evaluator()
     rng = np.random.default_rng(7)
     for k in range(20):
@@ -123,6 +128,31 @@ def test_kernel_is_bitwise_the_per_block_assembly(name):
                                                           z).tobytes()
         assert ev.edge_matrix(x, y, z).tobytes() == G.tobytes()
         assert ev.edge_matrix_derivs(x, y, z).tobytes() == dG.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
+def test_fiber_function_matches_the_kernel(name):
+    """ev.fiber is the kernel's x = 0 kzz block and its z partials, at one
+    point and on a lane axis; the directions it leaves out have zero
+    partials."""
+    spec = _spec(name)
+    ev = spec.evaluator()
+    f, dirs = spec.f, list(ev.fiber_dirs)
+    rng = np.random.default_rng(3)
+    ys = rng.uniform(-0.8, 0.8, (5, spec.b))
+    zs = rng.uniform(0.2, 2.9, (5, f))
+    lanes = ev.fiber(ys, zs)
+    assert lanes[0].shape == (5, f, f)
+    assert lanes[1].shape == (5, len(dirs), f, f)
+    for k in range(5):
+        G, dG = ev.kernel(0.0, ys[k], zs[k])
+        want = [dG[1 + spec.b + a][ev.sz, ev.sz] for a in range(f)]
+        for kzz, dkzz in (ev.fiber(ys[k], zs[k]), (lanes[0][k], lanes[1][k])):
+            np.testing.assert_allclose(kzz, G[ev.sz, ev.sz], rtol=1e-15,
+                                       atol=0.0)
+            full = np.zeros((f, f, f))
+            full[dirs] = dkzz
+            np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
 
 
 def test_edge_matrix_structure():
