@@ -57,6 +57,7 @@ _GEO_ATOL = 1e-13
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
 _CAP_FLOOR = 1e-10     # cap radius (radians) below which refinement stops
+DEDUP_TOL = 1e-6       # partners closer than this in every coordinate merge
 
 
 def fiber_norm(spec, y, z, zeta):
@@ -278,7 +279,7 @@ def _geodesic_ends(spec, y, z0, directions, arc):
     return _shoot(spec, y, z0, zetas, np.full(len(zetas), arc))[0][-1]
 
 
-def geometric_partners(spec, y, z_bar, n_directions=None, dedup_tol=1e-6):
+def geometric_partners(spec, y, z_bar, n_directions=None):
     """Fiber points at unit-speed geodesic distance exactly pi from z_bar.
 
     Samples initial directions, shoots every geodesic to arc pi in one
@@ -295,7 +296,7 @@ def geometric_partners(spec, y, z_bar, n_directions=None, dedup_tol=1e-6):
                                 math.pi):
         z_end = spec.fiber.wrap(z_end)
         if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
-                   < dedup_tol for seen in out):
+                   < DEDUP_TOL for seen in out):
             out.append(z_end)
     return out
 

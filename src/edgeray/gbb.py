@@ -31,6 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from . import hamiltonian
 from .boundary import fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, RayEnd, Termination,
@@ -42,6 +43,9 @@ from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
 N_LADDER = 7
 LADDER_RATIO = 1.6
 GLANCING_INTERVAL = 0.5   # tangential travel of a glancing continuation
+EVENT_FIT_TOL = 1e-5      # largest ladder-fit residual of an edge event
+BRANCH_BUDGET = 64        # interior segments a traced tree may integrate
+GLANCING_XI = 1e-6        # outgoing |xi_hat| of a glancing re-entry
 
 
 class BranchKind:
@@ -138,14 +142,13 @@ def _extrapolate(xs, values, scale):
     return coeffs[0], residual
 
 
-def detect_boundary_event(spec, segment, settings=None, branch_id="0"):
+def detect_boundary_event(spec, segment, branch_id="0"):
     """Extrapolate a boundary-approaching segment to x = 0 and classify.
 
-    Raises IllConditionedEventError when the fit residuals exceed the
-    tolerance or the extrapolated data are off the characteristic set.
+    Raises IllConditionedEventError when the fit residuals exceed
+    EVENT_FIT_TOL or the extrapolated data are off the characteristic
+    set.
     """
-    if settings is None:
-        settings = FlowSettings()
     if segment.termination != Termination.BOUNDARY_APPROACH:
         raise ValueError("event detection requires a BoundaryApproach "
                          "segment, got %s" % segment.termination.value)
@@ -177,16 +180,15 @@ def detect_boundary_event(spec, segment, settings=None, branch_id="0"):
     xi_hat = fit(xi_hat_seq)
     eta_hat = np.array([fit(eta_hat_seq[:, i]) for i in range(b)])
     z_bar = spec.fiber.wrap(np.array([fit(ups[:, a]) for a in range(f)]))
-    if residual > settings.event_fit_tol:
+    if residual > EVENT_FIT_TOL:
         raise IllConditionedEventError(
             "boundary extrapolation residual %.3g exceeds %.1g"
-            % (residual, settings.event_fit_tol))
+            % (residual, EVENT_FIT_TOL))
     sgn_tau = 1 if states[-1, itau] > 0 else -1
     probe = EdgePhasePoint(t=t_bar, x=0.0, y=y_bar, z=z_bar,
                            tau=float(sgn_tau), xi=xi_hat, eta=eta_hat,
                            zeta=np.zeros(f))
-    cls, margin = classify_boundary(spec, normalize_cosphere(probe),
-                                    tol_g=settings.tol_g)
+    cls, margin = classify_boundary(spec, normalize_cosphere(probe))
     char_defect = abs(xi_hat * xi_hat - margin)
     if cls == BoundaryClass.HYPERBOLIC and char_defect > 1e-4:
         raise IllConditionedEventError(
@@ -212,13 +214,6 @@ class BranchLaunch:
 def _fan_points(spec, z_bar, n):
     """n fiber points spread uniformly over the fiber, anchored at z_bar."""
     f = spec.f
-    if f == 1:
-        period = spec.fiber.periods[0]
-        if period is not None:
-            return [spec.fiber.wrap(z_bar + np.array([period * i / n]))
-                    for i in range(n)]
-        lo, hi = spec.z_box[0]
-        return [np.array([v]) for v in np.linspace(lo, hi, n)]
     per_axis = max(2, math.ceil(n ** (1.0 / f)))
     axes = []
     for a in range(f):
@@ -233,14 +228,12 @@ def _fan_points(spec, z_bar, n):
     return [spec.fiber.wrap(row) for row in grid[:n]]
 
 
-def branch_hyperbolic(spec, event, policy, settings=None):
+def branch_hyperbolic(spec, event, policy):
     """Outgoing launch data for a hyperbolic event under a branch policy.
 
     All launches share the event's slow data; xi_hat keeps its magnitude
     with the sign flipped to the outgoing convention.
     """
-    if settings is None:
-        settings = FlowSettings()
     if event.boundary_class != BoundaryClass.HYPERBOLIC:
         raise ValueError("branching applies to hyperbolic events only")
     xi_out = -event.xi_hat
@@ -256,8 +249,7 @@ def branch_hyperbolic(spec, event, policy, settings=None):
     if policy.kind == "same_fiber":
         return [launch(event.z_bar, BranchKind.DIFFRACTED)]
     if policy.kind == "geometric":
-        partners = geometric_partners(spec, event.y_bar, event.z_bar,
-                                      dedup_tol=settings.dedup_tol)
+        partners = geometric_partners(spec, event.y_bar, event.z_bar)
         partners.sort(key=lambda z: tuple(np.round(z, 9)))
         return [launch(z, BranchKind.GEOMETRIC) for z in partners]
     if policy.kind == "fan":
@@ -308,7 +300,7 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
     return TangentialPath(t=t0 + sol.t, y=ys, eta_hat=etas, norm_drift=drift)
 
 
-def continue_glancing(spec, event, delta, settings=None):
+def continue_glancing(spec, event, delta):
     """Tangential travel for parameter delta, then a grazing re-entry.
 
     Returns (TangentialPath, BoundaryData): the re-entry uses an
@@ -316,8 +308,6 @@ def continue_glancing(spec, event, delta, settings=None):
     unit cosphere, realizing one admissible continuation of the
     tangency.
     """
-    if settings is None:
-        settings = FlowSettings()
     if event.boundary_class != BoundaryClass.GLANCING:
         raise ValueError("glancing continuation applies to glancing events")
     # Normalize the incoming data onto the unit cosphere before flowing.
@@ -331,7 +321,7 @@ def continue_glancing(spec, event, delta, settings=None):
                             event.sgn_tau, delta)
     y_end = path.y[-1]
     eta_end = path.eta_hat[-1]
-    xi_re = -event.sgn_tau * settings.glancing_xi
+    xi_re = -event.sgn_tau * GLANCING_XI
     if spec.b:
         h = ev.kernel(0.0, y_end, np.zeros(spec.f))[0][ev.sy, ev.sy]
         eta_norm2 = float(eta_end @ solve(h, eta_end))
@@ -385,15 +375,13 @@ class GbbPath:
                 if self.branches[bid].segment is not None]
 
 
-def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None):
+def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
     """Trace the broken bicharacteristic tree from an interior point.
 
     Alternates interior integration, event extrapolation and branching
-    until every branch leaves t_span or the branch budget is exhausted
-    (the partial path is returned with truncated=True).
+    until every branch leaves t_span or BRANCH_BUDGET segments are
+    integrated (the partial path is returned with truncated=True).
     """
-    if settings is None:
-        settings = FlowSettings()
     if isinstance(policy, str):
         policy = BranchPolicy.parse(policy)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -407,16 +395,16 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None):
     if q0.tau == 0.0:
         raise ConfigError("launch point has tau = 0; light rays need "
                           "tau != 0")
-    if not settings.x_stop < settings.eps_launch:
+    if not settings.x_stop < hamiltonian.EPS_LAUNCH:
         raise ConfigError("x_stop = %.6g must lie below the launch height "
-                          "eps_launch = %.6g of outgoing rays"
-                          % (settings.x_stop, settings.eps_launch))
+                          "EPS_LAUNCH = %.6g of outgoing rays"
+                          % (settings.x_stop, hamiltonian.EPS_LAUNCH))
     root = GbbBranch(branch_id="0", kind=BranchKind.INCIDENT, seed=q0)
     path = GbbPath(spec=spec, policy=policy, branches={"0": root})
     queue = deque(["0"])
     used = 0
     while queue:
-        if used >= settings.branch_budget:
+        if used >= BRANCH_BUDGET:
             path.truncated = True
             break
         bid = queue.popleft()
@@ -434,14 +422,13 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None):
         if segment.termination != Termination.BOUNDARY_APPROACH:
             branch.note = segment.termination.value
             continue
-        event = detect_boundary_event(spec, segment, settings, branch_id=bid)
+        event = detect_boundary_event(spec, segment, branch_id=bid)
         branch.event = event
         if event.boundary_class == BoundaryClass.HYPERBOLIC:
-            launches = branch_hyperbolic(spec, event, policy, settings)
+            launches = branch_hyperbolic(spec, event, policy)
         else:
             tangential, re_data = continue_glancing(
-                spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar),
-                settings)
+                spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar))
             branch.tangential = tangential
             launches = [BranchLaunch(data=re_data, kind=BranchKind.GLANCING,
                                      fiber_point=re_data.z_bar)]
@@ -469,14 +456,12 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=None):
 
 # --- conformance checks -----------------------------------------------------
 
-def backward_event(spec, seed, settings=None):
+def backward_event(spec, seed, settings=FlowSettings()):
     """Integrate a launch seed back toward the edge and extrapolate.
 
     Used to verify the hand-off: the re-detected boundary data of an
     outgoing seed should reproduce the data it was launched from.
     """
-    if settings is None:
-        settings = FlowSettings()
     direction = -1 if seed.xi > 0 else 1
     xi_hat = abs(seed.xi / seed.tau)
     s_max = 8.0 * seed.x / max(xi_hat, 1e-3)
@@ -484,10 +469,10 @@ def backward_event(spec, seed, settings=None):
                                  s_max=s_max)
     if segment.termination != Termination.BOUNDARY_APPROACH:
         raise IllConditionedEventError("seed did not re-approach the edge")
-    return detect_boundary_event(spec, segment, settings)
+    return detect_boundary_event(spec, segment)
 
 
-def verify_handoff(spec, seed, data, settings=None):
+def verify_handoff(spec, seed, data, settings=FlowSettings()):
     """Defects between a seed's re-detected boundary data and its target."""
     event = backward_event(spec, seed, settings)
     dz = spec.fiber.coordinate_delta(event.z_bar, data.z_bar)
@@ -511,7 +496,7 @@ class LipschitzReport:
     finite: bool
 
 
-def lipschitz_check(path, settings=None):
+def lipschitz_check(path, settings=FlowSettings()):
     """Difference quotients of the slow variables along a traced path.
 
     Along segments the quotient uses the unit-|dt| parameter; across
@@ -520,8 +505,6 @@ def lipschitz_check(path, settings=None):
     event's.  Fiber-point movement (fast data) is reported separately
     and never counted as a slow jump.
     """
-    if settings is None:
-        settings = FlowSettings()
     spec = path.spec
     b = spec.b
     itau = 2 + b + spec.f

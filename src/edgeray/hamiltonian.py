@@ -42,23 +42,20 @@ from .errors import (IllConditionedEventError, IntegrationDivergedError,
 from .metric import solve, transverse_momentum
 from .phase import EdgePhasePoint
 
+EPS_LAUNCH = 1e-3      # height x at which outgoing rays are seeded
+P_DRIFT_MAX = 1e-6     # largest |p|/tau^2 an interior segment may carry
+MAX_STEPS = 500000     # field evaluations allowed per interior segment
+FD_STEP = 1e-6         # central-difference step of the radial linearization
+
 
 @dataclass(frozen=True)
 class FlowSettings:
-    """Numerical knobs shared by the integrators and the event machinery."""
+    """What a scene sets: integrator tolerances and the height x_stop at
+    which an interior ray is handed to the edge machinery."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     x_stop: float = 1e-4
-    eps_launch: float = 1e-3
-    p_drift_max: float = 1e-6
-    max_steps: int = 500000
-    tol_g: float = 1e-9
-    branch_budget: int = 64
-    dedup_tol: float = 1e-6
-    fd_step: float = 1e-6
-    event_fit_tol: float = 1e-5
-    glancing_xi: float = 1e-6
 
 
 class Termination(enum.Enum):
@@ -185,20 +182,18 @@ class RaySegment:
         return self.dense(s)
 
 
-def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
-                       x_stop=None):
+def integrate_interior(spec, q0, direction, settings=FlowSettings(),
+                       s_max=10.0):
     """Integrate the flow from q0 with the unit-|dt| parametrization.
 
     direction multiplies the field; the parameter s then advances t at
-    rate -direction*sgn(tau).  Terminates on reaching x_stop from above
-    (BoundaryApproach), on exhausting s_max (TimeLimit), or on leaving
-    the fiber chart for chart-only fiber topologies (ChartExit).
+    rate -direction*sgn(tau).  Terminates on reaching settings.x_stop
+    from above (BoundaryApproach), on exhausting s_max (TimeLimit), or
+    on leaving the fiber chart for chart-only fiber topologies
+    (ChartExit).  More than MAX_STEPS field evaluations raise
+    StepLimitError while integrating.
     """
-    if settings is None:
-        settings = FlowSettings()
-    if x_stop is None:
-        x_stop = settings.x_stop
-    if q0.x <= x_stop:
+    if q0.x <= settings.x_stop:
         raise ValueError("initial point must start above x_stop")
     if q0.tau == 0.0:
         raise ValueError("tau must be nonzero along light rays")
@@ -207,15 +202,15 @@ def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
     evaluations = itertools.count(1)
 
     def rhs(s, vec):
-        if next(evaluations) > settings.max_steps:
+        if next(evaluations) > MAX_STEPS:
             raise StepLimitError("integration passed its budget of %d "
-                                 "evaluations" % settings.max_steps)
+                                 "evaluations" % MAX_STEPS)
         field = _field_vector(ev, vec)
         scale = direction / (vec[1] * abs(vec[itau]))
         return field * scale
 
     def hit_boundary(s, vec):
-        return vec[1] - x_stop
+        return vec[1] - settings.x_stop
     hit_boundary.terminal = True
     hit_boundary.direction = -1
 
@@ -248,10 +243,10 @@ def integrate_interior(spec, q0, direction, settings=None, s_max=10.0,
                          states=sol.y.T.copy(), termination=termination,
                          dense=sol.sol, nfev=sol.nfev)
     rel = np.abs(segment.conserved_log()["p_rel"])
-    if rel.max() > settings.p_drift_max:
+    if rel.max() > P_DRIFT_MAX:
         raise IntegrationDivergedError(
             "characteristic drift |p|/tau^2 = %.3g exceeds %.1g"
-            % (rel.max(), settings.p_drift_max))
+            % (rel.max(), P_DRIFT_MAX))
     return segment
 
 
@@ -267,15 +262,13 @@ class LinearizationResult:
     max_imag: float
 
 
-def linearization_at_radial(spec, q, step=None):
+def linearization_at_radial(spec, q):
     """Finite-difference Jacobian of the unit-gauge field at a radial point.
 
     The spectrum consists of -xi_hat (multiplicity 1 + f, covering the
     scale direction and the fiber covector), 0 (multiplicity 2b + f + 2),
     and +xi_hat (multiplicity 1, the normal direction).
     """
-    if step is None:
-        step = FlowSettings().fd_step
     ev = spec.evaluator()
     vec = q.to_vector()
     n = len(vec)
@@ -283,10 +276,10 @@ def linearization_at_radial(spec, q, step=None):
     for j in range(n):
         vp = vec.copy()
         vm = vec.copy()
-        vp[j] += step
-        vm[j] -= step
+        vp[j] += FD_STEP
+        vm[j] -= FD_STEP
         L[:, j] = (_rescaled_vector(ev, vp, q.sgn_tau)
-                   - _rescaled_vector(ev, vm, q.sgn_tau)) / (2.0 * step)
+                   - _rescaled_vector(ev, vm, q.sgn_tau)) / (2.0 * FD_STEP)
     eig = np.linalg.eigvals(L)
     order = np.argsort(eig.real)
     eig = eig[order]
@@ -354,8 +347,9 @@ def _seed_from_data(spec, data, io, eps):
                           eta=data.eta_hat.copy(), zeta=zeta)
 
 
-def stable_manifold_launch(spec, data, io=None, settings=None, newton=True):
-    """Interior seed at x = eps_launch on the ray with the given edge data.
+def stable_manifold_launch(spec, data, io=None, settings=FlowSettings(),
+                           newton=True):
+    """Interior seed at x = EPS_LAUNCH on the ray with the given edge data.
 
     The seed is built from the leading asymptotics (zeta_hat = O(x),
     xi solved exactly from p = 0) and improved by one Newton correction:
@@ -364,8 +358,6 @@ def stable_manifold_launch(spec, data, io=None, settings=None, newton=True):
     Set newton=False for grazing data, where the probe geometry
     degenerates and the leading-order seed is used as is.
     """
-    if settings is None:
-        settings = FlowSettings()
     if io is None:
         io = data.io
     if data.xi_hat == 0.0:
@@ -375,8 +367,7 @@ def stable_manifold_launch(spec, data, io=None, settings=None, newton=True):
     if int(math.copysign(1, data.xi_hat)) * data.sgn_tau != want:
         raise LaunchFailedError("sgn(xi_hat * tau) inconsistent with %s ray"
                                 % io.value)
-    eps = settings.eps_launch
-    seed = _seed_from_data(spec, data, io, eps)
+    seed = _seed_from_data(spec, data, io, EPS_LAUNCH)
     if not newton:
         return seed
     # Newton pass: probe toward the edge, extrapolate the limiting data

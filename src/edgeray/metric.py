@@ -203,22 +203,32 @@ def parse_metric_spec(text):
     return metric_spec_from_values(values)
 
 
+def _as_float_pairs(raw, key):
+    if not isinstance(raw, list) or not all(
+            isinstance(item, list) and len(item) == 2 for item in raw):
+        raise ConfigError("%s must be a list of [lo, hi] pairs" % key)
+    return tuple((float(lo), float(hi)) for lo, hi in raw)
+
+
 def metric_spec_from_values(values):
+    """Metric spec from parsed METRIC_KEYS values, plus the optional
+    coordinate extents x_max, y_box and z_box."""
     for required in ("b", "f", "k"):
         if required not in values:
-            raise ConfigError("metric config missing key %r" % required)
-    b = int(values["b"])
-    f = int(values["f"])
-    fiber = values.get("fiber")
+            raise ConfigError("missing metric key %r" % required)
+    extent = {key: _as_float_pairs(values[key], key)
+              for key in ("y_box", "z_box") if key in values}
+    if "x_max" in values:
+        extent["x_max"] = float(values["x_max"])
     return make_metric_spec(
-        b, f,
+        int(values["b"]), int(values["f"]),
         h=values.get("h"),
         hprime=values.get("hprime"),
         k=values.get("k"),
         kyy=values.get("kyy"),
         kyz=values.get("kyz"),
-        fiber=fiber,
-    )
+        fiber=values.get("fiber"),
+        **extent)
 
 
 def metric_spec_values(spec):

@@ -29,7 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .boundary import geometric_partners
 from .hamiltonian import RayEnd
+
+RELATED_TOL = 1e-6   # is_geometrically_related's default defect tolerance
 
 
 def as_rational(value):
@@ -286,17 +291,23 @@ class RegularityRecord:
     per_branch: dict
 
 
-def _branch_clean(spec, event, branch, clean_flags):
+def _branch_clean(spec, event, branch, clean_flags, partners):
+    """Whether a branch is clean: geometric branches never are, nor, on
+    f = 1 fibers, a branch at an arc-pi partner of its event's fiber
+    point.  partners caches those partners, so each event shoots once."""
     if clean_flags is not None:
         if isinstance(clean_flags, dict):
             return bool(clean_flags.get(branch.branch_id, True))
         return bool(clean_flags)
-    from .boundary import is_geometrically_related
     if branch.kind == "geometric":
         return False
     if event is not None and spec.f == 1:
-        return not is_geometrically_related(spec, event.y_bar, event.z_bar,
-                                            branch.fiber_point).related
+        if event.branch_id not in partners:
+            partners[event.branch_id] = geometric_partners(
+                spec, event.y_bar, event.z_bar)
+        return not any(
+            np.linalg.norm(spec.fiber.coordinate_delta(z, branch.fiber_point))
+            <= RELATED_TOL for z in partners[event.branch_id])
     return True
 
 
@@ -313,6 +324,7 @@ def annotate_path(path, s_incident, nonfocusing=None, clean_flags=None):
     record = RegularityRecord(s_incident=s_in, nonfocusing=nonfocusing,
                               per_branch={})
     spec = path.spec
+    partners = {}
     for bid in path.branch_ids():
         branch = path.branches[bid]
         if branch.kind == "incident":
@@ -324,7 +336,7 @@ def annotate_path(path, s_incident, nonfocusing=None, clean_flags=None):
             continue
         parent = path.branches.get(branch.parent_id)
         event = parent.event if parent is not None else None
-        clean = _branch_clean(spec, event, branch, clean_flags)
+        clean = _branch_clean(spec, event, branch, clean_flags, partners)
         if clean:
             bound = apply_geometric(nonfocusing.space_order, True, s_in)
             record.per_branch[bid] = BranchOrder(bound,

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+TOL_G = 1e-9    # |margin| at or below which a boundary point is glancing
+
 
 class BoundaryClass(enum.Enum):
     ELLIPTIC = "elliptic"
@@ -145,14 +147,14 @@ def boundary_margin(spec, q):
     return 1.0 - float(q.eta_hat @ H @ q.eta_hat)
 
 
-def classify_boundary(spec, q, tol_g=1e-9):
+def classify_boundary(spec, q):
     """Classify a boundary point (x = 0) by the slow-data margin."""
     if q.x != 0.0:
         raise ValueError("classification applies to boundary points (x = 0)")
     margin = boundary_margin(spec, q)
-    if margin > tol_g:
+    if margin > TOL_G:
         cls = BoundaryClass.HYPERBOLIC
-    elif margin < -tol_g:
+    elif margin < -TOL_G:
         cls = BoundaryClass.ELLIPTIC
     else:
         cls = BoundaryClass.GLANCING

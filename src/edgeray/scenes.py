@@ -33,7 +33,7 @@ from .errors import ConfigError, DimensionError
 from .gbb import SAME_FIBER, BranchPolicy
 from .hamiltonian import FlowSettings
 from .metric import (METRIC_KEYS, EdgeMetricSpec, make_metric_spec,
-                     metric_spec_values)
+                     metric_spec_from_values, metric_spec_values)
 from .orders import Nonfocusing
 from .phase import EdgePhasePoint
 
@@ -193,13 +193,6 @@ def builtin_scene(name):
 
 # --- scene files -----------------------------------------------------------
 
-def _as_float_pairs(raw, key):
-    if not isinstance(raw, list) or not all(
-            isinstance(item, list) and len(item) == 2 for item in raw):
-        raise ConfigError("%s must be a list of [lo, hi] pairs" % key)
-    return tuple((float(lo), float(hi)) for lo, hi in raw)
-
-
 def parse_scene(text):
     """Parse a scene file; returns a SceneConfig."""
     values = {}
@@ -215,31 +208,16 @@ def parse_scene(text):
 
 def scene_from_values(values):
     values = dict(values)
+    spec_keys = METRIC_KEYS + ("x_max", "y_box", "z_box")
     if "builtin" in values:
-        for key in METRIC_KEYS + ("x_max", "y_box", "z_box"):
-            if key in values and key != "builtin":
+        for key in spec_keys:
+            if key in values:
                 raise ConfigError("builtin scenes fix the metric; "
                                   "remove key %r" % key)
         config = builtin_scene(values.pop("builtin"))
     else:
-        metric_values = {k: values.pop(k) for k in list(values)
-                         if k in METRIC_KEYS}
-        for required in ("b", "f", "k"):
-            if required not in metric_values:
-                raise ConfigError("scene missing metric key %r" % required)
-        kwargs = {}
-        if "x_max" in values:
-            kwargs["x_max"] = float(values.pop("x_max"))
-        if "y_box" in values:
-            kwargs["y_box"] = _as_float_pairs(values.pop("y_box"), "y_box")
-        if "z_box" in values:
-            kwargs["z_box"] = _as_float_pairs(values.pop("z_box"), "z_box")
-        spec = make_metric_spec(
-            int(metric_values["b"]), int(metric_values["f"]),
-            h=metric_values.get("h"), hprime=metric_values.get("hprime"),
-            k=metric_values.get("k"), kyy=metric_values.get("kyy"),
-            kyz=metric_values.get("kyz"), fiber=metric_values.get("fiber"),
-            **kwargs)
+        spec = metric_spec_from_values({k: values.pop(k) for k in spec_keys
+                                        if k in values})
         config = SceneConfig(name="custom", spec=spec,
                              source=_radial_source(spec, 0.9 * spec.x_max))
     spec = config.spec

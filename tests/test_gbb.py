@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from edgeray import gbb
 from edgeray.errors import (ConfigError, DegenerateMetricError,
                             IllConditionedEventError)
 from edgeray.gbb import (
@@ -100,8 +101,9 @@ def test_event_extrapolation_needs_descent_room():
     spec = builtin_scene("product_cone(1.0)").spec
     q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),
                         tau=1.0, xi=1.0, eta=np.zeros(0), zeta=np.zeros(1))
-    segment = integrate_interior(spec, q0, direction=-1, s_max=5.0,
-                                 x_stop=0.45)
+    segment = integrate_interior(spec, q0, direction=-1,
+                                 settings=FlowSettings(x_stop=0.45),
+                                 s_max=5.0)
     assert segment.termination == Termination.BOUNDARY_APPROACH
     with pytest.raises(IllConditionedEventError):
         detect_boundary_event(spec, segment)
@@ -162,6 +164,12 @@ def test_fan_branching_is_anchored_and_uniform():
     single = branch_hyperbolic(spec, event, fan(1))
     assert len(single) == 1
     np.testing.assert_array_equal(single[0].fiber_point, event.z_bar)
+    # a chart fiber spreads the fan over its z_box, ends included
+    chart = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
+                             z_box=((-1.5, 2.5),))
+    for n, want in ((1, [-1.5]), (5, [-1.5, -0.5, 0.5, 1.5, 2.5])):
+        launches = branch_hyperbolic(chart, event, fan(n))
+        assert [float(l.fiber_point[0]) for l in launches] == want
 
 
 def test_fan_branching_two_dimensional_fiber():
@@ -214,8 +222,7 @@ def test_glancing_continuation_flat_base():
     assert data.t_bar == pytest.approx(0.1 + delta)
     assert data.y_bar[0] == pytest.approx(0.2 - delta, abs=1e-12)
     np.testing.assert_array_equal(data.z_bar, event.z_bar)
-    settings = FlowSettings()
-    assert data.xi_hat == pytest.approx(-settings.glancing_xi)
+    assert data.xi_hat == pytest.approx(-gbb.GLANCING_XI)
     assert data.io.value == "outgoing"
     assert data.eta_hat[0] ** 2 + data.xi_hat ** 2 == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -317,13 +324,12 @@ def test_trace_lipschitz_bookkeeping():
     assert report.fiber_jumps == (0.0,)
 
 
-def test_trace_budget_truncates():
+def test_trace_budget_truncates(monkeypatch):
     spec = builtin_scene("product_cone(1.0)").spec
     q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),
                         tau=1.0, xi=1.0, eta=np.zeros(0), zeta=np.zeros(1))
-    settings = FlowSettings(branch_budget=1)
-    path = trace_gbb(spec, q0, (0.0, 1.2), policy=SAME_FIBER,
-                     settings=settings)
+    monkeypatch.setattr(gbb, "BRANCH_BUDGET", 1)
+    path = trace_gbb(spec, q0, (0.0, 1.2), policy=SAME_FIBER)
     assert path.truncated
     assert path.branches["0.0"].segment is None
 

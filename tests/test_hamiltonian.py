@@ -166,15 +166,17 @@ def test_time_reversal_retrace():
     spec = builtin_scene("perturbed_edge(0.4)").spec
     for _ in range(5):
         q0 = _char_point(spec, rng, x_lo=0.3, x_hi=0.6)
-        seg = integrate_interior(spec, q0, direction=-1, s_max=0.5,
-                                 x_stop=1e-12)
+        seg = integrate_interior(spec, q0, direction=-1,
+                                 settings=FlowSettings(x_stop=1e-12),
+                                 s_max=0.5)
         assert seg.termination is Termination.TIME_LIMIT
         q1 = seg.end_point()
         flipped = EdgePhasePoint(t=-q1.t, x=q1.x, y=q1.y, z=q1.z,
                                  tau=-q1.tau, xi=q1.xi, eta=q1.eta,
                                  zeta=q1.zeta)
         back = integrate_interior(spec, flipped, direction=1,
-                                  s_max=seg.s[-1], x_stop=1e-12)
+                                  settings=FlowSettings(x_stop=1e-12),
+                                  s_max=seg.s[-1])
         q2 = back.end_point()
         restored = np.concatenate(([-q2.t, q2.x], q2.y, q2.z,
                                    [-q2.tau, q2.xi], q2.eta, q2.zeta))
@@ -218,11 +220,11 @@ def test_step_budget_is_enforced_while_integrating(monkeypatch):
         calls.append(1)
         return field_vector(ev, vec)
     monkeypatch.setattr(hamiltonian, "_field_vector", counted)
+    monkeypatch.setattr(hamiltonian, "MAX_STEPS", 60)
     spec = builtin_scene("perturbed_edge(0.3)").spec
     q0 = _char_point(spec, np.random.default_rng(5))
     with pytest.raises(StepLimitError):
-        integrate_interior(spec, q0, direction=-1, s_max=2.0,
-                           settings=FlowSettings(max_steps=60))
+        integrate_interior(spec, q0, direction=-1, s_max=2.0)
     assert 0 < len(calls) <= 61
 
 
@@ -297,7 +299,7 @@ def test_stable_manifold_launch_reproduces_data():
                                 xi_hat=-xi_mag, eta_hat=eta)  # outgoing
             assert data.io is RayEnd.OUTGOING
             seed = stable_manifold_launch(spec, data)
-            assert seed.x == pytest.approx(FlowSettings().eps_launch)
+            assert seed.x == pytest.approx(hamiltonian.EPS_LAUNCH)
             assert abs(wave_symbol(spec, seed)) < 1e-12
             from edgeray.gbb import verify_handoff
             defects = verify_handoff(spec, seed, data)

@@ -9,7 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgeray.gbb import trace_gbb
+from edgeray import boundary
+from edgeray.boundary import is_geometrically_related
+from edgeray.gbb import fan, trace_gbb
 from edgeray.hamiltonian import RayEnd
 from edgeray.orders import (
     INFINITE_ORDER,
@@ -232,3 +234,38 @@ def test_annotate_path_clean_flag_overrides():
     record = annotate_path(path, 0, nonfocusing=nf,
                            clean_flags={"other": False})
     assert record.per_branch["0.0"].rule == "nonfocusing improvement"
+
+
+def test_partners_are_shot_once_per_event(monkeypatch):
+    """f = 1: annotate_path shoots each event's arc-pi geodesics once,
+    and a fan branch is clean exactly when is_geometrically_related
+    finds its fiber point is no partner of the event's."""
+    nf = Nonfocusing("1/2", 1)
+    for name in ("perturbed_edge(0.3)", "product_cone(1.0)"):
+        config = builtin_scene(name)
+        spec = config.spec
+        path = trace_gbb(spec, config.source, config.t_span, fan(8))
+        shots = []
+        shoot = boundary._shoot
+
+        def counted(*args, **kwargs):
+            shots.append(1)
+            return shoot(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(boundary, "_shoot", counted)
+            record = annotate_path(path, 0, nonfocusing=nf)
+        assert path.events() and len(shots) == len(path.events())
+        outcomes = set()
+        for bid in path.branch_ids():
+            branch = path.branches[bid]
+            if branch.parent_id is None:
+                continue
+            event = path.branches[branch.parent_id].event
+            clean = not is_geometrically_related(
+                spec, event.y_bar, event.z_bar, branch.fiber_point).related
+            rule = record.per_branch[bid].rule
+            assert (rule == "nonfocusing improvement") == clean, (name, bid)
+            outcomes.add(clean)
+        # the round circle's fan holds the antipode z_bar + pi: one dirty
+        if name == "product_cone(1.0)":
+            assert outcomes == {True, False}

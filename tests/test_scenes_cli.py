@@ -1,6 +1,7 @@
 """Tests for scene files, ray fans, serialization, and the CLI."""
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -9,12 +10,13 @@ import pytest
 
 from edgeray.cli import _load_scene, main
 from edgeray.errors import ConfigError, DimensionError
-from edgeray.hamiltonian import integrate_interior
+from edgeray.hamiltonian import FlowSettings, integrate_interior
 from edgeray.metric import wave_symbol
 from edgeray.phase import EdgePhasePoint
 from edgeray.rays_io import dump_columns, serialize_dump
 from edgeray.run import run_scenario
 from edgeray.scenes import (
+    SCENE_KEYS,
     PointSource,
     blow_down,
     blow_down_segment,
@@ -224,7 +226,7 @@ def test_cli_trace_rejects_source_at_edge_or_with_zero_tau(tmp_path, capsys):
 
 def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
                                                             capsys):
-    """Outgoing rays are seeded at eps_launch = 1e-3, so an x_stop at or
+    """Outgoing rays are seeded at EPS_LAUNCH = 1e-3, so an x_stop at or
     above it is a config error, from the scene or from --x-stop."""
     scene = tmp_path / "scene.cfg"
     text = ("builtin = product_cone(1.0)\n"
@@ -309,3 +311,11 @@ def test_trace_output_is_deterministic(tmp_path, monkeypatch):
     monkeypatch.delenv("EDGERAY_THREADS")
     free = run_scenario(parse_scene(scene.read_text()))
     assert serialize_dump(free.dump, "csv").encode() == one
+
+
+def test_flow_settings_are_what_a_scene_sets():
+    """Every settings field is a scene key; every other tolerance and
+    budget is a module constant."""
+    names = tuple(f.name for f in dataclasses.fields(FlowSettings))
+    assert names == ("rtol", "atol", "x_stop")
+    assert set(names) <= set(SCENE_KEYS)
