@@ -1,7 +1,7 @@
 """Low-level helpers for the structured key = value configuration text.
 
-Scene and metric files are plain text: one ``key = value`` statement per
-line, with ``;`` allowed as an additional separator and ``#`` starting a
+Scene files are plain text: one ``key = value`` statement per line,
+with ``;`` allowed as an additional separator and ``#`` starting a
 comment.  Values are numbers, bare words (possibly call-like, e.g.
 ``circle(6.28)``), or bracketed lists whose leaves are kept as raw
 strings so that coefficient expressions survive untouched.
@@ -77,13 +77,3 @@ def _try_number(raw):
         return int(value)
     return value
 
-
-def format_value(value):
-    """Inverse of parse_value for serialization."""
-    if isinstance(value, list):
-        return "[" + ", ".join(format_value(item) for item in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

@@ -58,6 +58,7 @@ _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
 _CAP_FLOOR = 1e-10     # cap radius (radians) below which refinement stops
 DEDUP_TOL = 1e-6       # partners closer than this in every coordinate merge
+RELATED_TOL = 1e-6     # arc-pi endpoint defect below which points are related
 
 
 def fiber_norm(spec, y, z, zeta):
@@ -318,7 +319,7 @@ def _cap(center, radius, m):
     return directions, rim
 
 
-def is_geometrically_related(spec, y, z1, z2, tol=1e-6, n_directions=None):
+def is_geometrically_related(spec, y, z1, z2, n_directions=None):
     """Whether a unit-speed fiber geodesic of arc pi joins z1 to z2.
 
     Shoots geodesics over a direction grid, then (for f >= 2) refines
@@ -347,7 +348,7 @@ def is_geometrically_related(spec, y, z1, z2, tol=1e-6, n_directions=None):
         radius = float(np.arccos(np.clip(others.max(), -1.0, 1.0)))
         m = max(2, round(_CAP_LANES ** (1.0 / (f - 1)) / 2))
         for _ in range(_CAP_ROUNDS):
-            if best <= 1e-3 * tol or radius < _CAP_FLOOR:
+            if best <= 1e-3 * RELATED_TOL or radius < _CAP_FLOOR:
                 break
             cap, rim = _cap(best_dir, radius, m)
             cap_defects = defects(cap)
@@ -357,4 +358,4 @@ def is_geometrically_related(spec, y, z1, z2, tol=1e-6, n_directions=None):
                 if rim[j]:
                     continue
             radius /= m
-    return PartnerResult(best <= tol, best, best_dir)
+    return PartnerResult(best <= RELATED_TOL, best, best_dir)

@@ -35,26 +35,17 @@ from .rays_io import serialize_dump
 from .run import run_scenario
 from .scenes import builtin_scene, parse_scene
 
+FAIL_LINES = 5   # FAIL lines edgeray validate prints before a summary line
 
-def _load_scene(ref, args):
+
+def _load_scene(ref, seed=None):
     if os.path.exists(ref):
         with open(ref) as handle:
             config = parse_scene(handle.read())
     else:
         config = builtin_scene(ref)
-    if args.seed is not None:
-        config.seed = args.seed
-    overrides = {}
-    if args.rtol is not None:
-        overrides["rtol"] = args.rtol
-    if args.x_stop is not None:
-        overrides["x_stop"] = args.x_stop
-    if overrides:
-        config.settings = replace(config.settings, **overrides)
-    if args.out is not None:
-        config.out = args.out
-    if args.format is not None:
-        config.format = args.format
+    if seed is not None:
+        config.seed = seed
     return config
 
 
@@ -64,7 +55,7 @@ def _floats(text):
 
 
 def cmd_validate(args):
-    config = _load_scene(args.scene, args)
+    config = _load_scene(args.scene, args.seed)
     report = validate_normal_form(config.spec, seed=config.seed)
     print("scene %s: b=%d f=%d fiber=%s" % (config.name, config.spec.b,
                                             config.spec.f,
@@ -76,8 +67,10 @@ def cmd_validate(args):
         print("min base-block eigenvalue: %.6g" % report.min_base_eigenvalue)
     print("worst condition number: %.6g" % report.worst_cond)
     if not report.passed:
-        for failure in report.failures:
+        for failure in report.failures[:FAIL_LINES]:
             print("FAIL: %s" % failure)
+        if len(report.failures) > FAIL_LINES:
+            print("... and %d more" % (len(report.failures) - FAIL_LINES))
         raise ConfigError("metric failed validation at %d points"
                           % len(report.failures))
     print("normal form OK")
@@ -85,7 +78,15 @@ def cmd_validate(args):
 
 
 def cmd_trace(args):
-    config = _load_scene(args.scene, args)
+    config = _load_scene(args.scene, args.seed)
+    if args.rtol is not None:
+        config.settings = replace(config.settings, rtol=args.rtol)
+    if args.x_stop is not None:
+        config.settings = replace(config.settings, x_stop=args.x_stop)
+    if args.out is not None:
+        config.out = args.out
+    if args.format is not None:
+        config.format = args.format
     result = run_scenario(config)
     sys.stdout.write(result.summary)
     if config.out:
@@ -121,7 +122,7 @@ def _random_radial_points(spec, count, seed):
 
 
 def cmd_eigencheck(args):
-    config = _load_scene(args.scene, args)
+    config = _load_scene(args.scene, args.seed)
     spec = config.spec
     if args.point is not None:
         vec = _floats(args.point)
@@ -150,8 +151,7 @@ def cmd_eigencheck(args):
 
 
 def cmd_partners(args):
-    config = _load_scene(args.scene, args)
-    spec = config.spec
+    spec = _load_scene(args.scene).spec
     y = _floats(args.y) if args.y else np.zeros(spec.b)
     z = _floats(args.z)
     if len(y) != spec.b or len(z) != spec.f:
@@ -199,30 +199,28 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="edgeray",
         description="Trace broken bicharacteristics on edge manifolds.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the ray dump to this path")
-    common.add_argument("--format", choices=("csv", "jsonl"),
-                        help="dump format (default csv)")
-    common.add_argument("--seed", type=int, help="random seed override")
-    common.add_argument("--rtol", type=float,
-                        help="integrator relative tolerance")
-    common.add_argument("--x-stop", dest="x_stop", type=float,
-                        help="boundary-approach threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check the metric normal form")
+    p = sub.add_parser("validate", help="check the metric normal form")
     p.add_argument("scene")
+    p.add_argument("--seed", type=int, help="sampling seed override")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("trace", parents=[common],
-                       help="trace a scene's rays")
+    p = sub.add_parser("trace", help="trace a scene's rays")
     p.add_argument("scene")
+    p.add_argument("--out", help="write the ray dump to this path")
+    p.add_argument("--format", choices=("csv", "jsonl"),
+                   help="dump format (default csv)")
+    p.add_argument("--seed", type=int, help="random seed override")
+    p.add_argument("--rtol", type=float, help="integrator relative tolerance")
+    p.add_argument("--x-stop", dest="x_stop", type=float,
+                   help="boundary-approach threshold")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("eigencheck", parents=[common],
+    p = sub.add_parser("eigencheck",
                        help="radial-point linearization spectrum")
     p.add_argument("scene")
+    p.add_argument("--seed", type=int, help="random point seed override")
     p.add_argument("--point", help="explicit point: t,x,y..,z..,sigma,"
                                    "xi,eta..,zeta..")
     p.add_argument("--sgn-tau", dest="sgn_tau", type=int, default=1,
@@ -232,8 +230,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_eigencheck)
 
-    p = sub.add_parser("partners", parents=[common],
-                       help="geometric partners of a fiber point")
+    p = sub.add_parser("partners", help="geometric partners of a fiber point")
     p.add_argument("scene")
     p.add_argument("--y", help="base coordinates, comma separated")
     p.add_argument("--z", required=True,
@@ -241,8 +238,7 @@ def build_parser():
     p.add_argument("--directions", type=int, default=None)
     p.set_defaults(func=cmd_partners)
 
-    p = sub.add_parser("orders", parents=[common],
-                       help="exact order formulas")
+    p = sub.add_parser("orders", help="exact order formulas")
     p.add_argument("--n", type=int)
     p.add_argument("--f", type=int)
     p.add_argument("--s", help="Sobolev/Lagrangian order (rational)")

@@ -15,8 +15,8 @@ or parenthesis denotes multiplication (``2x`` means ``2*x``).
 
 Expressions parse to a small immutable AST that supports exact symbolic
 differentiation, light simplification, round-trippable formatting, and
-compilation to Python source, from which the metric evaluator generates
-its functions, and to scalar callables ``g(x, y, z)``.
+translation to Python source, from which the metric evaluator generates
+its functions.
 """
 
 from __future__ import annotations
@@ -399,24 +399,7 @@ def _format(node, parent_prec):
     return "(" + text + ")" if prec < parent_prec else text
 
 
-# --- evaluation / compilation ----------------------------------------
-
-def free_vars(node, acc=None):
-    if acc is None:
-        acc = set()
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, Neg):
-        free_vars(node.arg, acc)
-    elif isinstance(node, PowInt):
-        free_vars(node.base, acc)
-    elif isinstance(node, Call):
-        free_vars(node.arg, acc)
-    elif isinstance(node, BinOp):
-        free_vars(node.left, acc)
-        free_vars(node.right, acc)
-    return acc
-
+# --- source translation and reference evaluation ----------------------
 
 def _to_source(node):
     if isinstance(node, Num):
@@ -435,15 +418,8 @@ def _to_source(node):
     return "(%s %s %s)" % (_to_source(node.left), node.op, _to_source(node.right))
 
 
-def compile_expr(node):
-    """Compile an AST to a scalar function ``g(x, y, z)``."""
-    namespace = {"_" + name: getattr(math, name) for name in FUNCTIONS}
-    namespace["__builtins__"] = {}
-    return eval("lambda x, y, z: " + _to_source(node), namespace)
-
-
 def evaluate(node, x, y, z):
-    """Tree-walking evaluation; reference path for the compiled functions."""
+    """Tree-walking evaluation; reference for the generated functions."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):

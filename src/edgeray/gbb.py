@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from . import hamiltonian
 from .boundary import fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
-from .hamiltonian import (BoundaryData, FlowSettings, RayEnd, Termination,
+from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
 from .metric import solve
 from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
@@ -46,6 +46,7 @@ GLANCING_INTERVAL = 0.5   # tangential travel of a glancing continuation
 EVENT_FIT_TOL = 1e-5      # largest ladder-fit residual of an edge event
 BRANCH_BUDGET = 64        # interior segments a traced tree may integrate
 GLANCING_XI = 1e-6        # outgoing |xi_hat| of a glancing re-entry
+TANGENTIAL_SAMPLES = 33   # samples of a glancing continuation's travel
 
 
 class BranchKind:
@@ -270,7 +271,7 @@ class TangentialPath:
     norm_drift: float        # worst deviation of |eta_hat|_h from 1
 
 
-def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
+def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
     ev = spec.evaluator()
     b, sy, z0 = spec.b, ev.sy, np.zeros(spec.f)
     if b == 0 or delta == 0.0:
@@ -290,7 +291,7 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta, n_samples=33):
 
     sol = solve_ivp(rhs, (0.0, delta), np.concatenate((y0, eta0)),
                     method="RK45", rtol=1e-11, atol=1e-13,
-                    t_eval=np.linspace(0.0, delta, n_samples))
+                    t_eval=np.linspace(0.0, delta, TANGENTIAL_SAMPLES))
     ys = sol.y[:b].T
     etas = sol.y[b:].T
     drift = 0.0
@@ -382,8 +383,6 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
     until every branch leaves t_span or BRANCH_BUDGET segments are
     integrated (the partial path is returned with truncated=True).
     """
-    if isinstance(policy, str):
-        policy = BranchPolicy.parse(policy)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ConfigError("t_span must be increasing")
@@ -438,7 +437,7 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
                               parent_id=bid, fiber_point=launch.fiber_point)
             try:
                 child.seed = stable_manifold_launch(
-                    spec, launch.data, RayEnd.OUTGOING, settings,
+                    spec, launch.data, settings,
                     newton=launch.kind != BranchKind.GLANCING)
             except LaunchFailedError as err:
                 child.note = "launch failed: %s" % err

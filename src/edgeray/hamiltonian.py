@@ -140,6 +140,7 @@ class RaySegment:
     termination: Termination
     dense: object = None        # scipy OdeSolution over the raw parameter
     nfev: int = 0
+    p_rel: np.ndarray = None    # per-sample p/tau^2, from the drift gate
 
     def point(self, i):
         return EdgePhasePoint.from_vector(self.states[i], self.spec.b,
@@ -147,9 +148,6 @@ class RaySegment:
 
     def end_point(self):
         return self.point(len(self.s) - 1)
-
-    def start_point(self):
-        return self.point(0)
 
     @property
     def x(self):
@@ -176,10 +174,6 @@ class RaySegment:
             "tau_over_x": tau / self.states[:, 1],
             "abs_tau": np.abs(tau),
         }
-
-    def state_at(self, s):
-        """Dense-output state lookup at raw parameter value s."""
-        return self.dense(s)
 
 
 def integrate_interior(spec, q0, direction, settings=FlowSettings(),
@@ -242,7 +236,8 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
     segment = RaySegment(spec=spec, direction=direction, s=sol.t.copy(),
                          states=sol.y.T.copy(), termination=termination,
                          dense=sol.sol, nfev=sol.nfev)
-    rel = np.abs(segment.conserved_log()["p_rel"])
+    segment.p_rel = segment.conserved_log()["p_rel"]
+    rel = np.abs(segment.p_rel)
     if rel.max() > P_DRIFT_MAX:
         raise IntegrationDivergedError(
             "characteristic drift |p|/tau^2 = %.3g exceeds %.1g"
@@ -325,10 +320,9 @@ class BoundaryData:
                 else RayEnd.OUTGOING)
 
 
-def _seed_from_data(spec, data, io, eps):
-    sgn_io = 1.0 if io == RayEnd.INCOMING else -1.0
-    abs_xi = abs(data.xi_hat)
-    t_seed = data.t_bar - sgn_io * eps / abs_xi
+def _seed_from_data(spec, data):
+    sgn_io = 1.0 if data.io == RayEnd.INCOMING else -1.0
+    t_seed = data.t_bar - sgn_io * EPS_LAUNCH / abs(data.xi_hat)
     H = spec.evaluator().base_cometric(data.y_bar)
     if spec.b:
         dydt = -(H @ data.eta_hat) / data.sgn_tau
@@ -337,37 +331,31 @@ def _seed_from_data(spec, data, io, eps):
         y_seed = data.y_bar.copy()
     zeta = np.zeros(spec.f)
     try:
-        xi = transverse_momentum(spec, eps, y_seed, data.z_bar,
+        xi = transverse_momentum(spec, EPS_LAUNCH, y_seed, data.z_bar,
                                  float(data.sgn_tau), data.eta_hat, zeta,
                                  sign=math.copysign(1.0, data.xi_hat))
     except ValueError as err:
         raise LaunchFailedError(str(err))
-    return EdgePhasePoint(t=t_seed, x=eps, y=y_seed, z=data.z_bar.copy(),
-                          tau=float(data.sgn_tau), xi=xi,
+    return EdgePhasePoint(t=t_seed, x=EPS_LAUNCH, y=y_seed,
+                          z=data.z_bar.copy(), tau=float(data.sgn_tau), xi=xi,
                           eta=data.eta_hat.copy(), zeta=zeta)
 
 
-def stable_manifold_launch(spec, data, io=None, settings=FlowSettings(),
-                           newton=True):
+def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
     """Interior seed at x = EPS_LAUNCH on the ray with the given edge data.
 
-    The seed is built from the leading asymptotics (zeta_hat = O(x),
-    xi solved exactly from p = 0) and improved by one Newton correction:
-    the seed is integrated toward the boundary, its leading-order
-    boundary data are read off, and the position defect is subtracted.
+    The ray is incoming or outgoing as data.io says.  The seed is built
+    from the leading asymptotics (zeta_hat = O(x), xi solved exactly from
+    p = 0) and improved by one Newton correction: the seed is integrated
+    toward the boundary, its leading-order boundary data are read off,
+    and the position defect is subtracted.
     Set newton=False for grazing data, where the probe geometry
     degenerates and the leading-order seed is used as is.
     """
-    if io is None:
-        io = data.io
     if data.xi_hat == 0.0:
         raise LaunchFailedError("xi_hat = 0: glancing data cannot seed a "
                                 "transversal ray")
-    want = 1 if io == RayEnd.INCOMING else -1
-    if int(math.copysign(1, data.xi_hat)) * data.sgn_tau != want:
-        raise LaunchFailedError("sgn(xi_hat * tau) inconsistent with %s ray"
-                                % io.value)
-    seed = _seed_from_data(spec, data, io, EPS_LAUNCH)
+    seed = _seed_from_data(spec, data)
     if not newton:
         return seed
     # Newton pass: probe toward the edge, extrapolate the limiting data

@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from ._config import parse_value, split_statements
 from .errors import ConfigError, DegenerateMetricError, DimensionError
 
 COND_LIMIT = 1e12
+VALIDATION_SAMPLES = 200   # chart points validate_normal_form checks
+VALIDATION_TOL = 1e-10     # smallest metric eigenvalue it accepts
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,6 @@ def _parse_fiber(raw, f):
         periods = tuple(None if item == "none" else float(item) for item in items)
         return FiberTopology(periods)
     raise ConfigError("unknown fiber topology %r" % raw)
-
-
-def _format_fiber(fiber):
-    if fiber.kind == "chart":
-        return "chart"
-    if fiber.kind == "circle":
-        return "circle(%r)" % fiber.periods[0]
-    items = ", ".join("none" if p is None else repr(p) for p in fiber.periods)
-    return "torus(%s)" % items
 
 
 @dataclass(frozen=True)
@@ -194,15 +186,6 @@ def make_metric_spec(b, f, h=None, hprime=None, k=None, kyy=None, kyz=None,
 METRIC_KEYS = ("b", "f", "fiber", "h", "hprime", "k", "kyy", "kyz")
 
 
-def parse_metric_spec(text):
-    """Parse the metric portion of a structured-text config."""
-    values = {}
-    for key, raw, lineno in split_statements(text):
-        if key in METRIC_KEYS:
-            values[key] = parse_value(raw, lineno)
-    return metric_spec_from_values(values)
-
-
 def _as_float_pairs(raw, key):
     if not isinstance(raw, list) or not all(
             isinstance(item, list) and len(item) == 2 for item in raw):
@@ -229,28 +212,6 @@ def metric_spec_from_values(values):
         kyz=values.get("kyz"),
         fiber=values.get("fiber"),
         **extent)
-
-
-def metric_spec_values(spec):
-    """Serializable key -> raw-value mapping; inverse of parse side."""
-    def fmt(matrix):
-        return [[ex.format_expr(entry) for entry in row] for row in matrix]
-
-    values = {
-        "b": spec.b,
-        "f": spec.f,
-        "fiber": _format_fiber(spec.fiber),
-        "k": fmt(spec.k),
-    }
-    if spec.b:
-        values["h"] = fmt(spec.h)
-        if any(entry != ex.Num(0.0) for row in spec.hprime for entry in row):
-            values["hprime"] = fmt(spec.hprime)
-        if any(entry != ex.Num(0.0) for row in spec.kyy for entry in row):
-            values["kyy"] = fmt(spec.kyy)
-        if any(entry != ex.Num(0.0) for row in spec.kyz for entry in row):
-            values["kyz"] = fmt(spec.kyz)
-    return values
 
 
 # --- pointwise evaluation ---------------------------------------------
@@ -474,17 +435,18 @@ class ValidationReport:
     failures: tuple
 
 
-def validate_normal_form(spec, n_samples=200, tol=1e-10, seed=0):
+def validate_normal_form(spec, seed=0):
     """Sample the chart domain and check positivity of the metric blocks.
 
     The dx row/column of g carries no cross terms by construction; the
     report records that structurally.  Failures list sample points where
     the base or fiber block loses positive-definiteness (eigenvalue below
-    tol) or conditioning blows up.
+    VALIDATION_TOL) or conditioning blows up.
     """
     ev = spec.evaluator()
     rng = np.random.default_rng(seed)
-    xs = np.concatenate(([0.0], rng.uniform(0.0, spec.x_max, n_samples - 1)))
+    xs = np.concatenate(([0.0], rng.uniform(0.0, spec.x_max,
+                                            VALIDATION_SAMPLES - 1)))
     failures = []
     min_h, min_k, worst_cond = math.inf, math.inf, 0.0
     for x in xs:
@@ -502,10 +464,10 @@ def validate_normal_form(spec, n_samples=200, tol=1e-10, seed=0):
             min_h = min(min_h, float(np.linalg.eigvalsh(base).min()))
         cond = float(np.linalg.cond(G))
         worst_cond = max(worst_cond, cond)
-        if eig_all.min() <= tol:
+        if eig_all.min() <= VALIDATION_TOL:
             failures.append("metric eigenvalue %.4g <= %.1g at x=%.4g y=%s z=%s"
-                            % (eig_all.min(), tol, x, np.round(y, 4),
-                               np.round(z, 4)))
+                            % (eig_all.min(), VALIDATION_TOL, x,
+                               np.round(y, 4), np.round(z, 4)))
         elif cond > COND_LIMIT:
             failures.append("condition number %.4g at x=%.4g" % (cond, x))
     if not spec.b:
@@ -515,7 +477,7 @@ def validate_normal_form(spec, n_samples=200, tol=1e-10, seed=0):
         min_base_eigenvalue=min_h,
         min_fiber_eigenvalue=min_k,
         worst_cond=worst_cond,
-        n_samples=n_samples,
+        n_samples=VALIDATION_SAMPLES,
         dx_row_clean=True,
         failures=tuple(failures),
     )

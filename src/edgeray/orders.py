@@ -31,10 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import geometric_partners
+from .boundary import RELATED_TOL, geometric_partners
 from .hamiltonian import RayEnd
-
-RELATED_TOL = 1e-6   # is_geometrically_related's default defect tolerance
 
 
 def as_rational(value):
@@ -152,28 +150,21 @@ def apply_diffractive(s_in):
 
 
 def apply_geometric(s_nf, geo_clean, s_in=None):
-    """Per-branch bound under a nonfocusing hypothesis of space order s_nf.
+    """Branch bound under a nonfocusing hypothesis of space order s_nf.
 
     A branch whose geometric partners are all clean gets the open bound
     "< s_nf"; a branch with a dirty partner falls back to the
-    diffractive bound (s_in must then be given).  geo_clean may be a
-    single flag or a sequence; the result matches its shape.  The
-    result is never below the diffractive bound.
+    diffractive bound (s_in must then be given).  The result is never
+    below the diffractive bound.
     """
     improved = as_bound(s_nf).as_open()
     fallback = None if s_in is None else apply_diffractive(s_in)
-
-    def one(clean):
-        if clean:
-            return improved if fallback is None \
-                else bound_max(improved, fallback)
-        if fallback is None:
-            raise ValueError("dirty branch needs the incident order s_in")
-        return fallback
-
-    if isinstance(geo_clean, (list, tuple)):
-        return [one(flag) for flag in geo_clean]
-    return one(geo_clean)
+    if geo_clean:
+        return improved if fallback is None \
+            else bound_max(improved, fallback)
+    if fallback is None:
+        raise ValueError("dirty branch needs the incident order s_in")
+    return fallback
 
 
 def fundamental_solution_orders(n, f):
@@ -296,9 +287,7 @@ def _branch_clean(spec, event, branch, clean_flags, partners):
     f = 1 fibers, a branch at an arc-pi partner of its event's fiber
     point.  partners caches those partners, so each event shoots once."""
     if clean_flags is not None:
-        if isinstance(clean_flags, dict):
-            return bool(clean_flags.get(branch.branch_id, True))
-        return bool(clean_flags)
+        return clean_flags
     if branch.kind == "geometric":
         return False
     if event is not None and spec.f == 1:
@@ -316,9 +305,9 @@ def annotate_path(path, s_incident, nonfocusing=None, clean_flags=None):
 
     The incident branch carries its hypothesis; outgoing branches get
     the diffractive bound, improved to the open nonfocusing bound on
-    branches whose geometric partners are clean.  clean_flags overrides
-    the cleanliness determination (scenario input): a bool applies to
-    all branches, a dict maps branch ids.
+    branches whose geometric partners are clean.  clean_flags, a scene's
+    clean key, overrides that determination on every branch when it is
+    not None.
     """
     s_in = as_bound(s_incident)
     record = RegularityRecord(s_incident=s_in, nonfocusing=nonfocusing,

@@ -52,7 +52,7 @@ def build_dump(spec, traced):
             order = ""
             if record is not None and branch_id in record.per_branch:
                 order = str(record.per_branch[branch_id].sup_order)
-            p_rel = segment.conserved_log()["p_rel"]
+            p_rel = segment.p_rel
             for i, s in enumerate(segment.s):
                 state = segment.states[i]
                 row = [ray_id, branch_id, branch.kind, float(s)]

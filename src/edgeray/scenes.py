@@ -2,8 +2,7 @@
 
 A scene bundles a metric model with a ray source, a time window, a
 branching policy, numerical settings and regularity inputs.  Scene
-files use the same structured-text grammar as metric configs; builtin
-scenes are referenced by name:
+files are plain key = value text; builtin scenes are referenced by name:
 
     product_cone(rho)      cone over a circle of radius rho (b=0, f=1)
     product_edge(b, f)     flat product edge with torus fiber
@@ -28,12 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._config import format_value, parse_value, split_statements
+from ._config import parse_value, split_statements
 from .errors import ConfigError, DimensionError
 from .gbb import SAME_FIBER, BranchPolicy
 from .hamiltonian import FlowSettings
 from .metric import (METRIC_KEYS, EdgeMetricSpec, make_metric_spec,
-                     metric_spec_from_values, metric_spec_values)
+                     metric_spec_from_values)
 from .orders import Nonfocusing
 from .phase import EdgePhasePoint
 
@@ -279,47 +278,6 @@ def scene_from_values(values):
     if values:
         raise ConfigError("unused scene keys: %s" % ", ".join(sorted(values)))
     return config
-
-
-def scene_values(config):
-    """Serializable key -> value mapping of a scene; inverse of parsing."""
-    values = {}
-    if config.name != "custom":
-        values["builtin"] = config.name
-    else:
-        values.update(metric_spec_values(config.spec))
-        values["x_max"] = config.spec.x_max
-        values["y_box"] = [list(pair) for pair in config.spec.y_box]
-        values["z_box"] = [list(pair) for pair in config.spec.z_box]
-    if isinstance(config.source, PointSource):
-        values["origin"] = [float(v) for v in config.source.origin]
-        values["fan_count"] = config.source.fan_count
-    else:
-        values["source"] = [float(v) for v in config.source.to_vector()]
-    values["t_span"] = [config.t_span[0], config.t_span[1]]
-    values["policy"] = str(config.policy)
-    values["seed"] = config.seed
-    values["s_incident"] = config.s_incident
-    if config.nonfocusing is not None:
-        values["nonfocusing"] = [str(config.nonfocusing.space_order),
-                                 str(config.nonfocusing.degree)]
-    if config.clean is not None:
-        values["clean"] = "true" if config.clean else "false"
-    if config.out is not None:
-        values["out"] = config.out
-    values["format"] = config.format
-    defaults = FlowSettings()
-    for key in ("rtol", "atol", "x_stop"):
-        if getattr(config.settings, key) != getattr(defaults, key):
-            values[key] = getattr(config.settings, key)
-    return values
-
-
-def serialize_scene(config):
-    lines = []
-    for key, value in scene_values(config).items():
-        lines.append("%s = %s" % (key, format_value(value)))
-    return "\n".join(lines) + "\n"
 
 
 def blow_down(x, y, z):

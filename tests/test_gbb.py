@@ -294,7 +294,7 @@ def test_trace_geometric_policy_moves_fiber_point():
     spec = builtin_scene("product_cone(1.0)").spec
     q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),
                         tau=1.0, xi=1.0, eta=np.zeros(0), zeta=np.zeros(1))
-    path = trace_gbb(spec, q0, (0.0, 1.2), policy="geometric")
+    path = trace_gbb(spec, q0, (0.0, 1.2), policy=GEOMETRIC_ONLY)
     child = path.branches["0.0"]
     assert child.kind == BranchKind.GEOMETRIC
     delta = spec.fiber.coordinate_delta(child.fiber_point,
@@ -350,7 +350,7 @@ def test_backward_event_reproduces_launch_data():
                         z_bar=np.array([1.2]), sgn_tau=1, xi_hat=0.85,
                         eta_hat=np.array([math.sqrt(1.0 - 0.85 ** 2)]))
     assert data.io == RayEnd.INCOMING
-    q0 = stable_manifold_launch(spec, data, io=RayEnd.INCOMING)
+    q0 = stable_manifold_launch(spec, data)
     path = trace_gbb(spec, q0, (0.0, 1.1), policy=SAME_FIBER)
     root = path.branches["0"]
     child = path.branches["0.0"]

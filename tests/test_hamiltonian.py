@@ -313,13 +313,13 @@ def test_stable_manifold_launch_reproduces_data():
 
 
 def test_launch_validates_direction():
+    """Glancing data (xi_hat = 0) seed no transversal ray."""
     spec = builtin_scene("product_cone(1.0)").spec
     data = BoundaryData(t_bar=0.0, y_bar=np.zeros(0), z_bar=np.zeros(1),
-                        sgn_tau=1, xi_hat=0.7, eta_hat=np.zeros(0))
-    assert data.io is RayEnd.INCOMING
+                        sgn_tau=1, xi_hat=0.0, eta_hat=np.zeros(0))
     from edgeray.errors import LaunchFailedError
-    with pytest.raises(LaunchFailedError):
-        stable_manifold_launch(spec, data, io=RayEnd.OUTGOING)
+    with pytest.raises(LaunchFailedError, match="xi_hat = 0"):
+        stable_manifold_launch(spec, data)
 
 
 def test_segment_state_accessors():
@@ -328,7 +328,7 @@ def test_segment_state_accessors():
                         tau=1.0, xi=1.0, eta=np.zeros(0),
                         zeta=np.array([0.0]))
     seg = integrate_interior(spec, q0, direction=-1)
-    assert seg.start_point().x == pytest.approx(0.9)
-    mid = seg.state_at(0.5 * seg.s[-1])
+    assert seg.point(0).x == pytest.approx(0.9)
+    mid = seg.dense(0.5 * seg.s[-1])
     assert mid[1] == pytest.approx(0.9 - 0.5 * seg.s[-1], rel=1e-9)
     assert seg.point(0).t == seg.t[0]

@@ -9,11 +9,10 @@ from edgeray import expr as ex
 from edgeray.errors import ConfigError, DegenerateMetricError, DimensionError
 from edgeray.boundary import fiber_norm
 from edgeray.metric import (EdgeMetricSpec, make_metric_spec,
-                            metric_spec_values, parse_metric_spec,
                             transverse_momentum, validate_normal_form,
                             wave_symbol)
 from edgeray.phase import EdgePhasePoint
-from edgeray.scenes import builtin_scene
+from edgeray.scenes import builtin_scene, parse_scene
 
 
 def _curvy_spec():
@@ -234,24 +233,26 @@ def test_make_metric_spec_validation():
         make_metric_spec(b=0, f=2, k=[["1", "x"], ["0", "1"]], fiber="torus")
 
 
-def test_metric_spec_parse_serialize_roundtrip():
+def test_custom_scene_metric_matches_make_metric_spec():
+    """A custom scene's metric keys give the edge matrix of the same
+    coefficients passed to make_metric_spec."""
     spec = _curvy_spec()
-    values = metric_spec_values(spec)
-    text = "\n".join("%s = %s" % (key, _fmt(val))
-                     for key, val in values.items())
-    spec2 = parse_metric_spec(text)
+    scene = parse_scene("""
+        b = 1; f = 2; fiber = torus
+        h = [[1 + 0.1*x^2]]
+        hprime = [[0.2*sin(z1)]]
+        k = [[1 + 0.3*cos(z1 - z2), 0.1*sin(y1)], [0.1*sin(y1), 2 + 0.2*x*cos(z2)]]
+        kyy = [[0.05*cos(z2)]]
+        kyz = [[0.04*sin(z1), 0.03*cos(y1)]]
+    """)
+    spec2 = scene.spec
     assert isinstance(spec2, EdgeMetricSpec)
-    values2 = metric_spec_values(spec2)
-    assert values == values2
+    assert spec2 == spec
     ev, ev2 = spec.evaluator(), spec2.evaluator()
-    y, z = np.array([0.2]), np.array([0.4, 1.3])
-    assert np.max(np.abs(ev.edge_matrix(0.3, y, z)
-                         - ev2.edge_matrix(0.3, y, z))) < 1e-15
-
-
-def _fmt(val):
-    from edgeray._config import format_value
-    return format_value(val)
+    for x, y, z in ((0.3, [0.2], [0.4, 1.3]), (0.0, [-0.7], [2.0, 5.1])):
+        y, z = np.array(y), np.array(z)
+        np.testing.assert_array_equal(ev2.edge_matrix(x, y, z),
+                                      ev.edge_matrix(x, y, z))
 
 
 def test_validate_normal_form_on_builtins():

@@ -11,7 +11,7 @@ import pytest
 
 from edgeray import boundary
 from edgeray.boundary import is_geometrically_related
-from edgeray.gbb import fan, trace_gbb
+from edgeray.gbb import BranchPolicy, fan, trace_gbb
 from edgeray.hamiltonian import RayEnd
 from edgeray.orders import (
     INFINITE_ORDER,
@@ -109,10 +109,6 @@ def test_geometric_rule_improves_only_clean_branches():
     # never below the diffractive bound, exactly at ties
     assert apply_geometric(1, True, 1) == OrderBound(Fraction(1), False)
     assert apply_geometric(1, True, 2) == OrderBound(Fraction(2), False)
-    out = apply_geometric(Fraction(3, 2), [True, False, True], 0)
-    assert out == [OrderBound(Fraction(3, 2), True),
-                   OrderBound(Fraction(0), False),
-                   OrderBound(Fraction(3, 2), True)]
 
 
 def test_fundamental_solution_order_gain_is_half_fiber_dimension():
@@ -191,7 +187,7 @@ def _cone_path(policy):
     q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),
                         tau=1.0, xi=1.0, eta=np.zeros(0),
                         zeta=np.zeros(1))
-    return trace_gbb(spec, q0, (0.0, 1.2), policy=policy)
+    return trace_gbb(spec, q0, (0.0, 1.2), policy=BranchPolicy.parse(policy))
 
 
 def test_annotate_path_diffractive_only():
@@ -228,11 +224,8 @@ def test_annotate_path_clean_flag_overrides():
     nf = Nonfocusing(space_order=Fraction(3, 2), degree=Fraction(1, 2))
     record = annotate_path(path, 0, nonfocusing=nf, clean_flags=False)
     assert record.per_branch["0.0"].rule == "diffractive (dirty partner)"
-    record = annotate_path(path, 0, nonfocusing=nf,
-                           clean_flags={"0.0": False})
-    assert record.per_branch["0.0"].rule == "diffractive (dirty partner)"
-    record = annotate_path(path, 0, nonfocusing=nf,
-                           clean_flags={"other": False})
+    geometric = _cone_path("geometric")
+    record = annotate_path(geometric, 0, nonfocusing=nf, clean_flags=True)
     assert record.per_branch["0.0"].rule == "nonfocusing improvement"
 
 

@@ -1,6 +1,5 @@
 """Tests for scene files, ray fans, serialization, and the CLI."""
 
-import argparse
 import dataclasses
 import json
 import math
@@ -8,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from edgeray import cli
 from edgeray.cli import _load_scene, main
 from edgeray.errors import ConfigError, DimensionError
 from edgeray.hamiltonian import FlowSettings, integrate_interior
-from edgeray.metric import wave_symbol
+from edgeray.metric import VALIDATION_SAMPLES, wave_symbol
 from edgeray.phase import EdgePhasePoint
 from edgeray.rays_io import dump_columns, serialize_dump
 from edgeray.run import run_scenario
@@ -24,13 +24,7 @@ from edgeray.scenes import (
     fan_directions,
     parse_scene,
     scenario_rays,
-    scene_values,
-    serialize_scene,
 )
-
-BUILTINS = ("product_cone(1.3)", "product_edge(1, 1)", "product_edge(2, 2)",
-            "blowup_curve_r3", "perturbed_edge(0.3)", "sphere_edge")
-
 
 CUSTOM_SCENE = """
 # wobbly circle fiber over a point edge
@@ -55,15 +49,7 @@ def test_builtin_scene_references():
             builtin_scene(bad)
 
 
-def test_builtin_round_trips():
-    for name in BUILTINS:
-        config = builtin_scene(name)
-        text = serialize_scene(config)
-        again = parse_scene(text)
-        assert scene_values(again) == scene_values(config)
-
-
-def test_custom_scene_parses_and_round_trips():
+def test_custom_scene_parses():
     config = parse_scene(CUSTOM_SCENE)
     assert config.name == "custom"
     assert config.spec.b == 0 and config.spec.f == 1
@@ -71,8 +57,6 @@ def test_custom_scene_parses_and_round_trips():
     assert isinstance(config.source, EdgePhasePoint)
     assert config.source.x == 0.5
     assert config.t_span == (0.0, 1.0)
-    again = parse_scene(serialize_scene(config))
-    assert scene_values(again) == scene_values(config)
 
 
 def test_quoted_matrix_entries_are_tolerated():
@@ -80,7 +64,7 @@ def test_quoted_matrix_entries_are_tolerated():
                                   '[["(1 + 0.2*sin(z1))^2"]]')
     a = parse_scene(CUSTOM_SCENE)
     b = parse_scene(quoted)
-    assert scene_values(a) == scene_values(b)
+    assert a.spec.k == b.spec.k
 
 
 def test_scene_validation_errors():
@@ -155,17 +139,9 @@ def test_blow_down_maps_chart_to_cartesian():
 
 
 def test_load_scene_overrides():
-    args = argparse.Namespace(seed=9, rtol=1e-9, x_stop=1e-3,
-                              out="dump.csv", format="jsonl")
-    config = _load_scene("product_cone(1.0)", args)
+    config = _load_scene("product_cone(1.0)", seed=9)
     assert config.seed == 9
-    assert config.settings.rtol == 1e-9
-    assert config.settings.x_stop == 1e-3
-    assert config.out == "dump.csv"
-    assert config.format == "jsonl"
-    args = argparse.Namespace(seed=None, rtol=None, x_stop=None,
-                              out=None, format=None)
-    config = _load_scene("product_cone(1.0)", args)
+    config = _load_scene("product_cone(1.0)")
     assert config.seed == 0 and config.out is None
 
 
@@ -239,6 +215,65 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_validate_caps_fail_lines(tmp_path, capsys):
+    """A negative-definite fiber block fails at every sample; validate
+    prints the first FAIL_LINES of them and a count of the rest."""
+    scene = tmp_path / "negative.cfg"
+    scene.write_text("b = 0; f = 1; k = [[-1]]; "
+                     "fiber = circle(6.283185307179586)\n")
+    assert main(["validate", str(scene)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL: ")]
+    assert len(fails) == cli.FAIL_LINES
+    assert lines[-1] == "... and %d more" % (VALIDATION_SAMPLES
+                                             - cli.FAIL_LINES)
+    assert "at %d points" % VALIDATION_SAMPLES in captured.err
+
+
+def test_cli_takes_only_the_options_a_command_reads(tmp_path, monkeypatch,
+                                                     capsys):
+    """Each subcommand rejects options it would ignore (argparse exit 2),
+    and the ones it takes are applied."""
+    out_file = tmp_path / "rays.jsonl"
+    for argv in (["partners", "product_cone(1.0)", "--z", "0",
+                  "--out", str(out_file)],
+                 ["orders", "--n", "3", "--f", "1", "--rtol", "1e-3"],
+                 ["orders", "--n", "3", "--f", "1", "--seed", "1"],
+                 ["validate", "product_cone(1.0)", "--format", "jsonl"],
+                 ["eigencheck", "product_edge(1, 1)", "--x-stop", "1e-5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+    assert not out_file.exists()
+    capsys.readouterr()
+
+    seen = []
+
+    def recording_run(config):
+        seen.append(config)
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    assert main(["trace", "product_cone(1.0)", "--out", str(out_file),
+                 "--format", "jsonl", "--seed", "7", "--rtol", "1e-9",
+                 "--x-stop", "5e-5"]) == 0
+    (config,) = seen
+    assert (config.out, config.format, config.seed) == (str(out_file),
+                                                        "jsonl", 7)
+    assert (config.settings.rtol, config.settings.x_stop) == (1e-9, 5e-5)
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert rows and set(rows[0]) == set(dump_columns(0, 1))
+    capsys.readouterr()
+
+    def validate_output(*seed):
+        assert main(["validate", "perturbed_edge(0.3)", *seed]) == 0
+        return capsys.readouterr().out
+
+    assert validate_output() == validate_output("--seed", "0")
+    assert validate_output() != validate_output("--seed", "5")
+
+
 def test_cli_eigencheck(capsys):
     assert main(["eigencheck", "product_edge(1, 1)", "--count", "3"]) == 0
     out = capsys.readouterr().out
@@ -293,24 +328,18 @@ t_span = [0.0, 0.9]
 """
 
 
-def test_trace_output_is_deterministic(tmp_path, monkeypatch):
+def test_trace_output_is_deterministic(tmp_path):
     scene = tmp_path / "fan.cfg"
     scene.write_text(FAN_SCENE)
 
-    def dump_bytes(threads):
-        monkeypatch.setenv("EDGERAY_THREADS", str(threads))
+    def dump_bytes():
         config = parse_scene(scene.read_text())
         result = run_scenario(config)
         return serialize_dump(result.dump, "csv").encode()
 
-    one = dump_bytes(1)
-    again = dump_bytes(1)
-    four = dump_bytes(4)
-    assert one == again
-    assert one == four
-    monkeypatch.delenv("EDGERAY_THREADS")
-    free = run_scenario(parse_scene(scene.read_text()))
-    assert serialize_dump(free.dump, "csv").encode() == one
+    one = dump_bytes()
+    assert len(one) > 1000
+    assert dump_bytes() == one
 
 
 def test_flow_settings_are_what_a_scene_sets():
