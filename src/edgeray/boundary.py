@@ -28,18 +28,19 @@ after the signed arc
 constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
 
-Every fiber geodesic is a lane of one shooter, ``_shoot``: the lanes of
-a call (each with its own start, covector and signed parameter arc) are
-integrated as one ODE in a normalised parameter, with the fiber metric
-and its partials from the evaluator's generated ``fiber`` function.  A
-partner search shoots all launch directions of an edge event at once
-(and each refinement round of the relatedness test), an edge event
-shoots the limit points of its whole extrapolation ladder at once, and
-the cogeodesic flow runs one lane per sign of its parameter samples.
+Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
+of a call (each with its own start, covector and signed parameter arc)
+are one ODE in a normalised parameter, on a generated metric block.  On
+the fiber block a partner search shoots all launch directions of an
+edge event (and each refinement round of the relatedness test), an edge
+event the limit points of its whole extrapolation ladder, and the
+cogeodesic flow one lane per sign of its parameter samples; on the base
+block glancing continuation shoots its tangential geodesic (see gbb).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
+RELATED_GRID = 64      # launch directions of the relatedness test's first grid
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
 _CAP_FLOOR = 1e-10     # cap radius (radians) below which refinement stops
@@ -85,49 +87,49 @@ def fiber_unit_covector(spec, y, z, direction):
     return (kzz @ w) / speed
 
 
-def _shoot(spec, y, z0, zeta0, arc, u=(1.0,)):
-    """(z, zeta) at the parameter fractions u of fiber cogeodesic lanes.
+def _shoot(block, dirs, q0, p0, arc, u=(1.0,)):
+    """(q, p) at the parameter fractions u of cogeodesic lanes.
 
-    Lane k starts at (y[k], z0[k], zeta0[k]) and follows the cogeodesic
-    flow of the fiber cometric for the signed parameter arc[k]; y, z0 and
-    zeta0 broadcast against the n lanes of arc.  All lanes are one ODE in
-    the fraction u in [0, 1], whose state carries a leading lane axis.
-    Returns z and zeta of shape (len(u), n, f).  A singular fiber metric
-    raises DegenerateMetricError and a non-finite lane
-    IntegrationDivergedError.
+    block(q) -> (M, dM) is an x = 0 metric block over a lane axis and its
+    partials along the coordinates dirs (``MetricEvaluator.fiber`` at
+    fixed y, or ``MetricEvaluator.base``).  Lane k starts at (q0[k],
+    p0[k]) and follows the cogeodesic flow of the cometric M^{-1} for
+    the signed parameter arc[k]; q0 and p0 broadcast against the n lanes
+    of arc.  All lanes are one ODE in the fraction u in [0, 1], whose
+    state carries a leading lane axis.  Returns q and p of shape
+    (len(u), n, d).  A singular block raises DegenerateMetricError and a
+    non-finite lane IntegrationDivergedError.
     """
-    ev = spec.evaluator()
     arc = np.asarray(arc, float)
-    n, f, dirs = arc.size, spec.f, list(ev.fiber_dirs)
-    y = np.broadcast_to(y, (n, spec.b))
-    state0 = np.stack((np.broadcast_to(z0, (n, f)),
-                       np.broadcast_to(zeta0, (n, f))), axis=1)
+    n, d, dirs = arc.size, np.shape(q0)[-1], list(dirs)
+    state0 = np.stack((np.broadcast_to(q0, (n, d)),
+                       np.broadcast_to(p0, (n, d))), axis=1)
     if not (np.all(np.isfinite(state0)) and np.all(np.isfinite(arc))):
-        raise IntegrationDivergedError("non-finite fiber geodesic launch")
+        raise IntegrationDivergedError("non-finite geodesic launch")
     if not arc.any():
-        states = np.broadcast_to(state0, (len(u), n, 2, f))
+        states = np.broadcast_to(state0, (len(u), n, 2, d))
         return states[:, :, 0].copy(), states[:, :, 1].copy()
 
     def rhs(_, state):
-        z, zeta = state.reshape(n, 2, f).transpose(1, 0, 2)
-        kzz, dkzz = ev.fiber(y, z)
-        out = np.zeros((n, 2, f))
-        out[:, 0] = w = solve(kzz, zeta[:, :, None])[:, :, 0]
+        q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
+        M, dM = block(q)
+        out = np.zeros((n, 2, d))
+        out[:, 0] = w = solve(M, p[:, :, None])[:, :, 0]
         if dirs:
-            out[:, 1, dirs] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dkzz, w)
+            out[:, 1, dirs] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dM, w)
         out *= arc[:, None, None]
         if not np.isfinite(out).all():
-            raise IntegrationDivergedError("fiber geodesic lanes left the "
-                                           "finite range of the metric")
+            raise IntegrationDivergedError("geodesic lanes left the finite "
+                                           "range of the metric")
         return out.ravel()
 
     with np.errstate(all="ignore"):
         sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
                         t_eval=u, rtol=_GEO_RTOL, atol=_GEO_ATOL)
     if sol.status != 0:
-        raise IntegrationDivergedError("fiber geodesic integration failed: "
-                                       "%s" % sol.message)
-    states = sol.y.T.reshape(len(u), n, 2, f)
+        raise IntegrationDivergedError("geodesic integration failed: %s"
+                                       % sol.message)
+    states = sol.y.T.reshape(len(u), n, 2, d)
     return states[:, :, 0], states[:, :, 1]
 
 
@@ -143,7 +145,9 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     lane = (s >= 0.0).astype(int)
     u = s / np.where(lane, hi or 1.0, lo)
     u_eval = np.unique(u)
-    zs, zetas = _shoot(spec, y, z0, zeta0, [lo, hi], u_eval)
+    ev = spec.evaluator()
+    zs, zetas = _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z0,
+                       zeta0, [lo, hi], u_eval)
     at = np.searchsorted(u_eval, u)
     return zs[at, lane], zetas[at, lane]
 
@@ -154,12 +158,6 @@ def fiber_geodesic_point(spec, y, z0, direction, arc):
 
 
 # --- the boundary flow itself -------------------------------------------
-
-def _scalar_constants(xi0, m):
-    if m == 0.0:
-        return None
-    return math.atan2(xi0, m)
-
 
 @dataclass(frozen=True)
 class BoundaryFlowConstants:
@@ -179,7 +177,7 @@ def boundary_flow_constants(spec, q):
     m = fiber_norm(spec, q.y, q.z, q.zeta)
     if m == 0.0:
         raise ValueError("closed-form constants need |zeta|_K > 0")
-    C = _scalar_constants(q.xi, m)
+    C = math.atan2(q.xi, m)
     return BoundaryFlowConstants(m=m, C=C, A=q.tau * math.cos(C),
                                  B=q.eta * math.cos(C))
 
@@ -192,7 +190,7 @@ def boundary_maximal_interval(spec, q):
             return (-math.inf, math.inf)
         bound = 1.0 / q.xi
         return (bound, math.inf) if q.xi < 0.0 else (-math.inf, bound)
-    C = _scalar_constants(q.xi, m)
+    C = math.atan2(q.xi, m)
     return ((-0.5 * math.pi - C) / m, (0.5 * math.pi - C) / m)
 
 
@@ -215,7 +213,7 @@ def boundary_flow(spec, q, s):
         return EdgePhasePoint(t=q.t, x=0.0, y=q.y.copy(), z=q.z.copy(),
                               tau=q.tau * factor, xi=q.xi * factor,
                               eta=q.eta * factor, zeta=q.zeta.copy())
-    C = _scalar_constants(q.xi, m)
+    C = math.atan2(q.xi, m)
     phase = m * s + C
     stretch = 1.0 / (math.cos(phase) / math.cos(C))
     zs, zetas = fiber_cogeodesic_flow(spec, q.y, q.z, q.zeta, [s])
@@ -242,7 +240,8 @@ def fiber_limit_point(spec, q):
 def fiber_limit_points(spec, y, z, xi, zeta):
     """fiber_limit_point of many phase points, one per row of y, z and
     zeta (and entry of xi), from one shot."""
-    K = spec.evaluator().fiber_cometric(y, z)
+    ev = spec.evaluator()
+    K = ev.fiber_cometric(y, z)
     m = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", zeta, K, zeta), 0.0))
     moving = m > 0.0
     if np.any(~moving & (xi == 0.0)):
@@ -250,7 +249,8 @@ def fiber_limit_points(spec, y, z, xi, zeta):
     with np.errstate(divide="ignore", invalid="ignore"):
         arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
     unit = zeta / np.where(moving, m, 1.0)[:, None]
-    return _shoot(spec, y, z, unit, np.where(moving, arc, 0.0))[0][-1]
+    return _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z, unit,
+                  np.where(moving, arc, 0.0))[0][-1]
 
 
 # --- geometric partners -------------------------------------------------
@@ -276,8 +276,10 @@ def _direction_grid(f, n):
 def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
     arc, shot as one ODE; shape (len(directions), f)."""
+    ev = spec.evaluator()
     zetas = [fiber_unit_covector(spec, y, z0, d) for d in directions]
-    return _shoot(spec, y, z0, zetas, np.full(len(zetas), arc))[0][-1]
+    return _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z0, zetas,
+                  np.full(len(zetas), arc))[0][-1]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None):
@@ -319,27 +321,25 @@ def _cap(center, radius, m):
     return directions, rim
 
 
-def is_geometrically_related(spec, y, z1, z2, n_directions=None):
+def is_geometrically_related(spec, y, z1, z2):
     """Whether a unit-speed fiber geodesic of arc pi joins z1 to z2.
 
-    Shoots geodesics over a direction grid, then (for f >= 2) refines
-    the best candidate in rounds: each round shoots a grid on a cap of
-    launch directions around the best so far, and the cap shrinks
-    unless the best lies on its rim.  The distance reported is the
-    coordinate defect of the best endpoint.
+    Shoots geodesics over a grid of RELATED_GRID directions, then (for
+    f >= 2) refines the best candidate in rounds: each round shoots a
+    grid on a cap of launch directions around the best so far, and the
+    cap shrinks unless the best lies on its rim.  The distance reported
+    is the coordinate defect of the best endpoint.
     """
     y = np.atleast_1d(np.asarray(y, float))
     z1 = np.atleast_1d(np.asarray(z1, float))
     z2 = np.atleast_1d(np.asarray(z2, float))
     f = spec.f
-    if n_directions is None:
-        n_directions = 64
 
     def defects(directions):
         return [float(np.linalg.norm(spec.fiber.coordinate_delta(z, z2)))
                 for z in _geodesic_ends(spec, y, z1, directions, math.pi)]
 
-    grid = np.array(_direction_grid(f, n_directions))
+    grid = np.array(_direction_grid(f, RELATED_GRID))
     grid_defects = defects(grid)
     i = int(np.argmin(grid_defects))
     best_dir, best = grid[i], grid_defects[i]

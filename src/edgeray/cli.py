@@ -61,7 +61,6 @@ def cmd_validate(args):
                                             config.spec.f,
                                             config.spec.fiber.kind))
     print("samples checked: %d" % report.n_samples)
-    print("dx row clean: %s" % report.dx_row_clean)
     print("min fiber-block eigenvalue: %.6g" % report.min_fiber_eigenvalue)
     if config.spec.b:
         print("min base-block eigenvalue: %.6g" % report.min_base_eigenvalue)

@@ -198,7 +198,7 @@ class _Parser:
             # implicit multiplication: 2x, 3sin(z), 2(x+1)
             nk, nv, _, _ = self.peek()
             if nk == "ident" or (nk == "op" and nv == "("):
-                return BinOp("*", node, self.base_tail())
+                return BinOp("*", node, self.factor())
             return node
         if kind == "ident":
             if value in FUNCTIONS:
@@ -215,18 +215,6 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ExprSyntaxError("expected a value, got %r" % (value,), line, col)
-
-    def base_tail(self):
-        # continuation of an implicit product; allow powers to bind first
-        node = self.base()
-        kind, value, _, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, line, col = self.advance()
-            if kind != "num" or value != int(value):
-                raise ExprSyntaxError("exponent must be an integer literal", line, col)
-            node = PowInt(node, int(value))
-        return node
 
 
 def allowed_variables(b, f, include_fiber=True):

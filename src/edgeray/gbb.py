@@ -16,8 +16,9 @@ fiber point of each outgoing branch depends on the policy:
                      (the whole diffracted front), anchored at z_bar.
 
 Glancing events (|eta_hat|_h = 1) continue along the tangential flow
-d/dt - (geodesic flow of h(0,y) on the unit base cosphere), then
-re-enter the interior with an infinitesimal outgoing xi_hat.
+d/dt - (geodesic flow of h(0,y) on the unit base cosphere), shot as one
+lane of the boundary shooter on the base block, then re-enter the
+interior with an infinitesimal outgoing xi_hat.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import hamiltonian
-from .boundary import fiber_limit_points, geometric_partners
+from .boundary import _shoot, fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
@@ -272,33 +272,20 @@ class TangentialPath:
 
 
 def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
+    """Geodesic flow of h(0, y)^{-1} for time delta, reversed for sgn_tau
+    > 0, at TANGENTIAL_SAMPLES steps: one shooter lane on the base block."""
+    if not spec.b:
+        return TangentialPath(t=np.array([t0, t0 + delta]), y=np.zeros((2, 0)),
+                              eta_hat=np.zeros((2, 0)), norm_drift=0.0)
     ev = spec.evaluator()
-    b, sy, z0 = spec.b, ev.sy, np.zeros(spec.f)
-    if b == 0 or delta == 0.0:
-        ts = np.array([t0, t0 + delta])
-        return TangentialPath(t=ts, y=np.zeros((2, b)),
-                              eta_hat=np.zeros((2, b)), norm_drift=0.0)
-
-    def rhs(lam, state):
-        y = state[:b]
-        eta = state[b:]
-        G, dG = ev.kernel(0.0, y, z0)
-        He = solve(G[sy, sy], eta)
-        deta = np.empty(b)
-        for i in range(b):
-            deta[i] = -0.5 * float(He @ dG[1 + i][sy, sy] @ He) / sgn_tau
-        return np.concatenate((-He / sgn_tau, deta))
-
-    sol = solve_ivp(rhs, (0.0, delta), np.concatenate((y0, eta0)),
-                    method="RK45", rtol=1e-11, atol=1e-13,
-                    t_eval=np.linspace(0.0, delta, TANGENTIAL_SAMPLES))
-    ys = sol.y[:b].T
-    etas = sol.y[b:].T
-    drift = 0.0
-    for y, eta in zip(ys, etas):
-        h = ev.kernel(0.0, y, z0)[0][sy, sy]
-        drift = max(drift, abs(float(eta @ solve(h, eta)) - 1.0))
-    return TangentialPath(t=t0 + sol.t, y=ys, eta_hat=etas, norm_drift=drift)
+    ys, etas = _shoot(ev.base, ev.base_dirs, y0, eta0, [-delta / sgn_tau],
+                      np.linspace(0.0, 1.0, TANGENTIAL_SAMPLES))
+    ys, etas = ys[:, 0], etas[:, 0]
+    norms = np.einsum("ni,ni->n", etas,
+                      solve(ev.base(ys)[0], etas[:, :, None])[:, :, 0])
+    return TangentialPath(t=t0 + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),
+                          y=ys, eta_hat=etas,
+                          norm_drift=float(np.max(np.abs(norms - 1.0))))
 
 
 def continue_glancing(spec, event, delta):
@@ -311,27 +298,20 @@ def continue_glancing(spec, event, delta):
     """
     if event.boundary_class != BoundaryClass.GLANCING:
         raise ValueError("glancing continuation applies to glancing events")
-    # Normalize the incoming data onto the unit cosphere before flowing.
     ev = spec.evaluator()
-    eta0 = event.eta_hat.copy()
-    if spec.b:
-        h = ev.kernel(0.0, event.y_bar, np.zeros(spec.f))[0][ev.sy, ev.sy]
-        norm = math.sqrt(float(eta0 @ solve(h, eta0)))
-        eta0 = eta0 / norm
-    path = _tangential_flow(spec, event.t_bar, event.y_bar, eta0,
-                            event.sgn_tau, delta)
-    y_end = path.y[-1]
-    eta_end = path.eta_hat[-1]
+
+    def unit(y, eta):   # onto the unit base cosphere (b = 0: stays empty)
+        return eta / math.sqrt(float(eta @ ev.base_cometric(y) @ eta))
+
+    path = _tangential_flow(spec, event.t_bar, event.y_bar,
+                            unit(event.y_bar, event.eta_hat), event.sgn_tau,
+                            delta)
     xi_re = -event.sgn_tau * GLANCING_XI
-    if spec.b:
-        h = ev.kernel(0.0, y_end, np.zeros(spec.f))[0][ev.sy, ev.sy]
-        eta_norm2 = float(eta_end @ solve(h, eta_end))
-        eta_re = eta_end * math.sqrt((1.0 - xi_re * xi_re) / eta_norm2)
-    else:
-        eta_re = eta_end
-    data = BoundaryData(t_bar=event.t_bar + delta, y_bar=y_end,
+    data = BoundaryData(t_bar=event.t_bar + delta, y_bar=path.y[-1],
                         z_bar=event.z_bar.copy(), sgn_tau=event.sgn_tau,
-                        xi_hat=xi_re, eta_hat=eta_re)
+                        xi_hat=xi_re,
+                        eta_hat=unit(path.y[-1], path.eta_hat[-1])
+                        * math.sqrt(1.0 - xi_re * xi_re))
     return path, data
 
 

@@ -62,7 +62,6 @@ class Termination(enum.Enum):
     BOUNDARY_APPROACH = "BoundaryApproach"
     TIME_LIMIT = "TimeLimit"
     CHART_EXIT = "ChartExit"
-    STEP_LIMIT = "StepLimit"
 
 
 class RayEnd(enum.Enum):

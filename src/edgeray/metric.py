@@ -22,11 +22,12 @@ G^{-1}, and the wave-operator symbol in this scaling is
     p = tau^2 - (xi, eta, zeta) . G^{-1} . (xi, eta, zeta).
 
 Coefficient entries are expression ASTs (see expr).  From their source
-the evaluator generates two functions per metric: one returns G and
+the evaluator generates three functions per metric: one returns G and
 every partial dG/dv from a single call, and each pointwise reader slices
-it; the other returns the x = 0 fiber block kzz and its nonzero z
-partials over a lane axis, for the fiber-geodesic shooter and the fiber
-cometric.
+it; the other two come from one block generator and return an x = 0
+block over a lane axis with its nonzero partials, the fiber block kzz
+along z and the base block h along y, for the geodesic shooter and the
+fiber and base cometrics.
 """
 
 from __future__ import annotations
@@ -290,34 +291,39 @@ def _generate_kernel(spec, names):
         math, _zeros=np.zeros, _slots=np.array(list(entries), dtype=np.intp))
 
 
-def _generate_fiber(spec):
-    """(fiber(y, z) -> (kzz, dkzz), dirs) at x = 0, numpy functions.
+def _generate_block(head, matrix, var):
+    """(block, dirs): the generated head -> (M, dM) at x = 0, numpy code.
 
-    dirs lists the fiber directions a along which kzz varies; dkzz[..., d]
-    is dkzz/dz_{dirs[d]}.  Only nonzero entries are written, each
-    symmetric pair from one statement.
+    M is the square matrix of ASTs, as wide as var has coordinates, and
+    dirs lists the coordinates a along which it varies; dM[..., d] is
+    dM/d(var)_{dirs[d]}.  The arguments of head may carry a leading lane
+    axis, and the lanes of var set the lanes of the results.  Only
+    nonzero entries are written, each symmetric pair from one statement.
     """
-    f = spec.f
-    zs = ["z%d" % (a + 1) for a in range(f)]
-    dirs = [a for a in range(f)
-            if any(ex.diff(node, zs[a]) != ex.Num(0.0)
-                   for row in spec.k for node in row)]
+    n = len(matrix)
+    params = head[head.index("(") + 1:-1].split(", ")
+    names = ["%s%d" % (var, a + 1) for a in range(n)]
+    dirs = [a for a in range(n)
+            if any(ex.diff(node, names[a]) != ex.Num(0.0)
+                   for row in matrix for node in row)]
     src, lines = _Source(), []
-    src.body.append("    x, y, z = 0.0, _asarray(y).T, _asarray(z).T")
+    src.body.append("    x, %s = 0.0, %s" % (
+        ", ".join(params), ", ".join("_asarray(%s).T" % p for p in params)))
     for d, a in enumerate([None] + dirs):
-        for i, j in itertools.combinations_with_replacement(range(f), 2):
-            node = spec.k[i][j] if a is None else ex.diff(spec.k[i][j], zs[a])
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            node = matrix[i][j] if a is None else ex.diff(matrix[i][j],
+                                                          names[a])
             if node != ex.Num(0.0):
                 text = src.term(node)
                 lines += ["    out[..., %d, %d, %d] = %s" % (d, p, q, text)
                           for p, q in {(i, j), (j, i)}]
-    fiber = src.define(
-        "fiber(y, z)",
-        "    out = _zeros(z.T.shape[:-1] + (%d, %d, %d))\n%s\n"
+    block = src.define(
+        head,
+        "    out = _zeros(%s.T.shape[:-1] + (%d, %d, %d))\n%s\n"
         "    return out[..., 0, :, :], out[..., 1:, :, :]"
-        % (1 + len(dirs), f, f, "\n".join(lines)),
+        % (var, 1 + len(dirs), n, n, "\n".join(lines)),
         np, _zeros=np.zeros, _asarray=np.asarray)
-    return fiber, tuple(dirs)
+    return block, tuple(dirs)
 
 
 class MetricEvaluator:
@@ -330,7 +336,9 @@ class MetricEvaluator:
     dkzz/dz_a for the directions a in ``fiber_dirs``, shapes (f, f) and
     (len(fiber_dirs), f, f); y and z may carry a leading lane axis
     (shapes (n, b) and (n, f)), which the results then carry too, as
-    numpy.linalg stacks matrices.
+    numpy.linalg stacks matrices.  ``base(y)`` returns the x = 0 base
+    block h and its partials dh/dy_i for i in ``base_dirs`` in the same
+    way.
     """
 
     def __init__(self, spec):
@@ -343,7 +351,9 @@ class MetricEvaluator:
         self.sy = slice(1, 1 + b)
         self.sz = slice(1 + b, 1 + b + f)
         self.kernel = _generate_kernel(spec, vars_)
-        self.fiber, self.fiber_dirs = _generate_fiber(spec)
+        self.fiber, self.fiber_dirs = _generate_block("fiber(y, z)",
+                                                      spec.k, "z")
+        self.base, self.base_dirs = _generate_block("base(y)", spec.h, "y")
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""
@@ -385,10 +395,7 @@ class MetricEvaluator:
 
     def base_cometric(self, y):
         """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
-        if not self.b:
-            return np.zeros((0, 0))
-        G = self.kernel(0.0, y, np.zeros(self.f))[0]
-        return solve(G[self.sy, self.sy], np.eye(self.b))
+        return solve(self.base(y)[0], np.eye(self.b))
 
 
 def solve(matrix, rhs):
@@ -431,17 +438,15 @@ class ValidationReport:
     min_fiber_eigenvalue: float
     worst_cond: float
     n_samples: int
-    dx_row_clean: bool
     failures: tuple
 
 
 def validate_normal_form(spec, seed=0):
     """Sample the chart domain and check positivity of the metric blocks.
 
-    The dx row/column of g carries no cross terms by construction; the
-    report records that structurally.  Failures list sample points where
-    the base or fiber block loses positive-definiteness (eigenvalue below
-    VALIDATION_TOL) or conditioning blows up.
+    Failures list sample points where the base or fiber block loses
+    positive-definiteness (eigenvalue below VALIDATION_TOL) or
+    conditioning blows up.
     """
     ev = spec.evaluator()
     rng = np.random.default_rng(seed)
@@ -478,6 +483,5 @@ def validate_normal_form(spec, seed=0):
         min_fiber_eigenvalue=min_k,
         worst_cond=worst_cond,
         n_samples=VALIDATION_SAMPLES,
-        dx_row_clean=True,
         failures=tuple(failures),
     )

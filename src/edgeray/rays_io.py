@@ -54,10 +54,8 @@ def build_dump(spec, traced):
                 order = str(record.per_branch[branch_id].sup_order)
             p_rel = segment.p_rel
             for i, s in enumerate(segment.s):
-                state = segment.states[i]
                 row = [ray_id, branch_id, branch.kind, float(s)]
-                row += [float(v) for v in state[:2 + b + f]]
-                row += [float(v) for v in state[2 + b + f:]]
+                row += segment.states[i].tolist()
                 row += [abs(float(p_rel[i])), order]
                 rows.append(row)
     return RayDump(b=b, f=f, rows=rows)

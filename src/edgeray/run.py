@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .gbb import trace_gbb
+from .metric import validate_normal_form
 from .orders import annotate_path
 from .rays_io import RayDump, build_dump, serialize_dump
 from .scenes import scenario_rays
@@ -40,8 +42,15 @@ def worker_count(n_tasks):
 
 
 def run_scenario(config):
-    """Trace all rays of a scene; deterministic for a fixed config+seed."""
+    """Trace all rays of a scene; deterministic for a fixed config+seed.
+    A custom metric that fails validate_normal_form is a ConfigError."""
     spec = config.spec
+    if config.name == "custom":
+        report = validate_normal_form(spec, seed=config.seed)
+        if not report.passed:
+            raise ConfigError("metric failed validation at %d points, "
+                              "first: %s" % (len(report.failures),
+                                             report.failures[0]))
     results = []
     for index, q0 in enumerate(scenario_rays(config)):
         path = trace_gbb(spec, q0, config.t_span, config.policy,

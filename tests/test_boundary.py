@@ -1,5 +1,6 @@
 """Tests for the boundary flow, fiber geodesics, and partner search."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from edgeray import boundary
 from edgeray import expr as ex
 from edgeray.boundary import (
     _direction_grid,
@@ -326,15 +328,18 @@ def test_related_matches_quadrature_on_perturbed_circle():
         assert res.distance > 0.01
 
 
-def test_related_search_on_sphere():
+def test_related_search_on_sphere(monkeypatch):
+    """From a coarse 12-direction grid the refinement still finds the
+    antipode, and measures a near miss."""
+    monkeypatch.setattr(boundary, "RELATED_GRID", 12)
     spec = builtin_scene("sphere_edge").spec
     y = np.array([0.0])
     z1 = np.array([1.3, 0.4])
     anti = np.array([math.pi - 1.3, 0.4 + math.pi])
-    res = is_geometrically_related(spec, y, z1, anti, n_directions=12)
+    res = is_geometrically_related(spec, y, z1, anti)
     assert res.related
     near_miss = np.array([math.pi - 1.3 + 0.05, 0.4 + math.pi])
-    res2 = is_geometrically_related(spec, y, z1, near_miss, n_directions=12)
+    res2 = is_geometrically_related(spec, y, z1, near_miss)
     assert not res2.related
     assert res2.distance == pytest.approx(0.05, rel=0.2)
 
@@ -372,32 +377,42 @@ def test_geodesic_point_respects_variable_speed():
     assert abs(float(delta[0])) < 1e-9
 
 
-def _oracle_kzz(spec, y, z, var=None):
-    """kzz at (0, y, z), or its partial in var, by the tree-walking
-    evaluator."""
+def _oracle_block(matrix, y, z, var=None):
+    """An x = 0 block of coefficient ASTs at (y, z), or its partial in
+    var, by the tree-walking evaluator."""
     return np.array([[ex.evaluate(node if var is None else ex.diff(node, var),
                                   0.0, y, z) for node in row]
-                     for row in spec.k])
+                     for row in matrix])
+
+
+def _oracle_kzz(spec, y, z, var=None):
+    return _oracle_block(spec.k, y, z, var)
+
+
+def _oracle_cogeodesic(block, names, q0, p0, arc):
+    """(q, p) after parameter arc along one cogeodesic of the cometric
+    block(q)^{-1}, whose partials are block(q, name), solved on its own."""
+    d = len(names)
+
+    def rhs(s, state):
+        q, p = state[:d], state[d:]
+        w = np.linalg.solve(block(q), p)
+        return np.concatenate((w, [0.5 * w @ block(q, name) @ w
+                                   for name in names]))
+
+    state0 = np.concatenate((q0, p0))
+    if arc == 0.0:
+        return state0[:d], state0[d:]
+    sol = solve_ivp(rhs, (0.0, arc), state0, method="DOP853", rtol=1e-13,
+                    atol=1e-15)
+    return sol.y[:d, -1], sol.y[d:, -1]
 
 
 def _oracle_shot(spec, y, z0, zeta0, arc):
-    """(z, zeta) after parameter arc along one cogeodesic, solved on its
-    own on _oracle_kzz."""
-    f = spec.f
-
-    def rhs(s, state):
-        z, zeta = state[:f], state[f:]
-        w = np.linalg.solve(_oracle_kzz(spec, y, z), zeta)
-        return np.concatenate((w, [
-            0.5 * w @ _oracle_kzz(spec, y, z, "z%d" % (a + 1)) @ w
-            for a in range(f)]))
-
-    state0 = np.concatenate((z0, zeta0))
-    if arc == 0.0:
-        return state0[:f], state0[f:]
-    sol = solve_ivp(rhs, (0.0, arc), state0, method="DOP853", rtol=1e-13,
-                    atol=1e-15)
-    return sol.y[:f, -1], sol.y[f:, -1]
+    """(z, zeta) after parameter arc along one fiber cogeodesic at y."""
+    return _oracle_cogeodesic(functools.partial(_oracle_kzz, spec, y),
+                              ["z%d" % (a + 1) for a in range(spec.f)],
+                              z0, zeta0, arc)
 
 
 def _oracle_unit_covector(spec, y, z, w):
@@ -423,7 +438,9 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
     y, z_bar = np.array(y), np.array(z_bar)
     zetas = [_oracle_unit_covector(spec, y, z_bar, d)
              for d in _direction_grid(spec.f, n)]
-    batched = _shoot(spec, y, z_bar, zetas, np.full(n, math.pi))[0][-1]
+    ev = spec.evaluator()
+    batched = _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z_bar,
+                     zetas, np.full(n, math.pi))[0][-1]
     single = [_oracle_shot(spec, y, z_bar, zeta, math.pi)[0]
               for zeta in zetas]
     assert batched.shape == (n, spec.f)
@@ -456,7 +473,9 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
     ys = rng.uniform(-0.5, 0.5, (len(arcs), spec.b))
     zs = rng.uniform(0.4, 2.6, (len(arcs), spec.f))
     zetas = rng.uniform(-1.0, 1.0, (len(arcs), spec.f))
-    got_z, got_zeta = _shoot(spec, ys, zs, zetas, arcs, u=(0.5, 1.0))
+    ev = spec.evaluator()
+    got_z, got_zeta = _shoot(functools.partial(ev.fiber, ys), ev.fiber_dirs,
+                             zs, zetas, arcs, u=(0.5, 1.0))
     assert got_z.shape == got_zeta.shape == (2, len(arcs), spec.f)
     for k, arc in enumerate(arcs):
         for i, frac in enumerate((0.5, 1.0)):
@@ -465,6 +484,39 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
             np.testing.assert_allclose(got_zeta[i, k], zeta, rtol=0.0,
                                        atol=1e-9)
     np.testing.assert_array_equal(got_z[:, 0], zs[[0, 0]])
+
+
+def test_base_shot_lanes_keep_their_own_start_and_arc():
+    """On a curved base block, lanes of one shot with their own start,
+    covector and signed arc (zero and negative included) each match an
+    independent solve, in y and eta, at the end and half way."""
+    spec = make_metric_spec(2, 1, h=[["1", "0"], ["0", "sin(y1)^2"]],
+                            k=[["1"]], fiber="circle(%r)" % (2.0 * math.pi))
+    ev = spec.evaluator()
+    assert ev.base_dirs == (0,)
+    rng = np.random.default_rng(6)
+    arcs = np.array([0.0, -0.9, 1.4, -0.3, 0.6, 1.1])
+    ys = np.column_stack((rng.uniform(1.0, 2.1, len(arcs)),
+                          rng.uniform(-1.0, 1.0, len(arcs))))
+    etas = np.column_stack((rng.uniform(-0.5, 0.5, len(arcs)),
+                            rng.choice((-1.0, 1.0), len(arcs))
+                            * rng.uniform(0.3, 0.6, len(arcs))))
+    got_y, got_eta = _shoot(ev.base, ev.base_dirs, ys, etas, arcs,
+                            u=(0.5, 1.0))
+    assert got_y.shape == got_eta.shape == (2, len(arcs), 2)
+
+    def h(y, var=None):
+        return _oracle_block(spec.h, y, [], var)
+
+    for k, arc in enumerate(arcs):
+        for i, frac in enumerate((0.5, 1.0)):
+            y, eta = _oracle_cogeodesic(h, ["y1", "y2"], ys[k], etas[k],
+                                        frac * arc)
+            np.testing.assert_allclose(got_y[i, k], y, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(got_eta[i, k], eta, rtol=0.0,
+                                       atol=1e-9)
+    np.testing.assert_array_equal(got_y[:, 0], ys[[0, 0]])
+    np.testing.assert_array_equal(got_eta[:, 0], etas[[0, 0]])
 
 
 def test_cogeodesic_flow_samples_both_signs():
@@ -489,8 +541,10 @@ def test_batched_shot_raises_typed_errors():
                                 fiber="chart")
     at_zero = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.zeros(2), tau=1.0,
                              xi=0.5, eta=none, zeta=np.array([0.0, 1.0]))
+    ev = singular.evaluator()
     with pytest.raises(DegenerateMetricError):
-        _shoot(singular, none, np.zeros(2), np.eye(2), np.ones(2))
+        _shoot(functools.partial(ev.fiber, none), ev.fiber_dirs, np.zeros(2),
+               np.eye(2), np.ones(2))
     with pytest.raises(DegenerateMetricError):
         fiber_cogeodesic_flow(singular, none, np.zeros(2),
                               np.array([1.0, 0.0]), [-0.5, 0.5])
@@ -499,10 +553,11 @@ def test_batched_shot_raises_typed_errors():
     with pytest.raises(DegenerateMetricError):
         boundary_flow(singular, at_zero, 0.1)
     growing = make_metric_spec(0, 1, k=[["exp(z1)"]], fiber="chart")
+    ev = growing.evaluator()
     for bad in (1e200, math.nan):
         with pytest.raises(IntegrationDivergedError):
-            _shoot(growing, none, np.zeros(1),
-                   np.array([[1.0], [-1.0], [bad]]), np.ones(3))
+            _shoot(functools.partial(ev.fiber, none), ev.fiber_dirs,
+                   np.zeros(1), np.array([[1.0], [-1.0], [bad]]), np.ones(3))
         with pytest.raises(IntegrationDivergedError):
             fiber_cogeodesic_flow(growing, none, np.zeros(1),
                                   np.array([bad]), [1.0])

@@ -229,6 +229,29 @@ def test_glancing_continuation_flat_base():
         continue_glancing(spec, _hyperbolic_event([0.3], b=1), delta)
 
 
+def test_glancing_continuation_of_zero_travel():
+    """delta = 0 travels nowhere: the re-entry is at the event's y_bar with
+    a unit eta_hat and grazing xi_hat."""
+    spec = builtin_scene("product_edge(1, 1)").spec
+    event = BoundaryEvent(branch_id="0",
+                          boundary_class=BoundaryClass.GLANCING,
+                          t_bar=0.1, y_bar=np.array([0.2]),
+                          z_bar=np.array([0.7]), sgn_tau=-1, xi_hat=0.0,
+                          eta_hat=np.array([-1.0]), margin=0.0,
+                          char_defect=0.0, residual=0.0)
+    path, data = continue_glancing(spec, event, 0.0)
+    np.testing.assert_array_equal(path.t, 0.1)
+    np.testing.assert_array_equal(path.y, 0.2)
+    np.testing.assert_array_equal(path.eta_hat, -1.0)
+    assert path.norm_drift == 0.0
+    assert data.t_bar == 0.1
+    np.testing.assert_array_equal(data.y_bar, event.y_bar)
+    np.testing.assert_array_equal(data.z_bar, event.z_bar)
+    assert data.xi_hat == pytest.approx(gbb.GLANCING_XI)
+    assert data.eta_hat[0] ** 2 + data.xi_hat ** 2 == pytest.approx(1.0)
+    assert data.eta_hat[0] < 0.0
+
+
 def test_glancing_continuation_curved_base_great_circle():
     """Round-sphere base: an equatorial tangency stays on the equator."""
     spec = make_metric_spec(2, 1, h=[["1", "0"], ["0", "sin(y1)^2"]],

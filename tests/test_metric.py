@@ -154,6 +154,32 @@ def test_fiber_function_matches_the_kernel(name):
             np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
+def test_base_function_matches_the_kernel(name):
+    """ev.base is the kernel's x = 0 base block h and its y partials, at
+    one point and on a lane axis, and base_cometric inverts it; the
+    directions it leaves out have zero partials."""
+    spec = _spec(name)
+    ev = spec.evaluator()
+    b, dirs = spec.b, list(ev.base_dirs)
+    rng = np.random.default_rng(5)
+    ys = rng.uniform(-0.8, 0.8, (5, b))
+    lanes = ev.base(ys)
+    assert lanes[0].shape == (5, b, b)
+    assert lanes[1].shape == (5, len(dirs), b, b)
+    for k in range(5):
+        G, dG = ev.kernel(0.0, ys[k], np.zeros(spec.f))
+        want = dG[ev.sy, ev.sy, ev.sy]
+        for h, dh in (ev.base(ys[k]), (lanes[0][k], lanes[1][k])):
+            np.testing.assert_allclose(h, G[ev.sy, ev.sy], rtol=1e-15,
+                                       atol=0.0)
+            full = np.zeros((b, b, b))
+            full[dirs] = dh
+            np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(ev.base_cometric(ys[k]) @ h, np.eye(b),
+                                   rtol=0.0, atol=1e-12)
+
+
 def test_edge_matrix_structure():
     spec = _curvy_spec()
     ev = spec.evaluator()
@@ -261,7 +287,6 @@ def test_validate_normal_form_on_builtins():
         report = validate_normal_form(builtin_scene(name).spec, seed=1)
         assert report.passed, (name, report.failures)
         assert report.min_fiber_eigenvalue > 0.0
-        assert report.dx_row_clean
 
 
 def test_transverse_momentum_solves_characteristic():

@@ -149,7 +149,6 @@ def test_cli_validate(capsys):
     assert main(["validate", "product_cone(1.0)"]) == 0
     out = capsys.readouterr().out
     assert "normal form OK" in out
-    assert "dx row clean: True" in out
     assert main(["validate", "no_such_scene"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
@@ -213,6 +212,23 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     scene.write_text(text)
     assert main(["trace", str(scene), "--x-stop", "0.001"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_trace_refuses_an_invalid_custom_metric(tmp_path, capsys):
+    """A custom metric that fails validate_normal_form is a config error
+    before any ray is traced, and no dump is written."""
+    scene = tmp_path / "negative.cfg"
+    scene.write_text("b = 0; f = 1; k = [[-1]]; "
+                     "fiber = circle(6.283185307179586); "
+                     "t_span = [0.0, 1.0]; "
+                     "source = [0.0, 0.5, 1.2, 1.0, 1.0, 0.0]\n")
+    out_file = tmp_path / "rays.csv"
+    assert main(["trace", str(scene), "--out", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "at %d points" % VALIDATION_SAMPLES in err
+    assert "metric eigenvalue" in err
+    assert not out_file.exists()
 
 
 def test_cli_validate_caps_fail_lines(tmp_path, capsys):
