@@ -73,7 +73,7 @@ def _try_number(raw):
         value = float(raw)
     except ValueError:
         return None
-    if value == int(value) and "." not in raw and "e" not in raw.lower():
+    if value.is_integer() and "." not in raw and "e" not in raw.lower():
         return int(value)
     return value
 

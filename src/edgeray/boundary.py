@@ -30,7 +30,8 @@ approach and continuous across zeta = 0.
 
 Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
 of a call (each with its own start, covector and signed parameter arc)
-are one ODE in a normalised parameter, on a generated metric block.  On
+are one ``ode.rk45`` ODE in a normalised parameter, on a generated
+metric block, with at most MAX_GEODESIC_STEPS field evaluations.  On
 the fiber block a partner search shoots all launch directions of an
 edge event (and each refinement round of the relatedness test), an edge
 event the limit points of its whole extrapolation ladder, and the
@@ -46,8 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import ode
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError)
 from .metric import solve
@@ -55,6 +56,7 @@ from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
+MAX_GEODESIC_STEPS = 200000  # field evaluations allowed per _shoot call
 RELATED_GRID = 64      # launch directions of the relatedness test's first grid
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
@@ -97,8 +99,9 @@ def _shoot(block, dirs, q0, p0, arc, u=(1.0,)):
     the signed parameter arc[k]; q0 and p0 broadcast against the n lanes
     of arc.  All lanes are one ODE in the fraction u in [0, 1], whose
     state carries a leading lane axis.  Returns q and p of shape
-    (len(u), n, d).  A singular block raises DegenerateMetricError and a
-    non-finite lane IntegrationDivergedError.
+    (len(u), n, d).  A singular block raises DegenerateMetricError, a
+    non-finite lane or a collapsing step IntegrationDivergedError, and
+    more than MAX_GEODESIC_STEPS evaluations StepLimitError.
     """
     arc = np.asarray(arc, float)
     n, d, dirs = arc.size, np.shape(q0)[-1], list(dirs)
@@ -124,12 +127,9 @@ def _shoot(block, dirs, q0, p0, arc, u=(1.0,)):
         return out.ravel()
 
     with np.errstate(all="ignore"):
-        sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
-                        t_eval=u, rtol=_GEO_RTOL, atol=_GEO_ATOL)
-    if sol.status != 0:
-        raise IntegrationDivergedError("geodesic integration failed: %s"
-                                       % sol.message)
-    states = sol.y.T.reshape(len(u), n, 2, d)
+        sol = ode.rk45(rhs, 1.0, state0.ravel(), _GEO_RTOL, _GEO_ATOL,
+                       MAX_GEODESIC_STEPS, t_eval=u)
+    states = sol.y.reshape(len(u), n, 2, d)
     return states[:, :, 0], states[:, :, 1]
 
 

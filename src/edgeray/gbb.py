@@ -29,9 +29,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import hamiltonian
+from . import hamiltonian, ode
 from .boundary import _shoot, fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
@@ -130,8 +129,8 @@ def _ladder_parameters(segment):
     out = [s[end]]
     for xj in rungs[1:]:
         lo, hi = s[top], s[end]
-        out.append(brentq(lambda u: dense(u)[1] - xj, lo, hi,
-                          xtol=1e-14, rtol=1e-15))
+        out.append(ode.brent(lambda u: dense(u)[1] - xj, lo, hi,
+                             1e-14, 1e-15))
     return np.array(out), rungs
 
 

@@ -20,25 +20,26 @@ sigma = 1/|tau|) and rescales time by sigma; it vanishes exactly at
 x = 0, zeta_hat = 0, sigma = 0 on the characteristic set (radial
 points), where its linearization has eigenvalues -xi_hat, 0, +xi_hat.
 
-Numerical integration further rescales the field by 1/(x|tau|), a
-positive factor that leaves trajectories unchanged while making the
-parameter advance at unit speed in t; the approach to the boundary then
-costs a bounded parameter interval instead of slowing down
-algebraically.
+Numerical integration (``ode.rk45``, with the boundary threshold and
+the chart exit as terminal events) further rescales the field by
+1/(x|tau|), a positive factor that leaves trajectories unchanged while
+making the parameter advance at unit speed in t; the approach to the
+boundary then costs a bounded parameter interval instead of slowing
+down algebraically.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (IllConditionedEventError, IntegrationDivergedError,
-                     LaunchFailedError, StepLimitError)
+from . import ode
+from .errors import (ConfigError, IllConditionedEventError,
+                     IntegrationDivergedError, LaunchFailedError,
+                     StepLimitError)
 from .metric import solve, transverse_momentum
 from .phase import EdgePhasePoint
 
@@ -51,11 +52,24 @@ FD_STEP = 1e-6         # central-difference step of the radial linearization
 @dataclass(frozen=True)
 class FlowSettings:
     """What a scene sets: integrator tolerances and the height x_stop at
-    which an interior ray is handed to the edge machinery."""
+    which an interior ray is handed to the edge machinery.  Values the
+    integrator cannot use raise ConfigError."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     x_stop: float = 1e-4
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rtol) and self.rtol >= 100 * ode.EPS):
+            raise ConfigError("rtol = %r must be finite and at least %.3g"
+                              % (self.rtol, 100 * ode.EPS))
+        if not (math.isfinite(self.atol) and self.atol >= 0.0):
+            raise ConfigError("atol = %r must be finite and nonnegative"
+                              % self.atol)
+        if not (math.isfinite(self.x_stop) and self.x_stop > 0.0):
+            # the integrated field is divided by x
+            raise ConfigError("x_stop = %r must be finite and positive"
+                              % self.x_stop)
 
 
 class Termination(enum.Enum):
@@ -137,7 +151,7 @@ class RaySegment:
     s: np.ndarray               # flow parameter, |dt/ds| = 1, from 0
     states: np.ndarray          # (n, 2*(2+b+f)) rows in to_vector order
     termination: Termination
-    dense: object = None        # scipy OdeSolution over the raw parameter
+    dense: object = None        # ode.DenseOutput over the parameter s
     nfev: int = 0
     p_rel: np.ndarray = None    # per-sample p/tau^2, from the drift gate
 
@@ -181,7 +195,7 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
 
     direction multiplies the field; the parameter s then advances t at
     rate -direction*sgn(tau).  Terminates on reaching settings.x_stop
-    from above (BoundaryApproach), on exhausting s_max (TimeLimit), or
+    from above (BoundaryApproach), on exhausting s_max > 0 (TimeLimit), or
     on leaving the fiber chart for chart-only fiber topologies
     (ChartExit).  More than MAX_STEPS field evaluations raise
     StepLimitError while integrating.
@@ -192,23 +206,16 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
         raise ValueError("tau must be nonzero along light rays")
     ev = spec.evaluator()
     itau = 2 + spec.b + spec.f
-    evaluations = itertools.count(1)
 
     def rhs(s, vec):
-        if next(evaluations) > MAX_STEPS:
-            raise StepLimitError("integration passed its budget of %d "
-                                 "evaluations" % MAX_STEPS)
         field = _field_vector(ev, vec)
         scale = direction / (vec[1] * abs(vec[itau]))
         return field * scale
 
     def hit_boundary(s, vec):
         return vec[1] - settings.x_stop
-    hit_boundary.terminal = True
-    hit_boundary.direction = -1
 
-    events = [hit_boundary]
-    chart_exit = None
+    events = [(hit_boundary, -1)]
     if spec.fiber.kind == "chart":
         lo = np.array([box[0] for box in spec.z_box])
         hi = np.array([box[1] for box in spec.z_box])
@@ -217,24 +224,19 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
             z = vec[2 + spec.b:itau]
             over = np.maximum(z - hi, lo - z)
             return -float(over.max())
-        chart_exit.terminal = True
-        events.append(chart_exit)
+        events.append((chart_exit, 0))
 
-    sol = solve_ivp(rhs, (0.0, s_max), q0.to_vector(), method="RK45",
-                    rtol=settings.rtol, atol=settings.atol,
-                    dense_output=True, events=events)
-    if sol.status == -1:
-        raise IntegrationDivergedError("integrator failed: %s" % sol.message)
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            termination = Termination.BOUNDARY_APPROACH
-        else:
-            termination = Termination.CHART_EXIT
-    else:
+    sol = ode.rk45(rhs, s_max, q0.to_vector(), settings.rtol, settings.atol,
+                   MAX_STEPS, events)
+    if sol.event is None:
         termination = Termination.TIME_LIMIT
-    segment = RaySegment(spec=spec, direction=direction, s=sol.t.copy(),
-                         states=sol.y.T.copy(), termination=termination,
-                         dense=sol.sol, nfev=sol.nfev)
+    elif sol.event == 0:
+        termination = Termination.BOUNDARY_APPROACH
+    else:
+        termination = Termination.CHART_EXIT
+    segment = RaySegment(spec=spec, direction=direction, s=sol.t,
+                         states=sol.y, termination=termination,
+                         dense=sol.dense, nfev=sol.nfev)
     segment.p_rel = segment.conserved_log()["p_rel"]
     rel = np.abs(segment.p_rel)
     if rel.max() > P_DRIFT_MAX:

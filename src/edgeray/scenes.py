@@ -272,7 +272,11 @@ def scene_from_values(values):
     numeric = {}
     for key in ("rtol", "atol", "x_stop"):
         if key in values:
-            numeric[key] = float(values.pop(key))
+            raw = values.pop(key)
+            try:
+                numeric[key] = float(raw)
+            except (TypeError, ValueError):
+                raise ConfigError("%s = %r is not a number" % (key, raw))
     if numeric:
         config.settings = replace(config.settings, **numeric)
     if values:

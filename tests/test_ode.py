@@ -1,0 +1,229 @@
+"""The in-house RK45 and Brent solver against scipy, which serves here
+only as an oracle: the same operations must give the same bits."""
+
+import functools
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from edgeray import boundary, hamiltonian, ode
+from edgeray.cli import main
+from edgeray.errors import IntegrationDivergedError, StepLimitError
+from edgeray.hamiltonian import FlowSettings, Termination, integrate_interior
+from edgeray.metric import make_metric_spec, solve, transverse_momentum
+from edgeray.phase import EdgePhasePoint
+from edgeray.scenes import builtin_scene, parse_scene, scenario_rays
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fan_ray():
+    config = parse_scene("builtin = perturbed_edge(0.3)\n"
+                         "origin = [0.5, 0.1, 1.0]\nfan_count = 4\n"
+                         "seed = 3\nt_span = [0.0, 3.0]\n")
+    return config.spec, scenario_rays(config)[1], 3.0
+
+
+def _edge_ray():
+    config = builtin_scene("sphere_edge")
+    return config.spec, scenario_rays(config)[0], 1.5
+
+
+def _chart_exit_ray():
+    spec = make_metric_spec(b=0, f=1, k=[["1"]], fiber="chart",
+                            z_box=[(-0.5, 0.5)])
+    xi = transverse_momentum(spec, 0.4, np.zeros(0), np.zeros(1), 1.0,
+                             np.zeros(0), np.array([0.9]), 1)
+    q0 = EdgePhasePoint(t=0.0, x=0.4, y=np.zeros(0), z=np.array([0.0]),
+                        tau=1.0, xi=xi, eta=np.zeros(0),
+                        zeta=np.array([0.9]))
+    return spec, q0, 8.0
+
+
+def _solve_ivp_interior(spec, q0, direction, settings, s_max):
+    """integrate_interior's ODE and events, handed to solve_ivp."""
+    ev = spec.evaluator()
+    itau = 2 + spec.b + spec.f
+
+    def rhs(s, vec):
+        field = hamiltonian._field_vector(ev, vec)
+        return field * (direction / (vec[1] * abs(vec[itau])))
+
+    def hit_boundary(s, vec):
+        return vec[1] - settings.x_stop
+    hit_boundary.terminal = True
+    hit_boundary.direction = -1
+    events = [hit_boundary]
+    if spec.fiber.kind == "chart":
+        lo = np.array([box[0] for box in spec.z_box])
+        hi = np.array([box[1] for box in spec.z_box])
+
+        def chart_exit(s, vec):
+            z = vec[2 + spec.b:itau]
+            return -float(np.maximum(z - hi, lo - z).max())
+        chart_exit.terminal = True
+        events.append(chart_exit)
+    return solve_ivp(rhs, (0.0, s_max), q0.to_vector(), method="RK45",
+                     rtol=settings.rtol, atol=settings.atol,
+                     dense_output=True, events=events)
+
+
+@pytest.mark.parametrize("ray, termination", [
+    (_fan_ray, Termination.TIME_LIMIT),
+    (_edge_ray, Termination.BOUNDARY_APPROACH),
+    (_chart_exit_ray, Termination.CHART_EXIT)])
+def test_interior_integration_matches_solve_ivp_bitwise(ray, termination):
+    spec, q0, s_max = ray()
+    settings = FlowSettings()
+    direction = -1 if q0.tau > 0 else 1
+    seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
+    want = _solve_ivp_interior(spec, q0, direction, settings, s_max)
+    assert seg.termination is termination
+    assert len(seg.s) > 10
+    assert np.array_equal(seg.s, want.t)
+    assert np.array_equal(seg.states, want.y.T)
+    assert seg.nfev == want.nfev
+    fired = [i for i, t in enumerate(want.t_events) if len(t)]
+    assert fired == {Termination.TIME_LIMIT: [],
+                     Termination.BOUNDARY_APPROACH: [0],
+                     Termination.CHART_EXIT: [1]}[termination]
+    inner = np.concatenate((0.5 * (seg.s[1:] + seg.s[:-1]), seg.s,
+                            np.random.default_rng(0).uniform(0, seg.s[-1],
+                                                             50)))
+    for s in inner:
+        assert np.array_equal(seg.dense(s), want.sol(s))
+
+
+def _solve_ivp_shot(block, dirs, q0, p0, arc, u):
+    """_shoot's lanes as one solve_ivp ODE."""
+    arc = np.asarray(arc, float)
+    n, d = arc.size, np.shape(q0)[-1]
+    state0 = np.stack((np.broadcast_to(q0, (n, d)),
+                       np.broadcast_to(p0, (n, d))), axis=1)
+
+    def rhs(_, state):
+        q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
+        M, dM = block(q)
+        out = np.zeros((n, 2, d))
+        out[:, 0] = w = solve(M, p[:, :, None])[:, :, 0]
+        out[:, 1, list(dirs)] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dM, w)
+        out *= arc[:, None, None]
+        return out.ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
+                    t_eval=u, rtol=boundary._GEO_RTOL,
+                    atol=boundary._GEO_ATOL)
+    states = sol.y.T.reshape(len(u), n, 2, d)
+    return states[:, :, 0], states[:, :, 1]
+
+
+def test_multi_lane_shot_matches_solve_ivp_bitwise():
+    spec = builtin_scene("sphere_edge").spec
+    ev = spec.evaluator()
+    block = functools.partial(ev.fiber, np.array([0.1]))
+    z0 = np.array([[1.2, 0.3], [1.5, 2.0], [1.3, 5.0]])
+    angles = np.array([0.3, 2.0, 4.4])
+    zeta0 = np.stack((np.cos(angles), np.sin(angles) * np.sin(z0[:, 0])), 1)
+    arc = [0.7, -1.1, math.pi]
+    u = np.array([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
+    got = boundary._shoot(block, ev.fiber_dirs, z0, zeta0, arc, u)
+    want = _solve_ivp_shot(block, ev.fiber_dirs, z0, zeta0, arc, u)
+    for g, w in zip(got, want):
+        assert g.shape == (len(u), 3, 2)
+        assert np.array_equal(g, w)
+
+
+def test_step_below_float_spacing_is_a_typed_failure():
+    """y' = y^2 blows up at t = 1: solve_ivp reports failure, rk45 raises."""
+    def rhs(t, y):
+        return y * y
+    want = solve_ivp(rhs, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
+    assert want.status == -1
+    with pytest.raises(IntegrationDivergedError,
+                       match=re.escape("spacing between numbers at t = %r"
+                                       % float(want.t[-1]))):
+        ode.rk45(rhs, 2.0, [1.0], 1e-8, 1e-10, 10 ** 6)
+
+
+def test_relatedness_lane_through_the_sphere_pole_diverges():
+    """One refinement lane of this sphere_edge relatedness test reaches
+    the pole of the polar chart, where the step size collapses."""
+    spec = builtin_scene("sphere_edge").spec
+    with pytest.raises(IntegrationDivergedError, match="spacing"):
+        boundary.is_geometrically_related(spec, [0.0], [1.3456, 1.3922],
+                                          [1.5708, 1.3922])
+
+
+def test_evaluation_budget_is_enforced_in_the_integrator():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+    with pytest.raises(StepLimitError, match="budget of 20"):
+        ode.rk45(rhs, 100.0, [1.0, 2.0], 1e-10, 1e-12, 20)
+    assert len(calls) == 20
+    assert ode.rk45(rhs, 0.1, [1.0, 2.0], 1e-3, 1e-6, 10 ** 4).nfev == (
+        solve_ivp(rhs, (0.0, 0.1), [1.0, 2.0], rtol=1e-3, atol=1e-6).nfev)
+
+
+def test_geodesic_budget_stops_a_partner_search(monkeypatch, capsys):
+    monkeypatch.setattr(boundary, "MAX_GEODESIC_STEPS", 8)
+    spec = builtin_scene("perturbed_edge(0.3)").spec
+    with pytest.raises(StepLimitError):
+        boundary.geometric_partners(spec, [0.0], [1.0])
+    assert main(["partners", "perturbed_edge(0.3)", "--y", "0",
+                 "--z", "1"]) == 3
+    assert "budget of 8 evaluations" in capsys.readouterr().err
+
+
+_FUNCTIONS = (
+    lambda x: math.sin(x) - 0.3,
+    lambda x: x ** 3 - 2.0 * x + 0.5,
+    lambda x: math.exp(x) - 2.5,
+    lambda x: (x - 0.1) * (x + 0.7) * (x - 1.3),
+)
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-14, 1e-15),
+                                        (4 * ode.EPS, 4 * ode.EPS)])
+def test_brent_matches_brentq_bitwise(xtol, rtol):
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 1200:
+        f = _FUNCTIONS[checked % len(_FUNCTIONS)]
+        a, b = sorted(rng.uniform(-2.0, 2.0, 2))
+        if f(a) * f(b) >= 0.0:
+            continue
+        assert ode.brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol,
+                                                        rtol=rtol)
+        checked += 1
+
+
+def test_brent_needs_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        ode.brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+
+def test_a_trace_loads_no_scipy(tmp_path):
+    """A point-source-free trace runs in a process that never imports
+    scipy: every ODE and root is solved in edgeray.ode."""
+    code = ("import sys\n"
+            "from edgeray.cli import main\n"
+            "assert main(['trace', 'sphere_edge', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "rays.csv")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "rays.csv").stat().st_size > 0

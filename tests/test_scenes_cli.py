@@ -214,6 +214,25 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scene_line, args", [
+    ("atol = -1", []), ("atol = nan", []), ("rtol = abc", []),
+    ("", ["--x-stop", "-1"]), ("", ["--x-stop", "0"]),
+    ("", ["--rtol", "nan"]), ("", ["--rtol", "-1"]),
+    ("", ["--rtol", "1e-15"])])
+def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
+                                          args):
+    """FlowSettings rejects a tolerance or x_stop the integrator cannot
+    use, whether a scene key or an option sets it: exit 2, no dump."""
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("builtin = product_cone(1.0)\n"
+                     "source = [0.0, 0.5, 0.3, 1.0, 1.0, 0.0]\n"
+                     "t_span = [0.0, 1.0]\n%s\n" % scene_line)
+    out_file = tmp_path / "rays.csv"
+    assert main(["trace", str(scene), "--out", str(out_file), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_cli_trace_refuses_an_invalid_custom_metric(tmp_path, capsys):
     """A custom metric that fails validate_normal_form is a config error
     before any ray is traced, and no dump is written."""
