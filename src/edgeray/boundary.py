@@ -30,13 +30,17 @@ approach and continuous across zeta = 0.
 
 Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
 of a call (each with its own start, covector and signed parameter arc)
-are one ``ode.rk45`` ODE in a normalised parameter, on a generated
-metric block, with at most MAX_GEODESIC_STEPS field evaluations.  On
-the fiber block a partner search shoots all launch directions of an
-edge event (and each refinement round of the relatedness test), an edge
-event the limit points of its whole extrapolation ladder, and the
-cogeodesic flow one lane per sign of its parameter samples; on the base
-block glancing continuation shoots its tangential geodesic (see gbb).
+are one ``ode.rk45`` ODE in a normalised parameter, with at most
+MAX_GEODESIC_STEPS field evaluations.  Its right-hand side is the
+generated cogeodesic field of a metric block over the lanes
+(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``): an
+unrolled LDL^T solve of the block and the quadratic forms of its
+nonzero partials, with no matrix library call.  On the fiber block a
+partner search shoots all launch directions of an edge event (and each
+refinement round of the relatedness test), an edge event the limit
+points of its whole extrapolation ladder, and the cogeodesic flow one
+lane per sign of its parameter samples; on the base block glancing
+continuation shoots its tangential geodesic (see gbb).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ import numpy as np
 from . import ode
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError)
-from .metric import solve
 from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
@@ -89,22 +92,23 @@ def fiber_unit_covector(spec, y, z, direction):
     return (kzz @ w) / speed
 
 
-def _shoot(block, dirs, q0, p0, arc, u=(1.0,)):
+def _shoot(field, q0, p0, arc, u=(1.0,)):
     """(q, p) at the parameter fractions u of cogeodesic lanes.
 
-    block(q) -> (M, dM) is an x = 0 metric block over a lane axis and its
-    partials along the coordinates dirs (``MetricEvaluator.fiber`` at
-    fixed y, or ``MetricEvaluator.base``).  Lane k starts at (q0[k],
-    p0[k]) and follows the cogeodesic flow of the cometric M^{-1} for
-    the signed parameter arc[k]; q0 and p0 broadcast against the n lanes
-    of arc.  All lanes are one ODE in the fraction u in [0, 1], whose
-    state carries a leading lane axis.  Returns q and p of shape
-    (len(u), n, d).  A singular block raises DegenerateMetricError, a
-    non-finite lane or a collapsing step IntegrationDivergedError, and
-    more than MAX_GEODESIC_STEPS evaluations StepLimitError.
+    field(q, p) -> d/ds (q, p) is the cogeodesic field of an x = 0
+    metric block over a lane axis, shape (n, 2, d)
+    (``MetricEvaluator.fiber_cogeodesic`` at fixed y, or
+    ``MetricEvaluator.base_cogeodesic``).  Lane k starts at (q0[k],
+    p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
+    broadcast against the n lanes of arc.  All lanes are one ODE in the
+    fraction u in [0, 1], whose state carries a leading lane axis.
+    Returns q and p of shape (len(u), n, d).  A zero pivot of the block
+    in any lane raises DegenerateMetricError, a non-finite lane or a
+    collapsing step IntegrationDivergedError, and more than
+    MAX_GEODESIC_STEPS evaluations StepLimitError.
     """
     arc = np.asarray(arc, float)
-    n, d, dirs = arc.size, np.shape(q0)[-1], list(dirs)
+    n, d = arc.size, np.shape(q0)[-1]
     state0 = np.stack((np.broadcast_to(q0, (n, d)),
                        np.broadcast_to(p0, (n, d))), axis=1)
     if not (np.all(np.isfinite(state0)) and np.all(np.isfinite(arc))):
@@ -115,11 +119,7 @@ def _shoot(block, dirs, q0, p0, arc, u=(1.0,)):
 
     def rhs(_, state):
         q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
-        M, dM = block(q)
-        out = np.zeros((n, 2, d))
-        out[:, 0] = w = solve(M, p[:, :, None])[:, :, 0]
-        if dirs:
-            out[:, 1, dirs] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dM, w)
+        out = field(q, p)
         out *= arc[:, None, None]
         if not np.isfinite(out).all():
             raise IntegrationDivergedError("geodesic lanes left the finite "
@@ -146,8 +146,8 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     u = s / np.where(lane, hi or 1.0, lo)
     u_eval = np.unique(u)
     ev = spec.evaluator()
-    zs, zetas = _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z0,
-                       zeta0, [lo, hi], u_eval)
+    zs, zetas = _shoot(functools.partial(ev.fiber_cogeodesic, y), z0, zeta0,
+                       [lo, hi], u_eval)
     at = np.searchsorted(u_eval, u)
     return zs[at, lane], zetas[at, lane]
 
@@ -240,17 +240,15 @@ def fiber_limit_point(spec, q):
 def fiber_limit_points(spec, y, z, xi, zeta):
     """fiber_limit_point of many phase points, one per row of y, z and
     zeta (and entry of xi), from one shot."""
-    ev = spec.evaluator()
-    K = ev.fiber_cometric(y, z)
-    m = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", zeta, K, zeta), 0.0))
+    field = functools.partial(spec.evaluator().fiber_cogeodesic, y)
+    m = np.sqrt(np.maximum((field(z, zeta)[:, 0] * zeta).sum(axis=1), 0.0))
     moving = m > 0.0
     if np.any(~moving & (xi == 0.0)):
         raise ValueError("fiber limit undefined on radial directions")
     with np.errstate(divide="ignore", invalid="ignore"):
         arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
     unit = zeta / np.where(moving, m, 1.0)[:, None]
-    return _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z, unit,
-                  np.where(moving, arc, 0.0))[0][-1]
+    return _shoot(field, z, unit, np.where(moving, arc, 0.0))[0][-1]
 
 
 # --- geometric partners -------------------------------------------------
@@ -276,10 +274,9 @@ def _direction_grid(f, n):
 def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
     arc, shot as one ODE; shape (len(directions), f)."""
-    ev = spec.evaluator()
     zetas = [fiber_unit_covector(spec, y, z0, d) for d in directions]
-    return _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z0, zetas,
-                  np.full(len(zetas), arc))[0][-1]
+    return _shoot(functools.partial(spec.evaluator().fiber_cogeodesic, y), z0,
+                  zetas, np.full(len(zetas), arc))[0][-1]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None):

@@ -35,7 +35,6 @@ from .boundary import _shoot, fiber_limit_points, geometric_partners
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
-from .metric import solve
 from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
                     normalize_cosphere)
 
@@ -277,11 +276,10 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
         return TangentialPath(t=np.array([t0, t0 + delta]), y=np.zeros((2, 0)),
                               eta_hat=np.zeros((2, 0)), norm_drift=0.0)
     ev = spec.evaluator()
-    ys, etas = _shoot(ev.base, ev.base_dirs, y0, eta0, [-delta / sgn_tau],
+    ys, etas = _shoot(ev.base_cogeodesic, y0, eta0, [-delta / sgn_tau],
                       np.linspace(0.0, 1.0, TANGENTIAL_SAMPLES))
     ys, etas = ys[:, 0], etas[:, 0]
-    norms = np.einsum("ni,ni->n", etas,
-                      solve(ev.base(ys)[0], etas[:, :, None])[:, :, 0])
+    norms = np.einsum("ni,ni->n", etas, ev.base_cogeodesic(ys, etas)[:, 0])
     return TangentialPath(t=t0 + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),
                           y=ys, eta_hat=etas,
                           norm_drift=float(np.max(np.abs(norms - 1.0))))

@@ -15,6 +15,13 @@ Along integral curves p and tau/x are conserved and t is monotone with
 dt/ds = -tau*x, so the physical time direction corresponds to the flow
 direction -sgn(tau).
 
+The field is generated per metric as straight-line code
+(``MetricEvaluator.hamilton``): w_xi = xi because G's x row is
+(1, 0, .., 0), the (b + f) block is solved by an unrolled LDL^T
+factorization, and the quadratic forms run over the nonzero entries of
+dG.  ``RaySegment.conserved_log`` evaluates p at all samples of a
+segment in one call of its lane form.
+
 The unit-gauge version divides the covector by |tau| (hatted variables,
 sigma = 1/|tau|) and rescales time by sigma; it vanishes exactly at
 x = 0, zeta_hat = 0, sigma = 0 on the characteristic set (radial
@@ -40,7 +47,7 @@ from . import ode
 from .errors import (ConfigError, IllConditionedEventError,
                      IntegrationDivergedError, LaunchFailedError,
                      StepLimitError)
-from .metric import solve, transverse_momentum
+from .metric import transverse_momentum
 from .phase import EdgePhasePoint
 
 EPS_LAUNCH = 1e-3      # height x at which outgoing rays are seeded
@@ -85,36 +92,7 @@ class RayEnd(enum.Enum):
 
 def hamilton_field(spec, q):
     """Field value at an edge phase point, ordered like q.to_vector()."""
-    ev = spec.evaluator()
-    return _field_vector(ev, q.to_vector())
-
-
-def _field_vector(ev, vec):
-    b, f = ev.b, ev.f
-    x = vec[1]
-    y = vec[2:2 + b]
-    z = vec[2 + b:2 + b + f]
-    itau = 2 + b + f
-    tau = vec[itau]
-    u = vec[itau + 1:]
-    G, dG = ev.kernel(x, y, z)
-    w = solve(G, u)
-    p = tau * tau - float(u @ w)
-    w_xi = w[0]
-    w_eta = w[1:1 + b]
-    w_zeta = w[1 + b:]
-    quad = np.einsum("i,vij,j->v", w, dG, w)
-    out = np.empty_like(vec)
-    out[0] = -tau * x
-    out[1] = x * w_xi
-    out[2:2 + b] = x * w_eta
-    out[2 + b:itau] = w_zeta
-    out[itau] = tau * w_xi
-    eta = u[1:1 + b]
-    out[itau + 1] = -p + tau * tau - float(eta @ w_eta) + 0.5 * x * quad[0]
-    out[itau + 2:itau + 2 + b] = eta * w_xi + 0.5 * x * quad[1:1 + b]
-    out[itau + 2 + b:] = 0.5 * quad[1 + b:]
-    return out
+    return spec.evaluator().hamilton(q.to_vector(), 1.0)[1]
 
 
 def rescaled_field(spec, q):
@@ -134,8 +112,8 @@ def _rescaled_vector(ev, vec, sgn_tau):
     # and the hatted covector scale by -w_xi, which keeps it exact at
     # sigma = 0.
     isig = 2 + ev.b + ev.f
-    out = _field_vector(ev, np.concatenate((vec[:isig], [sgn_tau],
-                                            vec[isig + 1:])))
+    out = ev.hamilton(np.concatenate((vec[:isig], [sgn_tau], vec[isig + 1:])),
+                      1.0)[1]
     w_xi = out[isig] * sgn_tau
     out[isig] = -vec[isig] * w_xi
     out[isig + 1:] -= vec[isig + 1:] * w_xi
@@ -172,14 +150,8 @@ class RaySegment:
 
     def conserved_log(self):
         """Per-sample (p, p/tau^2, tau/x, |tau|)."""
-        b, f = self.spec.b, self.spec.f
-        ev = self.spec.evaluator()
-        itau = 2 + b + f
-        p = np.empty(len(self.s))
-        for i, row in enumerate(self.states):
-            G = ev.edge_matrix(row[1], row[2:2 + b], row[2 + b:itau])
-            u = row[itau + 1:]
-            p[i] = row[itau] ** 2 - float(u @ solve(G, u))
+        itau = 2 + self.spec.b + self.spec.f
+        p = self.spec.evaluator().hamilton_lanes(self.states, 1.0)[0]
         tau = self.states[:, itau]
         return {
             "p": p,
@@ -204,13 +176,11 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
         raise ValueError("initial point must start above x_stop")
     if q0.tau == 0.0:
         raise ValueError("tau must be nonzero along light rays")
-    ev = spec.evaluator()
+    hamilton = spec.evaluator().hamilton
     itau = 2 + spec.b + spec.f
 
     def rhs(s, vec):
-        field = _field_vector(ev, vec)
-        scale = direction / (vec[1] * abs(vec[itau]))
-        return field * scale
+        return hamilton(vec, float(direction / (vec[1] * abs(vec[itau]))))[1]
 
     def hit_boundary(s, vec):
         return vec[1] - settings.x_stop

@@ -22,12 +22,24 @@ G^{-1}, and the wave-operator symbol in this scaling is
     p = tau^2 - (xi, eta, zeta) . G^{-1} . (xi, eta, zeta).
 
 Coefficient entries are expression ASTs (see expr).  From their source
-the evaluator generates three functions per metric: one returns G and
-every partial dG/dv from a single call, and each pointwise reader slices
-it; the other two come from one block generator and return an x = 0
-block over a lane axis with its nonzero partials, the fiber block kzz
-along z and the base block h along y, for the geodesic shooter and the
-fiber and base cometrics.
+the evaluator generates straight-line code, one statement per distinct
+entry:
+
+  * the kernel returns G and every partial dG/dv from a single call, and
+    each pointwise reader slices it;
+  * the Hamilton field of the hamiltonian module, with the symbol p, in
+    two instances of one source: math on floats at one phase point, and
+    numpy over a lane axis of states;
+  * for each x = 0 block, the fiber block kzz along z and the base block
+    h along y, a function returning the block over a lane axis with its
+    nonzero partials (the fiber and base cometrics read it), and the
+    cogeodesic field of its inverse, over lanes, for the geodesic
+    shooter.
+
+The fields solve with their metric block by an unrolled LDL^T
+factorization without pivoting (the blocks are positive definite), over
+the entries that are not identically zero; a zero pivot, in any lane,
+raises DegenerateMetricError.
 """
 
 from __future__ import annotations
@@ -218,12 +230,14 @@ def metric_spec_from_values(values):
 # --- pointwise evaluation ---------------------------------------------
 
 class _Source:
-    """Body of a generated function: one local per distinct expression."""
+    """Body of generated functions: one local per distinct expression."""
 
     def __init__(self):
-        self.body, self.names = [], {}
+        self.body, self.names, self.code = [], {}, {}
 
     def local(self, text):
+        if text.isidentifier() or _is_number(text):
+            return text
         if text not in self.names:
             self.names[text] = "c%d" % len(self.names)
             self.body.append("    %s = %s" % (self.names[text], text))
@@ -234,96 +248,274 @@ class _Source:
             return repr(node.value)
         return self.local(ex._to_source(node))
 
-    def define(self, head, tail, functions, **names):
-        """Exec "def head: body; tail" with sin..log from functions."""
+    def define(self, head, start, tail, functions, **names):
+        """Exec "def head: start; body; tail" with sin..log from functions;
+        the same text is compiled once."""
+        text = "\n".join(["def %s:" % head, start] + self.body + [tail])
+        if text not in self.code:
+            self.code[text] = compile(text, "<metric>", "exec")
         namespace = {"_" + name: getattr(functions, name)
                      for name in ex.FUNCTIONS}
         namespace.update(names, __builtins__={})
-        exec("def %s:\n%s\n%s" % (head, "\n".join(self.body), tail),
-             namespace)
+        exec(self.code[text], namespace)
         return namespace[head[:head.index("(")]]
 
 
-def _generate_kernel(spec, names):
-    """kernel(x, y, z) -> (G, dG), one statement per distinct entry.
+def _metric_entries(spec, names, src):
+    """{(v, i, j): source} of the entries of G (v = 0) and of dG/du for
+    u = names[v - 1], with their locals in src.
 
-    The y rows spell out the normal form term by term, zeros included, so
-    their rounding does not depend on which coefficients vanish:
-    G_yy = (h + x*h') + (x*x)*kyy, G_yz = x*kyz, and their x partials add
-    the product-rule terms + h' + (2x)*kyy and + kyz.
+    The y rows spell out the normal form term by term, zero coefficients
+    included, so their rounding does not depend on which coefficients
+    vanish: G_yy = (h + x*h') + (x*x)*kyy, G_yz = x*kyz, and their x
+    partials add the product-rule terms + h' + (2x)*kyy and + kyz.  Only a
+    slot whose coefficients all vanish is left out; it holds 0.
     """
     b, f = spec.b, spec.f
     nv = 1 + b + f
-    src, entries = _Source(), {0: "1.0"}   # flat slot -> value
+    entries = {(0, 0, 0): "1.0"}
 
     def term(matrix, v, i, j):   # v = 0: the entry, v = 1 + u: d/du
         node = matrix[i][j] if v == 0 else ex.diff(matrix[i][j], names[v - 1])
         return src.term(node)
 
     for v in range(1 + nv):
-        def put(i, j, text):
-            if text != "0.0":   # the slots start at zero
-                entries[(v * nv + i) * nv + j] = text
+        def put(i, j, form, *terms):
+            if any(t != "0.0" for t in terms):
+                entries[v, i, j] = entries[v, j, i] = src.local(form % terms)
 
         for a, c in itertools.product(range(f), repeat=2):
-            put(1 + b + a, 1 + b + c, term(spec.k, v, a, c))
+            put(1 + b + a, 1 + b + c, "%s", term(spec.k, v, a, c))
         for i, j in itertools.product(range(b), repeat=2):
-            text = "(%s + x * %s) + (x * x) * %s" % (
-                term(spec.h, v, i, j), term(spec.hprime, v, i, j),
-                term(spec.kyy, v, i, j))
+            form = "(%s + x * %s) + (x * x) * %s"
+            terms = [term(m, v, i, j) for m in (spec.h, spec.hprime, spec.kyy)]
             if v == 1:
-                text = "(%s + %s) + (2.0 * x) * %s" % (
-                    src.local(text), term(spec.hprime, 0, i, j),
-                    term(spec.kyy, 0, i, j))
-            put(1 + i, 1 + j, src.local(text))
+                form += " + %s + (2.0 * x) * %s"
+                terms += [term(spec.hprime, 0, i, j), term(spec.kyy, 0, i, j)]
+            put(1 + i, 1 + j, form, *terms)
         for i, a in itertools.product(range(b), range(f)):
-            text = "x * %s" % term(spec.kyz, v, i, a)
+            form, terms = "x * %s", [term(spec.kyz, v, i, a)]
             if v == 1:
-                text += " + %s" % term(spec.kyz, 0, i, a)
-            put(1 + i, 1 + b + a, src.local(text))
-            put(1 + b + a, 1 + i, src.local(text))
+                form += " + %s"
+                terms.append(term(spec.kyz, 0, i, a))
+            put(1 + i, 1 + b + a, form, *terms)
+    return entries
+
+
+def _generate_kernel(nv, entries, src):
+    """kernel(x, y, z) -> (G, dG) from the _metric_entries in src."""
+    slots = {(v * nv + i) * nv + j: text for (v, i, j), text
+             in entries.items()}
     return src.define(
-        "kernel(x, y, z)",
+        "kernel(x, y, z)", "",
         "    out = _zeros(%d)\n    out[_slots] = (%s,)\n"
         "    return out[:%d].reshape(%d, %d), out[%d:].reshape(%d, %d, %d)"
-        % (nv * nv * (1 + nv), ", ".join(entries.values()), nv * nv, nv,
+        % (nv * nv * (1 + nv), ", ".join(slots.values()), nv * nv, nv,
            nv, nv * nv, nv, nv, nv),
-        math, _zeros=np.zeros, _slots=np.array(list(entries), dtype=np.intp))
+        math, _zeros=np.zeros, _slots=np.array(list(slots), dtype=np.intp))
+
+
+def _pivot(d):
+    if d == 0.0:
+        raise DegenerateMetricError("metric not invertible: zero pivot")
+    return d
+
+
+def _lane_pivots(d):
+    if not np.all(d != 0.0):
+        raise DegenerateMetricError("metric not invertible: zero pivot in "
+                                    "%d lane(s)" % np.sum(d == 0.0))
+    return d
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _symmetric_solve(a, rhs, lines):
+    """Names of w = A^{-1} rhs, solved by an unrolled LDL^T factorization.
+
+    a maps (i, j), i <= j, to the source of each entry of the symmetric
+    matrix A that is not identically zero, and rhs lists the sources of
+    the right-hand side; the statements are appended to lines.  Factor
+    entries that stay zero are never formed, so a diagonal A costs one
+    division per entry.  There is no pivoting: the metric blocks are
+    positive definite, and a zero pivot raises DegenerateMetricError
+    through the _pivot of the generated function's namespace.
+    """
+    n = len(rhs)
+
+    def let(name, text):
+        if text.isidentifier() or _is_number(text):
+            return text
+        lines.append("    %s = %s" % (name, text))
+        return name
+
+    def minus(head, terms):   # head - terms[0] - ..., left to right
+        if head is None:
+            if not terms:
+                return None
+            head, terms = "-" + terms[0], terms[1:]
+        return " - ".join([head] + terms)
+
+    low, pivots = {}, []   # low[i, k] = (L_ik, L_ik d_k) for i > k
+    for j in range(n):
+        d = minus(a.get((j, j)), ["%s * %s" % low[j, k]
+                                  for k in range(j) if (j, k) in low])
+        if d is None or not (_is_number(d) and float(d) != 0.0):
+            d = "_pivot(%s)" % (d or "0.0")
+        pivots.append(let("d%d" % j, d))
+        for i in range(j + 1, n):
+            e = minus(a.get((j, i)),
+                      ["%s * %s" % (low[i, k][1], low[j, k][0])
+                       for k in range(j) if (i, k) in low and (j, k) in low])
+            if e is not None:
+                e = let("e%d_%d" % (i, j), e)
+                low[i, j] = (let("l%d_%d" % (i, j), "%s / %s"
+                                 % (e, pivots[j])), e)
+    forward = []
+    for i in range(n):
+        forward.append(let("g%d" % i, minus(rhs[i], [
+            "%s * %s" % (low[i, k][0], forward[k])
+            for k in range(i) if (i, k) in low])))
+    w = [None] * n
+    for i in reversed(range(n)):
+        w[i] = let("w%d" % i, minus("%s / %s" % (forward[i], pivots[i]), [
+            "%s * %s" % (low[k, i][0], w[k])
+            for k in range(i + 1, n) if (k, i) in low]))
+    return w
+
+
+def _quadratic(a, w):
+    """Source of w.A.w over the entries a[(i, j)], i <= j, of a symmetric
+    A (see _symmetric_solve), in row order; None when A vanishes."""
+    terms = ["%s * %s * %s" % (w[i], text, w[j]) if i == j
+             else "2.0 * %s * %s * %s" % (w[i], text, w[j])
+             for (i, j), text in sorted(a.items())]
+    return " + ".join(terms) or None
+
+
+def _stack_lanes(parts):
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _generate_hamilton(b, f, entries, src):
+    """(scalar, lanes): hamilton(state, scale) -> (p, scale * H), from the
+    _metric_entries in src.
+
+    H is the flow field of the hamiltonian module at the phase point
+    state, ordered like EdgePhasePoint.to_vector(), and p the symbol
+    there.  G's x row is (1, 0, .., 0), so w = G^{-1} u has w_xi = xi,
+    and only the (b + f) block is solved (_symmetric_solve); the
+    quadratic forms w.dG/dv.w run over the nonzero entries.  Each entry
+    of H is summed left to right as the hamiltonian module writes it.
+    One source, two instances: scalar runs on Python floats with math;
+    lanes runs with numpy on a (n, 2 nv) array of states, one per row,
+    and returns p of shape (n,) and the fields as rows.
+    """
+    nv = 1 + b + f
+    itau = 1 + nv
+    u = ["u%d" % k for k in range(b + f)]
+
+    def block(v):
+        return {(i - 1, j - 1): text for (vv, i, j), text in entries.items()
+                if vv == v and 1 <= i <= j}
+
+    lines = []
+    w = _symmetric_solve(block(0), u, lines)
+    quad = []
+    for v in range(nv):
+        form = _quadratic(block(1 + v), w)
+        if form:
+            lines.append("    q%d = %s" % (v, form))
+        quad.append(form and "q%d" % v)
+    eta = u[:b]
+    dxi = "-p + tau * tau"
+    if b:
+        dxi += " - (%s)" % " + ".join("%s * %s" % pair
+                                      for pair in zip(eta, w[:b]))
+    if quad[0]:
+        dxi += " + 0.5 * x * q0"
+    field = (["-tau * x", "x * xi"] + ["x * %s" % wi for wi in w[:b]]
+             + w[b:] + ["tau * xi", dxi]
+             + ["%s * xi" % e + (" + 0.5 * x * %s" % q if q else "")
+                for e, q in zip(eta, quad[1:])]
+             + ["0.5 * %s" % q if q else "0.0" for q in quad[1 + b:]])
+    lines.append("    p = tau * tau - (%s)" % " + ".join(
+        ["xi * xi"] + ["%s * %s" % pair for pair in zip(u, w)]))
+    start = ("    state = _values(state)\n"
+             "    x, y, z = state[1], state[2:%d], state[%d:%d]\n"
+             "    tau, xi, %s = state[%d:]"
+             % (2 + b, 2 + b, itau, ", ".join(u), itau))
+    tail = "\n".join(lines + ["    return p, _pack([%s])" % ", ".join(
+        "(%s) * scale" % text for text in field)])
+    head = "hamilton(state, scale)"
+    return (src.define(head, start, tail, math, _values=np.ndarray.tolist,
+                       _pack=np.array, _pivot=_pivot),
+            src.define(head, start, tail, np,
+                       _values=lambda states: np.asarray(states).T,
+                       _pack=_stack_lanes, _pivot=_lane_pivots))
 
 
 def _generate_block(head, matrix, var):
-    """(block, dirs): the generated head -> (M, dM) at x = 0, numpy code.
+    """(block, field, dirs) of an x = 0 metric block M, numpy code.
 
     M is the square matrix of ASTs, as wide as var has coordinates, and
-    dirs lists the coordinates a along which it varies; dM[..., d] is
-    dM/d(var)_{dirs[d]}.  The arguments of head may carry a leading lane
-    axis, and the lanes of var set the lanes of the results.  Only
-    nonzero entries are written, each symmetric pair from one statement.
+    dirs lists the coordinates a along which it varies.  The generated
+    head -> (M, dM), with dM[..., d] = dM/d(var)_{dirs[d]}.  field takes
+    the arguments of head and then a covector p, and returns the
+    cogeodesic field of M^{-1}: d/ds of (var, p) is (w, (1/2) w.dM.w)
+    with w = M^{-1} p from _symmetric_solve, stacked as (..., 2, n).
+    The arguments may carry a leading lane axis; the lanes of var set
+    the lanes of block, those of p the lanes of field.  Only nonzero
+    entries are written, each symmetric pair from one statement.
     """
     n = len(matrix)
+    name = head[:head.index("(")]
     params = head[head.index("(") + 1:-1].split(", ")
     names = ["%s%d" % (var, a + 1) for a in range(n)]
     dirs = [a for a in range(n)
             if any(ex.diff(node, names[a]) != ex.Num(0.0)
                    for row in matrix for node in row)]
-    src, lines = _Source(), []
-    src.body.append("    x, %s = 0.0, %s" % (
-        ", ".join(params), ", ".join("_asarray(%s).T" % p for p in params)))
+    src, entries = _Source(), {}   # (d, i, j), i <= j -> source
     for d, a in enumerate([None] + dirs):
         for i, j in itertools.combinations_with_replacement(range(n), 2):
             node = matrix[i][j] if a is None else ex.diff(matrix[i][j],
                                                           names[a])
             if node != ex.Num(0.0):
-                text = src.term(node)
-                lines += ["    out[..., %d, %d, %d] = %s" % (d, p, q, text)
-                          for p, q in {(i, j), (j, i)}]
+                entries[d, i, j] = src.term(node)
+
+    def start(params):
+        return "    x, %s = 0.0, %s" % (
+            ", ".join(params), ", ".join("_asarray(%s).T" % p
+                                         for p in params))
+
     block = src.define(
-        head,
+        head, start(params),
         "    out = _zeros(%s.T.shape[:-1] + (%d, %d, %d))\n%s\n"
         "    return out[..., 0, :, :], out[..., 1:, :, :]"
-        % (var, 1 + len(dirs), n, n, "\n".join(lines)),
+        % (var, 1 + len(dirs), n, n, "\n".join(
+            "    out[..., %d, %d, %d] = %s" % (d, p, q, text)
+            for (d, i, j), text in entries.items()
+            for p, q in {(i, j), (j, i)})),
         np, _zeros=np.zeros, _asarray=np.asarray)
-    return block, tuple(dirs)
+    lines = ["    out = _zeros(p.T.shape[:-1] + (2, %d))" % n]
+    w = _symmetric_solve({(i, j): text for (d, i, j), text in entries.items()
+                          if d == 0}, ["p[%d]" % i for i in range(n)], lines)
+    lines += ["    out[..., 0, %d] = %s" % (i, wi) for i, wi in enumerate(w)]
+    for d, a in enumerate(dirs, 1):
+        lines.append("    out[..., 1, %d] = 0.5 * (%s)" % (a, _quadratic(
+            {(i, j): text for (dd, i, j), text in entries.items()
+             if dd == d}, w)))
+    field = src.define(
+        "%s_cogeodesic(%s, p)" % (name, ", ".join(params)),
+        start(params + ["p"]), "\n".join(lines + ["    return out"]),
+        np, _zeros=np.zeros, _asarray=np.asarray, _pivot=_lane_pivots)
+    return block, field, tuple(dirs)
 
 
 class MetricEvaluator:
@@ -332,13 +524,19 @@ class MetricEvaluator:
     Index order for matrix slots and for derivative directions is
     (x, y1..yb, z1..zf); nv = 1 + b + f.  ``kernel(x, y, z)`` returns
     (G, dG) with dG[v] = dG/dv, shapes (nv, nv) and (nv, nv, nv).
+    ``hamilton(state, scale)`` returns (p, scale * H), the symbol and
+    the flow field of the hamiltonian module at one phase point, as a
+    float and an array; ``hamilton_lanes(states, scale)`` does the same
+    for the rows of a (n, 2 nv) array of states, from the same source.
     ``fiber(y, z)`` returns the x = 0 fiber block kzz and its partials
     dkzz/dz_a for the directions a in ``fiber_dirs``, shapes (f, f) and
     (len(fiber_dirs), f, f); y and z may carry a leading lane axis
     (shapes (n, b) and (n, f)), which the results then carry too, as
-    numpy.linalg stacks matrices.  ``base(y)`` returns the x = 0 base
-    block h and its partials dh/dy_i for i in ``base_dirs`` in the same
-    way.
+    numpy.linalg stacks matrices.  ``fiber_cogeodesic(y, z, zeta)``
+    returns the cogeodesic field of kzz^{-1} at (z, zeta), d/ds of
+    (z, zeta), with the lanes of zeta, shape (n, 2, f).  ``base(y)`` and
+    ``base_cogeodesic(y, eta)`` do the same for the x = 0 base block h,
+    with ``base_dirs``.
     """
 
     def __init__(self, spec):
@@ -350,10 +548,15 @@ class MetricEvaluator:
                       + ["z%d" % (a + 1) for a in range(f)]
         self.sy = slice(1, 1 + b)
         self.sz = slice(1 + b, 1 + b + f)
-        self.kernel = _generate_kernel(spec, vars_)
-        self.fiber, self.fiber_dirs = _generate_block("fiber(y, z)",
-                                                      spec.k, "z")
-        self.base, self.base_dirs = _generate_block("base(y)", spec.h, "y")
+        src = _Source()
+        entries = _metric_entries(spec, vars_, src)
+        self.kernel = _generate_kernel(self.nv, entries, src)
+        self.hamilton, self.hamilton_lanes = _generate_hamilton(b, f, entries,
+                                                                src)
+        self.fiber, self.fiber_cogeodesic, self.fiber_dirs = _generate_block(
+            "fiber(y, z)", spec.k, "z")
+        self.base, self.base_cogeodesic, self.base_dirs = _generate_block(
+            "base(y)", spec.h, "y")
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""

@@ -439,8 +439,8 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
     zetas = [_oracle_unit_covector(spec, y, z_bar, d)
              for d in _direction_grid(spec.f, n)]
     ev = spec.evaluator()
-    batched = _shoot(functools.partial(ev.fiber, y), ev.fiber_dirs, z_bar,
-                     zetas, np.full(n, math.pi))[0][-1]
+    batched = _shoot(functools.partial(ev.fiber_cogeodesic, y), z_bar, zetas,
+                     np.full(n, math.pi))[0][-1]
     single = [_oracle_shot(spec, y, z_bar, zeta, math.pi)[0]
               for zeta in zetas]
     assert batched.shape == (n, spec.f)
@@ -474,8 +474,8 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
     zs = rng.uniform(0.4, 2.6, (len(arcs), spec.f))
     zetas = rng.uniform(-1.0, 1.0, (len(arcs), spec.f))
     ev = spec.evaluator()
-    got_z, got_zeta = _shoot(functools.partial(ev.fiber, ys), ev.fiber_dirs,
-                             zs, zetas, arcs, u=(0.5, 1.0))
+    got_z, got_zeta = _shoot(functools.partial(ev.fiber_cogeodesic, ys), zs,
+                             zetas, arcs, u=(0.5, 1.0))
     assert got_z.shape == got_zeta.shape == (2, len(arcs), spec.f)
     for k, arc in enumerate(arcs):
         for i, frac in enumerate((0.5, 1.0)):
@@ -501,8 +501,7 @@ def test_base_shot_lanes_keep_their_own_start_and_arc():
     etas = np.column_stack((rng.uniform(-0.5, 0.5, len(arcs)),
                             rng.choice((-1.0, 1.0), len(arcs))
                             * rng.uniform(0.3, 0.6, len(arcs))))
-    got_y, got_eta = _shoot(ev.base, ev.base_dirs, ys, etas, arcs,
-                            u=(0.5, 1.0))
+    got_y, got_eta = _shoot(ev.base_cogeodesic, ys, etas, arcs, u=(0.5, 1.0))
     assert got_y.shape == got_eta.shape == (2, len(arcs), 2)
 
     def h(y, var=None):
@@ -543,7 +542,7 @@ def test_batched_shot_raises_typed_errors():
                              xi=0.5, eta=none, zeta=np.array([0.0, 1.0]))
     ev = singular.evaluator()
     with pytest.raises(DegenerateMetricError):
-        _shoot(functools.partial(ev.fiber, none), ev.fiber_dirs, np.zeros(2),
+        _shoot(functools.partial(ev.fiber_cogeodesic, none), np.zeros(2),
                np.eye(2), np.ones(2))
     with pytest.raises(DegenerateMetricError):
         fiber_cogeodesic_flow(singular, none, np.zeros(2),
@@ -556,8 +555,8 @@ def test_batched_shot_raises_typed_errors():
     ev = growing.evaluator()
     for bad in (1e200, math.nan):
         with pytest.raises(IntegrationDivergedError):
-            _shoot(functools.partial(ev.fiber, none), ev.fiber_dirs,
-                   np.zeros(1), np.array([[1.0], [-1.0], [bad]]), np.ones(3))
+            _shoot(functools.partial(ev.fiber_cogeodesic, none), np.zeros(1),
+                   np.array([[1.0], [-1.0], [bad]]), np.ones(3))
         with pytest.raises(IntegrationDivergedError):
             fiber_cogeodesic_flow(growing, none, np.zeros(1),
                                   np.array([bad]), [1.0])

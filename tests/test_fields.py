@@ -1,0 +1,229 @@
+"""The generated Hamilton and cogeodesic fields against the numpy
+formulas they replaced, their typed failures, and the conservation laws
+of the interior flow on hypothesis-drawn rays."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from edgeray.boundary import _shoot
+from edgeray.errors import DegenerateMetricError
+from edgeray.hamiltonian import (RaySegment, Termination, hamilton_field,
+                                 integrate_interior)
+from edgeray.metric import make_metric_spec
+from edgeray.phase import EdgePhasePoint
+from edgeray.scenes import builtin_scene
+
+BUILTINS = ["product_cone(1.3)", "product_edge(1, 1)", "product_edge(2, 3)",
+            "blowup_curve_r3", "perturbed_edge(0.3)", "sphere_edge"]
+
+
+def _custom_spec():
+    """Non-diagonal kzz, nonzero kyz, kyy and h', exp and log entries."""
+    return make_metric_spec(
+        b=2, f=2,
+        h=[["1 + 0.1*x*y1^2", "0.05*y2"], ["0.05*y2", "exp(0.2*y1)"]],
+        hprime=[["0.2*sin(z1)", "0.1*y1*z2"],
+                ["0.1*y1*z2", "0.3*log(2 + cos(z2))"]],
+        k=[["1 + 0.3*cos(z1 - z2)", "0.2*sin(y1)*exp(-x)"],
+           ["0.2*sin(y1)*exp(-x)", "2 + 0.2*x*log(1.5 + sin(z2))"]],
+        kyy=[["0.05*cos(z2)", "0.02*x*y2"], ["0.02*x*y2", "0.04*exp(y1)"]],
+        kyz=[["0.04*sin(z1)", "0.03*exp(y1)"],
+             ["0.02*z1", "0.05*log(2 + y2)"]],
+        fiber="torus")
+
+
+SPECS = BUILTINS + ["custom"]
+CHECKS = settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def _spec(name):
+    return _custom_spec() if name == "custom" else builtin_scene(name).spec
+
+
+# Reference: the numpy formulas the generated fields replaced, one
+# np.linalg.solve of the metric and an einsum for the quadratic forms.
+
+def _reference_field(ev, vec):
+    """(p, H) at one state: the Hamilton field as it was written in numpy."""
+    b, f = ev.b, ev.f
+    x = vec[1]
+    y = vec[2:2 + b]
+    z = vec[2 + b:2 + b + f]
+    itau = 2 + b + f
+    tau = vec[itau]
+    u = vec[itau + 1:]
+    G, dG = ev.kernel(x, y, z)
+    w = np.linalg.solve(G, u)
+    p = tau * tau - float(u @ w)
+    w_xi = w[0]
+    w_eta = w[1:1 + b]
+    quad = np.einsum("i,vij,j->v", w, dG, w)
+    out = np.empty_like(vec)
+    out[0] = -tau * x
+    out[1] = x * w_xi
+    out[2:2 + b] = x * w[1:1 + b]
+    out[2 + b:itau] = w[1 + b:]
+    out[itau] = tau * w_xi
+    eta = u[1:1 + b]
+    out[itau + 1] = -p + tau * tau - float(eta @ w_eta) + 0.5 * x * quad[0]
+    out[itau + 2:itau + 2 + b] = eta * w_xi + 0.5 * x * quad[1:1 + b]
+    out[itau + 2 + b:] = 0.5 * quad[1 + b:]
+    return p, out
+
+
+def _reference_cogeodesic(block, dirs, q, p):
+    """The shooter's right-hand side as it was written in numpy: a batched
+    solve of the block and an einsum over its partials."""
+    M, dM = block(q)
+    out = np.zeros(p.shape[:-1] + (2, p.shape[-1]))
+    out[:, 0] = w = np.linalg.solve(M, p[:, :, None])[:, :, 0]
+    out[:, 1, list(dirs)] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dM, w)
+    return out
+
+
+def _assert_close(got, want, size=None):
+    """Agreement to 1e-12 relative to size, by default the largest entry
+    of want."""
+    if size is None:
+        size = np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * max(size, 1e-300))
+
+
+def _coordinates(spec, unit):
+    """A chart point from unit-interval coordinates."""
+    y = np.array([lo + (hi - lo) * c for (lo, hi), c
+                  in zip(spec.y_box, unit[:spec.b])])
+    z = np.array([lo + (hi - lo) * c for (lo, hi), c
+                  in zip(spec.z_box, unit[spec.b:])])
+    return y, z
+
+
+unit_floats = st.floats(0.0, 1.0)
+covector_floats = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def states(draw, spec):
+    """A phase-space state with x in [0, 0.9] and tau != 0."""
+    nv = 1 + spec.b + spec.f
+    x = draw(st.floats(0.0, 0.9))
+    y, z = _coordinates(spec, draw(st.lists(
+        unit_floats, min_size=nv - 1, max_size=nv - 1)))
+    tau = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    u = draw(st.lists(covector_floats, min_size=nv, max_size=nv))
+    return np.concatenate(([draw(st.floats(-1.0, 1.0)), x], y, z, [tau], u))
+
+
+@pytest.mark.parametrize("name", SPECS)
+@CHECKS
+@given(data=st.data())
+def test_generated_field_matches_the_numpy_field(name, data):
+    """The scalar field, its lane form on several states at once, and the
+    symbol p agree with one solve of G and an einsum."""
+    spec = _spec(name)
+    ev = spec.evaluator()
+    rows = np.array(data.draw(st.lists(states(spec), min_size=1,
+                                       max_size=6)))
+    scale = data.draw(st.floats(-3.0, 3.0))
+    lane_p, lane_field = ev.hamilton_lanes(rows, scale)
+    assert lane_p.shape == (len(rows),)
+    assert lane_field.shape == rows.shape
+    for k, vec in enumerate(rows):
+        want_p, want = _reference_field(ev, vec)
+        p, field = ev.hamilton(vec, scale)
+        # p = tau^2 - u.w may cancel: compare it at the size of its terms
+        tau2 = vec[2 + spec.b + spec.f] ** 2
+        _assert_close(p, want_p, tau2 + abs(tau2 - want_p))
+        _assert_close(lane_p[k], want_p, tau2 + abs(tau2 - want_p))
+        _assert_close(field, scale * want)
+        _assert_close(lane_field[k], scale * want)
+
+
+@pytest.mark.parametrize("name", SPECS)
+@CHECKS
+@given(data=st.data())
+def test_cogeodesic_fields_match_the_numpy_shooter(name, data):
+    """The fiber and base cogeodesic fields over lanes agree with a
+    batched solve of the block and an einsum over its partials."""
+    spec = _spec(name)
+    ev = spec.evaluator()
+    n = data.draw(st.integers(1, 8))
+    points = [_coordinates(spec, data.draw(st.lists(
+        unit_floats, min_size=spec.b + spec.f, max_size=spec.b + spec.f)))
+        for _ in range(n)]
+    ys = np.array([y for y, _ in points]).reshape(n, spec.b)
+    zs = np.array([z for _, z in points])
+    zetas = np.array(data.draw(st.lists(
+        st.lists(covector_floats, min_size=spec.f, max_size=spec.f),
+        min_size=n, max_size=n)))
+    got = ev.fiber_cogeodesic(ys, zs, zetas)
+    assert got.shape == (n, 2, spec.f)
+    _assert_close(got, _reference_cogeodesic(
+        functools.partial(ev.fiber, ys), ev.fiber_dirs, zs, zetas))
+    if spec.b:
+        etas = np.array(data.draw(st.lists(
+            st.lists(covector_floats, min_size=spec.b, max_size=spec.b),
+            min_size=n, max_size=n)))
+        got = ev.base_cogeodesic(ys, etas)
+        assert got.shape == (n, 2, spec.b)
+        _assert_close(got, _reference_cogeodesic(ev.base, ev.base_dirs, ys,
+                                                 etas))
+
+
+def test_zero_pivot_is_a_typed_error():
+    """k = z1 is singular at z1 = 0: the interior field, its lane form and
+    a shooter lane there raise DegenerateMetricError, the shooter not
+    IntegrationDivergedError."""
+    spec = make_metric_spec(0, 1, k=[["z1"]], fiber="chart")
+    none = np.zeros(0)
+    q = EdgePhasePoint(t=0.0, x=0.5, y=none, z=np.array([0.0]), tau=1.0,
+                       xi=0.6, eta=none, zeta=np.array([0.8]))
+    with pytest.raises(DegenerateMetricError):
+        hamilton_field(spec, q)
+    segment = RaySegment(spec=spec, direction=-1, s=np.zeros(2),
+                         states=np.stack((q.to_vector(), q.to_vector())),
+                         termination=Termination.TIME_LIMIT)
+    segment.states[0, 2] = 0.5
+    with pytest.raises(DegenerateMetricError):
+        segment.conserved_log()
+    ev = spec.evaluator()
+    with pytest.raises(DegenerateMetricError, match="1 lane"):
+        _shoot(functools.partial(ev.fiber_cogeodesic, none),
+               np.array([[0.5], [0.0], [1.0]]), np.ones((3, 1)), np.ones(3))
+
+
+FLOW_SPECS = ["perturbed_edge(0.3)", "sphere_edge", "product_edge(1, 3)"]
+
+
+@pytest.mark.parametrize("name", FLOW_SPECS)
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_flow_conserves_p_and_tau_over_x(name, data):
+    """A point-source ray in a drawn fan direction carries |p|/tau^2
+    below 1e-6 and constant tau/x to 1e-6 at every accepted sample."""
+    spec = builtin_scene(name).spec
+    nv = 1 + spec.b + spec.f
+    x0 = data.draw(st.floats(0.3, 0.7))
+    y0, z0 = _coordinates(spec, [
+        data.draw(st.floats(0.3, 0.7)) for _ in range(nv - 1)])
+    v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=nv,
+                                    max_size=nv)))
+    if np.linalg.norm(v) < 1e-3:
+        v[0] = 1.0
+    Ginv = spec.evaluator().dual_matrix(x0, y0, z0)
+    u = v / math.sqrt(float(v @ Ginv @ v))
+    q0 = EdgePhasePoint(t=0.0, x=x0, y=y0, z=z0, tau=1.0, xi=u[0],
+                        eta=u[1:1 + spec.b], zeta=u[1 + spec.b:])
+    segment = integrate_interior(spec, q0, direction=-1, s_max=1.5)
+    log = segment.conserved_log()
+    assert np.abs(log["p_rel"]).max() < 1e-6
+    ratio = log["tau_over_x"]
+    assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-6

@@ -214,14 +214,14 @@ def test_singular_metric_is_a_typed_error():
 def test_step_budget_is_enforced_while_integrating(monkeypatch):
     """The evaluation budget stops the integrator as it is passed."""
     calls = []
-    field_vector = hamiltonian._field_vector
-
-    def counted(ev, vec):
-        calls.append(1)
-        return field_vector(ev, vec)
-    monkeypatch.setattr(hamiltonian, "_field_vector", counted)
-    monkeypatch.setattr(hamiltonian, "MAX_STEPS", 60)
     spec = builtin_scene("perturbed_edge(0.3)").spec
+    hamilton = spec.evaluator().hamilton
+
+    def counted(vec, scale):
+        calls.append(1)
+        return hamilton(vec, scale)
+    monkeypatch.setattr(spec.evaluator(), "hamilton", counted)
+    monkeypatch.setattr(hamiltonian, "MAX_STEPS", 60)
     q0 = _char_point(spec, np.random.default_rng(5))
     with pytest.raises(StepLimitError):
         integrate_interior(spec, q0, direction=-1, s_max=2.0)

@@ -14,11 +14,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from edgeray import boundary, hamiltonian, ode
+from edgeray import boundary, ode
 from edgeray.cli import main
 from edgeray.errors import IntegrationDivergedError, StepLimitError
 from edgeray.hamiltonian import FlowSettings, Termination, integrate_interior
-from edgeray.metric import make_metric_spec, solve, transverse_momentum
+from edgeray.metric import make_metric_spec, transverse_momentum
 from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene, parse_scene, scenario_rays
 
@@ -50,12 +50,11 @@ def _chart_exit_ray():
 
 def _solve_ivp_interior(spec, q0, direction, settings, s_max):
     """integrate_interior's ODE and events, handed to solve_ivp."""
-    ev = spec.evaluator()
+    hamilton = spec.evaluator().hamilton
     itau = 2 + spec.b + spec.f
 
     def rhs(s, vec):
-        field = hamiltonian._field_vector(ev, vec)
-        return field * (direction / (vec[1] * abs(vec[itau])))
+        return hamilton(vec, float(direction / (vec[1] * abs(vec[itau]))))[1]
 
     def hit_boundary(s, vec):
         return vec[1] - settings.x_stop
@@ -102,7 +101,7 @@ def test_interior_integration_matches_solve_ivp_bitwise(ray, termination):
         assert np.array_equal(seg.dense(s), want.sol(s))
 
 
-def _solve_ivp_shot(block, dirs, q0, p0, arc, u):
+def _solve_ivp_shot(field, q0, p0, arc, u):
     """_shoot's lanes as one solve_ivp ODE."""
     arc = np.asarray(arc, float)
     n, d = arc.size, np.shape(q0)[-1]
@@ -111,10 +110,7 @@ def _solve_ivp_shot(block, dirs, q0, p0, arc, u):
 
     def rhs(_, state):
         q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
-        M, dM = block(q)
-        out = np.zeros((n, 2, d))
-        out[:, 0] = w = solve(M, p[:, :, None])[:, :, 0]
-        out[:, 1, list(dirs)] = 0.5 * np.einsum("ni,ndij,nj->nd", w, dM, w)
+        out = field(q, p)
         out *= arc[:, None, None]
         return out.ravel()
 
@@ -128,14 +124,14 @@ def _solve_ivp_shot(block, dirs, q0, p0, arc, u):
 def test_multi_lane_shot_matches_solve_ivp_bitwise():
     spec = builtin_scene("sphere_edge").spec
     ev = spec.evaluator()
-    block = functools.partial(ev.fiber, np.array([0.1]))
+    field = functools.partial(ev.fiber_cogeodesic, np.array([0.1]))
     z0 = np.array([[1.2, 0.3], [1.5, 2.0], [1.3, 5.0]])
     angles = np.array([0.3, 2.0, 4.4])
     zeta0 = np.stack((np.cos(angles), np.sin(angles) * np.sin(z0[:, 0])), 1)
     arc = [0.7, -1.1, math.pi]
     u = np.array([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
-    got = boundary._shoot(block, ev.fiber_dirs, z0, zeta0, arc, u)
-    want = _solve_ivp_shot(block, ev.fiber_dirs, z0, zeta0, arc, u)
+    got = boundary._shoot(field, z0, zeta0, arc, u)
+    want = _solve_ivp_shot(field, z0, zeta0, arc, u)
     for g, w in zip(got, want):
         assert g.shape == (len(u), 3, 2)
         assert np.array_equal(g, w)
