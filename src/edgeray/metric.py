@@ -31,10 +31,10 @@ entry:
     two instances of one source: math on floats at one phase point, and
     numpy over a lane axis of states;
   * for each x = 0 block, the fiber block kzz along z and the base block
-    h along y, a function returning the block over a lane axis with its
-    nonzero partials (the fiber and base cometrics read it), and the
-    cogeodesic field of its inverse, over lanes, for the geodesic
-    shooter.
+    h along y, a function returning the block over a lane axis (the
+    fiber and base cometrics read it), and, for the geodesic shooter,
+    the cogeodesic field of its inverse over lanes, which alone reads
+    the block's nonzero partials.
 
 The fields solve with their metric block by an unrolled LDL^T
 factorization without pivoting (the blocks are positive definite), over
@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from ._config import config_float, config_int
 from .errors import ConfigError, DegenerateMetricError, DimensionError
 
 COND_LIMIT = 1e12
@@ -95,14 +96,15 @@ def _parse_fiber(raw, f):
     if raw.startswith("circle(") and raw.endswith(")"):
         if f != 1:
             raise DimensionError("circle fiber topology requires f = 1")
-        return FiberTopology((float(raw[7:-1]),))
+        return FiberTopology((config_float(raw[7:-1], "fiber"),))
     if raw == "torus":
         return FiberTopology((2.0 * math.pi,) * f)
     if raw.startswith("torus(") and raw.endswith(")"):
         items = [piece.strip() for piece in raw[6:-1].split(",")]
         if len(items) != f:
             raise DimensionError("torus periods must list all %d fiber coordinates" % f)
-        periods = tuple(None if item == "none" else float(item) for item in items)
+        periods = tuple(None if item == "none" else config_float(item, "fiber")
+                        for item in items)
         return FiberTopology(periods)
     raise ConfigError("unknown fiber topology %r" % raw)
 
@@ -203,7 +205,8 @@ def _as_float_pairs(raw, key):
     if not isinstance(raw, list) or not all(
             isinstance(item, list) and len(item) == 2 for item in raw):
         raise ConfigError("%s must be a list of [lo, hi] pairs" % key)
-    return tuple((float(lo), float(hi)) for lo, hi in raw)
+    return tuple((config_float(lo, key), config_float(hi, key))
+                 for lo, hi in raw)
 
 
 def metric_spec_from_values(values):
@@ -215,9 +218,9 @@ def metric_spec_from_values(values):
     extent = {key: _as_float_pairs(values[key], key)
               for key in ("y_box", "z_box") if key in values}
     if "x_max" in values:
-        extent["x_max"] = float(values["x_max"])
+        extent["x_max"] = config_float(values["x_max"], "x_max")
     return make_metric_spec(
-        int(values["b"]), int(values["f"]),
+        config_int(values["b"], "b"), config_int(values["f"], "f"),
         h=values.get("h"),
         hprime=values.get("hprime"),
         k=values.get("k"),
@@ -462,60 +465,55 @@ def _generate_hamilton(b, f, entries, src):
 
 
 def _generate_block(head, matrix, var):
-    """(block, field, dirs) of an x = 0 metric block M, numpy code.
+    """(block, field) of an x = 0 metric block M, numpy code.
 
-    M is the square matrix of ASTs, as wide as var has coordinates, and
-    dirs lists the coordinates a along which it varies.  The generated
-    head -> (M, dM), with dM[..., d] = dM/d(var)_{dirs[d]}.  field takes
-    the arguments of head and then a covector p, and returns the
-    cogeodesic field of M^{-1}: d/ds of (var, p) is (w, (1/2) w.dM.w)
-    with w = M^{-1} p from _symmetric_solve, stacked as (..., 2, n).
-    The arguments may carry a leading lane axis; the lanes of var set
-    the lanes of block, those of p the lanes of field.  Only nonzero
-    entries are written, each symmetric pair from one statement.
+    M is the square matrix of ASTs, as wide as var has coordinates.  The
+    generated head returns M.  field takes the arguments of head and then
+    a covector p, and returns the cogeodesic field of M^{-1}: d/ds of
+    (var, p) is (w, (1/2) w.dM.w) with w = M^{-1} p from _symmetric_solve
+    and dM the partials of M along var, stacked as (..., 2, n).  The
+    arguments may carry a leading lane axis; the lanes of var set the
+    lanes of block, those of p the lanes of field.  Only nonzero entries
+    are written, each symmetric pair from one statement.
     """
     n = len(matrix)
     name = head[:head.index("(")]
     params = head[head.index("(") + 1:-1].split(", ")
-    names = ["%s%d" % (var, a + 1) for a in range(n)]
-    dirs = [a for a in range(n)
-            if any(ex.diff(node, names[a]) != ex.Num(0.0)
-                   for row in matrix for node in row)]
-    src, entries = _Source(), {}   # (d, i, j), i <= j -> source
-    for d, a in enumerate([None] + dirs):
+    src = _Source()
+
+    def entries(a):   # {(i, j), i <= j: source} of M, or of dM/d(var)_a
+        out = {}
         for i, j in itertools.combinations_with_replacement(range(n), 2):
-            node = matrix[i][j] if a is None else ex.diff(matrix[i][j],
-                                                          names[a])
+            node = matrix[i][j] if a is None else ex.diff(
+                matrix[i][j], "%s%d" % (var, a + 1))
             if node != ex.Num(0.0):
-                entries[d, i, j] = src.term(node)
+                out[i, j] = src.term(node)
+        return out
 
     def start(params):
         return "    x, %s = 0.0, %s" % (
             ", ".join(params), ", ".join("_asarray(%s).T" % p
                                          for p in params))
 
+    m = entries(None)
     block = src.define(
         head, start(params),
-        "    out = _zeros(%s.T.shape[:-1] + (%d, %d, %d))\n%s\n"
-        "    return out[..., 0, :, :], out[..., 1:, :, :]"
-        % (var, 1 + len(dirs), n, n, "\n".join(
-            "    out[..., %d, %d, %d] = %s" % (d, p, q, text)
-            for (d, i, j), text in entries.items()
-            for p, q in {(i, j), (j, i)})),
+        "    out = _zeros(%s.T.shape[:-1] + (%d, %d))\n%s\n    return out"
+        % (var, n, n, "\n".join("    out[..., %d, %d] = %s" % (p, q, text)
+                                for (i, j), text in m.items()
+                                for p, q in {(i, j), (j, i)})),
         np, _zeros=np.zeros, _asarray=np.asarray)
+    partials = {a: entries(a) for a in range(n)}
     lines = ["    out = _zeros(p.T.shape[:-1] + (2, %d))" % n]
-    w = _symmetric_solve({(i, j): text for (d, i, j), text in entries.items()
-                          if d == 0}, ["p[%d]" % i for i in range(n)], lines)
+    w = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines)
     lines += ["    out[..., 0, %d] = %s" % (i, wi) for i, wi in enumerate(w)]
-    for d, a in enumerate(dirs, 1):
-        lines.append("    out[..., 1, %d] = 0.5 * (%s)" % (a, _quadratic(
-            {(i, j): text for (dd, i, j), text in entries.items()
-             if dd == d}, w)))
+    lines += ["    out[..., 1, %d] = 0.5 * (%s)" % (a, _quadratic(dm, w))
+              for a, dm in partials.items() if dm]
     field = src.define(
         "%s_cogeodesic(%s, p)" % (name, ", ".join(params)),
         start(params + ["p"]), "\n".join(lines + ["    return out"]),
         np, _zeros=np.zeros, _asarray=np.asarray, _pivot=_lane_pivots)
-    return block, field, tuple(dirs)
+    return block, field
 
 
 class MetricEvaluator:
@@ -528,15 +526,13 @@ class MetricEvaluator:
     the flow field of the hamiltonian module at one phase point, as a
     float and an array; ``hamilton_lanes(states, scale)`` does the same
     for the rows of a (n, 2 nv) array of states, from the same source.
-    ``fiber(y, z)`` returns the x = 0 fiber block kzz and its partials
-    dkzz/dz_a for the directions a in ``fiber_dirs``, shapes (f, f) and
-    (len(fiber_dirs), f, f); y and z may carry a leading lane axis
-    (shapes (n, b) and (n, f)), which the results then carry too, as
-    numpy.linalg stacks matrices.  ``fiber_cogeodesic(y, z, zeta)``
-    returns the cogeodesic field of kzz^{-1} at (z, zeta), d/ds of
-    (z, zeta), with the lanes of zeta, shape (n, 2, f).  ``base(y)`` and
-    ``base_cogeodesic(y, eta)`` do the same for the x = 0 base block h,
-    with ``base_dirs``.
+    ``fiber(y, z)`` returns the x = 0 fiber block kzz, shape (f, f); y
+    and z may carry a leading lane axis (shapes (n, b) and (n, f)), which
+    the result then carries too, as numpy.linalg stacks matrices.
+    ``fiber_cogeodesic(y, z, zeta)`` returns the cogeodesic field of
+    kzz^{-1} at (z, zeta), d/ds of (z, zeta), with the lanes of zeta,
+    shape (n, 2, f).  ``base(y)`` and ``base_cogeodesic(y, eta)`` do the
+    same for the x = 0 base block h.
     """
 
     def __init__(self, spec):
@@ -553,17 +549,18 @@ class MetricEvaluator:
         self.kernel = _generate_kernel(self.nv, entries, src)
         self.hamilton, self.hamilton_lanes = _generate_hamilton(b, f, entries,
                                                                 src)
-        self.fiber, self.fiber_cogeodesic, self.fiber_dirs = _generate_block(
+        self.fiber, self.fiber_cogeodesic = _generate_block(
             "fiber(y, z)", spec.k, "z")
-        self.base, self.base_cogeodesic, self.base_dirs = _generate_block(
-            "base(y)", spec.h, "y")
+        self.base, self.base_cogeodesic = _generate_block("base(y)", spec.h,
+                                                          "y")
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""
         return self.kernel(x, y, z)[0]
 
     def edge_matrix_derivs(self, x, y, z):
-        """Stack dG/dv for v in (x, y.., z..); shape (nv, nv, nv)."""
+        """Stack dG/dv for v in (x, y.., z..); shape (nv, nv, nv).  Kept
+        because the benchmark's tracer wraps it."""
         return self.kernel(x, y, z)[1]
 
     def dual_matrix(self, x, y, z, check=True):
@@ -586,7 +583,7 @@ class MetricEvaluator:
 
         Raises DegenerateMetricError where kzz is not finite or singular.
         """
-        kzz = self.fiber(y, z)[0]
+        kzz = self.fiber(y, z)
         if not np.isfinite(kzz).all():
             raise DegenerateMetricError("fiber metric not finite at z=%s"
                                         % np.round(z, 6))
@@ -598,15 +595,10 @@ class MetricEvaluator:
 
     def base_cometric(self, y):
         """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
-        return solve(self.base(y)[0], np.eye(self.b))
-
-
-def solve(matrix, rhs):
-    """matrix^{-1} rhs; a singular matrix raises DegenerateMetricError."""
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as err:
-        raise DegenerateMetricError("metric not invertible: %s" % err)
+        try:
+            return np.linalg.solve(self.base(y), np.eye(self.b))
+        except np.linalg.LinAlgError as err:
+            raise DegenerateMetricError("metric not invertible: %s" % err)
 
 
 def wave_symbol(spec, q):

@@ -72,11 +72,6 @@ class OrderBound:
     def infinite(self):
         return self.value is None
 
-    def shifted(self, delta):
-        if self.infinite:
-            return self
-        return OrderBound(self.value + as_rational(delta), self.open)
-
     def as_open(self):
         if self.infinite:
             return self
@@ -131,11 +126,6 @@ class OrderRequirement:
     def __str__(self):
         return (">%s" if self.strict else "%s") % self.value
 
-    def admits(self, candidate):
-        candidate = as_rational(candidate)
-        return candidate > self.value if self.strict \
-            else candidate >= self.value
-
 
 # --- propagation rules ----------------------------------------------------
 
@@ -149,21 +139,17 @@ def apply_diffractive(s_in):
     return as_bound(s_in)
 
 
-def apply_geometric(s_nf, geo_clean, s_in=None):
+def apply_geometric(s_nf, geo_clean, s_in):
     """Branch bound under a nonfocusing hypothesis of space order s_nf.
 
     A branch whose geometric partners are all clean gets the open bound
     "< s_nf"; a branch with a dirty partner falls back to the
-    diffractive bound (s_in must then be given).  The result is never
+    diffractive bound of the incident order s_in.  The result is never
     below the diffractive bound.
     """
-    improved = as_bound(s_nf).as_open()
-    fallback = None if s_in is None else apply_diffractive(s_in)
+    fallback = apply_diffractive(s_in)
     if geo_clean:
-        return improved if fallback is None \
-            else bound_max(improved, fallback)
-    if fallback is None:
-        raise ValueError("dirty branch needs the incident order s_in")
+        return bound_max(as_bound(s_nf).as_open(), fallback)
     return fallback
 
 

@@ -13,8 +13,7 @@ evaluated in the x = 0 base cometric.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +44,6 @@ class EdgePhasePoint:
         object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, float)))
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, float)))
         object.__setattr__(self, "zeta", np.atleast_1d(np.asarray(self.zeta, float)))
-
-    def covector(self):
-        return np.concatenate(([self.tau, self.xi], self.eta, self.zeta))
-
-    def scaled(self, lam):
-        """Fiber dilation by lam > 0."""
-        return replace(self, tau=lam * self.tau, xi=lam * self.xi,
-                       eta=lam * self.eta, zeta=lam * self.zeta)
 
     def to_vector(self):
         return np.concatenate(([self.t, self.x], self.y, self.z,
@@ -116,16 +107,6 @@ class CospherePoint:
             eta_hat=vec[isig + 2:isig + 2 + b].copy(),
             zeta_hat=vec[isig + 2 + b:].copy())
 
-    def to_phase_point(self):
-        """Undo the gauge; requires sigma > 0."""
-        if self.sigma <= 0.0:
-            raise ValueError("ideal point (sigma = 0) has no finite covector")
-        tau = self.sgn_tau / self.sigma
-        return EdgePhasePoint(t=self.t, x=self.x, y=self.y, z=self.z,
-                              tau=tau, xi=self.xi_hat / self.sigma,
-                              eta=self.eta_hat / self.sigma,
-                              zeta=self.zeta_hat / self.sigma)
-
 
 def normalize_cosphere(q):
     """Divide the covector by |tau|; requires tau != 0."""
@@ -159,26 +140,3 @@ def classify_boundary(spec, q):
     else:
         cls = BoundaryClass.GLANCING
     return cls, margin
-
-
-def characteristic_defect(spec, q):
-    """|p_hat| = |1 - (xi_hat, eta_hat, zeta_hat) . G^{-1} . (...)| at q."""
-    ev = spec.evaluator()
-    Ginv = ev.dual_matrix(q.x, q.y, q.z, check=False)
-    u = np.concatenate(([q.xi_hat], q.eta_hat, q.zeta_hat))
-    return abs(1.0 - float(u @ Ginv @ u))
-
-
-def radial_point_test(spec, q, tol=1e-9):
-    """True when q projects to a stationary point of the unit-gauge flow.
-
-    On the characteristic set the flow is stationary exactly over the
-    boundary with vanishing fiber covector; q is expected to lie on the
-    characteristic set already (ideal points carry sigma = 0 there, since
-    tau scales like x on approach).
-    """
-    if characteristic_defect(spec, q) > math.sqrt(tol):
-        return False
-    zeta_mag = float(np.linalg.norm(q.zeta_hat)) if q.zeta_hat.size else 0.0
-    return q.x < tol and zeta_mag < tol
-

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._config import parse_value, split_statements
+from ._config import config_float, config_int, parse_value, split_statements
 from .errors import ConfigError, DimensionError
 from .gbb import SAME_FIBER, BranchPolicy
 from .hamiltonian import FlowSettings
 from .metric import (METRIC_KEYS, EdgeMetricSpec, make_metric_spec,
                      metric_spec_from_values)
-from .orders import Nonfocusing
+from .orders import Nonfocusing, OrderBound
 from .phase import EdgePhasePoint
 
 SCENE_KEYS = ("builtin", "x_max", "y_box", "z_box", "source", "origin",
@@ -223,40 +223,43 @@ def scene_from_values(values):
     if "source" in values and "origin" in values:
         raise ConfigError("give either source or origin, not both")
     if "source" in values:
-        vec = np.asarray(values.pop("source"), float)
+        vec = _vector(values.pop("source"), "source")
         want = 2 * (2 + spec.b + spec.f)
         if vec.shape != (want,):
             raise DimensionError("source must list %d numbers "
                                  "(t x y.. z.. tau xi eta.. zeta..)" % want)
         config.source = EdgePhasePoint.from_vector(vec, spec.b, spec.f)
     if "origin" in values:
-        vec = np.asarray(values.pop("origin"), float)
+        vec = _vector(values.pop("origin"), "origin")
         want = 1 + spec.b + spec.f
         if vec.shape != (want,):
             raise DimensionError("origin must list %d numbers (x y.. z..)"
                                  % want)
-        config.source = PointSource(origin=vec,
-                                    fan_count=int(values.pop("fan_count", 16)))
+        config.source = PointSource(origin=vec, fan_count=config_int(
+            values.pop("fan_count", 16), "fan_count"))
     elif "fan_count" in values:
         raise ConfigError("fan_count requires a point-source origin")
     if "t_span" in values:
         span = values.pop("t_span")
         if not isinstance(span, list) or len(span) != 2:
             raise ConfigError("t_span must be [t0, t1]")
-        config.t_span = (float(span[0]), float(span[1]))
+        config.t_span = (config_float(span[0], "t_span"),
+                         config_float(span[1], "t_span"))
     if not config.t_span[1] > config.t_span[0]:
         raise ConfigError("t_span must be increasing")
     if "policy" in values:
         config.policy = BranchPolicy.parse(values.pop("policy"))
     if "seed" in values:
-        config.seed = int(values.pop("seed"))
+        config.seed = config_int(values.pop("seed"), "seed")
     if "s_incident" in values:
         config.s_incident = str(values.pop("s_incident"))
+        _order("s_incident", OrderBound.parse, config.s_incident)
     if "nonfocusing" in values:
         pair = values.pop("nonfocusing")
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError("nonfocusing must be [space_order, degree]")
-        config.nonfocusing = Nonfocusing(str(pair[0]), str(pair[1]))
+        config.nonfocusing = _order("nonfocusing", Nonfocusing, str(pair[0]),
+                                    str(pair[1]))
     if "clean" in values:
         raw = str(values.pop("clean")).lower()
         if raw not in ("auto", "true", "false"):
@@ -269,19 +272,29 @@ def scene_from_values(values):
         if fmt not in ("csv", "jsonl"):
             raise ConfigError("format must be csv or jsonl")
         config.format = fmt
-    numeric = {}
-    for key in ("rtol", "atol", "x_stop"):
-        if key in values:
-            raw = values.pop(key)
-            try:
-                numeric[key] = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError("%s = %r is not a number" % (key, raw))
+    numeric = {key: config_float(values.pop(key), key)
+               for key in ("rtol", "atol", "x_stop") if key in values}
     if numeric:
         config.settings = replace(config.settings, **numeric)
     if values:
         raise ConfigError("unused scene keys: %s" % ", ".join(sorted(values)))
     return config
+
+
+def _vector(raw, key):
+    """A list value as a float array, each entry checked by config_float."""
+    return np.array([config_float(item, key)
+                     for item in (raw if isinstance(raw, list) else [raw])])
+
+
+def _order(key, make, *texts):
+    """make(*texts) of the order texts of a scene key; ConfigError naming
+    the key if one is not a rational order."""
+    try:
+        return make(*texts)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError("%s = %s is not a rational order"
+                          % (key, ", ".join(texts))) from None
 
 
 def blow_down(x, y, z):

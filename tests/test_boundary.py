@@ -14,7 +14,6 @@ from edgeray.boundary import (
     _direction_grid,
     _shoot,
     boundary_flow,
-    boundary_flow_constants,
     boundary_maximal_interval,
     fiber_cogeodesic_flow,
     fiber_geodesic_point,
@@ -227,8 +226,6 @@ def test_zero_fiber_momentum_branch():
     assert qs.eta[0] == pytest.approx(0.6 * factor)
     with pytest.raises(FlowEscapedError):
         boundary_flow(spec, q, 1.3)
-    with pytest.raises(ValueError):
-        boundary_flow_constants(spec, q)
     np.testing.assert_array_equal(fiber_limit_point(spec, q), z)
     q_neg = EdgePhasePoint(t=0.0, x=0.0, y=y, z=z, tau=1.0, xi=-0.8,
                            eta=np.zeros(1), zeta=np.zeros(1))
@@ -254,17 +251,19 @@ def test_flow_constants_describe_the_orbit():
     spec = builtin_scene("perturbed_edge(0.2)").spec
     rng = np.random.default_rng(31)
     q = _edge_point(spec, rng)
-    cons = boundary_flow_constants(spec, q)
-    assert cons.m == pytest.approx(fiber_norm(spec, q.y, q.z, q.zeta))
-    assert cons.m * math.tan(cons.C) == pytest.approx(q.xi)
+    # tau = A sec(m s + C), eta = B sec(m s + C), xi = m tan(m s + C)
+    m = fiber_norm(spec, q.y, q.z, q.zeta)
+    C = math.atan2(q.xi, m)
+    A, B = q.tau * math.cos(C), q.eta * math.cos(C)
+    assert m > 0.0
+    assert m * math.tan(C) == pytest.approx(q.xi)
     lo, hi = boundary_maximal_interval(spec, q)
     for s in (0.3 * lo, 0.45 * hi):
         qs = boundary_flow(spec, q, s)
-        phase = cons.m * s + cons.C
-        assert qs.tau == pytest.approx(cons.A / math.cos(phase), rel=1e-12)
-        assert qs.xi == pytest.approx(cons.m * math.tan(phase), rel=1e-12)
-        np.testing.assert_allclose(qs.eta, cons.B / math.cos(phase),
-                                   rtol=1e-12)
+        phase = m * s + C
+        assert qs.tau == pytest.approx(A / math.cos(phase), rel=1e-12)
+        assert qs.xi == pytest.approx(m * math.tan(phase), rel=1e-12)
+        np.testing.assert_allclose(qs.eta, B / math.cos(phase), rtol=1e-12)
 
 
 def test_geometric_partners_on_round_circles():
@@ -493,7 +492,9 @@ def test_base_shot_lanes_keep_their_own_start_and_arc():
     spec = make_metric_spec(2, 1, h=[["1", "0"], ["0", "sin(y1)^2"]],
                             k=[["1"]], fiber="circle(%r)" % (2.0 * math.pi))
     ev = spec.evaluator()
-    assert ev.base_dirs == (0,)
+    # h varies along y1 alone
+    assert [any(ex.diff(node, name) != ex.Num(0.0) for row in spec.h
+                for node in row) for name in ("y1", "y2")] == [True, False]
     rng = np.random.default_rng(6)
     arcs = np.array([0.0, -0.9, 1.4, -0.3, 0.6, 1.1])
     ys = np.column_stack((rng.uniform(1.0, 2.1, len(arcs)),

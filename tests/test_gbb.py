@@ -307,7 +307,7 @@ def test_trace_flat_cone_assembles_two_branches():
     assert path.events() == [event]
     assert child.event is None
     assert child.note == "TimeLimit"
-    end = child.segment.end_point()
+    end = child.segment.point(-1)
     assert end.t == pytest.approx(1.2, abs=1e-9)
     assert end.x == pytest.approx(1.2 - 0.5, abs=1e-5)
     assert end.z[0] == pytest.approx(1.0, abs=1e-7)

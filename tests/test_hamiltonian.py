@@ -1,6 +1,7 @@
 """Interior Hamiltonian flow: fields, gauges, conservation, launches."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,8 @@ def test_field_homogeneity():
     q = _char_point(spec, np.random.default_rng(3))
     lam = 2.7
     H1 = hamilton_field(spec, q)
-    H2 = hamilton_field(spec, q.scaled(lam))
+    H2 = hamilton_field(spec, replace(q, tau=lam * q.tau, xi=lam * q.xi,
+                                      eta=lam * q.eta, zeta=lam * q.zeta))
     itau = 2 + spec.b + spec.f
     assert np.allclose(H2[:itau], lam * H1[:itau], rtol=1e-12)
     assert np.allclose(H2[itau:], lam * lam * H1[itau:], rtol=1e-12)
@@ -170,14 +172,14 @@ def test_time_reversal_retrace():
                                  settings=FlowSettings(x_stop=1e-12),
                                  s_max=0.5)
         assert seg.termination is Termination.TIME_LIMIT
-        q1 = seg.end_point()
+        q1 = seg.point(-1)
         flipped = EdgePhasePoint(t=-q1.t, x=q1.x, y=q1.y, z=q1.z,
                                  tau=-q1.tau, xi=q1.xi, eta=q1.eta,
                                  zeta=q1.zeta)
         back = integrate_interior(spec, flipped, direction=1,
                                   settings=FlowSettings(x_stop=1e-12),
                                   s_max=seg.s[-1])
-        q2 = back.end_point()
+        q2 = back.point(-1)
         restored = np.concatenate(([-q2.t, q2.x], q2.y, q2.z,
                                    [-q2.tau, q2.xi], q2.eta, q2.zeta))
         err = np.max(np.abs(restored - q0.to_vector()))
@@ -239,7 +241,7 @@ def test_chart_exit_termination():
                         eta=np.zeros(0), zeta=np.array([0.9]))
     seg = integrate_interior(spec, q0, direction=-1, s_max=8.0)
     assert seg.termination is Termination.CHART_EXIT
-    assert abs(seg.end_point().z[0]) == pytest.approx(0.5, abs=1e-9)
+    assert abs(seg.point(-1).z[0]) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_radial_linearization_spectrum():

@@ -131,51 +131,50 @@ def test_kernel_is_bitwise_the_per_block_assembly(name):
 
 @pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
 def test_fiber_function_matches_the_kernel(name):
-    """ev.fiber is the kernel's x = 0 kzz block and its z partials, at one
-    point and on a lane axis; the directions it leaves out have zero
-    partials."""
+    """ev.fiber is the kernel's x = 0 kzz block, at one point and on a
+    lane axis, and the tree-walking partials of k along z (the cogeodesic
+    oracle of test_fields) are the kernel's."""
     spec = _spec(name)
     ev = spec.evaluator()
-    f, dirs = spec.f, list(ev.fiber_dirs)
+    f = spec.f
     rng = np.random.default_rng(3)
     ys = rng.uniform(-0.8, 0.8, (5, spec.b))
     zs = rng.uniform(0.2, 2.9, (5, f))
     lanes = ev.fiber(ys, zs)
-    assert lanes[0].shape == (5, f, f)
-    assert lanes[1].shape == (5, len(dirs), f, f)
+    assert lanes.shape == (5, f, f)
     for k in range(5):
         G, dG = ev.kernel(0.0, ys[k], zs[k])
         want = [dG[1 + spec.b + a][ev.sz, ev.sz] for a in range(f)]
-        for kzz, dkzz in (ev.fiber(ys[k], zs[k]), (lanes[0][k], lanes[1][k])):
+        for kzz in (ev.fiber(ys[k], zs[k]), lanes[k]):
             np.testing.assert_allclose(kzz, G[ev.sz, ev.sz], rtol=1e-15,
                                        atol=0.0)
-            full = np.zeros((f, f, f))
-            full[dirs] = dkzz
-            np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
+        full = [_block(spec.k, 0.0, ys[k], zs[k], "z%d" % (a + 1))
+                for a in range(f)]
+        np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
 def test_base_function_matches_the_kernel(name):
-    """ev.base is the kernel's x = 0 base block h and its y partials, at
-    one point and on a lane axis, and base_cometric inverts it; the
-    directions it leaves out have zero partials."""
+    """ev.base is the kernel's x = 0 base block h, at one point and on a
+    lane axis, and base_cometric inverts it; the tree-walking partials of
+    h along y are the kernel's."""
     spec = _spec(name)
     ev = spec.evaluator()
-    b, dirs = spec.b, list(ev.base_dirs)
+    b = spec.b
     rng = np.random.default_rng(5)
     ys = rng.uniform(-0.8, 0.8, (5, b))
     lanes = ev.base(ys)
-    assert lanes[0].shape == (5, b, b)
-    assert lanes[1].shape == (5, len(dirs), b, b)
+    assert lanes.shape == (5, b, b)
     for k in range(5):
-        G, dG = ev.kernel(0.0, ys[k], np.zeros(spec.f))
+        z = np.zeros(spec.f)
+        G, dG = ev.kernel(0.0, ys[k], z)
         want = dG[ev.sy, ev.sy, ev.sy]
-        for h, dh in (ev.base(ys[k]), (lanes[0][k], lanes[1][k])):
+        for h in (ev.base(ys[k]), lanes[k]):
             np.testing.assert_allclose(h, G[ev.sy, ev.sy], rtol=1e-15,
                                        atol=0.0)
-            full = np.zeros((b, b, b))
-            full[dirs] = dh
-            np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
+        full = np.reshape([_block(spec.h, 0.0, ys[k], z, "y%d" % (i + 1))
+                           for i in range(b)], (b, b, b))
+        np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(ev.base_cometric(ys[k]) @ h, np.eye(b),
                                    rtol=0.0, atol=1e-12)
 

@@ -88,6 +88,26 @@ def test_scene_validation_errors():
         parse_scene("builtin = product_cone(1.0)\norigin = [0.5, 0, 0]\n")
     with pytest.raises(ConfigError, match="format"):
         parse_scene("builtin = product_cone(1.0)\nformat = yaml\n")
+    # a value that is not a number (or not a whole one, or not a rational
+    # order) is a config error naming its key, raised while parsing
+    cone = "builtin = product_cone(1.0)\n"
+    fan = cone + "origin = [0.5, 0.1]\n"
+    metric = "b = 0; f = 1; k = [[1]]\n"
+    for key, text in [("fan_count", fan + "fan_count = abc"),
+                      ("fan_count", fan + "fan_count = 2.5"),
+                      ("seed", cone + "seed = abc"),
+                      ("t_span", cone + "t_span = [a, 2]"),
+                      ("source", cone + "source = [0, 0.5, 0, 1, x, 0]"),
+                      ("origin", cone + "origin = [0.5, q]"),
+                      ("s_incident", cone + "s_incident = abc"),
+                      ("nonfocusing", cone + "nonfocusing = [abc, 1]"),
+                      ("x_max", metric + "x_max = abc"),
+                      ("b", "b = abc; f = 1; k = [[1]]"),
+                      ("f", "b = 0; f = 1.5; k = [[1]]"),
+                      ("z_box", metric + "z_box = [[a, 1]]"),
+                      ("fiber", metric + "fiber = circle(abc)")]:
+        with pytest.raises(ConfigError, match="^%s = " % key):
+            parse_scene(text + "\n")
 
 
 def test_fan_directions_deterministic_unit_vectors():
@@ -340,6 +360,22 @@ def test_cli_orders(capsys):
     out = capsys.readouterr().out
     assert "k'=>8" in out
     assert main(["orders"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "orders --n 1 --f 1", "orders --k 1 --eps 0",
+    "orders --n 3 --f 1 --s abc", "orders --m x --l 0 --f 1",
+    "partners sphere_edge --z a,b",
+    "partners sphere_edge --y 0 --z 1.2,0.4 --directions -3",
+    "partners product_edge(1,3) --y 0 --z 0,0,0 --directions -3",
+    "eigencheck product_cone(1.0) --point 1,2,x,4,5,6",
+    "eigencheck product_cone(1.0) --count 0"])
+def test_cli_rejects_invalid_arguments(argv, capsys):
+    """An argument a command cannot use is a config error: exit 2 with
+    one line on stderr, not a traceback."""
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
 
 
 def test_dump_formats():
