@@ -32,10 +32,11 @@ Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
 of a call (each with its own start, covector and signed parameter arc)
 are one ``ode.rk45`` ODE in a normalised parameter, with at most
 MAX_GEODESIC_STEPS field evaluations.  Its right-hand side is the
-generated cogeodesic field of a metric block over the lanes
+generated cogeodesic field of a metric block on the flat ODE state
 (``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``): an
 unrolled LDL^T solve of the block and the quadratic forms of its
-nonzero partials, with no matrix library call.  On the fiber block a
+nonzero partials; a zero pivot leaves inf or nan, which the one
+finiteness check per evaluation sees.  On the fiber block a
 partner search shoots all launch directions of an edge event (and each
 refinement round of the relatedness test), an edge event the limit
 points of its whole extrapolation ladder, and the cogeodesic flow one
@@ -74,13 +75,12 @@ def fiber_norm(spec, y, z, zeta):
     return math.sqrt(max(float(zeta @ K @ zeta), 0.0))
 
 
-def fiber_unit_covector(spec, y, z, direction):
-    """Covector zeta with |zeta|_K = 1 generating fiber velocity direction.
+def fiber_unit_covector(kzz, z, direction):
+    """Covector zeta, |zeta|_K = 1, moving along direction; kzz at z.
 
     Raises DegenerateMetricError when the fiber metric at z is not
     positive along the direction.
     """
-    kzz = spec.evaluator().fiber(y, z)
     w = np.asarray(direction, float)
     speed2 = float(w @ kzz @ w)
     if not speed2 >= 0.0:
@@ -92,16 +92,22 @@ def fiber_unit_covector(spec, y, z, direction):
     return (kzz @ w) / speed
 
 
-def _shoot(field, q0, p0, arc, u=(1.0,)):
+def _velocity(field, q, p, *fixed):
+    """w = dq/ds of a cogeodesic field at lanes (q, p), shape (n, d)."""
+    state = np.stack((q, p), axis=1)
+    return field.checked(*fixed, state.ravel(), 1.0).reshape(state.shape)[:, 0]
+
+
+def _shoot(field, q0, p0, arc, u=(1.0,), fixed=()):
     """(q, p) at the parameter fractions u of cogeodesic lanes.
 
-    field(q, p) -> d/ds (q, p) is the cogeodesic field of an x = 0
-    metric block over a lane axis, shape (n, 2, d)
-    (``MetricEvaluator.fiber_cogeodesic`` at fixed y, or
+    field(*fixed, state, arc) is the cogeodesic field of an x = 0 metric
+    block on the raveled lanes (q, p) of state, scaled lane by lane by
+    arc (``MetricEvaluator.fiber_cogeodesic`` with fixed = (y,), or
     ``MetricEvaluator.base_cogeodesic``).  Lane k starts at (q0[k],
     p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
     broadcast against the n lanes of arc.  All lanes are one ODE in the
-    fraction u in [0, 1], whose state carries a leading lane axis.
+    fraction u in [0, 1], whose state is the ravel of shape (n, 2, d).
     Returns q and p of shape (len(u), n, d).  A zero pivot of the block
     in any lane raises DegenerateMetricError, a non-finite lane or a
     collapsing step IntegrationDivergedError, and more than
@@ -116,15 +122,15 @@ def _shoot(field, q0, p0, arc, u=(1.0,)):
     if not arc.any():
         states = np.broadcast_to(state0, (len(u), n, 2, d))
         return states[:, :, 0].copy(), states[:, :, 1].copy()
+    fast = functools.partial(field, *fixed)
 
     def rhs(_, state):
-        q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
-        out = field(q, p)
-        out *= arc[:, None, None]
+        out = fast(state, arc)
         if not np.isfinite(out).all():
+            field.checked(*fixed, state, arc)   # raises on a zero pivot
             raise IntegrationDivergedError("geodesic lanes left the finite "
                                            "range of the metric")
-        return out.ravel()
+        return out
 
     with np.errstate(all="ignore"):
         sol = ode.rk45(rhs, 1.0, state0.ravel(), _GEO_RTOL, _GEO_ATOL,
@@ -145,9 +151,8 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     lane = (s >= 0.0).astype(int)
     u = s / np.where(lane, hi or 1.0, lo)
     u_eval = np.unique(u)
-    ev = spec.evaluator()
-    zs, zetas = _shoot(functools.partial(ev.fiber_cogeodesic, y), z0, zeta0,
-                       [lo, hi], u_eval)
+    zs, zetas = _shoot(spec.evaluator().fiber_cogeodesic, z0, zeta0,
+                       [lo, hi], u_eval, (y,))
     at = np.searchsorted(u_eval, u)
     return zs[at, lane], zetas[at, lane]
 
@@ -220,15 +225,17 @@ def fiber_limit_point(spec, q):
 def fiber_limit_points(spec, y, z, xi, zeta):
     """fiber_limit_point of many phase points, one per row of y, z and
     zeta (and entry of xi), from one shot."""
-    field = functools.partial(spec.evaluator().fiber_cogeodesic, y)
-    m = np.sqrt(np.maximum((field(z, zeta)[:, 0] * zeta).sum(axis=1), 0.0))
+    field = spec.evaluator().fiber_cogeodesic
+    m = np.sqrt(np.maximum((_velocity(field, z, zeta, y) * zeta).sum(axis=1),
+                           0.0))
     moving = m > 0.0
     if np.any(~moving & (xi == 0.0)):
         raise ValueError("fiber limit undefined on radial directions")
     with np.errstate(divide="ignore", invalid="ignore"):
         arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
     unit = zeta / np.where(moving, m, 1.0)[:, None]
-    return _shoot(field, z, unit, np.where(moving, arc, 0.0))[0][-1]
+    return _shoot(field, z, unit, np.where(moving, arc, 0.0),
+                  fixed=(y,))[0][-1]
 
 
 # --- geometric partners -------------------------------------------------
@@ -254,9 +261,10 @@ def _direction_grid(f, n):
 def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
     arc, shot as one ODE; shape (len(directions), f)."""
-    zetas = [fiber_unit_covector(spec, y, z0, d) for d in directions]
-    return _shoot(functools.partial(spec.evaluator().fiber_cogeodesic, y), z0,
-                  zetas, np.full(len(zetas), arc))[0][-1]
+    kzz = spec.evaluator().fiber(y, z0)
+    zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]
+    return _shoot(spec.evaluator().fiber_cogeodesic, z0, zetas,
+                  np.full(len(zetas), arc), fixed=(y,))[0][-1]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None):

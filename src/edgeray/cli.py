@@ -122,6 +122,8 @@ def _random_radial_points(spec, count, seed):
 
 
 def cmd_eigencheck(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError("--tol %r must be finite and nonnegative" % args.tol)
     config = _load_scene(args.scene, args.seed)
     spec = config.spec
     if args.point is not None:

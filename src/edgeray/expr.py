@@ -389,7 +389,7 @@ def _format(node, parent_prec):
 
 # --- source translation and reference evaluation ----------------------
 
-def _to_source(node):
+def _to_source(node, call=str):   # call(text) stands for each Call
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -398,12 +398,13 @@ def _to_source(node):
         idx = int(node.name[1:]) - 1
         return "%s[%d]" % (node.name[0], idx)
     if isinstance(node, Neg):
-        return "(-%s)" % _to_source(node.arg)
+        return "(-%s)" % _to_source(node.arg, call)
     if isinstance(node, PowInt):
-        return "(%s)**%d" % (_to_source(node.base), node.exponent)
+        return "(%s)**%d" % (_to_source(node.base, call), node.exponent)
     if isinstance(node, Call):
-        return "_%s(%s)" % (node.func, _to_source(node.arg))
-    return "(%s %s %s)" % (_to_source(node.left), node.op, _to_source(node.right))
+        return call("_%s(%s)" % (node.func, _to_source(node.arg, call)))
+    return "(%s %s %s)" % (_to_source(node.left, call), node.op,
+                           _to_source(node.right, call))
 
 
 def evaluate(node, x, y, z):

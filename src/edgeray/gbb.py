@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hamiltonian, ode
-from .boundary import _shoot, fiber_limit_points, geometric_partners
+from .boundary import (_shoot, _velocity, fiber_limit_points,
+                       geometric_partners)
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
@@ -279,7 +280,8 @@ def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
     ys, etas = _shoot(ev.base_cogeodesic, y0, eta0, [-delta / sgn_tau],
                       np.linspace(0.0, 1.0, TANGENTIAL_SAMPLES))
     ys, etas = ys[:, 0], etas[:, 0]
-    norms = np.einsum("ni,ni->n", etas, ev.base_cogeodesic(ys, etas)[:, 0])
+    norms = np.einsum("ni,ni->n", etas, _velocity(ev.base_cogeodesic, ys,
+                                                  etas))
     return TangentialPath(t=t0 + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),
                           y=ys, eta_hat=etas,
                           norm_drift=float(np.max(np.abs(norms - 1.0))))

@@ -23,7 +23,7 @@ G^{-1}, and the wave-operator symbol in this scaling is
 
 Coefficient entries are expression ASTs (see expr).  From their source
 the evaluator generates straight-line code, one statement per distinct
-entry:
+entry and per distinct function call:
 
   * the kernel returns G and every partial dG/dv from a single call, and
     each pointwise reader slices it;
@@ -33,17 +33,18 @@ entry:
   * for each x = 0 block, the fiber block kzz along z and the base block
     h along y, a function returning the block over a lane axis (the
     fiber and base cometrics read it), and, for the geodesic shooter,
-    the cogeodesic field of its inverse over lanes, which alone reads
-    the block's nonzero partials.
+    the cogeodesic field of its inverse on the shooter's flat state of
+    lanes, which alone reads the block's nonzero partials.
 
 The fields solve with their metric block by an unrolled LDL^T
 factorization without pivoting (the blocks are positive definite), over
-the entries that are not identically zero; a zero pivot, in any lane,
-raises DegenerateMetricError.
+the entries that are not identically zero; a zero pivot raises
+DegenerateMetricError, or leaves inf or nan in a fast cogeodesic field.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from .errors import ConfigError, DegenerateMetricError, DimensionError
 COND_LIMIT = 1e12
 VALIDATION_SAMPLES = 200   # chart points validate_normal_form checks
 VALIDATION_TOL = 1e-10     # smallest metric eigenvalue it accepts
+_compile = functools.lru_cache(maxsize=256)(compile)   # once per text
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,7 @@ class _Source:
     """Body of generated functions: one local per distinct expression."""
 
     def __init__(self):
-        self.body, self.names, self.code = [], {}, {}
+        self.body, self.names = [], {}
 
     def local(self, text):
         if text.isidentifier() or _is_number(text):
@@ -249,18 +251,19 @@ class _Source:
     def term(self, node):
         if isinstance(node, ex.Num):
             return repr(node.value)
-        return self.local(ex._to_source(node))
+        return self.local(ex._to_source(node, self.local))
 
     def define(self, head, start, tail, functions, **names):
-        """Exec "def head: start; body; tail" with sin..log from functions;
-        the same text is compiled once."""
-        text = "\n".join(["def %s:" % head, start] + self.body + [tail])
-        if text not in self.code:
-            self.code[text] = compile(text, "<metric>", "exec")
+        """Exec "def head: start; body; tail" with sin..log from functions,
+        where a ZeroDivisionError raises DegenerateMetricError."""
+        text = "\n".join(["def %s:\n  try:" % head, start] + self.body + [
+            tail, "  except ZeroDivisionError:\n    raise _Degenerate("
+            "'metric not invertible: division by zero') from None"])
         namespace = {"_" + name: getattr(functions, name)
                      for name in ex.FUNCTIONS}
-        namespace.update(names, __builtins__={})
-        exec(self.code[text], namespace)
+        namespace.update(names, ZeroDivisionError=ZeroDivisionError,
+                         _Degenerate=DegenerateMetricError, __builtins__={})
+        exec(_compile(text, "<metric>", "exec"), namespace)
         return namespace[head[:head.index("(")]]
 
 
@@ -318,12 +321,6 @@ def _generate_kernel(nv, entries, src):
         math, _zeros=np.zeros, _slots=np.array(list(slots), dtype=np.intp))
 
 
-def _pivot(d):
-    if d == 0.0:
-        raise DegenerateMetricError("metric not invertible: zero pivot")
-    return d
-
-
 def _lane_pivots(d):
     if not np.all(d != 0.0):
         raise DegenerateMetricError("metric not invertible: zero pivot in "
@@ -339,18 +336,22 @@ def _is_number(text):
     return True
 
 
-def _symmetric_solve(a, rhs, lines):
+def _symmetric_solve(a, rhs, lines, checked):
     """Names of w = A^{-1} rhs, solved by an unrolled LDL^T factorization.
 
     a maps (i, j), i <= j, to the source of each entry of the symmetric
     matrix A that is not identically zero, and rhs lists the sources of
     the right-hand side; the statements are appended to lines.  Factor
     entries that stay zero are never formed, so a diagonal A costs one
-    division per entry.  There is no pivoting: the metric blocks are
-    positive definite, and a zero pivot raises DegenerateMetricError
-    through the _pivot of the generated function's namespace.
+    division per entry (none by a literal 1.0).  There is no pivoting:
+    the metric blocks are positive definite, and a zero pivot d_j leaves
+    inf or nan in w_j (ZeroDivisionError on floats) unless checked passes
+    it through the namespace's _pivot.
     """
     n = len(rhs)
+
+    def over(num, pivot):
+        return num if pivot == "1.0" else "%s / %s" % (num, pivot)
 
     def let(name, text):
         if text.isidentifier() or _is_number(text):
@@ -369,17 +370,16 @@ def _symmetric_solve(a, rhs, lines):
     for j in range(n):
         d = minus(a.get((j, j)), ["%s * %s" % low[j, k]
                                   for k in range(j) if (j, k) in low])
-        if d is None or not (_is_number(d) and float(d) != 0.0):
+        if checked and not (d and _is_number(d) and float(d) != 0.0):
             d = "_pivot(%s)" % (d or "0.0")
-        pivots.append(let("d%d" % j, d))
+        pivots.append(let("d%d" % j, d or "0.0"))
         for i in range(j + 1, n):
             e = minus(a.get((j, i)),
                       ["%s * %s" % (low[i, k][1], low[j, k][0])
                        for k in range(j) if (i, k) in low and (j, k) in low])
             if e is not None:
                 e = let("e%d_%d" % (i, j), e)
-                low[i, j] = (let("l%d_%d" % (i, j), "%s / %s"
-                                 % (e, pivots[j])), e)
+                low[i, j] = (let("l%d_%d" % (i, j), over(e, pivots[j])), e)
     forward = []
     for i in range(n):
         forward.append(let("g%d" % i, minus(rhs[i], [
@@ -387,7 +387,7 @@ def _symmetric_solve(a, rhs, lines):
             for k in range(i) if (i, k) in low])))
     w = [None] * n
     for i in reversed(range(n)):
-        w[i] = let("w%d" % i, minus("%s / %s" % (forward[i], pivots[i]), [
+        w[i] = let("w%d" % i, minus(over(forward[i], pivots[i]), [
             "%s * %s" % (low[k, i][0], w[k])
             for k in range(i + 1, n) if (k, i) in low]))
     return w
@@ -418,7 +418,7 @@ def _generate_hamilton(b, f, entries, src):
     of H is summed left to right as the hamiltonian module writes it.
     One source, two instances: scalar runs on Python floats with math;
     lanes runs with numpy on a (n, 2 nv) array of states, one per row,
-    and returns p of shape (n,) and the fields as rows.
+    checks its pivots, and returns p of shape (n,) and the fields as rows.
     """
     nv = 1 + b + f
     itau = 1 + nv
@@ -428,8 +428,9 @@ def _generate_hamilton(b, f, entries, src):
         return {(i - 1, j - 1): text for (vv, i, j), text in entries.items()
                 if vv == v and 1 <= i <= j}
 
-    lines = []
-    w = _symmetric_solve(block(0), u, lines)
+    checked, plain, lines = [], [], []
+    w = _symmetric_solve(block(0), u, checked, True)
+    _symmetric_solve(block(0), u, plain, False)
     quad = []
     for v in range(nv):
         form = _quadratic(block(1 + v), w)
@@ -457,9 +458,9 @@ def _generate_hamilton(b, f, entries, src):
     tail = "\n".join(lines + ["    return p, _pack([%s])" % ", ".join(
         "(%s) * scale" % text for text in field)])
     head = "hamilton(state, scale)"
-    return (src.define(head, start, tail, math, _values=np.ndarray.tolist,
-                       _pack=np.array, _pivot=_pivot),
-            src.define(head, start, tail, np,
+    return (src.define(head, start, "\n".join(plain + [tail]), math,
+                       _values=np.ndarray.tolist, _pack=np.array),
+            src.define(head, start, "\n".join(checked + [tail]), np,
                        _values=lambda states: np.asarray(states).T,
                        _pack=_stack_lanes, _pivot=_lane_pivots))
 
@@ -468,13 +469,14 @@ def _generate_block(head, matrix, var):
     """(block, field) of an x = 0 metric block M, numpy code.
 
     M is the square matrix of ASTs, as wide as var has coordinates.  The
-    generated head returns M.  field takes the arguments of head and then
-    a covector p, and returns the cogeodesic field of M^{-1}: d/ds of
-    (var, p) is (w, (1/2) w.dM.w) with w = M^{-1} p from _symmetric_solve
-    and dM the partials of M along var, stacked as (..., 2, n).  The
-    arguments may carry a leading lane axis; the lanes of var set the
-    lanes of block, those of p the lanes of field.  Only nonzero entries
-    are written, each symmetric pair from one statement.
+    generated head returns M.  field takes the arguments of head but var,
+    a state, the ravel of lanes (var, p) of shape (lanes, 2, n), and arc,
+    scalar or per lane, and returns arc times the cogeodesic field of
+    M^{-1} in the layout of state: d/ds of (var, p) is (w, (1/2) w.dM.w)
+    with w = M^{-1} p from _symmetric_solve and dM the partials of M
+    along var.  A zero pivot leaves inf or nan there; field.checked, the
+    same code with _lane_pivots, raises.  The arguments may carry a lane
+    axis; only nonzero entries are written, each pair from one statement.
     """
     n = len(matrix)
     name = head[:head.index("(")]
@@ -490,29 +492,39 @@ def _generate_block(head, matrix, var):
                 out[i, j] = src.term(node)
         return out
 
-    def start(params):
-        return "    x, %s = 0.0, %s" % (
-            ", ".join(params), ", ".join("_asarray(%s).T" % p
-                                         for p in params))
+    def start(names, values):
+        return "    x, %s = 0.0, %s" % (", ".join(names), ", ".join(values))
 
+    arrays = ["_asarray(%s).T" % q for q in params]
     m = entries(None)
     block = src.define(
-        head, start(params),
+        head, start(params, arrays),
         "    out = _zeros(%s.T.shape[:-1] + (%d, %d))\n%s\n    return out"
         % (var, n, n, "\n".join("    out[..., %d, %d] = %s" % (p, q, text)
                                 for (i, j), text in m.items()
                                 for p, q in {(i, j), (j, i)})),
         np, _zeros=np.zeros, _asarray=np.asarray)
-    partials = {a: entries(a) for a in range(n)}
-    lines = ["    out = _zeros(p.T.shape[:-1] + (2, %d))" % n]
-    w = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines)
-    lines += ["    out[..., 0, %d] = %s" % (i, wi) for i, wi in enumerate(w)]
-    lines += ["    out[..., 1, %d] = 0.5 * (%s)" % (a, _quadratic(dm, w))
-              for a, dm in partials.items() if dm]
-    field = src.define(
-        "%s_cogeodesic(%s, p)" % (name, ", ".join(params)),
-        start(params + ["p"]), "\n".join(lines + ["    return out"]),
-        np, _zeros=np.zeros, _asarray=np.asarray, _pivot=_lane_pivots)
+    partials = [entries(a) for a in range(n)]
+    views = ["(%s)" % "".join("state[%d::%d], " % (k, 2 * n) for k in ks)
+             for ks in (range(n), range(n, 2 * n))]
+
+    def instance(checked):
+        lines = ["    out = _empty(state.shape)"]
+        w = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines,
+                             checked)
+        rows = w + ["0.5 * (%s)" % _quadratic(dm, w) if dm else "0.0"
+                    for dm in partials]
+        lines += ["    out[%d::%d] = (%s) * arc" % (k, 2 * n, row)
+                  for k, row in enumerate(rows)]
+        return src.define(
+            "%s_cogeodesic(%s)" % (name, ", ".join(params[:-1]
+                                                   + ["state", "arc"])),
+            start(params + ["p"], arrays[:-1] + views),
+            "\n".join(lines + ["    return out"]), np, _empty=np.empty,
+            _asarray=np.asarray, _pivot=_lane_pivots)
+
+    field = instance(False)
+    field.checked = instance(True)
     return block, field
 
 
@@ -529,10 +541,10 @@ class MetricEvaluator:
     ``fiber(y, z)`` returns the x = 0 fiber block kzz, shape (f, f); y
     and z may carry a leading lane axis (shapes (n, b) and (n, f)), which
     the result then carries too, as numpy.linalg stacks matrices.
-    ``fiber_cogeodesic(y, z, zeta)`` returns the cogeodesic field of
-    kzz^{-1} at (z, zeta), d/ds of (z, zeta), with the lanes of zeta,
-    shape (n, 2, f).  ``base(y)`` and ``base_cogeodesic(y, eta)`` do the
-    same for the x = 0 base block h.
+    ``fiber_cogeodesic(y, state, arc)`` returns arc times the cogeodesic
+    field of kzz^{-1}, d/ds of (z, zeta), on the raveled lanes (n, 2, f)
+    of state (see _generate_block).  ``base(y)`` and
+    ``base_cogeodesic(state, arc)`` do the same for the base block h.
     """
 
     def __init__(self, spec):

@@ -137,10 +137,10 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     zero of g(t, y) that g crosses in the given direction (-1 falling,
     +1 rising, 0 either), and Solution.event is that event's index.
     Without t_eval, the solution holds every step end and a DenseOutput;
-    with t_eval (increasing, inside [0, t_end]) it holds the states at
-    those points.  Raises StepLimitError before evaluation max_nfev + 1
-    of fun, and IntegrationDivergedError when the step falls below the
-    spacing of floats.
+    with t_eval (increasing, inside [0, t_end]) the states at those
+    points, interpolated only in steps that hold them (or fire an event).
+    Raises StepLimitError before evaluation max_nfev + 1 of fun, and
+    IntegrationDivergedError when the step falls below float spacing.
     """
     if not t_end > 0.0:
         raise ValueError("integration needs t_end > 0, got %r" % t_end)
@@ -161,11 +161,13 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     fy = f(t, y)
     h_abs = _initial_step(f, y, fy, t_end, rtol, atol)
     K = np.empty((7, y.size))
+    stages = [(float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
+    abs_y = np.abs(y)
     if t_eval is None:
         ts, ys, pieces = [t], [y], []
     else:
         t_eval = np.asarray(t_eval, float)
-        ys, i_eval = [], 0
+        evals, ys, i_eval = t_eval.tolist(), [], 0
     g = [event(t, y) for event, _ in events]
     fired = None
     while fired is None and t < t_end:
@@ -181,11 +183,11 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
             h = t_new - t
             h_abs = abs(h)
             K[0] = fy
-            for s in range(1, 6):
-                K[s] = f(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            for s, (c, k, a) in enumerate(stages, 1):
+                K[s] = f(t + c * h, y + np.dot(k, a) * h)
             y_new = y + h * np.dot(K[:-1].T, B)
             K[-1] = f_new = f(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = atol + np.maximum(abs_y, abs_new := np.abs(y_new)) * rtol
             error_norm = _rms(np.dot(K.T, E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -199,14 +201,16 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        piece = (t, h, y, K.T.dot(P))
-        t, y, fy = t_new, y_new, f_new
+        step = (t, h, y)    # with K.T @ P, the dense output of this step
+        piece = None if t_eval is not None else step + (K.T.dot(P),)
+        t, y, fy, abs_y = t_new, y_new, f_new, abs_new
         if events:
             g_new = [event(t, y) for event, _ in events]
             active = [i for i, (_, sign) in enumerate(events)
                       if (sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
                       or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)]
             if active:
+                piece = piece or step + (K.T.dot(P),)
                 roots = [brent(lambda u, i=i: events[i][0](
                     u, _interpolate(piece, u)), piece[0], t, 4 * EPS, 4 * EPS)
                     for i in active]
@@ -220,11 +224,11 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
                 ts.append(t)                   # step end adds no step
                 ys.append(y)
                 pieces.append(piece)
-        else:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            if i_new > i_eval:
-                ys.append(_interpolate_many(piece, t_eval[i_eval:i_new]))
-                i_eval = i_new
+        elif i_eval < len(evals) and evals[i_eval] <= t:
+            i_new = bisect.bisect_right(evals, t, i_eval)
+            ys.append(_interpolate_many(piece or step + (K.T.dot(P),),
+                                        t_eval[i_eval:i_new]))
+            i_eval = i_new
     if t_eval is not None:
         return Solution(t=t_eval[:i_eval], y=np.hstack(ys).T, nfev=nfev,
                         event=fired)

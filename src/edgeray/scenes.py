@@ -82,7 +82,6 @@ def _cone_metric(rho):
 
 
 def _product_edge_metric(b, f):
-    b, f = int(b), int(f)
     h = [["1" if i == j else "0" for j in range(b)] for i in range(b)]
     k = [["1" if i == j else "0" for j in range(f)] for i in range(f)]
     return make_metric_spec(b, f, h=h if b else None, k=k, fiber="torus")
@@ -127,8 +126,9 @@ def _scene_product_cone(rho=1.0):
 
 
 def _scene_product_edge(b=1, f=1):
+    b, f = config_int(b, "product_edge b"), config_int(f, "product_edge f")
     spec = _product_edge_metric(b, f)
-    return SceneConfig(name="product_edge(%d, %d)" % (int(b), int(f)),
+    return SceneConfig(name="product_edge(%d, %d)" % (b, f),
                        spec=spec, source=_radial_source(spec, 0.9),
                        t_span=(0.0, 1.7))
 

@@ -350,12 +350,14 @@ def test_unit_covector_rejects_zero_direction_and_indefinite_metric():
     flat = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
                             z_box=[(-0.5, 0.5)])
     with pytest.raises(ValueError):
-        fiber_unit_covector(flat, np.zeros(0), np.array([0.0]),
+        z = np.array([0.0])
+        fiber_unit_covector(flat.evaluator().fiber(np.zeros(0), z), z,
                             np.array([0.0]))
     indefinite = make_metric_spec(0, 2, k=[["1", "0"], ["0", "z1 - 1"]],
                                   fiber="chart")
     with pytest.raises(DegenerateMetricError):
-        fiber_unit_covector(indefinite, np.zeros(0), np.array([0.5, 0.0]),
+        z = np.array([0.5, 0.0])
+        fiber_unit_covector(indefinite.evaluator().fiber(np.zeros(0), z), z,
                             np.array([0.0, 1.0]))
     with pytest.raises(DegenerateMetricError):
         geometric_partners(indefinite, np.zeros(0), np.array([0.5, 0.0]),
@@ -438,8 +440,8 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
     zetas = [_oracle_unit_covector(spec, y, z_bar, d)
              for d in _direction_grid(spec.f, n)]
     ev = spec.evaluator()
-    batched = _shoot(functools.partial(ev.fiber_cogeodesic, y), z_bar, zetas,
-                     np.full(n, math.pi))[0][-1]
+    batched = _shoot(ev.fiber_cogeodesic, z_bar, zetas, np.full(n, math.pi),
+                     fixed=(y,))[0][-1]
     single = [_oracle_shot(spec, y, z_bar, zeta, math.pi)[0]
               for zeta in zetas]
     assert batched.shape == (n, spec.f)
@@ -473,8 +475,8 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
     zs = rng.uniform(0.4, 2.6, (len(arcs), spec.f))
     zetas = rng.uniform(-1.0, 1.0, (len(arcs), spec.f))
     ev = spec.evaluator()
-    got_z, got_zeta = _shoot(functools.partial(ev.fiber_cogeodesic, ys), zs,
-                             zetas, arcs, u=(0.5, 1.0))
+    got_z, got_zeta = _shoot(ev.fiber_cogeodesic, zs, zetas, arcs,
+                             u=(0.5, 1.0), fixed=(ys,))
     assert got_z.shape == got_zeta.shape == (2, len(arcs), spec.f)
     for k, arc in enumerate(arcs):
         for i, frac in enumerate((0.5, 1.0)):
@@ -543,8 +545,8 @@ def test_batched_shot_raises_typed_errors():
                              xi=0.5, eta=none, zeta=np.array([0.0, 1.0]))
     ev = singular.evaluator()
     with pytest.raises(DegenerateMetricError):
-        _shoot(functools.partial(ev.fiber_cogeodesic, none), np.zeros(2),
-               np.eye(2), np.ones(2))
+        _shoot(ev.fiber_cogeodesic, np.zeros(2), np.eye(2), np.ones(2),
+               fixed=(none,))
     with pytest.raises(DegenerateMetricError):
         fiber_cogeodesic_flow(singular, none, np.zeros(2),
                               np.array([1.0, 0.0]), [-0.5, 0.5])
@@ -556,8 +558,8 @@ def test_batched_shot_raises_typed_errors():
     ev = growing.evaluator()
     for bad in (1e200, math.nan):
         with pytest.raises(IntegrationDivergedError):
-            _shoot(functools.partial(ev.fiber_cogeodesic, none), np.zeros(1),
-                   np.array([[1.0], [-1.0], [bad]]), np.ones(3))
+            _shoot(ev.fiber_cogeodesic, np.zeros(1),
+                   np.array([[1.0], [-1.0], [bad]]), np.ones(3), fixed=(none,))
         with pytest.raises(IntegrationDivergedError):
             fiber_cogeodesic_flow(growing, none, np.zeros(1),
                                   np.array([bad]), [1.0])

@@ -2,7 +2,6 @@
 formulas they replaced, their typed failures, and the conservation laws
 of the interior flow on hypothesis-drawn rays."""
 
-import functools
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from edgeray import expr as ex
 from edgeray.boundary import _shoot
-from edgeray.errors import DegenerateMetricError
+from edgeray.errors import DegenerateMetricError, IntegrationDivergedError
 from edgeray.hamiltonian import (RaySegment, Termination, hamilton_field,
                                  integrate_interior)
 from edgeray.metric import make_metric_spec
@@ -97,6 +96,17 @@ def _reference_cogeodesic(matrix, var, ys, zs, p):
     return out
 
 
+def _on_lanes(field, fixed, q, p, arc=1.0):
+    """A generated cogeodesic field at the lanes (q, p), shape (n, 2, d),
+    through its flat-state form; its checked instance gives the same
+    bits."""
+    n, d = p.shape
+    state = np.stack((q, p), axis=1).ravel()
+    out = field(*fixed, state, arc)
+    assert np.array_equal(field.checked(*fixed, state, arc), out)
+    return out.reshape(n, 2, d)
+
+
 def _assert_close(got, want, size=None):
     """Agreement to 1e-12 relative to size, by default the largest entry
     of want."""
@@ -161,7 +171,8 @@ def test_generated_field_matches_the_numpy_field(name, data):
 @given(data=st.data())
 def test_cogeodesic_fields_match_the_numpy_shooter(name, data):
     """The fiber and base cogeodesic fields over lanes agree with a
-    batched solve of the block and an einsum over its partials."""
+    batched solve of the block and an einsum over its partials, and a
+    per-lane arc scales each lane's rows, rounding as one product."""
     spec = _spec(name)
     ev = spec.evaluator()
     n = data.draw(st.integers(1, 8))
@@ -173,14 +184,18 @@ def test_cogeodesic_fields_match_the_numpy_shooter(name, data):
     zetas = np.array(data.draw(st.lists(
         st.lists(covector_floats, min_size=spec.f, max_size=spec.f),
         min_size=n, max_size=n)))
-    got = ev.fiber_cogeodesic(ys, zs, zetas)
+    got = _on_lanes(ev.fiber_cogeodesic, (ys,), zs, zetas)
     assert got.shape == (n, 2, spec.f)
     _assert_close(got, _reference_cogeodesic(spec.k, "z", ys, zs, zetas))
+    arc = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n,
+                                      max_size=n)))
+    assert np.array_equal(_on_lanes(ev.fiber_cogeodesic, (ys,), zs, zetas,
+                                    arc), got * arc[:, None, None])
     if spec.b:
         etas = np.array(data.draw(st.lists(
             st.lists(covector_floats, min_size=spec.b, max_size=spec.b),
             min_size=n, max_size=n)))
-        got = ev.base_cogeodesic(ys, etas)
+        got = _on_lanes(ev.base_cogeodesic, (), ys, etas)
         assert got.shape == (n, 2, spec.b)
         _assert_close(got, _reference_cogeodesic(spec.h, "y", ys, zs, etas))
 
@@ -203,8 +218,54 @@ def test_zero_pivot_is_a_typed_error():
         segment.conserved_log()
     ev = spec.evaluator()
     with pytest.raises(DegenerateMetricError, match="1 lane"):
-        _shoot(functools.partial(ev.fiber_cogeodesic, none),
-               np.array([[0.5], [0.0], [1.0]]), np.ones((3, 1)), np.ones(3))
+        _shoot(ev.fiber_cogeodesic, np.array([[0.5], [0.0], [1.0]]),
+               np.ones((3, 1)), np.ones(3), fixed=(none,))
+
+
+def test_zero_pivot_reached_mid_shot_is_a_typed_error():
+    """k11 = exp(-exp(50 z2)) underflows to exactly 0 past z2 = 0.14.  A
+    lane with zeta1 = 0 runs along z2 through that point with finite
+    field values (w1 = 0 / k11 = 0) until a stage lands where the pivot
+    is zero; the other lane moves away.  The shot raises
+    DegenerateMetricError naming one lane, though its launch is fine."""
+    spec = make_metric_spec(0, 2, k=[["exp(-exp(50*z2))", "0"], ["0", "1"]],
+                            fiber="chart")
+    ev = spec.evaluator()
+    none = np.zeros(0)
+    z0 = np.array([0.0, -1.0])
+    zetas = np.array([[0.0, 1.0], [0.0, -1.0]])
+    z_end = _shoot(ev.fiber_cogeodesic, z0, zetas, np.ones(2),
+                   fixed=(none,))[0][-1]
+    np.testing.assert_allclose(z_end, [[0.0, 0.0], [0.0, -2.0]], atol=1e-9)
+    with pytest.raises(DegenerateMetricError, match="in 1 lane"):
+        _shoot(ev.fiber_cogeodesic, z0, zetas, np.full(2, 3.0),
+               fixed=(none,))
+
+
+def test_zero_pivot_outranks_an_overflowing_lane():
+    """k = z1: at z1 = 0 the pivot is zero; at z1 = 1e-310 it is not,
+    but 1/z1 overflows.  Alone the overflowing lane diverges; shot
+    together, the zero pivot is what is reported."""
+    spec = make_metric_spec(0, 1, k=[["z1"]], fiber="chart")
+    ev = spec.evaluator()
+    none = np.zeros(0)
+    with pytest.raises(IntegrationDivergedError):
+        _shoot(ev.fiber_cogeodesic, np.array([1e-310]), np.ones(1),
+               np.ones(1), fixed=(none,))
+    with pytest.raises(DegenerateMetricError, match="in 1 lane"):
+        _shoot(ev.fiber_cogeodesic, np.array([[0.0], [1e-310]]),
+               np.ones((2, 1)), np.ones(2), fixed=(none,))
+
+
+def test_division_by_zero_in_the_scalar_field_is_a_typed_error():
+    """k = 1/z1 divides by zero at z1 = 0 on Python floats: the scalar
+    field raises DegenerateMetricError, not ZeroDivisionError."""
+    spec = make_metric_spec(0, 1, k=[["1/z1"]], fiber="chart")
+    none = np.zeros(0)
+    q = EdgePhasePoint(t=0.0, x=0.5, y=none, z=np.array([0.0]), tau=1.0,
+                       xi=0.6, eta=none, zeta=np.array([0.8]))
+    with pytest.raises(DegenerateMetricError, match="division by zero"):
+        hamilton_field(spec, q)
 
 
 FLOW_SPECS = ["perturbed_edge(0.3)", "sphere_edge", "product_edge(1, 3)"]

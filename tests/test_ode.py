@@ -109,10 +109,7 @@ def _solve_ivp_shot(field, q0, p0, arc, u):
                        np.broadcast_to(p0, (n, d))), axis=1)
 
     def rhs(_, state):
-        q, p = state.reshape(n, 2, d).transpose(1, 0, 2)
-        out = field(q, p)
-        out *= arc[:, None, None]
-        return out.ravel()
+        return field(state, arc)
 
     sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
                     t_eval=u, rtol=boundary._GEO_RTOL,
@@ -124,17 +121,70 @@ def _solve_ivp_shot(field, q0, p0, arc, u):
 def test_multi_lane_shot_matches_solve_ivp_bitwise():
     spec = builtin_scene("sphere_edge").spec
     ev = spec.evaluator()
-    field = functools.partial(ev.fiber_cogeodesic, np.array([0.1]))
+    y = np.array([0.1])
+    field = functools.partial(ev.fiber_cogeodesic, y)
     z0 = np.array([[1.2, 0.3], [1.5, 2.0], [1.3, 5.0]])
     angles = np.array([0.3, 2.0, 4.4])
     zeta0 = np.stack((np.cos(angles), np.sin(angles) * np.sin(z0[:, 0])), 1)
     arc = [0.7, -1.1, math.pi]
     u = np.array([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
-    got = boundary._shoot(field, z0, zeta0, arc, u)
+    got = boundary._shoot(ev.fiber_cogeodesic, z0, zeta0, arc, u, (y,))
     want = _solve_ivp_shot(field, z0, zeta0, arc, u)
     for g, w in zip(got, want):
         assert g.shape == (len(u), 3, 2)
         assert np.array_equal(g, w)
+
+
+def _spiral(t, y):
+    return np.array([-0.5 * y[0] - 2.0 * y[1],
+                     2.0 * y[0] - 0.5 * y[1] + 0.1 * y[0] ** 2,
+                     -y[2] * y[0]])
+
+
+def _falling(t, y):
+    return y[0] - 0.999999
+
+
+_falling.terminal = True
+_falling.direction = -1
+SPIRAL = dict(fun=_spiral, y0=[1.0, 0.0, 0.5], rtol=1e-9, atol=1e-11)
+
+
+def _rk45_and_solve_ivp(t_eval=None, events=False):
+    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
+                   SPIRAL["atol"], 10 ** 5, [(_falling, -1)] if events else (),
+                   t_eval)
+    want = solve_ivp(t_span=(0.0, 4.0), method="RK45", t_eval=t_eval,
+                     dense_output=t_eval is None,
+                     events=_falling if events else None, **SPIRAL)
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.y, want.y.T)
+    assert got.nfev == want.nfev
+    return got, want
+
+
+@pytest.mark.parametrize("events", [False, True])
+def test_dense_output_matches_solve_ivp_bitwise(events):
+    """Without t_eval every step forms its dense output; with it only a
+    step that holds a t_eval point or fires an event does.  Either way
+    t, y, nfev and the interpolant agree with solve_ivp bit for bit: at
+    step ends and midpoints, at t_eval = 0, at a t_eval point equal to a
+    step end, several inside one step, and with a terminal event that
+    fires on the first step."""
+    full, want = _rk45_and_solve_ivp(events=events)
+    ts = full.t
+    assert len(ts) == 2 if events else len(ts) > 8
+    assert full.event == (0 if events else None)
+    for s in np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]))):
+        assert np.array_equal(full.dense(s), want.sol(s))
+    if events:
+        t_eval = [0.0, 0.3 * ts[1], 0.6 * ts[1], 1.0]
+    else:
+        t_eval = np.concatenate(([0.0, ts[2], ts[3]],
+                                 ts[5] + (ts[6] - ts[5]) * np.array(
+                                     [0.1, 0.4, 0.8]), [4.0]))
+    got, _ = _rk45_and_solve_ivp(np.array(t_eval), events)
+    assert len(got.t) == (3 if events else len(t_eval))
 
 
 def test_step_below_float_spacing_is_a_typed_failure():

@@ -88,6 +88,8 @@ def test_scene_validation_errors():
         parse_scene("builtin = product_cone(1.0)\norigin = [0.5, 0, 0]\n")
     with pytest.raises(ConfigError, match="format"):
         parse_scene("builtin = product_cone(1.0)\nformat = yaml\n")
+    with pytest.raises(ConfigError, match="^product_edge f = 2.5 is not"):
+        builtin_scene("product_edge(1, 2.5)")
     # a value that is not a number (or not a whole one, or not a rational
     # order) is a config error naming its key, raised while parsing
     cone = "builtin = product_cone(1.0)\n"
@@ -369,7 +371,12 @@ def test_cli_orders(capsys):
     "partners sphere_edge --y 0 --z 1.2,0.4 --directions -3",
     "partners product_edge(1,3) --y 0 --z 0,0,0 --directions -3",
     "eigencheck product_cone(1.0) --point 1,2,x,4,5,6",
-    "eigencheck product_cone(1.0) --count 0"])
+    "eigencheck product_cone(1.0) --count 0",
+    "eigencheck product_cone(1.0) --tol nan",
+    "eigencheck product_cone(1.0) --tol inf",
+    "eigencheck product_cone(1.0) --tol -1",
+    "validate product_edge(1.5,1)", "validate product_edge(1,2.5)",
+    "validate product_edge(one,1)"])
 def test_cli_rejects_invalid_arguments(argv, capsys):
     """An argument a command cannot use is a config error: exit 2 with
     one line on stderr, not a traceback."""
