@@ -42,6 +42,19 @@ refinement round of the relatedness test), an edge event the limit
 points of its whole extrapolation ladder, and the cogeodesic flow one
 lane per sign of its parameter samples; on the base block glancing
 continuation shoots its tangential geodesic (see gbb).
+
+Partner searches and fiber limit points stop each lane at the edge of
+the fiber chart, the z_box of every fiber coordinate without a period,
+much as an interior ray on an all-chart fiber stops at CHART_EXIT.  The
+smallest margin of the lanes to the box is a terminal event of the
+shot; when it fires, the lanes at the edge are dropped and the others
+restart from the event in a new rk45 call, with what is left of the
+MAX_GEODESIC_STEPS budget, which counts the evaluations of all restarts
+together.  A dropped lane is no endpoint (a NaN row of the shot): it
+gives no partner and an infinite relatedness defect, and a fiber limit
+point off the chart raises FlowEscapedError.  The boundary flow, whose
+orbits sweep fiber arc pi across the z_box of sphere_edge, and base
+shots are not stopped.
 """
 
 from __future__ import annotations
@@ -55,12 +68,12 @@ import numpy as np
 
 from . import ode
 from .errors import (DegenerateMetricError, FlowEscapedError,
-                     IntegrationDivergedError)
+                     IntegrationDivergedError, StepLimitError)
 from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
-MAX_GEODESIC_STEPS = 200000  # field evaluations allowed per _shoot call
+MAX_GEODESIC_STEPS = 20000  # field evaluations per _shoot call, all restarts
 RELATED_GRID = 64      # launch directions of the relatedness test's first grid
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
@@ -98,7 +111,26 @@ def _velocity(field, q, p, *fixed):
     return field.checked(*fixed, state.ravel(), 1.0).reshape(state.shape)[:, 0]
 
 
-def _shoot(field, q0, p0, arc, u=(1.0,), fixed=()):
+def _chart_box(spec):
+    """Bounds (lo, hi) of the fiber chart, one entry per coordinate: the
+    z_box on coordinates without a period, unbounded on the others; None
+    when every coordinate has a period."""
+    periods = spec.fiber.periods
+    if all(period is not None for period in periods):
+        return None
+    return np.array([(-math.inf, math.inf) if period is not None else box
+                     for period, box in zip(periods, spec.z_box)], float).T
+
+
+def _off_chart(spec, what):
+    """FlowEscapedError for a lane of `what` that left the fiber chart."""
+    bounds = ", ".join("z%d in [%.6g, %.6g]" % (a + 1, *spec.z_box[a])
+                       for a, period in enumerate(spec.fiber.periods)
+                       if period is None)
+    return FlowEscapedError("%s leaves the fiber chart %s" % (what, bounds))
+
+
+def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
     """(q, p) at the parameter fractions u of cogeodesic lanes.
 
     field(*fixed, state, arc) is the cogeodesic field of an x = 0 metric
@@ -108,10 +140,20 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=()):
     p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
     broadcast against the n lanes of arc.  All lanes are one ODE in the
     fraction u in [0, 1], whose state is the ravel of shape (n, 2, d).
-    Returns q and p of shape (len(u), n, d).  A zero pivot of the block
-    in any lane raises DegenerateMetricError, a non-finite lane or a
-    collapsing step IntegrationDivergedError, and more than
-    MAX_GEODESIC_STEPS evaluations StepLimitError.
+    Returns q and p of shape (len(u), n, d).
+
+    box = (lo, hi), the bounds of a chart (see _chart_box), stops every
+    lane that starts inside it at the box's edge: the smallest margin
+    of those lanes to the box is a terminal event, and when it fires the
+    lanes at or beyond the edge, and always the one with the smallest
+    margin, are dropped; the others restart from the event.  A dropped
+    lane has NaN q and p at every fraction past its event.  Without a
+    box, or when no lane reaches the edge, the shot is one rk45 call.
+
+    A zero pivot of the block in any lane raises DegenerateMetricError,
+    a non-finite lane or a collapsing step IntegrationDivergedError, and
+    more than MAX_GEODESIC_STEPS evaluations, summed over the restarts,
+    StepLimitError.
     """
     arc = np.asarray(arc, float)
     n, d = arc.size, np.shape(q0)[-1]
@@ -132,11 +174,49 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=()):
                                            "range of the metric")
         return out
 
+    events = ()
+    if box is not None:
+        # lanes that start off the box are not watched: bounds +-inf
+        inside = np.all((box[0] <= state0[:, 0]) & (state0[:, 0] <= box[1]),
+                        axis=1)[:, None]
+        lo = np.where(inside, box[0], -math.inf)
+        hi = np.where(inside, box[1], math.inf)
+
+        def margins(state):
+            q = state.reshape(-1, 2, d)[:, 0]
+            return np.minimum(q - lo, hi - q).min(axis=1)
+        events = ((lambda _, state: margins(state).min(), -1),)
+
+    q, p = np.full((2, len(u), n, d), np.nan)
+    lanes, state, span, at = np.arange(n), state0, 1.0, np.asarray(u, float)
+    done = used = 0
     with np.errstate(all="ignore"):
-        sol = ode.rk45(rhs, 1.0, state0.ravel(), _GEO_RTOL, _GEO_ATOL,
-                       MAX_GEODESIC_STEPS, t_eval=u)
-    states = sol.y.reshape(len(u), n, 2, d)
-    return states[:, :, 0], states[:, :, 1]
+        while True:
+            try:
+                sol = ode.rk45(rhs, span, state.ravel(), _GEO_RTOL,
+                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events,
+                               t_eval=at)
+            except StepLimitError:
+                raise StepLimitError("geodesic shot passed its budget of %d "
+                                     "evaluations" % MAX_GEODESIC_STEPS
+                                     ) from None
+            used += sol.nfev
+            got = sol.y.reshape(-1, lanes.size, 2, d)
+            q[done:done + len(got), lanes] = got[:, :, 0]
+            p[done:done + len(got), lanes] = got[:, :, 1]
+            done += len(got)
+            if sol.event is None or done == len(u):
+                return q, p
+            state = sol.y_stop.reshape(-1, 2, d)
+            margin = margins(state)
+            keep = margin > 0.0
+            keep[np.argmin(margin)] = False
+            if not keep.any():
+                return q, p
+            lanes, state, arc = lanes[keep], state[keep], arc[keep]
+            lo, hi = lo[keep], hi[keep]
+            span -= sol.t_stop
+            at = at[len(got):] - sol.t_stop
 
 
 def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
@@ -144,7 +224,10 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
 
     The parameter matches the boundary flow parameter: the fiber arc
     advances at the constant rate |zeta0|_K.  One lane runs to the most
-    negative and one to the most positive s, sampled on the way.
+    negative and one to the most positive s, sampled on the way.  The
+    lanes are not stopped at the edge of the fiber chart: a boundary
+    orbit sweeps fiber arc pi, which on sphere_edge's polar chart leaves
+    its z_box, and acceptance criterion 4 measures whole orbits.
     """
     s = np.atleast_1d(np.asarray(s_values, float))
     lo, hi = min(s.min(), 0.0), max(s.max(), 0.0)
@@ -158,9 +241,13 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
 
 
 def fiber_geodesic_point(spec, y, z0, direction, arc):
-    """Endpoint of the unit-speed fiber geodesic from z0 after signed arc.
+    """Endpoint of the unit-speed fiber geodesic from z0 after signed arc;
+    FlowEscapedError past the edge of the fiber chart.
     Kept because the benchmark's tracer wraps it."""
-    return _geodesic_ends(spec, y, z0, [direction], arc)[0]
+    end = _geodesic_ends(spec, y, z0, [direction], arc)[0]
+    if np.isnan(end).any():
+        raise _off_chart(spec, "fiber geodesic")
+    return end
 
 
 # --- the boundary flow itself -------------------------------------------
@@ -224,7 +311,8 @@ def fiber_limit_point(spec, q):
 
 def fiber_limit_points(spec, y, z, xi, zeta):
     """fiber_limit_point of many phase points, one per row of y, z and
-    zeta (and entry of xi), from one shot."""
+    zeta (and entry of xi), from one shot.  A limit point past the edge
+    of the fiber chart raises FlowEscapedError."""
     field = spec.evaluator().fiber_cogeodesic
     m = np.sqrt(np.maximum((_velocity(field, z, zeta, y) * zeta).sum(axis=1),
                            0.0))
@@ -234,8 +322,11 @@ def fiber_limit_points(spec, y, z, xi, zeta):
     with np.errstate(divide="ignore", invalid="ignore"):
         arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
     unit = zeta / np.where(moving, m, 1.0)[:, None]
-    return _shoot(field, z, unit, np.where(moving, arc, 0.0),
-                  fixed=(y,))[0][-1]
+    ends = _shoot(field, z, unit, np.where(moving, arc, 0.0), fixed=(y,),
+                  box=_chart_box(spec))[0][-1]
+    if np.isnan(ends).any():
+        raise _off_chart(spec, "fiber limit point")
+    return ends
 
 
 # --- geometric partners -------------------------------------------------
@@ -260,18 +351,21 @@ def _direction_grid(f, n):
 
 def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
-    arc, shot as one ODE; shape (len(directions), f)."""
+    arc, shot as one ODE; shape (len(directions), f), with a NaN row for
+    each geodesic stopped at the edge of the fiber chart."""
     kzz = spec.evaluator().fiber(y, z0)
     zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]
     return _shoot(spec.evaluator().fiber_cogeodesic, z0, zetas,
-                  np.full(len(zetas), arc), fixed=(y,))[0][-1]
+                  np.full(len(zetas), arc), fixed=(y,),
+                  box=_chart_box(spec))[0][-1]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None):
     """Fiber points at unit-speed geodesic distance exactly pi from z_bar.
 
     Samples initial directions, shoots every geodesic to arc pi in one
-    batch, wraps periodic coordinates and deduplicates.  For
+    batch, wraps periodic coordinates and deduplicates.  A geodesic that
+    leaves the fiber chart before arc pi has no partner.  For
     one-dimensional fibers the two orientations are used directly.
     """
     if n_directions is None:
@@ -282,6 +376,8 @@ def geometric_partners(spec, y, z_bar, n_directions=None):
     for z_end in _geodesic_ends(spec, y, z_bar,
                                 _direction_grid(spec.f, n_directions),
                                 math.pi):
+        if np.isnan(z_end).any():
+            continue
         z_end = spec.fiber.wrap(z_end)
         if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
                    < DEDUP_TOL for seen in out):
@@ -313,7 +409,9 @@ def is_geometrically_related(spec, y, z1, z2):
     f >= 2) refines the best candidate in rounds: each round shoots a
     grid on a cap of launch directions around the best so far, and the
     cap shrinks unless the best lies on its rim.  The distance reported
-    is the coordinate defect of the best endpoint.
+    is the coordinate defect of the best endpoint; a geodesic that
+    leaves the fiber chart before arc pi has defect inf, and when every
+    geodesic of the grid does, the test stops there with distance inf.
     """
     y = np.atleast_1d(np.asarray(y, float))
     z1 = np.atleast_1d(np.asarray(z1, float))
@@ -321,14 +419,15 @@ def is_geometrically_related(spec, y, z1, z2):
     f = spec.f
 
     def defects(directions):
-        return [float(np.linalg.norm(spec.fiber.coordinate_delta(z, z2)))
+        gaps = [float(np.linalg.norm(spec.fiber.coordinate_delta(z, z2)))
                 for z in _geodesic_ends(spec, y, z1, directions, math.pi)]
+        return [math.inf if math.isnan(gap) else gap for gap in gaps]
 
     grid = np.array(_direction_grid(f, RELATED_GRID))
     grid_defects = defects(grid)
     i = int(np.argmin(grid_defects))
     best_dir, best = grid[i], grid_defects[i]
-    if f > 1:
+    if f > 1 and best < math.inf:
         others = np.delete(grid, i, axis=0) @ best_dir
         radius = float(np.arccos(np.clip(others.max(), -1.0, 1.0)))
         m = max(2, round(_CAP_LANES ** (1.0 / (f - 1)) / 2))

@@ -172,7 +172,7 @@ def detect_boundary_event(spec, segment, branch_id="0"):
     def fit(seq, scale=1.0):
         nonlocal residual
         value, res = _extrapolate(x_ladder, seq, scale)
-        residual = max(residual, res)
+        residual = float(np.maximum(residual, res))  # keeps a NaN
         return value
 
     t_bar = fit(t_seq, scale=t_seq[0])
@@ -180,7 +180,7 @@ def detect_boundary_event(spec, segment, branch_id="0"):
     xi_hat = fit(xi_hat_seq)
     eta_hat = np.array([fit(eta_hat_seq[:, i]) for i in range(b)])
     z_bar = spec.fiber.wrap(np.array([fit(ups[:, a]) for a in range(f)]))
-    if residual > EVENT_FIT_TOL:
+    if not residual <= EVENT_FIT_TOL:
         raise IllConditionedEventError(
             "boundary extrapolation residual %.3g exceeds %.1g"
             % (residual, EVENT_FIT_TOL))
@@ -190,7 +190,7 @@ def detect_boundary_event(spec, segment, branch_id="0"):
                            zeta=np.zeros(f))
     cls, margin = classify_boundary(spec, normalize_cosphere(probe))
     char_defect = abs(xi_hat * xi_hat - margin)
-    if cls == BoundaryClass.HYPERBOLIC and char_defect > 1e-4:
+    if cls == BoundaryClass.HYPERBOLIC and not char_defect <= 1e-4:
         raise IllConditionedEventError(
             "extrapolated event misses the characteristic set by %.3g"
             % char_defect)

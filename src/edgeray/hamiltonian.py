@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ode
-from .errors import (ConfigError, IllConditionedEventError,
+from .errors import (ConfigError, FlowEscapedError, IllConditionedEventError,
                      IntegrationDivergedError, LaunchFailedError,
                      StepLimitError)
 from .metric import transverse_momentum
@@ -206,7 +206,7 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
                          dense=sol.dense, nfev=sol.nfev)
     segment.p_rel = segment.conserved_log()["p_rel"]
     rel = np.abs(segment.p_rel)
-    if rel.max() > P_DRIFT_MAX:
+    if not rel.max() <= P_DRIFT_MAX:
         raise IntegrationDivergedError(
             "characteristic drift |p|/tau^2 = %.3g exceeds %.1g"
             % (rel.max(), P_DRIFT_MAX))
@@ -332,7 +332,7 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
     try:
         readoff = backward_event(spec, seed, settings).data()
     except (IntegrationDivergedError, IllConditionedEventError,
-            StepLimitError) as err:
+            StepLimitError, FlowEscapedError) as err:
         raise LaunchFailedError("seed probe failed: %s" % err)
     dt = readoff.t_bar - data.t_bar
     dy = readoff.y_bar - data.y_bar

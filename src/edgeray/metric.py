@@ -40,6 +40,8 @@ The fields solve with their metric block by an unrolled LDL^T
 factorization without pivoting (the blocks are positive definite), over
 the entries that are not identically zero; a zero pivot raises
 DegenerateMetricError, or leaves inf or nan in a fast cogeodesic field.
+A coefficient outside its domain (a math domain error or overflow in a
+float instance) raises DegenerateMetricError as well.
 """
 
 from __future__ import annotations
@@ -255,13 +257,17 @@ class _Source:
 
     def define(self, head, start, tail, functions, **names):
         """Exec "def head: start; body; tail" with sin..log from functions,
-        where a ZeroDivisionError raises DegenerateMetricError."""
+        where a ZeroDivisionError raises DegenerateMetricError, and so
+        does a math domain error or overflow of a coefficient."""
         text = "\n".join(["def %s:\n  try:" % head, start] + self.body + [
             tail, "  except ZeroDivisionError:\n    raise _Degenerate("
-            "'metric not invertible: division by zero') from None"])
+            "'metric not invertible: division by zero') from None",
+            "  except (ValueError, OverflowError) as err:\n    raise "
+            "_Degenerate('metric coefficient undefined: %s' % err) from None"])
         namespace = {"_" + name: getattr(functions, name)
                      for name in ex.FUNCTIONS}
         namespace.update(names, ZeroDivisionError=ZeroDivisionError,
+                         ValueError=ValueError, OverflowError=OverflowError,
                          _Degenerate=DegenerateMetricError, __builtins__={})
         exec(_compile(text, "<metric>", "exec"), namespace)
         return namespace[head[:head.index("(")]]
@@ -652,7 +658,8 @@ def validate_normal_form(spec, seed=0):
     """Sample the chart domain and check positivity of the metric blocks.
 
     Failures list sample points where the base or fiber block loses
-    positive-definiteness (eigenvalue below VALIDATION_TOL) or
+    positive-definiteness (eigenvalue below VALIDATION_TOL), a
+    coefficient is undefined (a math domain error or overflow), or
     conditioning blows up.
     """
     ev = spec.evaluator()
@@ -664,7 +671,12 @@ def validate_normal_form(spec, seed=0):
     for x in xs:
         y = np.array([rng.uniform(lo, hi) for lo, hi in spec.y_box])
         z = np.array([rng.uniform(lo, hi) for lo, hi in spec.z_box])
-        G = ev.edge_matrix(float(x), y, z)
+        try:
+            G = ev.edge_matrix(float(x), y, z)
+        except DegenerateMetricError as err:
+            failures.append("%s at x=%.4g y=%s z=%s" % (
+                err, x, np.round(y, 4), np.round(z, 4)))
+            continue
         if not np.all(np.isfinite(G)):
             failures.append("non-finite metric entry at x=%.4g" % x)
             continue

@@ -112,6 +112,8 @@ class Solution:
     nfev: int              # evaluations of the field
     event: int = None      # index of the terminal event that fired
     dense: DenseOutput = None
+    t_stop: float = None       # where the integration stopped: t_end or
+    y_stop: np.ndarray = None  # an event's root; and the state there
 
 
 def _initial_step(f, y0, f0, t_end, rtol, atol):
@@ -139,6 +141,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     Without t_eval, the solution holds every step end and a DenseOutput;
     with t_eval (increasing, inside [0, t_end]) the states at those
     points, interpolated only in steps that hold them (or fire an event).
+    Either way Solution.t_stop and y_stop say where it stopped.
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
@@ -230,10 +233,11 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
                                         t_eval[i_eval:i_new]))
             i_eval = i_new
     if t_eval is not None:
-        return Solution(t=t_eval[:i_eval], y=np.hstack(ys).T, nfev=nfev,
-                        event=fired)
+        states = np.hstack(ys).T if ys else np.empty((0, y.size))
+        return Solution(t=t_eval[:i_eval], y=states, nfev=nfev, event=fired,
+                        t_stop=t, y_stop=y)
     return Solution(t=np.array(ts), y=np.vstack(ys), nfev=nfev, event=fired,
-                    dense=DenseOutput(ts, pieces))
+                    dense=DenseOutput(ts, pieces), t_stop=t, y_stop=y)
 
 
 def brent(f, a, b, xtol, rtol):

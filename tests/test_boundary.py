@@ -567,14 +567,92 @@ def test_batched_shot_raises_typed_errors():
         fiber_limit_point(growing, EdgePhasePoint(
             t=0.0, x=0.0, y=none, z=np.zeros(1), tau=1.0, xi=0.5, eta=none,
             zeta=np.array([math.nan])))
-    # A unit geodesic of k = exp(-2 z1) reaches z1 = +inf after arc 1.
+    # A unit geodesic of k = exp(-2 z1) reaches z1 = +inf after arc 1:
+    # the limit-point lane stops at the chart's edge z1 = pi on the way,
+    # the boundary flow (never stopped at the chart) diverges.
     escaping = make_metric_spec(0, 1, k=[["exp(-2*z1)"]], fiber="chart")
     q = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.zeros(1), tau=1.0,
                        xi=0.0, eta=none, zeta=np.array([1.0]))
-    with pytest.raises(IntegrationDivergedError):
+    with pytest.raises(FlowEscapedError, match="fiber chart"):
         fiber_limit_point(escaping, q)
     with pytest.raises(IntegrationDivergedError):
         boundary_flow(escaping, q, 1.4)
+
+
+def _sphere_geodesic(z0, zeta0):
+    """DOP853 solve of the round-sphere cogeodesic, K = diag(1, 1/sin^2
+    z1), to arc pi, with its dense output."""
+    def rhs(_, state):
+        z1, _, p1, p2 = state
+        s1 = math.sin(z1)
+        return [p1, p2 / s1 ** 2, p2 ** 2 * math.cos(z1) / s1 ** 3, 0.0]
+    return solve_ivp(rhs, (0.0, math.pi), [*z0, *zeta0], method="DOP853",
+                     rtol=1e-13, atol=1e-15, dense_output=True)
+
+
+def test_chart_stop_drops_exactly_the_lanes_that_leave_the_chart():
+    """sphere_edge's chart is z1 in [0.4, pi - 0.4].  Of the 64 arc-pi
+    geodesics of a partner search from z = (1.2, 0.4), the shot drops
+    (NaN) exactly those whose oracle solve leaves that band, and every
+    other lane lands on its oracle endpoint."""
+    spec = builtin_scene("sphere_edge").spec
+    y, z_bar = np.array([0.0]), np.array([1.2, 0.4])
+    lo, hi = spec.z_box[0]
+    directions = _direction_grid(2, 64)
+    ends = boundary._geodesic_ends(spec, y, z_bar, directions, math.pi)
+    leaves = []
+    for direction, end in zip(directions, ends):
+        sol = _sphere_geodesic(z_bar, _oracle_unit_covector(spec, y, z_bar,
+                                                            direction))
+        z1 = sol.sol(np.linspace(0.0, math.pi, 4001))[0]
+        margin = min(z1.min() - lo, hi - z1.max())
+        assert abs(margin) > 1e-3      # no lane grazes the chart's edge
+        leaves.append(margin < 0.0)
+        if margin > 0.0:
+            np.testing.assert_allclose(end, sol.y[:2, -1], rtol=0.0,
+                                       atol=1e-9)
+    assert 0 < sum(leaves) < len(directions)
+    assert np.array_equal(np.isnan(ends).any(axis=1), leaves)
+    assert np.array_equal(np.isnan(ends).all(axis=1), leaves)
+
+
+def test_partner_search_on_a_chart_too_short_for_arc_pi():
+    """On the chart z1 in [-0.5, 0.5] with k = 1 both arc-pi geodesics
+    from 0 leave the chart: no partner, and the relatedness test ends
+    unrelated at distance inf.  Lanes from a point off the chart (where
+    an interior ray on a fiber with a periodic coordinate may end) are
+    not stopped."""
+    spec = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
+                            z_box=[(-0.5, 0.5)])
+    none = np.zeros(0)
+    assert geometric_partners(spec, none, np.zeros(1)) == []
+    res = is_geometrically_related(spec, none, np.zeros(1), np.array([0.3]))
+    assert not res.related
+    assert res.distance == math.inf
+    off = geometric_partners(spec, none, np.array([0.7]))
+    np.testing.assert_allclose(sorted(z[0] for z in off),
+                               [0.7 - math.pi, 0.7 + math.pi], atol=1e-12)
+
+
+def test_limit_point_off_the_chart_is_a_typed_error():
+    """A fiber limit point beyond the chart's edge raises FlowEscapedError
+    naming the chart, also when it is one row of a batch whose other rows
+    stay on the chart; no NaN comes back."""
+    spec = builtin_scene("sphere_edge").spec
+    y = np.zeros((2, 1))
+    z = np.array([[0.5, 1.0], [1.5, 1.0]])
+    zeta = np.array([[-1.0, 0.0], [0.3, 0.2]])
+    xi = np.array([0.0, 1.0])
+    ok = boundary.fiber_limit_points(spec, y[1:], z[1:], xi[1:], zeta[1:])
+    assert np.all(np.isfinite(ok))
+    with pytest.raises(FlowEscapedError, match=r"z1 in \[0.4, 2.74159\]"):
+        boundary.fiber_limit_points(spec, y, z, xi, zeta)
+    with pytest.raises(FlowEscapedError, match="fiber chart"):
+        fiber_limit_point(spec, EdgePhasePoint(
+            t=0.0, x=0.0, y=y[0], z=z[0], tau=1.0, xi=xi[0], eta=np.zeros(1),
+            zeta=zeta[0]))
+    with pytest.raises(FlowEscapedError, match="fiber chart"):
+        fiber_geodesic_point(spec, y[0], z[0], np.array([-1.0, 0.0]), 1.0)
 
 
 def test_related_search_on_three_torus():

@@ -84,6 +84,27 @@ def test_event_extrapolation_matches_flat_closed_form():
     assert event.data().io.value == "incoming"
 
 
+@pytest.mark.parametrize("nan_in", ["residual", "margin"])
+def test_event_extrapolation_fails_closed_on_nan(monkeypatch, nan_in):
+    """A NaN fit residual, or a NaN slow-data margin of a hyperbolic event
+    (so a NaN defect from the characteristic set), raises
+    IllConditionedEventError: neither gate lets a NaN through."""
+    spec = builtin_scene("product_edge(1, 1)").spec
+    q0 = _flat_incoming(spec, 0.2, 0.6, [0.1], [2.0], 0.9, np.array([0.5]))
+    segment = integrate_interior(spec, q0, direction=-1, s_max=5.0)
+    if nan_in == "residual":
+        extrapolate = gbb._extrapolate
+        monkeypatch.setattr(gbb, "_extrapolate", lambda *args: (
+            extrapolate(*args)[0], math.nan))
+        match = "residual nan exceeds"
+    else:
+        monkeypatch.setattr(gbb, "classify_boundary", lambda spec, q: (
+            BoundaryClass.HYPERBOLIC, math.nan))
+        match = "characteristic set by nan"
+    with pytest.raises(IllConditionedEventError, match=match):
+        detect_boundary_event(spec, segment)
+
+
 def test_event_extrapolation_requires_boundary_segment():
     spec = builtin_scene("product_cone(1.0)").spec
     q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),

@@ -8,7 +8,8 @@ import pytest
 
 from edgeray import expr as ex
 from edgeray import hamiltonian
-from edgeray.errors import DegenerateMetricError, StepLimitError
+from edgeray.errors import (DegenerateMetricError, IntegrationDivergedError,
+                            StepLimitError)
 from edgeray.hamiltonian import (BoundaryData, FlowSettings, RayEnd,
                                  RaySegment, Termination, hamilton_field,
                                  integrate_interior, linearization_at_radial,
@@ -230,6 +231,21 @@ def test_step_budget_is_enforced_while_integrating(monkeypatch):
     assert 0 < len(calls) <= 61
 
 
+def test_nan_characteristic_drift_is_a_typed_failure(monkeypatch):
+    """A NaN |p|/tau^2 drift fails the P_DRIFT_MAX gate like a large one."""
+    log = RaySegment.conserved_log
+
+    def poisoned(self):
+        out = log(self)
+        out["p_rel"] = np.full_like(out["p_rel"], math.nan)
+        return out
+    monkeypatch.setattr(RaySegment, "conserved_log", poisoned)
+    spec = builtin_scene("product_edge(1, 1)").spec
+    q0 = _char_point(spec, np.random.default_rng(5))
+    with pytest.raises(IntegrationDivergedError, match="drift"):
+        integrate_interior(spec, q0, direction=-1, s_max=0.5)
+
+
 def test_chart_exit_termination():
     spec = make_metric_spec(b=0, f=1, k=[["1"]], fiber="chart",
                             z_box=[(-0.5, 0.5)])
@@ -321,6 +337,23 @@ def test_launch_validates_direction():
                         sgn_tau=1, xi_hat=0.0, eta_hat=np.zeros(0))
     from edgeray.errors import LaunchFailedError
     with pytest.raises(LaunchFailedError, match="xi_hat = 0"):
+        stable_manifold_launch(spec, data)
+
+
+def test_launch_probe_off_the_chart_is_a_failed_launch(monkeypatch):
+    """A Newton probe whose fiber limit point leaves the chart fails the
+    launch, as a diverging probe does, instead of failing the trace."""
+    from edgeray import gbb
+    from edgeray.errors import FlowEscapedError, LaunchFailedError
+
+    def off_chart(*args):
+        raise FlowEscapedError("fiber limit point leaves the fiber chart")
+    monkeypatch.setattr(gbb, "fiber_limit_points", off_chart)
+    spec = builtin_scene("sphere_edge").spec
+    data = BoundaryData(t_bar=0.0, y_bar=np.zeros(1),
+                        z_bar=np.array([0.4, 1.0]), sgn_tau=1, xi_hat=-1.0,
+                        eta_hat=np.zeros(1))
+    with pytest.raises(LaunchFailedError, match="seed probe failed: fiber"):
         stable_manifold_launch(spec, data)
 
 

@@ -187,6 +187,26 @@ def test_dense_output_matches_solve_ivp_bitwise(events):
     assert len(got.t) == (3 if events else len(t_eval))
 
 
+def test_stop_state_is_returned_with_t_eval():
+    """With t_eval, t_stop and y_stop are where the integration ended: at
+    t_end bit for bit as the last step end, or at an event's root as
+    solve_ivp locates it; t_eval points past the event give no rows."""
+    full = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
+                    SPIRAL["atol"], 10 ** 5)
+    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
+                   SPIRAL["atol"], 10 ** 5, t_eval=[1.0])
+    assert got.t_stop == full.t_stop == full.t[-1] == 4.0
+    assert np.array_equal(got.y_stop, full.y[-1])
+    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
+                   SPIRAL["atol"], 10 ** 5, [(_falling, -1)], t_eval=[3.0])
+    want = solve_ivp(t_span=(0.0, 4.0), method="RK45", events=_falling,
+                     **SPIRAL)
+    assert got.event == 0
+    assert got.t_stop == want.t_events[0][0]
+    assert np.array_equal(got.y_stop, want.y_events[0][0])
+    assert got.t.shape == (0,) and got.y.shape == (0, 3)
+
+
 def test_step_below_float_spacing_is_a_typed_failure():
     """y' = y^2 blows up at t = 1: solve_ivp reports failure, rk45 raises."""
     def rhs(t, y):
@@ -199,13 +219,49 @@ def test_step_below_float_spacing_is_a_typed_failure():
         ode.rk45(rhs, 2.0, [1.0], 1e-8, 1e-10, 10 ** 6)
 
 
-def test_relatedness_lane_through_the_sphere_pole_diverges():
-    """One refinement lane of this sphere_edge relatedness test reaches
-    the pole of the polar chart, where the step size collapses."""
+def _count_rk45(monkeypatch):
+    """Patch ode.rk45 to record the field evaluations of every call,
+    also of a call that raises; returns the list of per-call counts."""
+    rk45, counts = ode.rk45, []
+
+    def counted(fun, *args, **kwargs):
+        counts.append(0)
+
+        def f(t, y):
+            counts[-1] += 1
+            return fun(t, y)
+        return rk45(f, *args, **kwargs)
+    monkeypatch.setattr(ode, "rk45", counted)
+    return counts
+
+
+def test_relatedness_lane_toward_the_sphere_pole_stops_at_the_chart(
+        monkeypatch):
+    """Lanes of this sphere_edge relatedness test that head for the pole
+    of the polar chart, where the step size would collapse, stop at the
+    chart's edge z1 = 0.4: the test ends unrelated after a bounded number
+    of evaluations."""
     spec = builtin_scene("sphere_edge").spec
-    with pytest.raises(IntegrationDivergedError, match="spacing"):
-        boundary.is_geometrically_related(spec, [0.0], [1.3456, 1.3922],
-                                          [1.5708, 1.3922])
+    counts = _count_rk45(monkeypatch)
+    res = boundary.is_geometrically_related(spec, [0.0], [1.3456, 1.3922],
+                                            [1.5708, 1.3922])
+    assert not res.related
+    assert 0.0 < res.distance < math.inf
+    assert sum(counts) < 20000
+
+
+def test_geodesic_budget_is_summed_over_restarts(monkeypatch):
+    """From z1 = 1.2 on sphere_edge, lanes of the partner search leave
+    the chart and the shot restarts; a budget of 400 evaluations runs
+    out in the fourth rk45 call, after exactly 400 evaluations of the
+    field over all four."""
+    spec = builtin_scene("sphere_edge").spec
+    monkeypatch.setattr(boundary, "MAX_GEODESIC_STEPS", 400)
+    counts = _count_rk45(monkeypatch)
+    with pytest.raises(StepLimitError, match="budget of 400 evaluations"):
+        boundary.geometric_partners(spec, [0.0], [1.2, 0.4])
+    assert len(counts) > 1
+    assert sum(counts) == 400
 
 
 def test_evaluation_budget_is_enforced_in_the_integrator():

@@ -272,6 +272,39 @@ def test_cli_trace_refuses_an_invalid_custom_metric(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("k, message", [
+    ("sqrt(z1)", "math domain error"), ("1 + exp(100000*(z1 - 2))", "range")])
+def test_cli_trace_refuses_a_coefficient_undefined_on_the_box(
+        tmp_path, capsys, k, message):
+    """A coefficient outside its domain at a sample of the declared box
+    (sqrt of a negative z1 in z_box = [-1, 3], exp overflowing at x near
+    1) fails validation: a config error, not a traceback."""
+    scene = tmp_path / "undefined.cfg"
+    scene.write_text("b = 0; f = 1\nk = [[%s]]\nfiber = chart\n"
+                     "z_box = [[-1.0, 3.0]]\nt_span = [0.0, 2.0]\n"
+                     "source = [0.0, 0.5, 0.5, 1.0, 0.5, -0.8]\n"
+                     "policy = same_fiber\n" % k)
+    assert main(["trace", str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "metric coefficient undefined" in err and message in err
+
+
+def test_cli_trace_coefficient_undefined_along_a_ray(tmp_path, capsys):
+    """sqrt(1.2 - x) is defined on the validated x in [0, 1]; a ray
+    running outward past x = 1.2 leaves its domain: a numerical failure
+    (exit 3), not a traceback."""
+    scene = tmp_path / "outward.cfg"
+    scene.write_text("b = 0; f = 1\nk = [[1 + sqrt(1.2 - x)]]\n"
+                     "fiber = circle(6.283185307179586)\n"
+                     "t_span = [0.0, 3.0]\n"
+                     "source = [0.0, 0.9, 0.5, 1.0, -1.0, 0.0]\n")
+    assert main(["trace", str(scene)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "metric coefficient undefined: math domain error" in err
+
+
 def test_cli_validate_caps_fail_lines(tmp_path, capsys):
     """A negative-definite fiber block fails at every sample; validate
     prints the first FAIL_LINES of them and a count of the rest."""
