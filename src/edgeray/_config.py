@@ -9,6 +9,8 @@ strings so that coefficient expressions survive untouched.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 
 
@@ -80,11 +82,14 @@ def _try_number(raw):
 
 def config_float(raw, key):
     """A parsed value as a float; ConfigError naming key if it is not a
-    number."""
+    finite number."""
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError("%s = %r is not a number" % (key, raw)) from None
+    if not math.isfinite(value):
+        raise ConfigError("%s = %r is not a finite number" % (key, raw))
+    return value
 
 
 def config_int(raw, key):

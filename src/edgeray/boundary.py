@@ -280,14 +280,14 @@ def boundary_flow(spec, q, s):
     m = fiber_norm(spec, q.y, q.z, q.zeta)
     if m == 0.0:
         factor = 1.0 / (1.0 - q.xi * s)
-        return EdgePhasePoint(t=q.t, x=0.0, y=q.y.copy(), z=q.z.copy(),
+        return EdgePhasePoint(t=q.t, x=0.0, y=q.y, z=q.z,
                               tau=q.tau * factor, xi=q.xi * factor,
-                              eta=q.eta * factor, zeta=q.zeta.copy())
+                              eta=q.eta * factor, zeta=q.zeta)
     C = math.atan2(q.xi, m)
     phase = m * s + C
     stretch = 1.0 / (math.cos(phase) / math.cos(C))
     zs, zetas = fiber_cogeodesic_flow(spec, q.y, q.z, q.zeta, [s])
-    return EdgePhasePoint(t=q.t, x=0.0, y=q.y.copy(), z=zs[0],
+    return EdgePhasePoint(t=q.t, x=0.0, y=q.y, z=zs[0],
                           tau=q.tau * stretch, xi=m * math.tan(phase),
                           eta=q.eta * stretch, zeta=zetas[0])
 

@@ -37,7 +37,7 @@ from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
 from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
-                    normalize_cosphere)
+                    normalize_cosphere, split_state)
 
 N_LADDER = 7
 LADDER_RATIO = 1.6
@@ -134,57 +134,54 @@ def _ladder_parameters(segment):
     return np.array(out), rungs
 
 
-def _extrapolate(xs, values, scale):
-    """Quadratic fit in x through the ladder, evaluated at x = 0."""
+def _extrapolate(xs, values, scales):
+    """Quadratic fit in x of every ladder column, evaluated at x = 0.
+
+    Returns the x = 0 row and the largest column residual
+    max|fit - value| / max(1, |scale|), which keeps a NaN.
+    """
     coeffs = np.polynomial.polynomial.polyfit(xs / xs[0], values, 2)
-    fit = np.polynomial.polynomial.polyval(xs / xs[0], coeffs)
-    residual = float(np.max(np.abs(fit - values))) / max(1.0, abs(scale))
-    return coeffs[0], residual
+    fit = np.polynomial.polynomial.polyval(xs / xs[0], coeffs).T
+    residuals = (np.max(np.abs(fit - values), axis=0)
+                 / np.maximum(1.0, np.abs(scales)))
+    return coeffs[0], float(np.max(residuals))
 
 
 def detect_boundary_event(spec, segment, branch_id="0"):
     """Extrapolate a boundary-approaching segment to x = 0 and classify.
 
     Raises IllConditionedEventError when the fit residuals exceed
-    EVENT_FIT_TOL or the extrapolated data are off the characteristic
-    set.
+    EVENT_FIT_TOL, the extrapolated data are not finite, or they are off
+    the characteristic set.
     """
     if segment.termination != Termination.BOUNDARY_APPROACH:
         raise ValueError("event detection requires a BoundaryApproach "
                          "segment, got %s" % segment.termination.value)
     b, f = spec.b, spec.f
-    itau = 2 + b + f
     s_ladder, x_ladder = _ladder_parameters(segment)
     states = np.array([segment.dense(s) for s in s_ladder])
-    abs_tau = np.abs(states[:, itau])
-    t_seq = states[:, 0]
-    y_seq = states[:, 2:2 + b]
-    xi_hat_seq = states[:, itau + 1] / abs_tau
-    eta_hat_seq = states[:, itau + 2:itau + 2 + b] / abs_tau[:, None]
-    ups = fiber_limit_points(spec, y_seq, states[:, 2 + b:itau],
-                             states[:, itau + 1], states[:, itau + 2 + b:])
+    t, _, y, z, tau, xi, eta, zeta = split_state(states, b, f)
+    abs_tau = np.abs(tau)
+    ups = fiber_limit_points(spec, y, z, xi, zeta)
     # Unwrap the fiber-limit sequence so the fit sees a continuous curve.
     for j in range(1, len(ups)):
         ups[j] = ups[j - 1] + spec.fiber.coordinate_delta(ups[j], ups[j - 1])
-
-    residual = 0.0
-
-    def fit(seq, scale=1.0):
-        nonlocal residual
-        value, res = _extrapolate(x_ladder, seq, scale)
-        residual = float(np.maximum(residual, res))  # keeps a NaN
-        return value
-
-    t_bar = fit(t_seq, scale=t_seq[0])
-    y_bar = np.array([fit(y_seq[:, i], scale=y_seq[0, i]) for i in range(b)])
-    xi_hat = fit(xi_hat_seq)
-    eta_hat = np.array([fit(eta_hat_seq[:, i]) for i in range(b)])
-    z_bar = spec.fiber.wrap(np.array([fit(ups[:, a]) for a in range(f)]))
+    # Columns t, y, xi_hat, eta_hat, z; t and y residuals are relative.
+    row, residual = _extrapolate(
+        x_ladder, np.column_stack((t, y, xi / abs_tau,
+                                   eta / abs_tau[:, None], ups)),
+        np.concatenate(([t[0]], y[0], np.ones(1 + b + f))))
     if not residual <= EVENT_FIT_TOL:
         raise IllConditionedEventError(
             "boundary extrapolation residual %.3g exceeds %.1g"
             % (residual, EVENT_FIT_TOL))
-    sgn_tau = 1 if states[-1, itau] > 0 else -1
+    if not np.isfinite(row).all():
+        raise IllConditionedEventError(
+            "boundary extrapolation gave non-finite event data")
+    t_bar, y_bar, xi_hat = row[0], row[1:1 + b], row[1 + b]
+    eta_hat = row[2 + b:2 + 2 * b]
+    z_bar = spec.fiber.wrap(row[2 + 2 * b:])
+    sgn_tau = 1 if tau[-1] > 0 else -1
     probe = EdgePhasePoint(t=t_bar, x=0.0, y=y_bar, z=z_bar,
                            tau=float(sgn_tau), xi=xi_hat, eta=eta_hat,
                            zeta=np.zeros(f))
@@ -239,10 +236,9 @@ def branch_hyperbolic(spec, event, policy):
     xi_out = -event.xi_hat
 
     def launch(z_point, kind):
-        data = BoundaryData(t_bar=event.t_bar, y_bar=event.y_bar.copy(),
-                            z_bar=np.asarray(z_point, float),
-                            sgn_tau=event.sgn_tau, xi_hat=xi_out,
-                            eta_hat=event.eta_hat.copy())
+        data = BoundaryData(t_bar=event.t_bar, y_bar=event.y_bar,
+                            z_bar=z_point, sgn_tau=event.sgn_tau,
+                            xi_hat=xi_out, eta_hat=event.eta_hat)
         return BranchLaunch(data=data, kind=kind,
                             fiber_point=np.asarray(z_point, float))
 
@@ -307,7 +303,7 @@ def continue_glancing(spec, event, delta):
                             delta)
     xi_re = -event.sgn_tau * GLANCING_XI
     data = BoundaryData(t_bar=event.t_bar + delta, y_bar=path.y[-1],
-                        z_bar=event.z_bar.copy(), sgn_tau=event.sgn_tau,
+                        z_bar=event.z_bar, sgn_tau=event.sgn_tau,
                         xi_hat=xi_re,
                         eta_hat=unit(path.y[-1], path.eta_hat[-1])
                         * math.sqrt(1.0 - xi_re * xi_re))
@@ -484,20 +480,14 @@ def lipschitz_check(path, settings=FlowSettings()):
     and never counted as a slow jump.
     """
     spec = path.spec
-    b = spec.b
-    itau = 2 + b + spec.f
     max_quot = 0.0
     for _, segment in path.segments():
         if len(segment.s) < 2:
             continue
         ds = np.diff(segment.s)
-        abs_tau = np.abs(segment.states[:, itau])
-        slow = np.column_stack((
-            segment.states[:, 0],
-            segment.states[:, 1],
-            segment.states[:, 2:2 + b],
-            segment.states[:, itau + 2:itau + 2 + b] / abs_tau[:, None],
-        ))
+        t, x, y, _, tau, _, eta, _ = split_state(segment.states, spec.b,
+                                                 spec.f)
+        slow = np.column_stack((t, x, y, eta / np.abs(tau)[:, None]))
         quot = np.abs(np.diff(slow, axis=0)) / ds[:, None]
         if quot.size:
             max_quot = max(max_quot, float(quot.max()))

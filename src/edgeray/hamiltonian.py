@@ -48,7 +48,7 @@ from .errors import (ConfigError, FlowEscapedError, IllConditionedEventError,
                      IntegrationDivergedError, LaunchFailedError,
                      StepLimitError)
 from .metric import transverse_momentum
-from .phase import EdgePhasePoint
+from .phase import EdgePhasePoint, set_float_arrays, split_state
 
 EPS_LAUNCH = 1e-3      # height x at which outgoing rays are seeded
 P_DRIFT_MAX = 1e-6     # largest |p|/tau^2 an interior segment may carry
@@ -147,13 +147,13 @@ class RaySegment:
 
     def conserved_log(self):
         """Per-sample (p, p/tau^2, tau/x, |tau|)."""
-        itau = 2 + self.spec.b + self.spec.f
+        _, x, _, _, tau, _, _, _ = split_state(self.states, self.spec.b,
+                                               self.spec.f)
         p = self.spec.evaluator().hamilton_lanes(self.states, 1.0)[0]
-        tau = self.states[:, itau]
         return {
             "p": p,
             "p_rel": p / tau ** 2,
-            "tau_over_x": tau / self.states[:, 1],
+            "tau_over_x": tau / x,
             "abs_tau": np.abs(tau),
         }
 
@@ -275,12 +275,7 @@ class BoundaryData:
     eta_hat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y_bar",
-                           np.atleast_1d(np.asarray(self.y_bar, float)))
-        object.__setattr__(self, "z_bar",
-                           np.atleast_1d(np.asarray(self.z_bar, float)))
-        object.__setattr__(self, "eta_hat",
-                           np.atleast_1d(np.asarray(self.eta_hat, float)))
+        set_float_arrays(self, "y_bar", "z_bar", "eta_hat")
 
     @property
     def io(self):
@@ -296,7 +291,7 @@ def _seed_from_data(spec, data):
         dydt = -(H @ data.eta_hat) / data.sgn_tau
         y_seed = data.y_bar + (t_seed - data.t_bar) * dydt
     else:
-        y_seed = data.y_bar.copy()
+        y_seed = data.y_bar
     zeta = np.zeros(spec.f)
     try:
         xi = transverse_momentum(spec, EPS_LAUNCH, y_seed, data.z_bar,
@@ -305,8 +300,8 @@ def _seed_from_data(spec, data):
     except ValueError as err:
         raise LaunchFailedError(str(err))
     return EdgePhasePoint(t=t_seed, x=EPS_LAUNCH, y=y_seed,
-                          z=data.z_bar.copy(), tau=float(data.sgn_tau), xi=xi,
-                          eta=data.eta_hat.copy(), zeta=zeta)
+                          z=data.z_bar, tau=float(data.sgn_tau), xi=xi,
+                          eta=data.eta_hat, zeta=zeta)
 
 
 def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):

@@ -17,7 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 TOL_G = 1e-9    # |margin| at or below which a boundary point is glancing
+
+
+def split_state(states, b, f):
+    """Views (t, x, y, z, tau, xi, eta, zeta) of the last axis of states
+    in to_vector order; a cosphere vector reads (t, x, y, z, sigma,
+    xi_hat, eta_hat, zeta_hat) in the same slots."""
+    i = 2 + b + f
+    return (states[..., 0], states[..., 1], states[..., 2:2 + b],
+            states[..., 2 + b:i], states[..., i], states[..., i + 1],
+            states[..., i + 2:i + 2 + b], states[..., i + 2 + b:])
+
+
+def set_float_arrays(record, *names):
+    """Store the named fields of a frozen dataclass as own 1-d arrays."""
+    for name in names:
+        object.__setattr__(record, name,
+                           np.array(getattr(record, name), float, ndmin=1))
 
 
 class BoundaryClass(enum.Enum):
@@ -40,10 +59,7 @@ class EdgePhasePoint:
     zeta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, float)))
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, float)))
-        object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, float)))
-        object.__setattr__(self, "zeta", np.atleast_1d(np.asarray(self.zeta, float)))
+        set_float_arrays(self, "y", "z", "eta", "zeta")
 
     def to_vector(self):
         return np.concatenate(([self.t, self.x], self.y, self.z,
@@ -51,15 +67,10 @@ class EdgePhasePoint:
 
     @staticmethod
     def from_vector(vec, b, f):
-        vec = np.asarray(vec, float)
-        iy, iz = 2, 2 + b
-        itau = 2 + b + f
-        return EdgePhasePoint(
-            t=float(vec[0]), x=float(vec[1]),
-            y=vec[iy:iz].copy(), z=vec[iz:itau].copy(),
-            tau=float(vec[itau]), xi=float(vec[itau + 1]),
-            eta=vec[itau + 2:itau + 2 + b].copy(),
-            zeta=vec[itau + 2 + b:].copy())
+        t, x, y, z, tau, xi, eta, zeta = split_state(np.asarray(vec, float),
+                                                     b, f)
+        return EdgePhasePoint(float(t), float(x), y, z, float(tau), float(xi),
+                              eta, zeta)
 
 
 @dataclass(frozen=True)
@@ -81,12 +92,7 @@ class CospherePoint:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, float)))
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, float)))
-        object.__setattr__(self, "eta_hat",
-                           np.atleast_1d(np.asarray(self.eta_hat, float)))
-        object.__setattr__(self, "zeta_hat",
-                           np.atleast_1d(np.asarray(self.zeta_hat, float)))
+        set_float_arrays(self, "y", "z", "eta_hat", "zeta_hat")
 
     def to_vector(self):
         """Order (t, x, y, z, sigma, xi_hat, eta_hat, zeta_hat)."""
@@ -96,16 +102,10 @@ class CospherePoint:
 
     @staticmethod
     def from_vector(vec, b, f, sgn_tau):
-        vec = np.asarray(vec, float)
-        iy, iz = 2, 2 + b
-        isig = 2 + b + f
-        return CospherePoint(
-            t=float(vec[0]), x=float(vec[1]),
-            y=vec[iy:iz].copy(), z=vec[iz:isig].copy(),
-            sgn_tau=int(sgn_tau), sigma=float(vec[isig]),
-            xi_hat=float(vec[isig + 1]),
-            eta_hat=vec[isig + 2:isig + 2 + b].copy(),
-            zeta_hat=vec[isig + 2 + b:].copy())
+        t, x, y, z, sigma, xi_hat, eta_hat, zeta_hat = split_state(
+            np.asarray(vec, float), b, f)
+        return CospherePoint(float(t), float(x), y, z, int(sgn_tau),
+                             float(xi_hat), eta_hat, zeta_hat, float(sigma))
 
 
 def normalize_cosphere(q):
@@ -114,7 +114,7 @@ def normalize_cosphere(q):
         raise ValueError("cannot normalize a covector with tau = 0")
     scale = abs(q.tau)
     return CospherePoint(
-        t=q.t, x=q.x, y=q.y.copy(), z=q.z.copy(),
+        t=q.t, x=q.x, y=q.y, z=q.z,
         sgn_tau=1 if q.tau > 0 else -1,
         xi_hat=q.xi / scale,
         eta_hat=q.eta / scale,
@@ -129,10 +129,13 @@ def boundary_margin(spec, q):
 
 
 def classify_boundary(spec, q):
-    """Classify a boundary point (x = 0) by the slow-data margin."""
+    """Classify a boundary point (x = 0) by the slow-data margin; a
+    margin that is not finite raises NumericalError."""
     if q.x != 0.0:
         raise ValueError("classification applies to boundary points (x = 0)")
     margin = boundary_margin(spec, q)
+    if not np.isfinite(margin):
+        raise NumericalError("boundary margin %r is not finite" % margin)
     if margin > TOL_G:
         cls = BoundaryClass.HYPERBOLIC
     elif margin < -TOL_G:

@@ -28,13 +28,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._config import config_float, config_int, parse_value, split_statements
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DegenerateMetricError, DimensionError
 from .gbb import SAME_FIBER, BranchPolicy
 from .hamiltonian import FlowSettings
 from .metric import (METRIC_KEYS, EdgeMetricSpec, make_metric_spec,
                      metric_spec_from_values)
 from .orders import Nonfocusing, OrderBound
-from .phase import EdgePhasePoint
+from .phase import EdgePhasePoint, set_float_arrays
 
 SCENE_KEYS = ("builtin", "x_max", "y_box", "z_box", "source", "origin",
               "fan_count", "seed", "t_span", "policy", "s_incident",
@@ -50,8 +50,7 @@ class PointSource:
     fan_count: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "origin",
-                           np.atleast_1d(np.asarray(self.origin, float)))
+        set_float_arrays(self, "origin")
         if self.fan_count < 1:
             raise ConfigError("fan_count must be at least 1")
 
@@ -352,9 +351,13 @@ def scenario_rays(config):
                           config.seed)
     rays = []
     for v in dirs:
-        scale = math.sqrt(float(v @ Ginv @ v))
-        u = v / scale
+        norm2 = float(v @ Ginv @ v)
+        if not 0.0 < norm2 < math.inf:
+            raise DegenerateMetricError(
+                "metric is not positive definite at the point-source origin "
+                "(v.G^-1.v = %r)" % norm2)
+        u = v / math.sqrt(norm2)
         rays.append(EdgePhasePoint(
-            t=config.t_span[0], x=x0, y=y0.copy(), z=z0.copy(), tau=1.0,
+            t=config.t_span[0], x=x0, y=y0, z=z0, tau=1.0,
             xi=u[0], eta=u[1:1 + spec.b], zeta=u[1 + spec.b:]))
     return rays

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeray import gbb
 from edgeray.errors import (ConfigError, DegenerateMetricError,
@@ -84,25 +86,54 @@ def test_event_extrapolation_matches_flat_closed_form():
     assert event.data().io.value == "incoming"
 
 
-@pytest.mark.parametrize("nan_in", ["residual", "margin"])
+@pytest.mark.parametrize("nan_in", ["residual", "values", "margin"])
 def test_event_extrapolation_fails_closed_on_nan(monkeypatch, nan_in):
-    """A NaN fit residual, or a NaN slow-data margin of a hyperbolic event
-    (so a NaN defect from the characteristic set), raises
-    IllConditionedEventError: neither gate lets a NaN through."""
+    """A NaN fit residual, NaN extrapolated data with a zero residual, or a
+    NaN slow-data margin of a hyperbolic event (so a NaN defect from the
+    characteristic set), raises IllConditionedEventError: no gate lets a
+    NaN through."""
     spec = builtin_scene("product_edge(1, 1)").spec
     q0 = _flat_incoming(spec, 0.2, 0.6, [0.1], [2.0], 0.9, np.array([0.5]))
     segment = integrate_interior(spec, q0, direction=-1, s_max=5.0)
+    extrapolate = gbb._extrapolate
     if nan_in == "residual":
-        extrapolate = gbb._extrapolate
         monkeypatch.setattr(gbb, "_extrapolate", lambda *args: (
             extrapolate(*args)[0], math.nan))
         match = "residual nan exceeds"
+    elif nan_in == "values":
+        monkeypatch.setattr(gbb, "_extrapolate", lambda *args: (
+            extrapolate(*args)[0] * math.nan, 0.0))
+        match = "non-finite event data"
     else:
         monkeypatch.setattr(gbb, "classify_boundary", lambda spec, q: (
             BoundaryClass.HYPERBOLIC, math.nan))
         match = "characteristic set by nan"
     with pytest.raises(IllConditionedEventError, match=match):
         detect_boundary_event(spec, segment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_end=st.floats(1e-6, 1e-3), ratio=st.floats(1.2, 1.6),
+       columns=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_ladder_fit_equals_per_column_fits(x_end, ratio, columns, seed):
+    """_extrapolate fits all ladder columns in one least-squares solve; its
+    x = 0 row and residual equal those of one polyfit per column, bit for
+    bit (the event data and every dump rest on this)."""
+    rng = np.random.default_rng(seed)
+    xs = x_end * ratio ** np.arange(gbb.N_LADDER)
+    u = xs / xs[0]
+    coeffs = rng.normal(size=(3, columns)) * 10.0 ** rng.uniform(
+        -6, 2, size=(3, columns))
+    values = (coeffs[0] + u[:, None] * (coeffs[1] + u[:, None] * coeffs[2])
+              + 1e-9 * rng.normal(size=(len(u), columns)))
+    scales = rng.normal(size=columns) * 10.0
+    row, residual = gbb._extrapolate(xs, values, scales)
+    P = np.polynomial.polynomial
+    fits = [P.polyfit(u, values[:, j], 2) for j in range(columns)]
+    assert np.array_equal(row, [c[0] for c in fits])
+    assert residual == max(
+        float(np.max(np.abs(P.polyval(u, c) - values[:, j])))
+        / max(1.0, abs(scales[j])) for j, c in enumerate(fits))
 
 
 def test_event_extrapolation_requires_boundary_segment():

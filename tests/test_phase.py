@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from edgeray.errors import NumericalError
 from edgeray.phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
                            boundary_margin, classify_boundary,
-                           normalize_cosphere)
+                           normalize_cosphere, split_state)
 from edgeray.metric import transverse_momentum, wave_symbol
 from edgeray.scenes import builtin_scene
 
@@ -27,6 +30,29 @@ def test_vector_roundtrip():
     u = normalize_cosphere(q)
     u2 = CospherePoint.from_vector(u.to_vector(), 1, 1, u.sgn_tau)
     assert np.array_equal(u.to_vector(), u2.to_vector())
+
+
+@given(b=st.integers(0, 3), f=st.integers(1, 3), rows=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_split_state_reads_the_vector_layout(b, f, rows, seed):
+    """split_state of to_vector() gives the point's fields; on a stack of
+    states it gives views equal to per-row from_vector."""
+    rng = np.random.default_rng(seed)
+    t, x, tau, xi = rng.normal(size=4)
+    y, z, eta, zeta = (rng.normal(size=n) for n in (b, f, b, f))
+    q = EdgePhasePoint(t=t, x=x, y=y, z=z, tau=tau, xi=xi, eta=eta,
+                       zeta=zeta)
+    parts = split_state(q.to_vector(), b, f)
+    for part, value in zip(parts, (t, x, y, z, tau, xi, eta, zeta)):
+        assert np.array_equal(part, value)
+    states = rng.normal(size=(rows, 2 * (2 + b + f)))
+    parts = split_state(states, b, f)
+    assert all(np.shares_memory(part, states) for part in parts if part.size)
+    for i in range(rows):
+        p = EdgePhasePoint.from_vector(states[i], b, f)
+        row = (p.t, p.x, p.y, p.z, p.tau, p.xi, p.eta, p.zeta)
+        for part, value in zip(parts, row):
+            assert np.array_equal(part[i], value)
 
 
 def test_normalize_and_undo_gauge():
@@ -73,6 +99,9 @@ def test_classification_trichotomy():
             t=0.0, x=0.1, y=np.zeros(1), z=np.zeros(1), sgn_tau=1,
             xi_hat=0.0, eta_hat=np.zeros(1), zeta_hat=np.zeros(1),
             sigma=0.0))
+    # a NaN margin is a numerical failure, not a glancing point
+    with pytest.raises(NumericalError, match="margin nan is not finite"):
+        classify_boundary(spec, probe(math.nan))
 
 
 def test_margin_uses_base_cometric():

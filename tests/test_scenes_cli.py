@@ -221,6 +221,36 @@ def test_cli_trace_rejects_source_at_edge_or_with_zero_tau(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scene_text, key", [
+    ("builtin = product_cone(1.0)\n"
+     "source = [0.0, 0.5, 0.0, 1.0, nan, 0.0]\n", "source"),
+    ("builtin = sphere_edge\norigin = [0.5, 0.0, nan, 1.0]\n", "origin"),
+    ("builtin = product_cone(1.0)\norigin = [0.5, inf]\n", "origin"),
+    ("builtin = product_cone(1.0)\nt_span = [0.0, inf]\n", "t_span")])
+def test_cli_trace_refuses_non_finite_numbers(tmp_path, capsys, scene_text,
+                                              key):
+    """A nan or inf scene value is a config error naming its key (exit 2),
+    not a traceback or a failed integration."""
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(scene_text)
+    assert main(["trace", str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s = " % key)
+    assert "is not a finite number" in err
+
+
+def test_cli_trace_fails_typed_at_an_indefinite_origin(tmp_path, capsys):
+    """A point source where the metric is indefinite (k = 1 - z1 < 0 at
+    z1 = 2, outside the validated z_box) is a numerical failure (exit 3)."""
+    scene = tmp_path / "indefinite.cfg"
+    scene.write_text("b = 0\nf = 1\nk = [[1 - z1]]\nfiber = chart\n"
+                     "z_box = [[-0.5, 0.5]]\norigin = [0.5, 2.0]\n"
+                     "fan_count = 4\n")
+    assert main(["trace", str(scene)]) == 3
+    assert "not positive definite at the point-source origin" in (
+        capsys.readouterr().err)
+
+
 def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
                                                             capsys):
     """Outgoing rays are seeded at EPS_LAUNCH = 1e-3, so an x_stop at or
@@ -404,6 +434,7 @@ def test_cli_orders(capsys):
     "partners sphere_edge --y 0 --z 1.2,0.4 --directions -3",
     "partners product_edge(1,3) --y 0 --z 0,0,0 --directions -3",
     "eigencheck product_cone(1.0) --point 1,2,x,4,5,6",
+    "eigencheck product_cone(1.0) --point 0,0,0,0,nan,0",
     "eigencheck product_cone(1.0) --count 0",
     "eigencheck product_cone(1.0) --tol nan",
     "eigencheck product_cone(1.0) --tol inf",
