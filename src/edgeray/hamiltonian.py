@@ -27,12 +27,12 @@ sigma = 1/|tau|) and rescales time by sigma; it vanishes exactly at
 x = 0, zeta_hat = 0, sigma = 0 on the characteristic set (radial
 points), where its linearization has eigenvalues -xi_hat, 0, +xi_hat.
 
-Numerical integration (``ode.rk45``, with the boundary threshold and
-the chart exit as terminal events) further rescales the field by
-1/(x|tau|), a positive factor that leaves trajectories unchanged while
-making the parameter advance at unit speed in t; the approach to the
-boundary then costs a bounded parameter interval instead of slowing
-down algebraically.
+Numerical integration (``ode.rk45`` stepping on tuples of floats, with
+the boundary threshold and the chart exit as terminal events) further
+rescales the field by 1/(x|tau|), a positive factor that leaves
+trajectories unchanged while making the parameter advance at unit speed
+in t; the approach to the boundary then costs a bounded parameter
+interval instead of slowing down algebraically.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class RayEnd(enum.Enum):
 
 def hamilton_field(spec, q):
     """Field value at an edge phase point, ordered like q.to_vector()."""
-    return spec.evaluator().hamilton(q.to_vector(), 1.0)[1]
+    return np.array(spec.evaluator().hamilton(q.to_vector().tolist(), 1.0)[1])
 
 
 def rescaled_field(spec, q):
@@ -112,8 +112,8 @@ def _rescaled_vector(ev, vec, sgn_tau):
     # and the hatted covector scale by -w_xi, which keeps it exact at
     # sigma = 0.
     isig = 2 + ev.b + ev.f
-    out = ev.hamilton(np.concatenate((vec[:isig], [sgn_tau], vec[isig + 1:])),
-                      1.0)[1]
+    out = np.array(ev.hamilton(vec[:isig].tolist() + [float(sgn_tau)]
+                               + vec[isig + 1:].tolist(), 1.0)[1])
     w_xi = out[isig] * sgn_tau
     out[isig] = -vec[isig] * w_xi
     out[isig + 1:] -= vec[isig + 1:] * w_xi
@@ -131,6 +131,7 @@ class RaySegment:
     termination: Termination
     dense: object = None        # ode.DenseOutput over the parameter s
     nfev: int = 0
+    rejected: int = 0           # step attempts the error control rejected
     p_rel: np.ndarray = None    # per-sample p/tau^2, from the drift gate
 
     def point(self, i):
@@ -177,24 +178,21 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
     itau = 2 + spec.b + spec.f
 
     def rhs(s, vec):
-        return hamilton(vec, float(direction / (vec[1] * abs(vec[itau]))))[1]
+        return hamilton(vec, direction / (vec[1] * abs(vec[itau])))[1]
 
     def hit_boundary(s, vec):
         return vec[1] - settings.x_stop
 
     events = [(hit_boundary, -1)]
     if spec.fiber.kind == "chart":
-        lo = np.array([box[0] for box in spec.z_box])
-        hi = np.array([box[1] for box in spec.z_box])
+        box = list(enumerate(spec.z_box, 2 + spec.b))   # (index, (lo, hi))
 
         def chart_exit(s, vec):
-            z = vec[2 + spec.b:itau]
-            over = np.maximum(z - hi, lo - z)
-            return -float(over.max())
+            return -max(max(vec[i] - hi, lo - vec[i]) for i, (lo, hi) in box)
         events.append((chart_exit, 0))
 
     sol = ode.rk45(rhs, s_max, q0.to_vector(), settings.rtol, settings.atol,
-                   MAX_STEPS, events)
+                   MAX_STEPS, events, floats=True)
     if sol.event is None:
         termination = Termination.TIME_LIMIT
     elif sol.event == 0:
@@ -203,7 +201,7 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
         termination = Termination.CHART_EXIT
     segment = RaySegment(spec=spec, direction=direction, s=sol.t,
                          states=sol.y, termination=termination,
-                         dense=sol.dense, nfev=sol.nfev)
+                         dense=sol.dense, nfev=sol.nfev, rejected=sol.rejected)
     segment.p_rel = segment.conserved_log()["p_rel"]
     rel = np.abs(segment.p_rel)
     if not rel.max() <= P_DRIFT_MAX:

@@ -28,8 +28,8 @@ entry and per distinct function call:
   * the kernel returns G and every partial dG/dv from a single call, and
     each pointwise reader slices it;
   * the Hamilton field of the hamiltonian module, with the symbol p, in
-    two instances of one source: math on floats at one phase point, and
-    numpy over a lane axis of states;
+    two instances of one source: math on a tuple of floats at one phase
+    point, and numpy over a lane axis of states;
   * for each x = 0 block, the fiber block kzz along z and the base block
     h along y, a function returning the block over a lane axis (the
     fiber and base cometrics read it), and, for the geodesic shooter,
@@ -422,9 +422,9 @@ def _generate_hamilton(b, f, entries, src):
     and only the (b + f) block is solved (_symmetric_solve); the
     quadratic forms w.dG/dv.w run over the nonzero entries.  Each entry
     of H is summed left to right as the hamiltonian module writes it.
-    One source, two instances: scalar runs on Python floats with math;
-    lanes runs with numpy on a (n, 2 nv) array of states, one per row,
-    checks its pivots, and returns p of shape (n,) and the fields as rows.
+    One source, two instances: scalar maps a sequence of floats to a
+    float and a tuple, with math; lanes runs with numpy on the rows of a
+    (n, 2 nv) array, checks its pivots, and returns p and fields as rows.
     """
     nv = 1 + b + f
     itau = 1 + nv
@@ -457,18 +457,18 @@ def _generate_hamilton(b, f, entries, src):
              + ["0.5 * %s" % q if q else "0.0" for q in quad[1 + b:]])
     lines.append("    p = tau * tau - (%s)" % " + ".join(
         ["xi * xi"] + ["%s * %s" % pair for pair in zip(u, w)]))
-    start = ("    state = _values(state)\n"
-             "    x, y, z = state[1], state[2:%d], state[%d:%d]\n"
+    start = ("    x, y, z = state[1], state[2:%d], state[%d:%d]\n"
              "    tau, xi, %s = state[%d:]"
              % (2 + b, 2 + b, itau, ", ".join(u), itau))
-    tail = "\n".join(lines + ["    return p, _pack([%s])" % ", ".join(
-        "(%s) * scale" % text for text in field)])
+    values = ", ".join("(%s) * scale" % text for text in field)
     head = "hamilton(state, scale)"
-    return (src.define(head, start, "\n".join(plain + [tail]), math,
-                       _values=np.ndarray.tolist, _pack=np.array),
-            src.define(head, start, "\n".join(checked + [tail]), np,
-                       _values=lambda states: np.asarray(states).T,
-                       _pack=_stack_lanes, _pivot=_lane_pivots))
+    return (src.define(head, start, "\n".join(
+                plain + lines + ["    return p, (%s,)" % values]), math),
+            src.define(head, "    state = _asarray(state).T\n" + start,
+                       "\n".join(checked + lines + [
+                           "    return p, _pack((%s,))" % values]), np,
+                       _asarray=np.asarray, _pack=_stack_lanes,
+                       _pivot=_lane_pivots))
 
 
 def _generate_block(head, matrix, var):
@@ -541,8 +541,8 @@ class MetricEvaluator:
     (x, y1..yb, z1..zf); nv = 1 + b + f.  ``kernel(x, y, z)`` returns
     (G, dG) with dG[v] = dG/dv, shapes (nv, nv) and (nv, nv, nv).
     ``hamilton(state, scale)`` returns (p, scale * H), the symbol and
-    the flow field of the hamiltonian module at one phase point, as a
-    float and an array; ``hamilton_lanes(states, scale)`` does the same
+    the flow field of the hamiltonian module at one phase point (floats),
+    as a float and a tuple; ``hamilton_lanes(states, scale)`` does the same
     for the rows of a (n, 2 nv) array of states, from the same source.
     ``fiber(y, z)`` returns the x = 0 fiber block kzz, shape (f, f); y
     and z may carry a leading lane axis (shapes (n, b) and (n, f)), which

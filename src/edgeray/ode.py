@@ -2,23 +2,25 @@
 
 Every ODE edgeray solves (interior bicharacteristics, and the lanes of
 fiber and base cogeodesics at x = 0) goes through ``rk45``, and every
-scalar root through ``brent``.  Both repeat scipy's algorithms operation
-for operation: ``rk45`` is the RK45 method of
+scalar root through ``brent``.  ``rk45`` is the RK45 method of
 ``scipy.integrate.solve_ivp`` (the Dormand-Prince pair with Shampine's
 quartic dense output, the Hairer-Norsett-Wanner initial step, safety
 factor 0.9, step factors between 0.2 and 10, an RMS error norm, and
-terminal events located on the step interpolant), and ``brent`` is a
-transcription of the C source of ``scipy.optimize.brentq``.  The same
-floating-point operations in the same order give the same numbers to
-the last bit, so a trace reads the same as one made with scipy, while
-edgeray no longer imports scipy.integrate and scipy.optimize, which
-took most of the time of ``import edgeray``.
+terminal events located on the step interpolant).  On arrays it repeats
+scipy operation for operation, so the shooter's lanes read the same as
+with scipy to the last bit; interior rays step on tuples of floats in
+generated straight-line code (``_float_step``), which rounds its stage
+sums differently.  ``brent`` is a transcription of the C source of
+``scipy.optimize.brentq``.  edgeray does not import scipy.integrate and
+scipy.optimize, which took most of the time of ``import edgeray``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -64,6 +66,12 @@ def _rms(v):
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
+def _piece(t_old, y_old, h, K):
+    """Dense output of a step from the buffer K of its seven stage rows."""
+    Q = np.frombuffer(K).reshape(7, -1).T.dot(P)
+    return t_old, h, np.asarray(y_old), Q
+
+
 def _interpolate(piece, t):
     """Dense output of one step, (t_old, h, y_old, Q), at a scalar t."""
     t_old, h, y_old, Q = piece
@@ -95,14 +103,15 @@ class DenseOutput:
     at a step end that is the earlier of the two steps.
     """
 
-    def __init__(self, ts, pieces):
-        self.ts = ts
-        self.pieces = pieces
+    def __init__(self, ts, ys, hs, ks):
+        self.ts, self.ys, self.hs, self.ks, self.cache = ts, ys, hs, ks, {}
 
     def __call__(self, t):
-        i = bisect.bisect_left(self.ts, t) - 1
-        return _interpolate(self.pieces[min(max(i, 0), len(self.pieces) - 1)],
-                            t)
+        i = min(max(bisect.bisect_left(self.ts, t), 1), len(self.hs)) - 1
+        if i not in self.cache:
+            self.cache[i] = _piece(self.ts[i], self.ys[i], self.hs[i],
+                                   self.ks[i])
+        return _interpolate(self.cache[i], t)
 
 
 @dataclass
@@ -114,15 +123,17 @@ class Solution:
     dense: DenseOutput = None
     t_stop: float = None       # where the integration stopped: t_end or
     y_stop: np.ndarray = None  # an event's root; and the state there
+    rejected: int = 0      # step attempts the error test rejected
 
 
-def _initial_step(f, y0, f0, t_end, rtol, atol):
+def _initial_step(f, y0, f0, t_end, rtol, atol, floats):
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = f(h0, y0 + h0 * f0)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(f(h0, y1.tolist() if floats else y1))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -131,7 +142,53 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
-def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
+def _numpy_step(n):
+    """_float_step's step on arrays, as scipy takes it; K is reused."""
+    K = np.empty((7, n))
+    stages = [(float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
+
+    def step(fun, t, y, fy, h, rtol, atol):
+        K[0] = fy
+        for s, (c, k, a) in enumerate(stages, 1):
+            K[s] = fun(t + c * h, y + np.dot(k, a) * h)
+        y_new = y + h * np.dot(K[:-1].T, B)
+        K[-1] = f_new = fun(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        return y_new, f_new, _rms(np.dot(K.T, E) * h / scale), K
+    return step
+
+
+@functools.cache
+def _float_step(n):
+    """step(fun, t, y, fy, h, rtol, atol) -> (y_new, f_new, error_norm,
+    stage rows as bytes) on tuples of n floats, in straight-line code that
+    sums left to right, over the nonzero tableau entries and components."""
+    def row(prefix):    # "k2_0, k2_1, ..", the n names of a row
+        return ", ".join("%s%d" % (prefix, j) for j in range(n))
+
+    def total(coeffs, j):
+        return " + ".join("%r * k%d_%d" % (c, s, j)
+                          for s, c in enumerate(coeffs.tolist()) if c)
+    lines = ["%s, = y" % row("y"), "%s, = fy" % row("k0_")] + [
+        "%s, = fun(t + %s * h, (%s,))" % (row("k%d_" % s), C[s], ", ".join(
+            "y%d + (%s) * h" % (j, total(A[s, :s], j)) for j in range(n)))
+        for s in range(1, 6)] + [
+        "n%d = y%d + h * (%s)" % (j, j, total(B, j)) for j in range(n)] + [
+        "y_new = (%s,)" % row("n"), "f_new = fun(t + h, y_new)",
+        "%s, = f_new" % row("k6_")] + [
+        "a, b = abs(y%d), abs(n%d)\n    e%d = (%s) * h / (atol + (a if a > b "
+        "else b) * rtol)" % (j, j, j, total(E, j)) for j in range(n)]
+    ns = {"_sqrt": math.sqrt, "_pack": struct.Struct("%dd" % (7 * n)).pack}
+    exec("def step(fun, t, y, fy, h, rtol, atol):\n    %s\n    return y_new, "
+         "f_new, _sqrt(%s) / %r, _pack(%s)" % (
+             "\n    ".join(lines), " + ".join("e%d * e%d" % (j, j)
+                                             for j in range(n)),
+             n ** 0.5, ", ".join(row("k%d_" % s) for s in range(7))), ns)
+    return ns["step"]
+
+
+def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None,
+         floats=False):
     """Integrate dy/dt = fun(t, y) from y(0) = y0 to t = t_end > 0.
 
     The local error of each step is kept below atol + rtol*|y|.  Every
@@ -142,32 +199,35 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     with t_eval (increasing, inside [0, t_end]) the states at those
     points, interpolated only in steps that hold them (or fire an event).
     Either way Solution.t_stop and y_stop say where it stopped.
+    With floats, fun maps a sequence of floats to a tuple (_float_step).
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
     if not t_end > 0.0:
         raise ValueError("integration needs t_end > 0, got %r" % t_end)
-    y = np.asarray(y0, float)
-    if not np.isfinite(y).all():
+    y0 = np.asarray(y0, float)
+    if not np.isfinite(y0).all():
         raise ValueError("initial state must be finite")
-    nfev = 0
+    nfev = n_rejected = 0
 
-    def f(t, y):
+    def spend(count):
         nonlocal nfev
-        nfev += 1
-        if nfev > max_nfev:
+        if nfev + count > max_nfev:
             raise StepLimitError("integration passed its budget of %d "
                                  "evaluations" % max_nfev)
+        nfev += count
+
+    def f(t, y):
+        spend(1)
         return fun(t, y)
 
     t = 0.0
+    step = (_float_step if floats else _numpy_step)(y0.size)
+    y = tuple(y0.tolist()) if floats else y0
     fy = f(t, y)
-    h_abs = _initial_step(f, y, fy, t_end, rtol, atol)
-    K = np.empty((7, y.size))
-    stages = [(float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 6)]
-    abs_y = np.abs(y)
+    h_abs = _initial_step(f, y0, np.asarray(fy), t_end, rtol, atol, floats)
     if t_eval is None:
-        ts, ys, pieces = [t], [y], []
+        ts, ys, hs, ks = [t], [y], [], bytearray()   # ks: stage rows
     else:
         t_eval = np.asarray(t_eval, float)
         evals, ys, i_eval = t_eval.tolist(), [], 0
@@ -176,7 +236,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     while fired is None and t < t_end:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
-        rejected = False
+        tries = n_rejected
         while True:
             if h_abs < min_step:
                 raise IntegrationDivergedError(
@@ -185,35 +245,33 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = fy
-            for s, (c, k, a) in enumerate(stages, 1):
-                K[s] = f(t + c * h, y + np.dot(k, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = f(t + h, y_new)
-            scale = atol + np.maximum(abs_y, abs_new := np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            spend(6 if floats else 0)   # f counts the numpy evaluations
+            try:
+                y_new, f_new, error_norm, K = step(fun if floats else f, t,
+                                                   y, fy, h, rtol, atol)
+            except ZeroDivisionError:   # on floats, where numpy has inf
+                error_norm = math.inf   # or nan: the step fails its test
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
                 else:
                     factor = min(MAX_FACTOR,
                                  SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
+                if n_rejected > tries:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
-        step = (t, h, y)    # with K.T @ P, the dense output of this step
-        piece = None if t_eval is not None else step + (K.T.dot(P),)
-        t, y, fy, abs_y = t_new, y_new, f_new, abs_new
+            n_rejected += 1
+        taken, piece = (t, y, h, K), None
+        t, y, fy = t_new, y_new, f_new
         if events:
             g_new = [event(t, y) for event, _ in events]
             active = [i for i, (_, sign) in enumerate(events)
                       if (sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
                       or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)]
             if active:
-                piece = piece or step + (K.T.dot(P),)
+                piece = _piece(*taken)
                 roots = [brent(lambda u, i=i: events[i][0](
                     u, _interpolate(piece, u)), piece[0], t, 4 * EPS, 4 * EPS)
                     for i in active]
@@ -226,18 +284,21 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
             if len(ts) == 1 or ts[-1] != t:    # an event root at the last
                 ts.append(t)                   # step end adds no step
                 ys.append(y)
-                pieces.append(piece)
+                hs.append(h)
+                ks += memoryview(K)    # a bytearray, not numpy's +
         elif i_eval < len(evals) and evals[i_eval] <= t:
             i_new = bisect.bisect_right(evals, t, i_eval)
-            ys.append(_interpolate_many(piece or step + (K.T.dot(P),),
+            ys.append(_interpolate_many(piece or _piece(*taken),
                                         t_eval[i_eval:i_new]))
             i_eval = i_new
     if t_eval is not None:
-        states = np.hstack(ys).T if ys else np.empty((0, y.size))
+        states = np.hstack(ys).T if ys else np.empty((0, len(y)))
         return Solution(t=t_eval[:i_eval], y=states, nfev=nfev, event=fired,
-                        t_stop=t, y_stop=y)
-    return Solution(t=np.array(ts), y=np.vstack(ys), nfev=nfev, event=fired,
-                    dense=DenseOutput(ts, pieces), t_stop=t, y_stop=y)
+                        t_stop=t, y_stop=np.asarray(y), rejected=n_rejected)
+    states, ks = np.array(ys), np.frombuffer(ks).reshape(len(hs), 7, -1)
+    return Solution(t=np.array(ts), y=states, nfev=nfev, event=fired,
+                    dense=DenseOutput(ts, states, hs, ks), t_stop=t,
+                    y_stop=np.asarray(y), rejected=n_rejected)
 
 
 def brent(f, a, b, xtol, rtol):

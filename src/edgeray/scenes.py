@@ -347,16 +347,16 @@ def scenario_rays(config):
     z0 = o[1 + spec.b:]
     ev = spec.evaluator()
     Ginv = ev.dual_matrix(x0, y0, z0)
+    low = np.linalg.eigvalsh(ev.edge_matrix(x0, y0, z0)).min()
+    if not low > 0.0:
+        raise DegenerateMetricError(
+            "metric is not positive definite at the point-source origin %s "
+            "(smallest eigenvalue %.3g)" % (o.tolist(), low))
     dirs = fan_directions(1 + spec.b + spec.f, config.source.fan_count,
                           config.seed)
     rays = []
     for v in dirs:
-        norm2 = float(v @ Ginv @ v)
-        if not 0.0 < norm2 < math.inf:
-            raise DegenerateMetricError(
-                "metric is not positive definite at the point-source origin "
-                "(v.G^-1.v = %r)" % norm2)
-        u = v / math.sqrt(norm2)
+        u = v / math.sqrt(float(v @ Ginv @ v))
         rays.append(EdgePhasePoint(
             t=config.t_span[0], x=x0, y=y0, z=z0, tau=1.0,
             xi=u[0], eta=u[1:1 + spec.b], zeta=u[1 + spec.b:]))

@@ -157,7 +157,7 @@ def test_generated_field_matches_the_numpy_field(name, data):
     assert lane_field.shape == rows.shape
     for k, vec in enumerate(rows):
         want_p, want = _reference_field(ev, vec)
-        p, field = ev.hamilton(vec, scale)
+        p, field = ev.hamilton(vec.tolist(), scale)
         # p = tau^2 - u.w may cancel: compare it at the size of its terms
         tau2 = vec[2 + spec.b + spec.f] ** 2
         _assert_close(p, want_p, tau2 + abs(tau2 - want_p))

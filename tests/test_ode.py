@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import strategies as st
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from edgeray import boundary, ode
@@ -48,57 +50,282 @@ def _chart_exit_ray():
     return spec, q0, 8.0
 
 
-def _solve_ivp_interior(spec, q0, direction, settings, s_max):
-    """integrate_interior's ODE and events, handed to solve_ivp."""
+def _interior_problem(spec, q0, direction, settings):
+    """integrate_interior's field and events, written out again: the field
+    on sequences of floats, events as (g, direction) pairs."""
     hamilton = spec.evaluator().hamilton
     itau = 2 + spec.b + spec.f
 
     def rhs(s, vec):
-        return hamilton(vec, float(direction / (vec[1] * abs(vec[itau]))))[1]
+        return hamilton(vec, direction / (vec[1] * abs(vec[itau])))[1]
 
     def hit_boundary(s, vec):
         return vec[1] - settings.x_stop
-    hit_boundary.terminal = True
-    hit_boundary.direction = -1
-    events = [hit_boundary]
+    events = [(hit_boundary, -1)]
     if spec.fiber.kind == "chart":
-        lo = np.array([box[0] for box in spec.z_box])
-        hi = np.array([box[1] for box in spec.z_box])
-
         def chart_exit(s, vec):
             z = vec[2 + spec.b:itau]
-            return -float(np.maximum(z - hi, lo - z).max())
-        chart_exit.terminal = True
-        events.append(chart_exit)
-    return solve_ivp(rhs, (0.0, s_max), q0.to_vector(), method="RK45",
-                     rtol=settings.rtol, atol=settings.atol,
-                     dense_output=True, events=events)
+            return -max(max(z[a] - hi, lo - z[a])
+                        for a, (lo, hi) in enumerate(spec.z_box))
+        events.append((chart_exit, 0))
+    return rhs, events
 
 
-@pytest.mark.parametrize("ray, termination", [
+def _solve_ivp_interior(spec, q0, direction, settings, s_max):
+    """integrate_interior's ODE and events, handed to solve_ivp."""
+    rhs, events = _interior_problem(spec, q0, direction, settings)
+    for g, sign in events:
+        g.terminal, g.direction = True, sign
+    return solve_ivp(lambda s, vec: rhs(s, vec.tolist()), (0.0, s_max),
+                     q0.to_vector(), method="RK45", rtol=settings.rtol,
+                     atol=settings.atol, dense_output=True,
+                     events=[g for g, _ in events])
+
+
+def _total(coeffs, K, j):
+    """sum_s coeffs[s] * K[s][j], left to right over the nonzero coeffs."""
+    acc = None
+    for c, k in zip(coeffs, K):
+        if c:
+            acc = c * k[j] if acc is None else acc + c * k[j]
+    return acc
+
+
+def _reference_step(fun, t, y, fy, h, rtol, atol):
+    """One Dormand-Prince step on floats, written from scipy's RK45
+    tableau: (y_new, f_new, error_norm, K) with K the seven stage rows."""
+    n = len(y)
+    K = [tuple(fy)]
+    for s in range(1, 6):
+        K.append(fun(t + float(RK45.C[s]) * h, tuple(
+            y[j] + _total(RK45.A[s, :s].tolist(), K, j) * h
+            for j in range(n))))
+    y_new = tuple(y[j] + h * _total(RK45.B.tolist(), K, j)
+                  for j in range(n))
+    K.append(fun(t + h, y_new))
+    square = 0.0
+    for j in range(n):
+        e = _total(RK45.E.tolist(), K, j) * h / (
+            atol + max(abs(y[j]), abs(y_new[j])) * rtol)
+        square = e * e if j == 0 else square + e * e
+    return y_new, K[-1], math.sqrt(square) / n ** 0.5, K
+
+
+def _interpolate(piece, s):
+    t_old, h, y_old, Q = piece
+    return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
+
+
+def _float_rk45(fun, t_end, y0, rtol, atol, events):
+    """scipy's RK45 with terminal events, its steps taken on floats by
+    _reference_step: (t, states, nfev, the event that fired, rejected
+    step attempts, dense output)."""
+    y = tuple(y0)
+    fy = fun(0.0, y)
+    # scipy's initial step, on arrays of the same floats
+    y_arr, f_arr = np.array(y), np.array(fy)
+    scale = atol + np.abs(y_arr) * rtol
+    d0 = np.linalg.norm(y_arr / scale) / len(y) ** 0.5
+    d1 = np.linalg.norm(f_arr / scale) / len(y) ** 0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = np.array(fun(h0, (y_arr + h0 * f_arr).tolist()))
+    d2 = np.linalg.norm((f1 - f_arr) / scale) / len(y) ** 0.5 / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_end)
+    t, nfev, fired, rejected = 0.0, 2, None, 0
+    ts, ys, pieces = [t], [y], []
+    g = [event(t, y) for event, _ in events]
+    while fired is None and t < t_end:
+        h_abs = max(h_abs, 10 * abs(math.nextafter(t, math.inf) - t))
+        retry = False
+        while True:
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err, K = _reference_step(fun, t, y, fy, h, rtol,
+                                                   atol)
+            nfev += 6
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** (-1 / 5))
+                h_abs *= min(1, factor) if retry else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** (-1 / 5))
+            retry = True
+            rejected += 1
+        piece = (t, h, np.array(y), np.array(K).T.dot(RK45.P))
+        t, y, fy = t_new, y_new, f_new
+        g_new = [event(t, y) for event, _ in events]
+        for i, (event, sign) in enumerate(events):
+            if ((sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
+                    or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)):
+                root = brentq(lambda u: event(u, _interpolate(piece, u)),
+                              piece[0], t, xtol=4 * ode.EPS,
+                              rtol=4 * ode.EPS)
+                if fired is None or root < t:
+                    fired, t = i, root
+        if fired is not None:
+            y = _interpolate(piece, t)
+        g = g_new
+        ts.append(t)
+        ys.append(y)
+        pieces.append(piece)
+
+    def dense(s):
+        i = min(max(np.searchsorted(ts, s) - 1, 0), len(pieces) - 1)
+        return _interpolate(pieces[i], s)
+    return np.array(ts), np.array(ys), nfev, fired, rejected, dense
+
+
+RAYS = pytest.mark.parametrize("ray, termination", [
     (_fan_ray, Termination.TIME_LIMIT),
     (_edge_ray, Termination.BOUNDARY_APPROACH),
     (_chart_exit_ray, Termination.CHART_EXIT)])
-def test_interior_integration_matches_solve_ivp_bitwise(ray, termination):
+FIRED = {Termination.TIME_LIMIT: None, Termination.BOUNDARY_APPROACH: 0,
+         Termination.CHART_EXIT: 1}
+
+
+def _inner_points(s):
+    return np.concatenate((0.5 * (s[1:] + s[:-1]), s,
+                           np.random.default_rng(0).uniform(0, s[-1], 50)))
+
+
+@RAYS
+def test_interior_integration_matches_a_float_reference_bitwise(
+        ray, termination):
+    """Interior rays step on floats: s, states, nfev, the event that
+    fired, the rejected step count and the dense output equal a plain
+    Dormand-Prince reference on floats bit for bit."""
+    spec, q0, s_max = ray()
+    settings = FlowSettings()
+    direction = -1 if q0.tau > 0 else 1
+    seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
+    rhs, events = _interior_problem(spec, q0, direction, settings)
+    s, states, nfev, fired, rejected, dense = _float_rk45(
+        rhs, s_max, q0.to_vector().tolist(), settings.rtol, settings.atol,
+        events)
+    assert seg.termination is termination
+    assert fired == FIRED[termination]
+    assert len(seg.s) > 10
+    assert np.array_equal(seg.s, s)
+    assert np.array_equal(seg.states, states)
+    assert seg.nfev == nfev
+    assert seg.rejected == rejected
+    for u in _inner_points(seg.s):
+        assert np.array_equal(seg.dense(u), dense(u))
+
+
+@RAYS
+def test_interior_integration_agrees_with_solve_ivp(ray, termination):
+    """The float steps round their stage sums differently from scipy's
+    BLAS products but take the same steps: the same termination, step
+    count and nfev, and dense output within 1e-12 relative."""
     spec, q0, s_max = ray()
     settings = FlowSettings()
     direction = -1 if q0.tau > 0 else 1
     seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
     want = _solve_ivp_interior(spec, q0, direction, settings, s_max)
-    assert seg.termination is termination
-    assert len(seg.s) > 10
-    assert np.array_equal(seg.s, want.t)
-    assert np.array_equal(seg.states, want.y.T)
-    assert seg.nfev == want.nfev
     fired = [i for i, t in enumerate(want.t_events) if len(t)]
-    assert fired == {Termination.TIME_LIMIT: [],
-                     Termination.BOUNDARY_APPROACH: [0],
-                     Termination.CHART_EXIT: [1]}[termination]
-    inner = np.concatenate((0.5 * (seg.s[1:] + seg.s[:-1]), seg.s,
-                            np.random.default_rng(0).uniform(0, seg.s[-1],
-                                                             50)))
-    for s in inner:
-        assert np.array_equal(seg.dense(s), want.sol(s))
+    assert fired == [i for i in [FIRED[termination]] if i is not None]
+    assert seg.termination is termination
+    assert len(seg.s) == len(want.t)
+    assert seg.nfev == want.nfev
+    for u in _inner_points(seg.s):
+        got, ref = seg.dense(u), want.sol(u)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _ripple_spec(b, f):
+    """A curved metric of any (b, f): h and k diagonal and rippled along
+    y and z, with kyz cross terms."""
+    def diagonal(n, entry):
+        return [[entry % (i + 1) if i == j else "0" for j in range(n)]
+                for i in range(n)]
+    return make_metric_spec(
+        b, f, h=diagonal(b, "1 + 0.1*sin(y%d)") if b else None,
+        k=diagonal(f, "1 + 0.2*cos(z%d) + 0.1*x"),
+        kyz=[["0.05*z%d" % (a + 1) for a in range(f)] for _ in range(b)],
+        fiber="chart")
+
+
+def _floats(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(tuple)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
+def test_float_step_matches_the_reference_bitwise(b, f, data):
+    """The generated float step equals _reference_step bit for bit: the
+    new state, the field there, the error norm and the stage rows."""
+    hamilton = _ripple_spec(b, f).evaluator().hamilton
+    n = 2 * (2 + b + f)
+    scale = data.draw(st.floats(-2.0, 2.0))
+
+    def fun(t, vec):
+        return hamilton(vec, scale)[1]
+    y = (data.draw(_floats(-1.0, 1.0, 1)) + data.draw(_floats(0.1, 0.9, 1))
+         + data.draw(_floats(-1.0, 1.0, b + f))
+         + data.draw(_floats(0.5, 2.0, 1))
+         + data.draw(_floats(-1.0, 1.0, 1 + b + f)))
+    t = data.draw(st.floats(0.0, 10.0))
+    h = data.draw(st.floats(1e-6, 0.05))
+    rtol, atol = data.draw(st.sampled_from([(1e-10, 1e-12), (1e-6, 1e-9)]))
+    got = ode._float_step(n)(fun, t, y, fun(t, y), h, rtol, atol)
+    want = _reference_step(fun, t, y, fun(t, y), h, rtol, atol)
+    assert got[:3] == want[:3]
+    assert np.array_equal(np.frombuffer(got[3]).reshape(7, n),
+                          np.array(want[3]))
+
+
+def test_a_division_by_zero_on_floats_fails_the_step():
+    """Where numpy divides by zero to inf or nan, floats raise
+    ZeroDivisionError; a float step that raises it is rejected as a
+    numpy step with an inf in a stage is, and the integration goes on."""
+    def counted(fun):
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return fun(t, y, len(calls) == 20)
+        return field
+
+    def on_floats(t, y, blow_up):
+        if blow_up:
+            raise ZeroDivisionError("float division by zero")
+        return (y[1], -y[0])
+
+    def on_arrays(t, y, blow_up):
+        return np.array([math.inf, 0.0]) if blow_up else np.array(
+            [y[1], -y[0]])
+    got = ode.rk45(counted(on_floats), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5,
+                   floats=True)
+    want = ode.rk45(counted(on_arrays), 5.0, [1.0, 0.0], 1e-9, 1e-11,
+                    10 ** 5)
+    assert got.rejected == want.rejected >= 1
+    assert len(got.t) == len(want.t)
+    assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_rejected_steps_are_counted(floats):
+    """y' = -y, fifty times faster from t = 1, fails the error test on
+    the step across t = 1.  Every step attempt costs six evaluations
+    after the first two, so nfev counts the rejected ones too; interior
+    rays carry their count on the segment."""
+    if floats:
+        def fun(t, y):
+            return tuple(-v if t < 1.0 else -50.0 * v for v in y)
+    else:
+        def fun(t, y):
+            return -y if t < 1.0 else -50.0 * y
+    sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5,
+                   floats=floats)
+    assert sol.rejected > 0
+    assert sol.nfev == 2 + 6 * (len(sol.t) - 1 + sol.rejected)
+    spec, q0, s_max = _edge_ray()
+    seg = integrate_interior(spec, q0, -1, FlowSettings(), s_max=s_max)
+    assert seg.rejected > 0
+    assert seg.nfev == 2 + 6 * (len(seg.s) - 1 + seg.rejected)
 
 
 def _solve_ivp_shot(field, q0, p0, arc, u):

@@ -251,6 +251,21 @@ def test_cli_trace_fails_typed_at_an_indefinite_origin(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_cli_trace_checks_the_metric_at_the_origin_not_the_fan(tmp_path,
+                                                               capsys):
+    """At z1 = 100, k = 1 - z1 = -99: G is indefinite at the origin though
+    v.G^-1.v > 0 along all four fan directions.  The trace fails at the
+    origin, naming it (exit 3), instead of launching the rays and failing
+    later with a characteristic drift."""
+    scene = tmp_path / "indefinite.cfg"
+    scene.write_text("b = 0\nf = 1\nk = [[1 - z1]]\nfiber = chart\n"
+                     "z_box = [[-0.5, 0.5]]\norigin = [0.5, 100.0]\n"
+                     "fan_count = 4\n")
+    assert main(["trace", str(scene)]) == 3
+    assert ("not positive definite at the point-source origin [0.5, 100.0]"
+            in capsys.readouterr().err)
+
+
 def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
                                                             capsys):
     """Outgoing rays are seeded at EPS_LAUNCH = 1e-3, so an x_stop at or
