@@ -369,6 +369,12 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
     if q0.tau == 0.0:
         raise ConfigError("launch point has tau = 0; light rays need "
                           "tau != 0")
+    p_rel = abs(spec.evaluator().hamilton(q0.to_vector().tolist(), 1.0)[0]
+                / q0.tau ** 2)
+    if not p_rel <= hamiltonian.P_DRIFT_MAX:
+        raise ConfigError("launch point is off the characteristic set: "
+                          "|p|/tau^2 = %.3g exceeds %.1g"
+                          % (p_rel, hamiltonian.P_DRIFT_MAX))
     if not settings.x_stop < hamiltonian.EPS_LAUNCH:
         raise ConfigError("x_stop = %.6g must lie below the launch height "
                           "EPS_LAUNCH = %.6g of outgoing rays"

@@ -19,8 +19,8 @@ The field is generated per metric as straight-line code
 (``MetricEvaluator.hamilton``): w_xi = xi because G's x row is
 (1, 0, .., 0), the (b + f) block is solved by an unrolled LDL^T
 factorization, and the quadratic forms run over the nonzero entries of
-dG.  ``RaySegment.conserved_log`` evaluates p at all samples of a
-segment in one call of its lane form.
+dG.  It returns the symbol p with the field, and
+``RaySegment.conserved_log`` reads p from it at each sample of a segment.
 
 The unit-gauge version divides the covector by |tau| (hatted variables,
 sigma = 1/|tau|) and rescales time by sigma; it vanishes exactly at
@@ -70,8 +70,9 @@ class FlowSettings:
         if not (math.isfinite(self.rtol) and self.rtol >= 100 * ode.EPS):
             raise ConfigError("rtol = %r must be finite and at least %.3g"
                               % (self.rtol, 100 * ode.EPS))
-        if not (math.isfinite(self.atol) and self.atol >= 0.0):
-            raise ConfigError("atol = %r must be finite and nonnegative"
+        if not (math.isfinite(self.atol) and self.atol > 0.0):
+            # the step size divides by atol at a zero state component
+            raise ConfigError("atol = %r must be finite and positive"
                               % self.atol)
         if not (math.isfinite(self.x_stop) and self.x_stop > 0.0):
             # the integrated field is divided by x
@@ -150,7 +151,8 @@ class RaySegment:
         """Per-sample (p, p/tau^2, tau/x, |tau|)."""
         _, x, _, _, tau, _, _, _ = split_state(self.states, self.spec.b,
                                                self.spec.f)
-        p = self.spec.evaluator().hamilton_lanes(self.states, 1.0)[0]
+        hamilton = self.spec.evaluator().hamilton
+        p = np.array([hamilton(row, 1.0)[0] for row in self.states.tolist()])
         return {
             "p": p,
             "p_rel": p / tau ** 2,

@@ -27,9 +27,8 @@ entry and per distinct function call:
 
   * the kernel returns G and every partial dG/dv from a single call, and
     each pointwise reader slices it;
-  * the Hamilton field of the hamiltonian module, with the symbol p, in
-    two instances of one source: math on a tuple of floats at one phase
-    point, and numpy over a lane axis of states;
+  * the Hamilton field of the hamiltonian module and the symbol p at
+    one phase point, in math on a sequence of floats;
   * for each x = 0 block, the fiber block kzz along z and the base block
     h along y, a function returning the block over a lane axis (the
     fiber and base cometrics read it), and, for the geodesic shooter,
@@ -408,13 +407,9 @@ def _quadratic(a, w):
     return " + ".join(terms) or None
 
 
-def _stack_lanes(parts):
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
-
-
 def _generate_hamilton(b, f, entries, src):
-    """(scalar, lanes): hamilton(state, scale) -> (p, scale * H), from the
-    _metric_entries in src.
+    """hamilton(state, scale) -> (p, scale * H), from the _metric_entries
+    in src, with math on a sequence of floats: p a float, H a tuple.
 
     H is the flow field of the hamiltonian module at the phase point
     state, ordered like EdgePhasePoint.to_vector(), and p the symbol
@@ -422,9 +417,6 @@ def _generate_hamilton(b, f, entries, src):
     and only the (b + f) block is solved (_symmetric_solve); the
     quadratic forms w.dG/dv.w run over the nonzero entries.  Each entry
     of H is summed left to right as the hamiltonian module writes it.
-    One source, two instances: scalar maps a sequence of floats to a
-    float and a tuple, with math; lanes runs with numpy on the rows of a
-    (n, 2 nv) array, checks its pivots, and returns p and fields as rows.
     """
     nv = 1 + b + f
     itau = 1 + nv
@@ -434,10 +426,8 @@ def _generate_hamilton(b, f, entries, src):
         return {(i - 1, j - 1): text for (vv, i, j), text in entries.items()
                 if vv == v and 1 <= i <= j}
 
-    checked, plain, lines = [], [], []
-    w = _symmetric_solve(block(0), u, checked, True)
-    _symmetric_solve(block(0), u, plain, False)
-    quad = []
+    lines, quad = [], []
+    w = _symmetric_solve(block(0), u, lines, False)
     for v in range(nv):
         form = _quadratic(block(1 + v), w)
         if form:
@@ -461,14 +451,8 @@ def _generate_hamilton(b, f, entries, src):
              "    tau, xi, %s = state[%d:]"
              % (2 + b, 2 + b, itau, ", ".join(u), itau))
     values = ", ".join("(%s) * scale" % text for text in field)
-    head = "hamilton(state, scale)"
-    return (src.define(head, start, "\n".join(
-                plain + lines + ["    return p, (%s,)" % values]), math),
-            src.define(head, "    state = _asarray(state).T\n" + start,
-                       "\n".join(checked + lines + [
-                           "    return p, _pack((%s,))" % values]), np,
-                       _asarray=np.asarray, _pack=_stack_lanes,
-                       _pivot=_lane_pivots))
+    return src.define("hamilton(state, scale)", start, "\n".join(
+        lines + ["    return p, (%s,)" % values]), math)
 
 
 def _generate_block(head, matrix, var):
@@ -542,8 +526,7 @@ class MetricEvaluator:
     (G, dG) with dG[v] = dG/dv, shapes (nv, nv) and (nv, nv, nv).
     ``hamilton(state, scale)`` returns (p, scale * H), the symbol and
     the flow field of the hamiltonian module at one phase point (floats),
-    as a float and a tuple; ``hamilton_lanes(states, scale)`` does the same
-    for the rows of a (n, 2 nv) array of states, from the same source.
+    as a float and a tuple.
     ``fiber(y, z)`` returns the x = 0 fiber block kzz, shape (f, f); y
     and z may carry a leading lane axis (shapes (n, b) and (n, f)), which
     the result then carries too, as numpy.linalg stacks matrices.
@@ -565,8 +548,7 @@ class MetricEvaluator:
         src = _Source()
         entries = _metric_entries(spec, vars_, src)
         self.kernel = _generate_kernel(self.nv, entries, src)
-        self.hamilton, self.hamilton_lanes = _generate_hamilton(b, f, entries,
-                                                                src)
+        self.hamilton = _generate_hamilton(b, f, entries, src)
         self.fiber, self.fiber_cogeodesic = _generate_block(
             "fiber(y, z)", spec.k, "z")
         self.base, self.base_cogeodesic = _generate_block("base(y)", spec.h,

@@ -2,6 +2,7 @@
 formulas they replaced, their typed failures, and the conservation laws
 of the interior flow on hypothesis-drawn rays."""
 
+import csv
 import math
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from edgeray import expr as ex
 from edgeray.boundary import _shoot
+from edgeray.cli import main
 from edgeray.errors import DegenerateMetricError, IntegrationDivergedError
 from edgeray.hamiltonian import (RaySegment, Termination, hamilton_field,
                                  integrate_interior)
 from edgeray.metric import make_metric_spec
 from edgeray.phase import EdgePhasePoint
-from edgeray.scenes import builtin_scene
+from edgeray.scenes import builtin_scene, parse_scene
 
 BUILTINS = ["product_cone(1.3)", "product_edge(1, 1)", "product_edge(2, 3)",
             "blowup_curve_r3", "perturbed_edge(0.3)", "sphere_edge"]
@@ -145,25 +147,20 @@ def states(draw, spec):
 @CHECKS
 @given(data=st.data())
 def test_generated_field_matches_the_numpy_field(name, data):
-    """The scalar field, its lane form on several states at once, and the
-    symbol p agree with one solve of G and an einsum."""
+    """The scalar field and the symbol p agree with one solve of G and an
+    einsum on each of several states."""
     spec = _spec(name)
     ev = spec.evaluator()
     rows = np.array(data.draw(st.lists(states(spec), min_size=1,
                                        max_size=6)))
     scale = data.draw(st.floats(-3.0, 3.0))
-    lane_p, lane_field = ev.hamilton_lanes(rows, scale)
-    assert lane_p.shape == (len(rows),)
-    assert lane_field.shape == rows.shape
-    for k, vec in enumerate(rows):
+    for vec in rows:
         want_p, want = _reference_field(ev, vec)
         p, field = ev.hamilton(vec.tolist(), scale)
         # p = tau^2 - u.w may cancel: compare it at the size of its terms
         tau2 = vec[2 + spec.b + spec.f] ** 2
         _assert_close(p, want_p, tau2 + abs(tau2 - want_p))
-        _assert_close(lane_p[k], want_p, tau2 + abs(tau2 - want_p))
         _assert_close(field, scale * want)
-        _assert_close(lane_field[k], scale * want)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -201,9 +198,9 @@ def test_cogeodesic_fields_match_the_numpy_shooter(name, data):
 
 
 def test_zero_pivot_is_a_typed_error():
-    """k = z1 is singular at z1 = 0: the interior field, its lane form and
-    a shooter lane there raise DegenerateMetricError, the shooter not
-    IntegrationDivergedError."""
+    """k = z1 is singular at z1 = 0: the interior field, the drift gate's
+    p at a segment's samples (one of them there) and a shooter lane there
+    raise DegenerateMetricError, the shooter not IntegrationDivergedError."""
     spec = make_metric_spec(0, 1, k=[["z1"]], fiber="chart")
     none = np.zeros(0)
     q = EdgePhasePoint(t=0.0, x=0.5, y=none, z=np.array([0.0]), tau=1.0,
@@ -296,3 +293,37 @@ def test_flow_conserves_p_and_tau_over_x(name, data):
     assert np.abs(log["p_rel"]).max() < 1e-6
     ratio = log["tau_over_x"]
     assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("text", [
+    "builtin = perturbed_edge(0.3)\norigin = [0.49260147156300427, "
+    "-0.07601284116297477, 0.8704688011761168]\nfan_count = 16\n"
+    "seed = 843\nt_span = [0.0, 3.0]\n",
+    "builtin = sphere_edge\npolicy = geometric\n"],
+    ids=["perturbed_edge_fan", "sphere_edge_geometric"])
+def test_dump_p_residual_is_the_scalar_symbol(tmp_path, text):
+    """Every row's p_residual is |p|/tau^2 of the row's own state, with p
+    from the scalar hamilton: the drift gate and the dump read the one
+    generated symbol, bitwise.  The fan has a row where (1 + 0.3 sin z1)
+    squared by pow, as the float code does, and by a numpy array square
+    differ in the last bit, so a p computed any other way shows there.
+    tau * tau, as numpy squares an array: a float's tau ** 2 goes through
+    pow too."""
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(text)
+    out = tmp_path / "rays.csv"
+    assert main(["trace", str(scene), "--out", str(out)]) == 0
+    spec = parse_scene(text).spec
+    ev = spec.evaluator()
+    names = ["t", "x"] + ["y%d" % (i + 1) for i in range(spec.b)] \
+        + ["z%d" % (a + 1) for a in range(spec.f)] + ["tau", "xi"] \
+        + ["eta%d" % (i + 1) for i in range(spec.b)] \
+        + ["zeta%d" % (a + 1) for a in range(spec.f)]
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len({(row["ray_id"], row["branch_id"]) for row in rows}) > 1
+    for row in rows:
+        state = [float(row[name]) for name in names]
+        tau = state[2 + spec.b + spec.f]
+        assert (abs(ev.hamilton(state, 1.0)[0]) / (tau * tau)
+                == float(row["p_residual"]))

@@ -285,7 +285,7 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     ("atol = -1", []), ("atol = nan", []), ("rtol = abc", []),
     ("", ["--x-stop", "-1"]), ("", ["--x-stop", "0"]),
     ("", ["--rtol", "nan"]), ("", ["--rtol", "-1"]),
-    ("", ["--rtol", "1e-15"])])
+    ("", ["--rtol", "1e-15"]), ("atol = 0.0", [])])
 def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
                                           args):
     """FlowSettings rejects a tolerance or x_stop the integrator cannot
@@ -297,6 +297,21 @@ def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
     out_file = tmp_path / "rays.csv"
     assert main(["trace", str(scene), "--out", str(out_file), *args]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_cli_trace_refuses_an_off_characteristic_source(tmp_path, capsys):
+    """A source with p != 0 is no light ray: exit 2 with one stderr line
+    naming |p|/tau^2 = 0.75, not a drift failure of the integration."""
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("builtin = product_cone(1.0)\n"
+                     "source = [0.0, 0.5, 0.3, 1.0, 0.5, 0.0]\n"
+                     "t_span = [0.0, 1.0]\n")
+    out_file = tmp_path / "rays.csv"
+    assert main(["trace", str(scene), "--out", str(out_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "characteristic" in err[0] and "0.75" in err[0]
     assert not out_file.exists()
 
 
