@@ -33,6 +33,11 @@ rescales the field by 1/(x|tau|), a positive factor that leaves
 trajectories unchanged while making the parameter advance at unit speed
 in t; the approach to the boundary then costs a bounded parameter
 interval instead of slowing down algebraically.
+
+Launch seeds at x = EPS_LAUNCH are first order in x.  If h is constant
+and h', kyy, kyz vanish (b = 0, product edges, sphere_edge), G_yy = h and
+G_yz = 0: a ray with zeta = 0 keeps z, zeta and runs straight in
+dx^2 + h dy^2, so the seed is exact; elsewhere a Newton probe corrects it.
 """
 
 from __future__ import annotations
@@ -309,7 +314,8 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
 
     The ray is incoming or outgoing as data.io says.  The seed is built
     from the leading asymptotics (zeta_hat = O(x), xi solved exactly from
-    p = 0) and improved by one Newton correction: the seed is integrated
+    p = 0).  Unless the evaluator's seed_exact says it is exact (see the
+    module notes), one Newton correction follows: the seed is integrated
     toward the boundary, its leading-order boundary data are read off,
     and the position defect is subtracted.
     Set newton=False for grazing data, where the probe geometry
@@ -319,7 +325,7 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
         raise LaunchFailedError("xi_hat = 0: glancing data cannot seed a "
                                 "transversal ray")
     seed = _seed_from_data(spec, data)
-    if not newton:
+    if not newton or spec.evaluator().seed_exact:
         return seed
     # Newton pass: probe toward the edge, extrapolate the limiting data
     # of the seeded ray, and subtract the measured position defect.

@@ -534,6 +534,8 @@ class MetricEvaluator:
     field of kzz^{-1}, d/ds of (z, zeta), on the raveled lanes (n, 2, f)
     of state (see _generate_block).  ``base(y)`` and
     ``base_cogeodesic(state, arc)`` do the same for the base block h.
+    ``seed_exact``: h is constant and h', kyy, kyz vanish identically
+    (the hamiltonian module notes say why the launch seed is then exact).
     """
 
     def __init__(self, spec):
@@ -553,6 +555,11 @@ class MetricEvaluator:
             "fiber(y, z)", spec.k, "z")
         self.base, self.base_cogeodesic = _generate_block("base(y)", spec.h,
                                                           "y")
+        cross = (spec.hprime, spec.kyy, spec.kyz)
+        self.seed_exact = (
+            all(isinstance(node, ex.Num) for row in spec.h for node in row)
+            and all(node == ex.Num(0.0)
+                    for block in cross for row in block for node in row))
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""
@@ -599,14 +606,6 @@ class MetricEvaluator:
             return np.linalg.solve(self.base(y), np.eye(self.b))
         except np.linalg.LinAlgError as err:
             raise DegenerateMetricError("metric not invertible: %s" % err)
-
-
-def wave_symbol(spec, q):
-    """p = tau^2 - |covector|^2 in the edge scaling; vanishes on light rays."""
-    ev = spec.evaluator()
-    Ginv = ev.dual_matrix(q.x, q.y, q.z, check=False)
-    u = np.concatenate(([q.xi], q.eta, q.zeta))
-    return float(q.tau * q.tau - u @ Ginv @ u)
 
 
 def transverse_momentum(spec, x, y, z, tau, eta, zeta, sign):

@@ -14,7 +14,7 @@ from edgeray.hamiltonian import (BoundaryData, FlowSettings, RayEnd,
                                  RaySegment, Termination, hamilton_field,
                                  integrate_interior, linearization_at_radial,
                                  rescaled_field, stable_manifold_launch)
-from edgeray.metric import make_metric_spec, transverse_momentum, wave_symbol
+from edgeray.metric import make_metric_spec, transverse_momentum
 from edgeray.phase import CospherePoint, EdgePhasePoint, normalize_cosphere
 from edgeray.scenes import builtin_scene
 
@@ -318,7 +318,8 @@ def test_stable_manifold_launch_reproduces_data():
             assert data.io is RayEnd.OUTGOING
             seed = stable_manifold_launch(spec, data)
             assert seed.x == pytest.approx(hamiltonian.EPS_LAUNCH)
-            assert abs(wave_symbol(spec, seed)) < 1e-12
+            p = spec.evaluator().hamilton(seed.to_vector().tolist(), 1.0)[0]
+            assert abs(p) < 1e-12
             from edgeray.gbb import verify_handoff
             defects = verify_handoff(spec, seed, data)
             assert defects["t"] < 1e-9
@@ -349,12 +350,92 @@ def test_launch_probe_off_the_chart_is_a_failed_launch(monkeypatch):
     def off_chart(*args):
         raise FlowEscapedError("fiber limit point leaves the fiber chart")
     monkeypatch.setattr(gbb, "fiber_limit_points", off_chart)
-    spec = builtin_scene("sphere_edge").spec
-    data = BoundaryData(t_bar=0.0, y_bar=np.zeros(1),
-                        z_bar=np.array([0.4, 1.0]), sgn_tau=1, xi_hat=-1.0,
-                        eta_hat=np.zeros(1))
+    spec = builtin_scene("perturbed_edge(0.3)").spec   # a probing metric
+    data = BoundaryData(t_bar=0.0, y_bar=np.zeros(1), z_bar=np.array([1.0]),
+                        sgn_tau=1, xi_hat=-1.0, eta_hat=np.zeros(1))
     with pytest.raises(LaunchFailedError, match="seed probe failed: fiber"):
         stable_manifold_launch(spec, data)
+
+
+def _custom_spec(b, k="1", **blocks):
+    """b = 0 or 1 edge with a circle fiber; h defaults to [[1]]."""
+    blocks.setdefault("h", [["1"]] if b else None)
+    return make_metric_spec(b, 1, k=[[k]], fiber="circle(%r)" % (2 * math.pi),
+                            **blocks)
+
+
+def _skipping_specs(rng):
+    cones = ["product_cone(%r)" % float(rho) for rho in rng.uniform(0.2, 3, 3)]
+    return [builtin_scene(name).spec for name in cones + [
+        "product_edge(1, 2)", "blowup_curve_r3", "sphere_edge"]] + [
+        _custom_spec(0, k="(1 + 0.3*sin(z1))^2")]
+
+
+def _probing_specs():
+    return [builtin_scene("perturbed_edge(0.3)").spec,
+            _custom_spec(1, h=[["1 + 0.5*y1^2"]]),
+            _custom_spec(1, hprime=[["0.2"]]),
+            _custom_spec(1, kyy=[["0.3"]]),
+            _custom_spec(1, kyz=[["0.2"]])]
+
+
+def _launch_data(spec, rng, sgn_tau, io_sign):
+    """Unit-gauge edge data; io_sign = +1 incoming, -1 outgoing."""
+    y = np.array([rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in spec.y_box])
+    z = np.array([rng.uniform(lo + 0.2, hi - 0.2) for lo, hi in spec.z_box])
+    rho, eta = 0.0, np.zeros(spec.b)
+    if spec.b:
+        rho = float(rng.uniform(0.1, 0.85))
+        g = rng.normal(size=spec.b)
+        H = spec.evaluator().base_cometric(y)
+        eta = rho * g / math.sqrt(float(g @ H @ g))
+    return BoundaryData(t_bar=float(rng.uniform(-0.5, 0.5)), y_bar=y,
+                        z_bar=z, sgn_tau=sgn_tau,
+                        xi_hat=io_sign * sgn_tau * math.sqrt(1 - rho * rho),
+                        eta_hat=eta)
+
+
+def test_launch_probes_only_where_the_seed_is_inexact(monkeypatch):
+    """Metrics with constant h and no h', kyy, kyz launch without a
+    Newton probe; any of those terms brings the probe back."""
+    from edgeray import gbb
+    calls = []
+    probe = gbb.backward_event
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return probe(*args, **kwargs)
+    monkeypatch.setattr(gbb, "backward_event", counted)
+    rng = np.random.default_rng(21)
+    for specs, probes in ((_skipping_specs(rng), False),
+                          (_probing_specs(), True)):
+        for spec in specs:
+            assert spec.evaluator().seed_exact is not probes
+            calls.clear()
+            stable_manifold_launch(spec, _launch_data(spec, rng, 1, -1))
+            assert (len(calls) >= 1) is probes
+
+
+def test_unprobed_launch_hands_off_exactly(monkeypatch):
+    """Where the probe is skipped the seed reproduces t, y and the fiber
+    point to rounding, and eta and |xi| read off as after a probe."""
+    from edgeray.gbb import verify_handoff
+    rng = np.random.default_rng(22)
+    for spec in _skipping_specs(rng):
+        ev = spec.evaluator()
+        for sgn_tau in (1, -1):
+            for io_sign in (1, -1):
+                data = _launch_data(spec, rng, sgn_tau, io_sign)
+                defects = verify_handoff(
+                    spec, stable_manifold_launch(spec, data), data)
+                assert max(defects["t"], defects["y"],
+                           defects["fiber"]) <= 1e-12
+                with monkeypatch.context() as m:
+                    m.setattr(ev, "seed_exact", False)
+                    probed = verify_handoff(
+                        spec, stable_manifold_launch(spec, data), data)
+                assert defects["eta"] == probed["eta"]
+                assert defects["abs_xi"] == probed["abs_xi"]
 
 
 def test_segment_state_accessors():
