@@ -35,8 +35,9 @@ MAX_GEODESIC_STEPS field evaluations.  Its right-hand side is the
 generated cogeodesic field of a metric block on the flat ODE state
 (``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``): an
 unrolled LDL^T solve of the block and the quadratic forms of its
-nonzero partials; a zero pivot leaves inf or nan, which the one
-finiteness check per evaluation sees.  On the fiber block a
+nonzero partials, which itself raises DegenerateMetricError on a lane a
+zero pivot leaves inf or nan in, and IntegrationDivergedError on any
+other lane that is not finite.  On the fiber block a
 partner search shoots all launch directions of an edge event (and each
 refinement round of the relatedness test), an edge event the limit
 points of its whole extrapolation ladder, and the cogeodesic flow one
@@ -59,7 +60,6 @@ shots are not stopped.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,24 +91,25 @@ def fiber_norm(spec, y, z, zeta):
 def fiber_unit_covector(kzz, z, direction):
     """Covector zeta, |zeta|_K = 1, moving along direction; kzz at z.
 
-    Raises DegenerateMetricError when the fiber metric at z is not
-    positive along the direction.
+    Raises ValueError for a zero direction, and DegenerateMetricError
+    when the fiber metric at z is not positive along the direction.
     """
     w = np.asarray(direction, float)
+    if not w.any():
+        raise ValueError("zero fiber direction")
     speed2 = float(w @ kzz @ w)
-    if not speed2 >= 0.0:
+    if not speed2 > 0.0:
         raise DegenerateMetricError("fiber metric not positive at z=%s: "
                                     "w.k.w = %.3g" % (np.round(z, 6), speed2))
-    speed = math.sqrt(speed2)
-    if speed == 0.0:
-        raise ValueError("zero fiber direction")
-    return (kzz @ w) / speed
+    return (kzz @ w) / math.sqrt(speed2)
 
 
 def _velocity(field, q, p, *fixed):
     """w = dq/ds of a cogeodesic field at lanes (q, p), shape (n, d)."""
     state = np.stack((q, p), axis=1)
-    return field.checked(*fixed, state.ravel(), 1.0).reshape(state.shape)[:, 0]
+    with np.errstate(all="ignore"):
+        out = field(*fixed, state.ravel(), 1.0)
+    return out.reshape(state.shape)[:, 0]
 
 
 def _chart_box(spec):
@@ -164,15 +165,9 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
     if not arc.any():
         states = np.broadcast_to(state0, (len(u), n, 2, d))
         return states[:, :, 0].copy(), states[:, :, 1].copy()
-    fast = functools.partial(field, *fixed)
 
     def rhs(_, state):
-        out = fast(state, arc)
-        if not np.isfinite(out).all():
-            field.checked(*fixed, state, arc)   # raises on a zero pivot
-            raise IntegrationDivergedError("geodesic lanes left the finite "
-                                           "range of the metric")
-        return out
+        return field(*fixed, state, arc)
 
     events = ()
     if box is not None:
@@ -353,9 +348,10 @@ def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
     arc, shot as one ODE; shape (len(directions), f), with a NaN row for
     each geodesic stopped at the edge of the fiber chart."""
-    kzz = spec.evaluator().fiber(y, z0)
+    ev = spec.evaluator()
+    kzz = ev.edge_matrix(0.0, y, z0)[ev.sz, ev.sz]
     zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]
-    return _shoot(spec.evaluator().fiber_cogeodesic, z0, zetas,
+    return _shoot(ev.fiber_cogeodesic, z0, zetas,
                   np.full(len(zetas), arc), fixed=(y,),
                   box=_chart_box(spec))[0][-1]
 

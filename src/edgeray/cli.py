@@ -106,7 +106,7 @@ def _random_radial_points(spec, count, seed):
         sgn_tau = 1 if rng.uniform() < 0.5 else -1
         if spec.b:
             g = rng.normal(size=spec.b)
-            H = ev.base_cometric(y)
+            H = ev.base_cometric(y, z)
             g_norm = math.sqrt(float(g @ H @ g))
             rho = rng.uniform(0.1, 0.9)
             eta = rho * g / g_norm

@@ -108,6 +108,13 @@ class BoundaryEvent:
                             z_bar=self.z_bar, sgn_tau=self.sgn_tau,
                             xi_hat=self.xi_hat, eta_hat=self.eta_hat)
 
+    def outgoing(self, z):
+        """Outgoing boundary data at fiber point z: the event's slow data
+        with xi_hat's sign flipped to the outgoing convention."""
+        return BoundaryData(t_bar=self.t_bar, y_bar=self.y_bar, z_bar=z,
+                            sgn_tau=self.sgn_tau, xi_hat=-self.xi_hat,
+                            eta_hat=self.eta_hat)
+
 
 def _ladder_parameters(segment):
     """Parameter values of the final monotone descent crossing the ladder."""
@@ -233,13 +240,9 @@ def branch_hyperbolic(spec, event, policy):
     """
     if event.boundary_class != BoundaryClass.HYPERBOLIC:
         raise ValueError("branching applies to hyperbolic events only")
-    xi_out = -event.xi_hat
 
     def launch(z_point, kind):
-        data = BoundaryData(t_bar=event.t_bar, y_bar=event.y_bar,
-                            z_bar=z_point, sgn_tau=event.sgn_tau,
-                            xi_hat=xi_out, eta_hat=event.eta_hat)
-        return BranchLaunch(data=data, kind=kind,
+        return BranchLaunch(data=event.outgoing(z_point), kind=kind,
                             fiber_point=np.asarray(z_point, float))
 
     if policy.kind == "same_fiber":
@@ -296,7 +299,8 @@ def continue_glancing(spec, event, delta):
     ev = spec.evaluator()
 
     def unit(y, eta):   # onto the unit base cosphere (b = 0: stays empty)
-        return eta / math.sqrt(float(eta @ ev.base_cometric(y) @ eta))
+        return eta / math.sqrt(float(eta @ ev.base_cometric(y, event.z_bar)
+                                     @ eta))
 
     path = _tangential_flow(spec, event.t_bar, event.y_bar,
                             unit(event.y_bar, event.eta_hat), event.sgn_tau,
@@ -513,7 +517,7 @@ def lipschitz_check(path, settings=FlowSettings()):
                 spec.fiber.coordinate_delta(child.fiber_point,
                                             event.z_bar)))))
             defects = verify_handoff(spec, child.seed,
-                                     child_or_event_data(child, event),
+                                     event.outgoing(child.fiber_point),
                                      settings)
             slow_jump = max(defects["t"], defects["y"], defects["eta"],
                             defects["abs_xi"])
@@ -524,11 +528,3 @@ def lipschitz_check(path, settings=FlowSettings()):
                            junction_jumps=tuple(junctions),
                            fiber_jumps=tuple(fiber_jumps),
                            finite=math.isfinite(max_quot))
-
-
-def child_or_event_data(child, event):
-    """Target boundary data of a child branch: event slow data at its fiber
-    point, with the outgoing sign."""
-    return BoundaryData(t_bar=event.t_bar, y_bar=event.y_bar,
-                        z_bar=child.fiber_point, sgn_tau=event.sgn_tau,
-                        xi_hat=-event.xi_hat, eta_hat=event.eta_hat)

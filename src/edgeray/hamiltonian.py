@@ -291,7 +291,7 @@ class BoundaryData:
 def _seed_from_data(spec, data):
     sgn_io = 1.0 if data.io == RayEnd.INCOMING else -1.0
     t_seed = data.t_bar - sgn_io * EPS_LAUNCH / abs(data.xi_hat)
-    H = spec.evaluator().base_cometric(data.y_bar)
+    H = spec.evaluator().base_cometric(data.y_bar, data.z_bar)
     if spec.b:
         dydt = -(H @ data.eta_hat) / data.sgn_tau
         y_seed = data.y_bar + (t_seed - data.t_bar) * dydt

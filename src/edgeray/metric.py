@@ -30,15 +30,16 @@ entry and per distinct function call:
   * the Hamilton field of the hamiltonian module and the symbol p at
     one phase point, in math on a sequence of floats;
   * for each x = 0 block, the fiber block kzz along z and the base block
-    h along y, a function returning the block over a lane axis (the
-    fiber and base cometrics read it), and, for the geodesic shooter,
-    the cogeodesic field of its inverse on the shooter's flat state of
-    lanes, which alone reads the block's nonzero partials.
+    h along y, the cogeodesic field of its inverse on the geodesic
+    shooter's flat state of lanes, which alone reads the block's nonzero
+    partials; the blocks themselves are slices of the kernel's G at
+    x = 0 (the fiber and base cometrics read them there).
 
 The fields solve with their metric block by an unrolled LDL^T
 factorization without pivoting (the blocks are positive definite), over
 the entries that are not identically zero; a zero pivot raises
-DegenerateMetricError, or leaves inf or nan in a fast cogeodesic field.
+DegenerateMetricError, in a cogeodesic field as soon as it leaves a lane
+that is not finite (any other such lane raises IntegrationDivergedError).
 A coefficient outside its domain (a math domain error or overflow in a
 float instance) raises DegenerateMetricError as well.
 """
@@ -54,7 +55,8 @@ import numpy as np
 
 from . import expr as ex
 from ._config import config_float, config_int
-from .errors import ConfigError, DegenerateMetricError, DimensionError
+from .errors import (ConfigError, DegenerateMetricError, DimensionError,
+                     IntegrationDivergedError)
 
 COND_LIMIT = 1e12
 VALIDATION_SAMPLES = 200   # chart points validate_normal_form checks
@@ -326,11 +328,20 @@ def _generate_kernel(nv, entries, src):
         math, _zeros=np.zeros, _slots=np.array(list(slots), dtype=np.intp))
 
 
-def _lane_pivots(d):
-    if not np.all(d != 0.0):
+def _finite(out, *pivots):
+    """out, the lanes of a cogeodesic field, when all are finite; else
+    DegenerateMetricError if one of its pivots is zero in some lane, and
+    IntegrationDivergedError if none is."""
+    if np.isfinite(out).all():
+        return out
+    zero = False
+    for d in pivots:
+        zero = zero | (d == 0.0)
+    if np.any(zero):
         raise DegenerateMetricError("metric not invertible: zero pivot in "
-                                    "%d lane(s)" % np.sum(d == 0.0))
-    return d
+                                    "%d lane(s)" % np.sum(zero))
+    raise IntegrationDivergedError("geodesic lanes left the finite range of "
+                                   "the metric")
 
 
 def _is_number(text):
@@ -341,8 +352,9 @@ def _is_number(text):
     return True
 
 
-def _symmetric_solve(a, rhs, lines, checked):
-    """Names of w = A^{-1} rhs, solved by an unrolled LDL^T factorization.
+def _symmetric_solve(a, rhs, lines):
+    """Names of w = A^{-1} rhs and of the pivots d_j, solved by an
+    unrolled LDL^T factorization.
 
     a maps (i, j), i <= j, to the source of each entry of the symmetric
     matrix A that is not identically zero, and rhs lists the sources of
@@ -350,8 +362,7 @@ def _symmetric_solve(a, rhs, lines, checked):
     entries that stay zero are never formed, so a diagonal A costs one
     division per entry (none by a literal 1.0).  There is no pivoting:
     the metric blocks are positive definite, and a zero pivot d_j leaves
-    inf or nan in w_j (ZeroDivisionError on floats) unless checked passes
-    it through the namespace's _pivot.
+    inf or nan in w_j (ZeroDivisionError on floats).
     """
     n = len(rhs)
 
@@ -375,8 +386,6 @@ def _symmetric_solve(a, rhs, lines, checked):
     for j in range(n):
         d = minus(a.get((j, j)), ["%s * %s" % low[j, k]
                                   for k in range(j) if (j, k) in low])
-        if checked and not (d and _is_number(d) and float(d) != 0.0):
-            d = "_pivot(%s)" % (d or "0.0")
         pivots.append(let("d%d" % j, d or "0.0"))
         for i in range(j + 1, n):
             e = minus(a.get((j, i)),
@@ -395,7 +404,7 @@ def _symmetric_solve(a, rhs, lines, checked):
         w[i] = let("w%d" % i, minus(over(forward[i], pivots[i]), [
             "%s * %s" % (low[k, i][0], w[k])
             for k in range(i + 1, n) if (k, i) in low]))
-    return w
+    return w, pivots
 
 
 def _quadratic(a, w):
@@ -427,7 +436,7 @@ def _generate_hamilton(b, f, entries, src):
                 if vv == v and 1 <= i <= j}
 
     lines, quad = [], []
-    w = _symmetric_solve(block(0), u, lines, False)
+    w = _symmetric_solve(block(0), u, lines)[0]
     for v in range(nv):
         form = _quadratic(block(1 + v), w)
         if form:
@@ -455,22 +464,20 @@ def _generate_hamilton(b, f, entries, src):
         lines + ["    return p, (%s,)" % values]), math)
 
 
-def _generate_block(head, matrix, var):
-    """(block, field) of an x = 0 metric block M, numpy code.
+def _generate_cogeodesic(matrix, var):
+    """The cogeodesic field of the inverse of an x = 0 metric block M,
+    numpy code over lanes.
 
-    M is the square matrix of ASTs, as wide as var has coordinates.  The
-    generated head returns M.  field takes the arguments of head but var,
-    a state, the ravel of lanes (var, p) of shape (lanes, 2, n), and arc,
-    scalar or per lane, and returns arc times the cogeodesic field of
-    M^{-1} in the layout of state: d/ds of (var, p) is (w, (1/2) w.dM.w)
-    with w = M^{-1} p from _symmetric_solve and dM the partials of M
-    along var.  A zero pivot leaves inf or nan there; field.checked, the
-    same code with _lane_pivots, raises.  The arguments may carry a lane
-    axis; only nonzero entries are written, each pair from one statement.
+    M is the square matrix of ASTs, as wide as var ("z", fiber, or "y",
+    base) has coordinates.  The field takes y first when var is "z",
+    then a state, the ravel of lanes (var, p) of shape (lanes, 2, n),
+    and arc, scalar or per lane, and returns arc times d/ds of (var, p),
+    (w, (1/2) w.dM.w) with w = M^{-1} p from _symmetric_solve and dM the
+    partials of M along var, in the layout of state.  Only nonzero
+    entries are written, and _finite types the lanes a zero pivot or an
+    overflow leaves inf or nan in.
     """
     n = len(matrix)
-    name = head[:head.index("(")]
-    params = head[head.index("(") + 1:-1].split(", ")
     src = _Source()
 
     def entries(a):   # {(i, j), i <= j: source} of M, or of dM/d(var)_a
@@ -482,40 +489,25 @@ def _generate_block(head, matrix, var):
                 out[i, j] = src.term(node)
         return out
 
-    def start(names, values):
-        return "    x, %s = 0.0, %s" % (", ".join(names), ", ".join(values))
-
-    arrays = ["_asarray(%s).T" % q for q in params]
     m = entries(None)
-    block = src.define(
-        head, start(params, arrays),
-        "    out = _zeros(%s.T.shape[:-1] + (%d, %d))\n%s\n    return out"
-        % (var, n, n, "\n".join("    out[..., %d, %d] = %s" % (p, q, text)
-                                for (i, j), text in m.items()
-                                for p, q in {(i, j), (j, i)})),
-        np, _zeros=np.zeros, _asarray=np.asarray)
     partials = [entries(a) for a in range(n)]
+    lines = ["    out = _empty(state.shape)"]
+    w, pivots = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines)
+    rows = w + ["0.5 * (%s)" % _quadratic(dm, w) if dm else "0.0"
+                for dm in partials]
+    lines += ["    out[%d::%d] = (%s) * arc" % (k, 2 * n, row)
+              for k, row in enumerate(rows)]
+    lines.append("    return _finite(%s)" % ", ".join(
+        ["out"] + [d for d in pivots if not (_is_number(d) and float(d))]))
+    fixed = ["y"] if var == "z" else []   # k reads y, h reads no z
+    head = "%s_cogeodesic(%s)" % ("fiber" if fixed else "base",
+                                  ", ".join(fixed + ["state", "arc"]))
     views = ["(%s)" % "".join("state[%d::%d], " % (k, 2 * n) for k in ks)
              for ks in (range(n), range(n, 2 * n))]
-
-    def instance(checked):
-        lines = ["    out = _empty(state.shape)"]
-        w = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines,
-                             checked)
-        rows = w + ["0.5 * (%s)" % _quadratic(dm, w) if dm else "0.0"
-                    for dm in partials]
-        lines += ["    out[%d::%d] = (%s) * arc" % (k, 2 * n, row)
-                  for k, row in enumerate(rows)]
-        return src.define(
-            "%s_cogeodesic(%s)" % (name, ", ".join(params[:-1]
-                                                   + ["state", "arc"])),
-            start(params + ["p"], arrays[:-1] + views),
-            "\n".join(lines + ["    return out"]), np, _empty=np.empty,
-            _asarray=np.asarray, _pivot=_lane_pivots)
-
-    field = instance(False)
-    field.checked = instance(True)
-    return block, field
+    start = "    x, %s = 0.0, %s" % (", ".join(fixed + [var, "p"]), ", ".join(
+        ["_asarray(y).T"] * len(fixed) + views))
+    return src.define(head, start, "\n".join(lines), np, _empty=np.empty,
+                      _asarray=np.asarray, _finite=_finite)
 
 
 class MetricEvaluator:
@@ -527,13 +519,11 @@ class MetricEvaluator:
     ``hamilton(state, scale)`` returns (p, scale * H), the symbol and
     the flow field of the hamiltonian module at one phase point (floats),
     as a float and a tuple.
-    ``fiber(y, z)`` returns the x = 0 fiber block kzz, shape (f, f); y
-    and z may carry a leading lane axis (shapes (n, b) and (n, f)), which
-    the result then carries too, as numpy.linalg stacks matrices.
     ``fiber_cogeodesic(y, state, arc)`` returns arc times the cogeodesic
     field of kzz^{-1}, d/ds of (z, zeta), on the raveled lanes (n, 2, f)
-    of state (see _generate_block).  ``base(y)`` and
-    ``base_cogeodesic(state, arc)`` do the same for the base block h.
+    of state, and ``base_cogeodesic(state, arc)`` that of h^{-1}, d/ds
+    of (y, eta) (see _generate_cogeodesic).  The blocks kzz and h are
+    read from G at x = 0 (``fiber_cometric``, ``base_cometric``).
     ``seed_exact``: h is constant and h', kyy, kyz vanish identically
     (the hamiltonian module notes say why the launch seed is then exact).
     """
@@ -551,10 +541,8 @@ class MetricEvaluator:
         entries = _metric_entries(spec, vars_, src)
         self.kernel = _generate_kernel(self.nv, entries, src)
         self.hamilton = _generate_hamilton(b, f, entries, src)
-        self.fiber, self.fiber_cogeodesic = _generate_block(
-            "fiber(y, z)", spec.k, "z")
-        self.base, self.base_cogeodesic = _generate_block("base(y)", spec.h,
-                                                          "y")
+        self.fiber_cogeodesic = _generate_cogeodesic(spec.k, "z")
+        self.base_cogeodesic = _generate_cogeodesic(spec.h, "y")
         cross = (spec.hprime, spec.kyy, spec.kyz)
         self.seed_exact = (
             all(isinstance(node, ex.Num) for row in spec.h for node in row)
@@ -586,11 +574,11 @@ class MetricEvaluator:
                                         % (x, err))
 
     def fiber_cometric(self, y, z):
-        """K = inverse fiber block at x = 0, per lane like ``fiber``.
+        """K = kzz(0, y, z)^{-1}, the inverse fiber block of G at x = 0.
 
         Raises DegenerateMetricError where kzz is not finite or singular.
         """
-        kzz = self.fiber(y, z)
+        kzz = self.edge_matrix(0.0, y, z)[self.sz, self.sz]
         if not np.isfinite(kzz).all():
             raise DegenerateMetricError("fiber metric not finite at z=%s"
                                         % np.round(z, 6))
@@ -600,10 +588,12 @@ class MetricEvaluator:
             raise DegenerateMetricError("fiber metric not invertible: %s"
                                         % err)
 
-    def base_cometric(self, y):
-        """H = inverse base block h(0, y)^{-1} (b = 0 gives a 0x0 matrix)."""
+    def base_cometric(self, y, z):
+        """H = h(0, y)^{-1}, the inverse base block of G at (0, y, z)
+        (b = 0 gives a 0x0 matrix)."""
+        h = self.edge_matrix(0.0, y, z)[self.sy, self.sy]
         try:
-            return np.linalg.solve(self.base(y), np.eye(self.b))
+            return np.linalg.solve(h, np.eye(self.b))
         except np.linalg.LinAlgError as err:
             raise DegenerateMetricError("metric not invertible: %s" % err)
 

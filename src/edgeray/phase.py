@@ -124,7 +124,7 @@ def normalize_cosphere(q):
 
 def boundary_margin(spec, q):
     """tau_hat^2 - |eta_hat|^2 in the x = 0 base cometric (= 1 - |eta_hat|^2)."""
-    H = spec.evaluator().base_cometric(q.y)
+    H = spec.evaluator().base_cometric(q.y, q.z)
     return 1.0 - float(q.eta_hat @ H @ q.eta_hat)
 
 

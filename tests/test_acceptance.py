@@ -164,7 +164,7 @@ def test_criterion_03_radial_linearization_spectrum():
                           for lo, hi in spec.z_box])
             sgn_tau = 1 if rng.uniform() < 0.5 else -1
             g = rng.normal(size=spec.b)
-            H = ev.base_cometric(y)
+            H = ev.base_cometric(y, z)
             rho = float(rng.uniform(0.1, 0.9))
             eta = rho * g / math.sqrt(float(g @ H @ g))
             xi = sgn_tau * math.sqrt(1.0 - rho * rho)
@@ -301,7 +301,7 @@ def test_criterion_07_specular_law_randomized():
             sgn_tau = 1 if rng.uniform() < 0.5 else -1
             rho = float(rng.uniform(0.1, 0.85))
             g = rng.normal(size=spec.b)
-            H = ev.base_cometric(y)
+            H = ev.base_cometric(y, z)
             eta = rho * g / math.sqrt(float(g @ H @ g))
             xi_in = sgn_tau * math.sqrt(1.0 - rho * rho)
             incoming = BoundaryData(t_bar=float(rng.uniform(-0.5, 0.5)),

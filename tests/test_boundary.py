@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,23 +351,45 @@ def test_related_search_on_sphere(monkeypatch):
 
 def test_unit_covector_rejects_zero_direction_and_indefinite_metric():
     """A zero direction is a caller error; a fiber metric that is not
-    positive at the event point is a typed DegenerateMetricError, also
-    from the partner search, never a math domain error."""
+    positive at the event point, indefinite or singular there, is a typed
+    DegenerateMetricError, also from the partner search, never a math
+    domain error."""
+    none = np.zeros(0)
+
+    def kzz(spec, z):
+        ev = spec.evaluator()
+        return ev.edge_matrix(0.0, none, z)[ev.sz, ev.sz]
+
     flat = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
                             z_box=[(-0.5, 0.5)])
+    z = np.array([0.0])
     with pytest.raises(ValueError):
-        z = np.array([0.0])
-        fiber_unit_covector(flat.evaluator().fiber(np.zeros(0), z), z,
-                            np.array([0.0]))
+        fiber_unit_covector(kzz(flat, z), z, np.array([0.0]))
     indefinite = make_metric_spec(0, 2, k=[["1", "0"], ["0", "z1 - 1"]],
                                   fiber="chart")
+    z = np.array([0.5, 0.0])
     with pytest.raises(DegenerateMetricError):
-        z = np.array([0.5, 0.0])
-        fiber_unit_covector(indefinite.evaluator().fiber(np.zeros(0), z), z,
-                            np.array([0.0, 1.0]))
+        fiber_unit_covector(kzz(indefinite, z), z, np.array([0.0, 1.0]))
     with pytest.raises(DegenerateMetricError):
-        geometric_partners(indefinite, np.zeros(0), np.array([0.5, 0.0]),
-                           n_directions=8)
+        geometric_partners(indefinite, none, z, n_directions=8)
+    singular = make_metric_spec(0, 1, k=[["z1"]], fiber="chart",
+                                z_box=[(-0.5, 0.5)])
+    with pytest.raises(DegenerateMetricError, match="fiber metric"):
+        geometric_partners(singular, none, np.array([0.0]))
+
+
+def test_overflowing_fiber_norm_is_typed_and_silent():
+    """k = z1 at z1 = 1e-310: the pivot is not zero, but zeta / z1
+    overflows.  The fiber limit map raises IntegrationDivergedError, with
+    no floating-point warning on the way, rather than return z itself."""
+    none = np.zeros(0)
+    spec = make_metric_spec(0, 1, k=[["z1"]], fiber="chart")
+    q = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.array([1e-310]), tau=1.0,
+                       xi=0.5, eta=none, zeta=np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError):
+            fiber_limit_point(spec, q)
 
 
 def test_geodesic_point_respects_variable_speed():

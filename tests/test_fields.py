@@ -100,13 +100,10 @@ def _reference_cogeodesic(matrix, var, ys, zs, p):
 
 def _on_lanes(field, fixed, q, p, arc=1.0):
     """A generated cogeodesic field at the lanes (q, p), shape (n, 2, d),
-    through its flat-state form; its checked instance gives the same
-    bits."""
+    through its flat-state form."""
     n, d = p.shape
     state = np.stack((q, p), axis=1).ravel()
-    out = field(*fixed, state, arc)
-    assert np.array_equal(field.checked(*fixed, state, arc), out)
-    return out.reshape(n, 2, d)
+    return field(*fixed, state, arc).reshape(n, 2, d)
 
 
 def _assert_close(got, want, size=None):

@@ -19,7 +19,6 @@ from edgeray.gbb import (
     _tangential_flow,
     backward_event,
     branch_hyperbolic,
-    child_or_event_data,
     continue_glancing,
     detect_boundary_event,
     fan,
@@ -328,7 +327,7 @@ def test_singular_base_block_is_a_typed_error():
     spec = make_metric_spec(1, 1, h=[["y1"]], k=[["1"]])
     y0, eta0 = np.zeros(1), np.array([1.0])
     with pytest.raises(DegenerateMetricError):
-        spec.evaluator().base_cometric(y0)
+        spec.evaluator().base_cometric(y0, np.zeros(1))
     with pytest.raises(DegenerateMetricError):
         _tangential_flow(spec, 0.0, y0, eta0, 1, 0.4)
     event = BoundaryEvent(branch_id="0",
@@ -432,7 +431,7 @@ def test_backward_event_reproduces_launch_data():
     assert root.event.t_bar == pytest.approx(0.3, abs=1e-6)
     assert root.event.xi_hat == pytest.approx(0.85, abs=1e-5)
     assert root.event is not None and child.seed is not None
-    target = child_or_event_data(child, root.event)
+    target = root.event.outgoing(child.fiber_point)
     assert target.xi_hat == -root.event.xi_hat
     defects = verify_handoff(spec, child.seed, target)
     assert defects["t"] < 1e-8

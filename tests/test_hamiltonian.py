@@ -271,7 +271,7 @@ def test_radial_linearization_spectrum():
             z = np.array([rng.uniform(lo, hi) for lo, hi in spec.z_box])
             sgn = 1 if rng.uniform() < 0.5 else -1
             if b:
-                H = spec.evaluator().base_cometric(y)
+                H = spec.evaluator().base_cometric(y, z)
                 g = rng.normal(size=b)
                 rho = float(rng.uniform(0.0, 0.9))
                 eta = rho * g / math.sqrt(float(g @ H @ g))
@@ -304,7 +304,7 @@ def test_stable_manifold_launch_reproduces_data():
             z = np.array([rng.uniform(lo + 0.2, hi - 0.2)
                           for lo, hi in spec.z_box])
             if b:
-                H = spec.evaluator().base_cometric(y)
+                H = spec.evaluator().base_cometric(y, z)
                 g = rng.normal(size=b)
                 rho = float(rng.uniform(0.0, 0.7))
                 eta = rho * g / math.sqrt(float(g @ H @ g))
@@ -387,7 +387,7 @@ def _launch_data(spec, rng, sgn_tau, io_sign):
     if spec.b:
         rho = float(rng.uniform(0.1, 0.85))
         g = rng.normal(size=spec.b)
-        H = spec.evaluator().base_cometric(y)
+        H = spec.evaluator().base_cometric(y, z)
         eta = rho * g / math.sqrt(float(g @ H @ g))
     return BoundaryData(t_bar=float(rng.uniform(-0.5, 0.5)), y_bar=y,
                         z_bar=z, sgn_tau=sgn_tau,

@@ -130,23 +130,17 @@ def test_kernel_is_bitwise_the_per_block_assembly(name):
 
 @pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
 def test_fiber_function_matches_the_kernel(name):
-    """ev.fiber is the kernel's x = 0 kzz block, at one point and on a
-    lane axis, and the tree-walking partials of k along z (the cogeodesic
-    oracle of test_fields) are the kernel's."""
+    """The tree-walking partials of k along z (the cogeodesic oracle of
+    test_fields) are the kernel's at x = 0."""
     spec = _spec(name)
     ev = spec.evaluator()
     f = spec.f
     rng = np.random.default_rng(3)
     ys = rng.uniform(-0.8, 0.8, (5, spec.b))
     zs = rng.uniform(0.2, 2.9, (5, f))
-    lanes = ev.fiber(ys, zs)
-    assert lanes.shape == (5, f, f)
     for k in range(5):
         G, dG = ev.kernel(0.0, ys[k], zs[k])
         want = [dG[1 + spec.b + a][ev.sz, ev.sz] for a in range(f)]
-        for kzz in (ev.fiber(ys[k], zs[k]), lanes[k]):
-            np.testing.assert_allclose(kzz, G[ev.sz, ev.sz], rtol=1e-15,
-                                       atol=0.0)
         full = [_block(spec.k, 0.0, ys[k], zs[k], "z%d" % (a + 1))
                 for a in range(f)]
         np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
@@ -154,27 +148,22 @@ def test_fiber_function_matches_the_kernel(name):
 
 @pytest.mark.parametrize("name", BUILTINS + sorted(CUSTOM_SPECS))
 def test_base_function_matches_the_kernel(name):
-    """ev.base is the kernel's x = 0 base block h, at one point and on a
-    lane axis, and base_cometric inverts it; the tree-walking partials of
-    h along y are the kernel's."""
+    """base_cometric inverts the kernel's x = 0 base block h, and the
+    tree-walking partials of h along y are the kernel's."""
     spec = _spec(name)
     ev = spec.evaluator()
     b = spec.b
     rng = np.random.default_rng(5)
     ys = rng.uniform(-0.8, 0.8, (5, b))
-    lanes = ev.base(ys)
-    assert lanes.shape == (5, b, b)
     for k in range(5):
         z = np.zeros(spec.f)
         G, dG = ev.kernel(0.0, ys[k], z)
         want = dG[ev.sy, ev.sy, ev.sy]
-        for h in (ev.base(ys[k]), lanes[k]):
-            np.testing.assert_allclose(h, G[ev.sy, ev.sy], rtol=1e-15,
-                                       atol=0.0)
+        h = G[ev.sy, ev.sy]
         full = np.reshape([_block(spec.h, 0.0, ys[k], z, "y%d" % (i + 1))
                            for i in range(b)], (b, b, b))
         np.testing.assert_allclose(full, want, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(ev.base_cometric(ys[k]) @ h, np.eye(b),
+        np.testing.assert_allclose(ev.base_cometric(ys[k], z) @ h, np.eye(b),
                                    rtol=0.0, atol=1e-12)
 
 
