@@ -30,32 +30,24 @@ approach and continuous across zeta = 0.
 
 Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
 of a call (each with its own start, covector and signed parameter arc)
-are one ``ode.rk45`` ODE in a normalised parameter, with at most
-MAX_GEODESIC_STEPS field evaluations.  Its right-hand side is the
-generated cogeodesic field of a metric block on the flat ODE state
-(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``): an
-unrolled LDL^T solve of the block and the quadratic forms of its
-nonzero partials, which itself raises DegenerateMetricError on a lane a
-zero pivot leaves inf or nan in, and IntegrationDivergedError on any
-other lane that is not finite.  On the fiber block a
-partner search shoots all launch directions of an edge event (and each
-refinement round of the relatedness test), an edge event the limit
-points of its whole extrapolation ladder, and the cogeodesic flow one
-lane per sign of its parameter samples; on the base block glancing
-continuation shoots its tangential geodesic (see gbb).
+are one DOP853 ODE of ``ode.rk45`` in a normalised parameter, whose
+right-hand side is the generated cogeodesic field of a metric block
+(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``).  On the
+fiber block a partner search shoots all launch directions of an edge
+event (and each refinement round of the relatedness test), an edge
+event the limit points of its whole extrapolation ladder, and the
+cogeodesic flow one lane per sign of its parameter samples; on the base
+block glancing continuation shoots its tangential geodesic (see gbb).
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
-much as an interior ray on an all-chart fiber stops at CHART_EXIT.  The
-smallest margin of the lanes to the box is a terminal event of the
-shot; when it fires, the lanes at the edge are dropped and the others
-restart from the event in a new rk45 call, with what is left of the
-MAX_GEODESIC_STEPS budget, which counts the evaluations of all restarts
-together.  A dropped lane is no endpoint (a NaN row of the shot): it
-gives no partner and an infinite relatedness defect, and a fiber limit
-point off the chart raises FlowEscapedError.  The boundary flow, whose
-orbits sweep fiber arc pi across the z_box of sphere_edge, and base
-shots are not stopped.
+much as an interior ray on an all-chart fiber stops at CHART_EXIT; the
+shot restarts the other lanes, and the MAX_GEODESIC_STEPS budget counts
+the evaluations of all restarts together.  A dropped lane is no
+endpoint (a NaN row of the shot): it gives no partner and an infinite
+relatedness defect, and a fiber limit point off the chart raises
+FlowEscapedError.  The boundary flow, whose orbits sweep fiber arc pi
+across the z_box of sphere_edge, and base shots are not stopped.
 """
 
 from __future__ import annotations
@@ -140,14 +132,21 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
     ``MetricEvaluator.base_cogeodesic``).  Lane k starts at (q0[k],
     p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
     broadcast against the n lanes of arc.  All lanes are one ODE in the
-    fraction u in [0, 1], whose state is the ravel of shape (n, 2, d).
+    fraction u in [0, 1], whose state is the ravel of shape (n, 2, d),
+    stepped by DOP853 to _GEO_RTOL and _GEO_ATOL (``ode.rk45`` on arrays).
     Returns q and p of shape (len(u), n, d).
 
     box = (lo, hi), the bounds of a chart (see _chart_box), stops every
     lane that starts inside it at the box's edge: the smallest margin
     of those lanes to the box is a terminal event, and when it fires the
-    lanes at or beyond the edge, and always the one with the smallest
-    margin, are dropped; the others restart from the event.  A dropped
+    lanes at the edge, and always the one with the smallest margin, are
+    dropped; the others restart from the event.  A lane is at the edge
+    when its margin is at most _GEO_ATOL + _GEO_RTOL * max|q|, the error
+    the integrator allows a step of the lane: the state at the event's
+    root is known no better (brent's 4 EPS in the parameter is far
+    finer), so mirror lanes that reach the edge at the same parameter
+    as the one that fired, with margins of about 1e-15, go with it
+    instead of firing the next call's event at its own start.  A dropped
     lane has NaN q and p at every fraction past its event.  Without a
     box, or when no lane reaches the edge, the shot is one rk45 call.
 
@@ -204,7 +203,7 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
                 return q, p
             state = sol.y_stop.reshape(-1, 2, d)
             margin = margins(state)
-            keep = margin > 0.0
+            keep = margin > _GEO_ATOL + _GEO_RTOL * np.abs(state[:, 0]).max(1)
             keep[np.argmin(margin)] = False
             if not keep.any():
                 return q, p

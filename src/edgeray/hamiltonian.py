@@ -199,7 +199,7 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
         events.append((chart_exit, 0))
 
     sol = ode.rk45(rhs, s_max, q0.to_vector(), settings.rtol, settings.atol,
-                   MAX_STEPS, events, floats=True)
+                   MAX_STEPS, events)
     if sol.event is None:
         termination = Termination.TIME_LIMIT
     elif sol.event == 0:

@@ -576,17 +576,22 @@ class MetricEvaluator:
     def fiber_cometric(self, y, z):
         """K = kzz(0, y, z)^{-1}, the inverse fiber block of G at x = 0.
 
-        Raises DegenerateMetricError where kzz is not finite or singular.
+        Raises DegenerateMetricError where kzz is not finite, singular,
+        or so near singular that its inverse overflows.
         """
         kzz = self.edge_matrix(0.0, y, z)[self.sz, self.sz]
         if not np.isfinite(kzz).all():
             raise DegenerateMetricError("fiber metric not finite at z=%s"
                                         % np.round(z, 6))
         try:
-            return np.linalg.inv(kzz)
+            K = np.linalg.inv(kzz)
         except np.linalg.LinAlgError as err:
             raise DegenerateMetricError("fiber metric not invertible: %s"
                                         % err)
+        if not np.isfinite(K).all():
+            raise DegenerateMetricError("fiber metric not invertible at "
+                                        "z=%s: its inverse overflows" % z)
+        return K
 
     def base_cometric(self, y, z):
         """H = h(0, y)^{-1}, the inverse base block of G at (0, y, z)

@@ -392,6 +392,30 @@ def test_overflowing_fiber_norm_is_typed_and_silent():
             fiber_limit_point(spec, q)
 
 
+def test_overflowing_fiber_cometric_is_a_typed_error():
+    """k = z1 on the chart z1 in [-0.5, 0.5] at z1 = 1e-310: kzz is
+    finite and not singular, but its inverse overflows.  The cometric,
+    the fiber norm, the maximal interval and the boundary flow raise
+    DegenerateMetricError naming the fiber metric, with no floating-point
+    warning on the way, instead of returning inf, an interval (-0, 0)
+    or a FlowEscapedError."""
+    none = np.zeros(0)
+    spec = make_metric_spec(0, 1, k=[["z1"]], fiber="chart",
+                            z_box=[(-0.5, 0.5)])
+    q = EdgePhasePoint(t=0.0, x=0.0, y=none, z=np.array([1e-310]), tau=1.0,
+                       xi=0.5, eta=none, zeta=np.array([1.0]))
+    calls = [lambda: spec.evaluator().fiber_cometric(q.y, q.z),
+             lambda: fiber_norm(spec, q.y, q.z, q.zeta),
+             lambda: boundary_maximal_interval(spec, q),
+             lambda: boundary_flow(spec, q, 0.1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DegenerateMetricError,
+                               match="fiber metric not invertible"):
+                call()
+
+
 def test_geodesic_point_respects_variable_speed():
     """On the perturbed circle the arc-pi endpoint matches quadrature."""
     a = 0.35

@@ -1,5 +1,5 @@
-"""The in-house RK45 and Brent solver against scipy, which serves here
-only as an oracle: the same operations must give the same bits."""
+"""The in-house Runge-Kutta and Brent solvers against scipy, which serves
+here only as an oracle: the same operations must give the same bits."""
 
 import functools
 import math
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 from edgeray import boundary, ode
@@ -279,8 +280,10 @@ def test_float_step_matches_the_reference_bitwise(b, f, data):
 
 def test_a_division_by_zero_on_floats_fails_the_step():
     """Where numpy divides by zero to inf or nan, floats raise
-    ZeroDivisionError; a float step that raises it is rejected as a
-    numpy step with an inf in a stage is, and the integration goes on."""
+    ZeroDivisionError; a float step that raises it is rejected as
+    scipy's RK45 rejects a step with an inf in a stage, and the
+    integration goes on.  Array steps reject theirs as scipy's DOP853
+    does, bit for bit."""
     def counted(fun):
         calls = []
 
@@ -297,12 +300,20 @@ def test_a_division_by_zero_on_floats_fails_the_step():
     def on_arrays(t, y, blow_up):
         return np.array([math.inf, 0.0]) if blow_up else np.array(
             [y[1], -y[0]])
-    got = ode.rk45(counted(on_floats), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5,
-                   floats=True)
-    want = ode.rk45(counted(on_arrays), 5.0, [1.0, 0.0], 1e-9, 1e-11,
-                    10 ** 5)
-    assert got.rejected == want.rejected >= 1
+    got = ode.rk45(counted(on_floats), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5)
+    want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
+                     method="RK45", rtol=1e-9, atol=1e-11)
+    assert got.rejected >= 1
     assert len(got.t) == len(want.t)
+    assert got.nfev == want.nfev == 2 + 6 * (len(got.t) - 1 + got.rejected)
+    assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
+    got = ode.rk45(counted(on_arrays), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5,
+                   t_eval=[5.0])
+    want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
+                     method="DOP853", t_eval=[5.0], rtol=1e-9, atol=1e-11)
+    assert got.rejected >= 1
+    assert np.array_equal(got.y, want.y.T)
+    assert got.nfev == want.nfev
     assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
 
 
@@ -310,18 +321,25 @@ def test_a_division_by_zero_on_floats_fails_the_step():
 def test_rejected_steps_are_counted(floats):
     """y' = -y, fifty times faster from t = 1, fails the error test on
     the step across t = 1.  Every step attempt costs six evaluations
-    after the first two, so nfev counts the rejected ones too; interior
-    rays carry their count on the segment."""
+    after the first two on floats, twelve with DOP853 on arrays, where
+    the dense output at t_eval costs three more; so nfev counts the
+    rejected ones too, and interior rays carry their count on the
+    segment."""
     if floats:
         def fun(t, y):
             return tuple(-v if t < 1.0 else -50.0 * v for v in y)
+        sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5)
+        steps, cost, dense = len(sol.t) - 1, 6, 0
     else:
         def fun(t, y):
             return -y if t < 1.0 else -50.0 * y
-    sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5,
-                   floats=floats)
+        sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5,
+                       t_eval=[3.0])
+        steps = len(solve_ivp(fun, (0.0, 3.0), [1.0, 2.0], method="DOP853",
+                              rtol=1e-8, atol=1e-10).t) - 1
+        cost, dense = 12, 3
     assert sol.rejected > 0
-    assert sol.nfev == 2 + 6 * (len(sol.t) - 1 + sol.rejected)
+    assert sol.nfev == 2 + cost * (steps + sol.rejected) + dense
     spec, q0, s_max = _edge_ray()
     seg = integrate_interior(spec, q0, -1, FlowSettings(), s_max=s_max)
     assert seg.rejected > 0
@@ -329,7 +347,7 @@ def test_rejected_steps_are_counted(floats):
 
 
 def _solve_ivp_shot(field, q0, p0, arc, u):
-    """_shoot's lanes as one solve_ivp ODE."""
+    """_shoot's lanes as one solve_ivp ODE: q, p and nfev."""
     arc = np.asarray(arc, float)
     n, d = arc.size, np.shape(q0)[-1]
     state0 = np.stack((np.broadcast_to(q0, (n, d)),
@@ -338,11 +356,11 @@ def _solve_ivp_shot(field, q0, p0, arc, u):
     def rhs(_, state):
         return field(state, arc)
 
-    sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="RK45",
+    sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="DOP853",
                     t_eval=u, rtol=boundary._GEO_RTOL,
                     atol=boundary._GEO_ATOL)
     states = sol.y.T.reshape(len(u), n, 2, d)
-    return states[:, :, 0], states[:, :, 1]
+    return states[:, :, 0], states[:, :, 1], sol.nfev
 
 
 def test_multi_lane_shot_matches_solve_ivp_bitwise():
@@ -355,11 +373,17 @@ def test_multi_lane_shot_matches_solve_ivp_bitwise():
     zeta0 = np.stack((np.cos(angles), np.sin(angles) * np.sin(z0[:, 0])), 1)
     arc = [0.7, -1.1, math.pi]
     u = np.array([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
-    got = boundary._shoot(ev.fiber_cogeodesic, z0, zeta0, arc, u, (y,))
-    want = _solve_ivp_shot(field, z0, zeta0, arc, u)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ev.fiber_cogeodesic(*args)
+    got = boundary._shoot(counted, z0, zeta0, arc, u, (y,))
+    *want, nfev = _solve_ivp_shot(field, z0, zeta0, arc, u)
     for g, w in zip(got, want):
         assert g.shape == (len(u), 3, 2)
         assert np.array_equal(g, w)
+    assert len(calls) == nfev
 
 
 def _spiral(t, y):
@@ -377,13 +401,16 @@ _falling.direction = -1
 SPIRAL = dict(fun=_spiral, y0=[1.0, 0.0, 0.5], rtol=1e-9, atol=1e-11)
 
 
-def _rk45_and_solve_ivp(t_eval=None, events=False):
+def _solve_ivp_spiral(t_eval=None, events=False):
+    return solve_ivp(t_span=(0.0, 4.0), method="DOP853", t_eval=t_eval,
+                     events=_falling if events else None, **SPIRAL)
+
+
+def _rk45_and_solve_ivp(t_eval, events=False):
     got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
                    SPIRAL["atol"], 10 ** 5, [(_falling, -1)] if events else (),
                    t_eval)
-    want = solve_ivp(t_span=(0.0, 4.0), method="RK45", t_eval=t_eval,
-                     dense_output=t_eval is None,
-                     events=_falling if events else None, **SPIRAL)
+    want = _solve_ivp_spiral(t_eval, events)
     assert np.array_equal(got.t, want.t)
     assert np.array_equal(got.y, want.y.T)
     assert got.nfev == want.nfev
@@ -392,18 +419,18 @@ def _rk45_and_solve_ivp(t_eval=None, events=False):
 
 @pytest.mark.parametrize("events", [False, True])
 def test_dense_output_matches_solve_ivp_bitwise(events):
-    """Without t_eval every step forms its dense output; with it only a
-    step that holds a t_eval point or fires an event does.  Either way
-    t, y, nfev and the interpolant agree with solve_ivp bit for bit: at
-    step ends and midpoints, at t_eval = 0, at a t_eval point equal to a
-    step end, several inside one step, and with a terminal event that
-    fires on the first step."""
-    full, want = _rk45_and_solve_ivp(events=events)
-    ts = full.t
+    """Only a step that holds a t_eval point or fires an event forms its
+    dense output, at three more evaluations.  t, y, nfev and the
+    interpolant agree with solve_ivp's DOP853 bit for bit: at step ends
+    and midpoints, at t_eval = 0, at a t_eval point equal to a step end,
+    several inside one step, and with a terminal event that fires on the
+    first step."""
+    ts = _solve_ivp_spiral(events=events).t
     assert len(ts) == 2 if events else len(ts) > 8
+    full, _ = _rk45_and_solve_ivp(
+        np.sort(np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1])))), events)
+    assert len(full.t) == 2 * len(ts) - 1
     assert full.event == (0 if events else None)
-    for s in np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]))):
-        assert np.array_equal(full.dense(s), want.sol(s))
     if events:
         t_eval = [0.0, 0.3 * ts[1], 0.6 * ts[1], 1.0]
     else:
@@ -418,16 +445,14 @@ def test_stop_state_is_returned_with_t_eval():
     """With t_eval, t_stop and y_stop are where the integration ended: at
     t_end bit for bit as the last step end, or at an event's root as
     solve_ivp locates it; t_eval points past the event give no rows."""
-    full = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
-                    SPIRAL["atol"], 10 ** 5)
+    full = _solve_ivp_spiral()
     got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
                    SPIRAL["atol"], 10 ** 5, t_eval=[1.0])
-    assert got.t_stop == full.t_stop == full.t[-1] == 4.0
-    assert np.array_equal(got.y_stop, full.y[-1])
+    assert got.t_stop == full.t[-1] == 4.0
+    assert np.array_equal(got.y_stop, full.y[:, -1])
     got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
                    SPIRAL["atol"], 10 ** 5, [(_falling, -1)], t_eval=[3.0])
-    want = solve_ivp(t_span=(0.0, 4.0), method="RK45", events=_falling,
-                     **SPIRAL)
+    want = _solve_ivp_spiral(events=True)
     assert got.event == 0
     assert got.t_stop == want.t_events[0][0]
     assert np.array_equal(got.y_stop, want.y_events[0][0])
@@ -438,12 +463,13 @@ def test_step_below_float_spacing_is_a_typed_failure():
     """y' = y^2 blows up at t = 1: solve_ivp reports failure, rk45 raises."""
     def rhs(t, y):
         return y * y
-    want = solve_ivp(rhs, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
+    want = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-8,
+                     atol=1e-10)
     assert want.status == -1
     with pytest.raises(IntegrationDivergedError,
                        match=re.escape("spacing between numbers at t = %r"
                                        % float(want.t[-1]))):
-        ode.rk45(rhs, 2.0, [1.0], 1e-8, 1e-10, 10 ** 6)
+        ode.rk45(rhs, 2.0, [1.0], 1e-8, 1e-10, 10 ** 6, t_eval=[2.0])
 
 
 def _count_rk45(monkeypatch):
@@ -477,11 +503,38 @@ def test_relatedness_lane_toward_the_sphere_pole_stops_at_the_chart(
     assert sum(counts) < 20000
 
 
+@pytest.mark.parametrize("z_bar, before", [((1.4, 0.7), 819),
+                                           ((1.2, 0.4), 918),
+                                           ((1.8, 5.0), 785)])
+def test_mirror_lanes_leave_the_chart_together(monkeypatch, z_bar, before):
+    """Mirror lanes of a sphere_edge partner search reach the chart's
+    edge at one parameter.  They are dropped together, so no restarted
+    rk45 call stops at its own start; the search finds the antipode and
+    takes fewer evaluations than the `before` it took when a mirror lane
+    left at a margin of about 1e-15 restarted alone."""
+    spec = builtin_scene("sphere_edge").spec
+    counts = _count_rk45(monkeypatch)
+    counted, stops = ode.rk45, []
+
+    def stopping(*args, **kwargs):
+        sol = counted(*args, **kwargs)
+        stops.append(sol.t_stop)
+        return sol
+    monkeypatch.setattr(ode, "rk45", stopping)
+    pts = boundary.geometric_partners(spec, [0.0], list(z_bar))
+    assert len(stops) > 1
+    assert min(stops) > 1e-6
+    assert sum(counts) < before
+    assert len(pts) == 1
+    anti = np.array([math.pi - z_bar[0], z_bar[1] + math.pi])
+    assert np.abs(spec.fiber.coordinate_delta(pts[0], anti)).max() < 1e-10
+
+
 def test_geodesic_budget_is_summed_over_restarts(monkeypatch):
     """From z1 = 1.2 on sphere_edge, lanes of the partner search leave
     the chart and the shot restarts; a budget of 400 evaluations runs
-    out in the fourth rk45 call, after exactly 400 evaluations of the
-    field over all four."""
+    out in the sixth rk45 call, after exactly 400 evaluations of the
+    field over all six."""
     spec = builtin_scene("sphere_edge").spec
     monkeypatch.setattr(boundary, "MAX_GEODESIC_STEPS", 400)
     counts = _count_rk45(monkeypatch)
@@ -498,10 +551,12 @@ def test_evaluation_budget_is_enforced_in_the_integrator():
         calls.append(t)
         return -y
     with pytest.raises(StepLimitError, match="budget of 20"):
-        ode.rk45(rhs, 100.0, [1.0, 2.0], 1e-10, 1e-12, 20)
+        ode.rk45(rhs, 100.0, [1.0, 2.0], 1e-10, 1e-12, 20, t_eval=[100.0])
     assert len(calls) == 20
-    assert ode.rk45(rhs, 0.1, [1.0, 2.0], 1e-3, 1e-6, 10 ** 4).nfev == (
-        solve_ivp(rhs, (0.0, 0.1), [1.0, 2.0], rtol=1e-3, atol=1e-6).nfev)
+    assert ode.rk45(rhs, 0.1, [1.0, 2.0], 1e-3, 1e-6, 10 ** 4,
+                    t_eval=[0.1]).nfev == solve_ivp(
+        rhs, (0.0, 0.1), [1.0, 2.0], method="DOP853", t_eval=[0.1],
+        rtol=1e-3, atol=1e-6).nfev
 
 
 def test_geodesic_budget_stops_a_partner_search(monkeypatch, capsys):
@@ -540,6 +595,19 @@ def test_brent_matches_brentq_bitwise(xtol, rtol):
 def test_brent_needs_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
         ode.brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+
+
+def test_dop853_tables_are_scipys():
+    """The DOP853 tables in edgeray.ode are scipy's, bit for bit."""
+    dop = dop853_coefficients
+    assert ode.N_STAGES == dop.N_STAGES
+    assert ode.A853.shape == (dop.N_STAGES_EXTENDED,) * 2
+    assert 3 + len(ode.D853) == dop.INTERPOLATOR_POWER
+    for mine, scipys in [(ode.C853, dop.C), (ode.A853, dop.A),
+                         (ode.B853, dop.B), (ode.E3, dop.E3),
+                         (ode.E5, dop.E5), (ode.D853, dop.D)]:
+        assert mine.shape == scipys.shape
+        assert mine.tobytes() == scipys.tobytes()
 
 
 def test_a_trace_loads_no_scipy(tmp_path):
