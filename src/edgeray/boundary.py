@@ -28,16 +28,27 @@ after the signed arc
 constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
 
-Every geodesic at x = 0 is a lane of one shooter, ``_shoot``: the lanes
-of a call (each with its own start, covector and signed parameter arc)
-are one DOP853 ODE of ``ode.rk45`` in a normalised parameter, whose
-right-hand side is the generated cogeodesic field of a metric block
-(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``).  On the
-fiber block a partner search shoots all launch directions of an edge
-event (and each refinement round of the relatedness test), an edge
-event the limit points of its whole extrapolation ladder, and the
-cogeodesic flow one lane per sign of its parameter samples; on the base
-block glancing continuation shoots its tangential geodesic (see gbb).
+Geodesics at x = 0 are shot in lanes, all lanes of a call one ODE of
+``ode.rk45``.  On a one-dimensional fiber a unit-speed geodesic is arc
+length: after the signed arc l it ends where dz/dl = kzz^(-1/2) takes
+it, and ``_shoot_arc`` steps those lanes on Python floats with the
+Dormand-Prince 5(4) pair of interior rays, on the generated
+``MetricEvaluator.fiber_speed``.  For f = 1 it shoots the limit points
+of an edge event's whole extrapolation ladder (in arc length itself, one
+step for the ladder's short arcs) and the two arc-pi geodesics of a
+partner search or relatedness test.  Every other geodesic is a lane of
+``_shoot`` (each lane with its own start, covector and signed parameter
+arc), one DOP853 ODE in a normalised parameter on the generated
+cogeodesic field of a metric block (``MetricEvaluator.fiber_cogeodesic``
+or ``base_cogeodesic``): for f >= 2 the launch directions of a partner
+search (and each refinement round of the relatedness test) and the
+ladder's limit points, for every f the cogeodesic flow, one lane per
+sign of its parameter samples, and on the base block glancing
+continuation's tangential geodesic (see gbb).  The cogeodesic flow keeps
+the field even on f = 1: it returns zeta as well as z at many samples of
+the boundary flow's parameter, acceptance criterion 4 integrates
+|zeta|_K over those samples to measure the arc an orbit sweeps, and no
+traced path calls it.
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
@@ -65,7 +76,7 @@ from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
-MAX_GEODESIC_STEPS = 20000  # field evaluations per _shoot call, all restarts
+MAX_GEODESIC_STEPS = 20000  # field evaluations per shot, all restarts
 RELATED_GRID = 64      # launch directions of the relatedness test's first grid
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
@@ -213,6 +224,70 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
             at = at[len(got):] - sol.t_stop
 
 
+def _shoot_arc(spec, ys, zs, arcs):
+    """End points of unit-speed geodesics of a one-dimensional fiber.
+
+    Lane k solves dz/dl = kzz(0, ys[k], z)^(-1/2) (the generated
+    ``MetricEvaluator.fiber_speed``) from zs[k] over the signed arc
+    arcs[k].  The lanes with a nonzero arc are one ODE of ``ode.rk45`` on
+    floats (Dormand-Prince 5(4)) in t in [0, L], L the longest |arc|,
+    lane k at rate arcs[k] / L: in arc length itself, so the short arcs
+    of an event's ladder take one step.  Returns the list of end points.
+    Tolerances, chart stops (a stopped lane ends nan), typed errors and
+    the evaluation budget are those of _shoot.
+    """
+    zs, arcs = list(map(float, zs)), list(map(float, arcs))
+    if not all(map(math.isfinite, zs + arcs)):
+        raise IntegrationDivergedError("non-finite geodesic launch")
+    ends = [math.nan if arc else z for z, arc in zip(zs, arcs)]
+    lanes = [k for k, arc in enumerate(arcs) if arc]
+    if not lanes:
+        return ends
+    speed = spec.evaluator().fiber_speed
+    span = max(abs(arcs[k]) for k in lanes)
+    rates = [arcs[k] / span for k in lanes]
+    ys = [np.asarray(ys[k], float).tolist() for k in lanes]
+    state = [zs[k] for k in lanes]
+    # lanes that start off the chart, and all lanes on a circle, are not
+    # watched
+    box = spec.z_box[0] if spec.fiber.periods[0] is None else ()
+    lo, hi = zip(*[box if box and box[0] <= z <= box[1]
+                   else (-math.inf, math.inf) for z in state])
+
+    def rate(_, state):
+        return tuple([c * speed(y, z) for c, y, z in zip(rates, ys, state)])
+
+    def margins(state):
+        return [min(z - a, b - z) for z, a, b in zip(state, lo, hi)]
+    events = ((lambda _, state: min(margins(state)), -1),) if min(
+        hi) < math.inf else ()
+    used = 0
+    while True:
+        try:
+            with np.errstate(all="ignore"):
+                sol = ode.rk45(rate, span, state, _GEO_RTOL, _GEO_ATOL,
+                               MAX_GEODESIC_STEPS - used, events)
+        except StepLimitError:
+            raise StepLimitError("geodesic shot passed its budget of %d "
+                                 "evaluations" % MAX_GEODESIC_STEPS) from None
+        used += sol.nfev
+        state = sol.y_stop.tolist()
+        if sol.event is None or sol.t_stop == span:
+            for k, z in zip(lanes, state):
+                ends[k] = z
+            return ends
+        margin = margins(state)
+        keep = [m > _GEO_ATOL + _GEO_RTOL * abs(z)
+                for m, z in zip(margin, state)]
+        keep[margin.index(min(margin))] = False
+        lanes, rates, ys, state, lo, hi = (
+            [v for v, kept in zip(column, keep) if kept]
+            for column in (lanes, rates, ys, state, lo, hi))
+        if not lanes:
+            return ends
+        span -= sol.t_stop
+
+
 def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     """Cogeodesic flow of the fiber cometric; returns (z, zeta) samples.
 
@@ -306,18 +381,33 @@ def fiber_limit_point(spec, q):
 def fiber_limit_points(spec, y, z, xi, zeta):
     """fiber_limit_point of many phase points, one per row of y, z and
     zeta (and entry of xi), from one shot.  A limit point past the edge
-    of the fiber chart raises FlowEscapedError."""
-    field = spec.evaluator().fiber_cogeodesic
-    m = np.sqrt(np.maximum((_velocity(field, z, zeta, y) * zeta).sum(axis=1),
-                           0.0))
+    of the fiber chart raises FlowEscapedError.  On a one-dimensional
+    fiber m = |zeta| kzz^(-1/2), and the limit points are one _shoot_arc
+    over the arc times the sign of zeta."""
+    if spec.f == 1:
+        speed = spec.evaluator().fiber_speed
+        m = np.abs(zeta[:, 0]) * [speed(yk, zk) for yk, zk
+                                  in zip(y.tolist(), z[:, 0].tolist())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(m * m < math.inf):
+                raise IntegrationDivergedError("fiber norm |zeta|_K is not "
+                                               "finite")
+    else:
+        field = spec.evaluator().fiber_cogeodesic
+        m = np.sqrt(np.maximum((_velocity(field, z, zeta, y) * zeta).sum(1),
+                               0.0))
     moving = m > 0.0
     if np.any(~moving & (xi == 0.0)):
         raise ValueError("fiber limit undefined on radial directions")
     with np.errstate(divide="ignore", invalid="ignore"):
-        arc = np.where(xi == 0.0, 0.5 * math.pi, np.arctan(m / xi))
-    unit = zeta / np.where(moving, m, 1.0)[:, None]
-    ends = _shoot(field, z, unit, np.where(moving, arc, 0.0), fixed=(y,),
-                  box=_chart_box(spec))[0][-1]
+        arc = np.where(moving, np.where(xi == 0.0, 0.5 * math.pi,
+                                        np.arctan(m / xi)), 0.0)
+    if spec.f == 1:
+        ends = np.array(_shoot_arc(spec, y, z[:, 0],
+                                   np.sign(zeta[:, 0]) * arc))[:, None]
+    else:
+        ends = _shoot(field, z, zeta / np.where(moving, m, 1.0)[:, None], arc,
+                      fixed=(y,), box=_chart_box(spec))[0][-1]
     if np.isnan(ends).any():
         raise _off_chart(spec, "fiber limit point")
     return ends
@@ -346,7 +436,15 @@ def _direction_grid(f, n):
 def _geodesic_ends(spec, y, z0, directions, arc):
     """Endpoints of the unit geodesics from z0 in each direction after
     arc, shot as one ODE; shape (len(directions), f), with a NaN row for
-    each geodesic stopped at the edge of the fiber chart."""
+    each geodesic stopped at the edge of the fiber chart.  On a
+    one-dimensional fiber the directions' signs sign the arcs of one
+    _shoot_arc."""
+    if spec.f == 1:
+        signs = np.sign(np.ravel(directions))
+        if not signs.all():
+            raise ValueError("zero fiber direction")
+        return np.array(_shoot_arc(spec, [y] * len(signs),
+                                   [z0[0]] * len(signs), signs * arc))[:, None]
     ev = spec.evaluator()
     kzz = ev.edge_matrix(0.0, y, z0)[ev.sz, ev.sz]
     zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]

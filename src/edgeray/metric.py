@@ -33,7 +33,9 @@ entry and per distinct function call:
     h along y, the cogeodesic field of its inverse on the geodesic
     shooter's flat state of lanes, which alone reads the block's nonzero
     partials; the blocks themselves are slices of the kernel's G at
-    x = 0 (the fiber and base cometrics read them there).
+    x = 0 (the fiber and base cometrics read them there);
+  * for a one-dimensional fiber only, the speed kzz^(-1/2) of its
+    unit-speed geodesics at one point, in math on floats.
 
 The fields solve with their metric block by an unrolled LDL^T
 factorization without pivoting (the blocks are positive definite), over
@@ -510,6 +512,23 @@ def _generate_cogeodesic(matrix, var):
                       _asarray=np.asarray, _finite=_finite)
 
 
+def _generate_fiber_speed(k):
+    """fiber_speed(y, z1) -> kzz(0, y, z1)^(-1/2), on floats, of the one
+    entry k of a one-dimensional fiber block: dz/dl of its unit-speed
+    geodesics.  A kzz that is not positive raises DegenerateMetricError,
+    one that is nan IntegrationDivergedError, as a lane of the
+    cogeodesic field would."""
+    src = _Source()
+    kzz = src.term(k)
+    return src.define(
+        "fiber_speed(y, z1)", "    x, z = 0.0, (z1,)",
+        "    if %s > 0.0:\n      return 1.0 / _sqrt(%s)\n    if %s <= 0.0:\n"
+        "      raise _Degenerate('fiber metric not positive at z1 = %%.6g: "
+        "k = %%.3g' %% (z1, %s))\n    raise _Diverged('geodesic lanes left "
+        "the finite range of the metric')" % (kzz, kzz, kzz, kzz),
+        math, _Diverged=IntegrationDivergedError)
+
+
 class MetricEvaluator:
     """Evaluates G, dG and derived quantities at chart points.
 
@@ -522,8 +541,12 @@ class MetricEvaluator:
     ``fiber_cogeodesic(y, state, arc)`` returns arc times the cogeodesic
     field of kzz^{-1}, d/ds of (z, zeta), on the raveled lanes (n, 2, f)
     of state, and ``base_cogeodesic(state, arc)`` that of h^{-1}, d/ds
-    of (y, eta) (see _generate_cogeodesic).  The blocks kzz and h are
-    read from G at x = 0 (``fiber_cometric``, ``base_cometric``).
+    of (y, eta) (see _generate_cogeodesic).  For f = 1 only,
+    ``fiber_speed(y, z1)`` returns kzz(0, y, z1)^(-1/2) on floats, the
+    rate dz/dl of a unit-speed fiber geodesic, generated on first use,
+    so a trace that never reaches the edge does not build it.  The blocks
+    kzz and h are read from G at x = 0 (``fiber_cometric``,
+    ``base_cometric``).
     ``seed_exact``: h is constant and h', kyy, kyz vanish identically
     (the hamiltonian module notes say why the launch seed is then exact).
     """
@@ -548,6 +571,14 @@ class MetricEvaluator:
             all(isinstance(node, ex.Num) for row in spec.h for node in row)
             and all(node == ex.Num(0.0)
                     for block in cross for row in block for node in row))
+
+    @functools.cached_property
+    def fiber_speed(self):
+        """kzz(0, y, z1)^(-1/2) of an f = 1 fiber on floats, generated on
+        first use (see _generate_fiber_speed); None for f >= 2."""
+        if self.f == 1:
+            return _generate_fiber_speed(self.spec.k[0][0])
+        return None
 
     def edge_matrix(self, x, y, z):
         """The frame metric G(x, y, z)."""

@@ -1,15 +1,16 @@
 """Runge-Kutta integration and Brent root finding.
 
 Every ODE edgeray solves (interior bicharacteristics, and the lanes of
-fiber and base cogeodesics at x = 0) goes through ``rk45``, and every
+fiber and base geodesics at x = 0) goes through ``rk45``, and every
 scalar root through ``brent``.  ``rk45`` is the step loop of
 ``scipy.integrate.solve_ivp`` (the Hairer-Norsett-Wanner initial step,
 safety factor 0.9, step factors between 0.2 and 10, terminal events
 located on the step interpolant) with one of two of its pairs.  Interior
-rays step on tuples of floats with RK45's Dormand-Prince 5(4) pair, in
-generated straight-line code (``_float_step``) that rounds its stage
-sums differently from scipy.  The shooter's lanes step on arrays with
-DOP853's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
+rays, and the arc-length lanes of one-dimensional fiber geodesics, step
+on tuples of floats with RK45's Dormand-Prince 5(4) pair, in generated
+straight-line code (``_float_step``) that rounds its stage sums
+differently from scipy.  The cogeodesic shooter's lanes step on arrays
+with DOP853's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, sec. II.10) operation for operation as scipy
 does, so they read the same to the last bit; at the shooter's 1e-11 it
 takes a sixth of the steps and half the evaluations of the 5(4) pair.
@@ -298,11 +299,12 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
     event is a pair (g, direction): the integration stops at the first
     zero of g(t, y) that g crosses in the given direction (-1 falling,
     +1 rising, 0 either), and Solution.event is that event's index.
-    Without t_eval (interior rays), fun maps a sequence of floats to a
-    tuple, the steps are Dormand-Prince 5(4) (_float_step), and the
-    solution holds every step end and a DenseOutput.  With t_eval
-    (increasing, inside [0, t_end]; the shooter's lanes), fun maps
-    arrays to arrays, the steps are DOP853, and the solution holds the
+    Without t_eval (interior rays, arc-length lanes), fun maps a
+    sequence of floats to a tuple, the steps are Dormand-Prince 5(4)
+    (_float_step), and the solution holds every step end and a
+    DenseOutput.  With t_eval (increasing, inside [0, t_end]; the
+    cogeodesic shooter's lanes), fun maps arrays to arrays, the steps
+    are DOP853, and the solution holds the
     states at those points, interpolated only in steps that hold them
     (or fire an event), at 3 more evaluations of fun per such step.
     Either way Solution.t_stop and y_stop say where it stopped.

@@ -97,7 +97,7 @@ def _perturbed_metric(a):
     return make_metric_spec(
         1, 1, h=[["1"]],
         hprime=[["%r*sin(z1)" % a]],
-        k=[["(1+%r*sin(z1))^2" % a]],
+        k=[["(1+(%r)*sin(z1))^2" % a]],
         fiber="circle(%r)" % (2.0 * math.pi))
 
 

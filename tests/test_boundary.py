@@ -417,17 +417,21 @@ def test_overflowing_fiber_cometric_is_a_typed_error():
 
 
 def test_geodesic_point_respects_variable_speed():
-    """On the perturbed circle the arc-pi endpoint matches quadrature."""
+    """On the perturbed circle the endpoint matches quadrature, for
+    either direction and either sign of the arc."""
     a = 0.35
     spec = builtin_scene("perturbed_edge(%r)" % a).spec
     y = np.array([0.0])
     z1 = 0.9
-    fwd = brentq(lambda zz: (zz - z1) + a * (math.cos(z1) - math.cos(zz))
-                 - math.pi, z1, z1 + 2.0 * math.pi)
-    got = fiber_geodesic_point(spec, y, np.array([z1]), np.array([1.0]),
-                               math.pi)
-    delta = spec.fiber.coordinate_delta(got, np.array([fwd]))
-    assert abs(float(delta[0])) < 1e-9
+    for direction, arc in ((1.0, math.pi), (-1.0, math.pi), (1.0, -1.0),
+                           (-2.0, -1.0)):
+        signed = math.copysign(1.0, direction) * arc
+        want = brentq(lambda zz: (zz - z1) + a * (math.cos(z1) - math.cos(zz))
+                      - signed, z1 - 2.0 * math.pi, z1 + 2.0 * math.pi)
+        got = fiber_geodesic_point(spec, y, np.array([z1]),
+                                   np.array([direction]), arc)
+        delta = spec.fiber.coordinate_delta(got, np.array([want]))
+        assert abs(float(delta[0])) < 1e-9
 
 
 def _oracle_block(matrix, y, z, var=None):
@@ -629,6 +633,38 @@ def test_batched_shot_raises_typed_errors():
         fiber_limit_point(escaping, q)
     with pytest.raises(IntegrationDivergedError):
         boundary_flow(escaping, q, 1.4)
+
+
+@pytest.mark.parametrize("name", ["circle", "chart"])
+def test_arc_length_shot_matches_the_cogeodesic_shot(name):
+    """On f = 1 the arc-length shot lands where _shoot lands, lane by
+    lane, to 1e-9, with the same NaN rows: on a circle whose k depends on
+    both y and z, and on the chart k = exp(-2 z1), whose unit geodesic
+    from z0 reaches z1 = pi after arc exp(-z0) - exp(-pi), so the lanes
+    with longer arcs stop (z0 = 4 starts off the chart, unwatched)."""
+    if name == "circle":
+        spec = make_metric_spec(
+            1, 1, h=[["1"]], k=[["(1 + 0.2*y1^2 + 0.3*sin(z1))^2"]],
+            fiber="circle(%r)" % (2.0 * math.pi))
+        rng = np.random.default_rng(8)
+        arcs = np.array([0.0, -1.3, 2.1, -0.4, 0.7, math.pi, -math.pi, 1e-7])
+        ys = rng.uniform(-1.0, 1.0, (len(arcs), 1))
+        zs = rng.uniform(0.0, 2.0 * math.pi, len(arcs))
+    else:
+        spec = make_metric_spec(0, 1, k=[["exp(-2*z1)"]], fiber="chart")
+        arcs = np.array([1.2, 0.5, -2.0, 2.0, 3.0, -0.01, 0.0])
+        zs = np.array([0.0, 0.0, 0.0, -1.0, -1.0, 4.0, 1.0])
+        ys = np.zeros((len(arcs), 0))
+    ev = spec.evaluator()
+    got = np.array(boundary._shoot_arc(spec, ys, zs, arcs))
+    units = np.array([[1.0 / ev.fiber_speed(y, z)] for y, z
+                      in zip(ys.tolist(), zs.tolist())])
+    want = _shoot(ev.fiber_cogeodesic, zs[:, None], units, arcs,
+                  fixed=(ys,), box=boundary._chart_box(spec))[0][-1, :, 0]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    if name == "chart":
+        assert np.isnan(got).tolist() == [1, 0, 0, 0, 1, 0, 0]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def _sphere_geodesic(z0, zeta0):

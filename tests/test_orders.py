@@ -224,22 +224,23 @@ def test_annotate_path_clean_flag_overrides():
 
 
 def test_partners_are_shot_once_per_event(monkeypatch):
-    """f = 1: annotate_path shoots each event's arc-pi geodesics once,
-    and a fan branch is clean exactly when is_geometrically_related
-    finds its fiber point is no partner of the event's."""
+    """f = 1: annotate_path shoots each event's arc-pi geodesics once, in
+    one arc-length shot, and a fan branch is clean exactly when
+    is_geometrically_related finds its fiber point is no partner of the
+    event's."""
     nf = Nonfocusing("1/2", 1)
     for name in ("perturbed_edge(0.3)", "product_cone(1.0)"):
         config = builtin_scene(name)
         spec = config.spec
         path = trace_gbb(spec, config.source, config.t_span, fan(8))
         shots = []
-        shoot = boundary._shoot
+        shoot = boundary._shoot_arc
 
         def counted(*args, **kwargs):
             shots.append(1)
             return shoot(*args, **kwargs)
         with monkeypatch.context() as patch:
-            patch.setattr(boundary, "_shoot", counted)
+            patch.setattr(boundary, "_shoot_arc", counted)
             record = annotate_path(path, 0, nonfocusing=nf)
         assert path.events() and len(shots) == len(path.events())
         outcomes = set()

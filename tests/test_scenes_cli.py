@@ -43,6 +43,8 @@ def test_builtin_scene_references():
     assert config.name == "product_cone(2.0)"
     assert builtin_scene("product_edge(2, 2)").spec.b == 2
     assert builtin_scene("sphere_edge").spec.f == 2
+    assert builtin_scene("perturbed_edge(-0.3)").spec.k != builtin_scene(
+        "perturbed_edge(0.3)").spec.k
     for bad in ("nope", "product_cone(x)", "product_cone(1, 2, 3)",
                 "product_cone(-1.0)", "1bad"):
         with pytest.raises(ConfigError):
