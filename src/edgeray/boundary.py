@@ -40,15 +40,16 @@ partner search or relatedness test.  Every other geodesic is a lane of
 ``_shoot`` (each lane with its own start, covector and signed parameter
 arc), one DOP853 ODE in a normalised parameter on the generated
 cogeodesic field of a metric block (``MetricEvaluator.fiber_cogeodesic``
-or ``base_cogeodesic``): for f >= 2 the launch directions of a partner
-search (and each refinement round of the relatedness test) and the
-ladder's limit points, for every f the cogeodesic flow, one lane per
-sign of its parameter samples, and on the base block glancing
-continuation's tangential geodesic (see gbb).  The cogeodesic flow keeps
-the field even on f = 1: it returns zeta as well as z at many samples of
-the boundary flow's parameter, acceptance criterion 4 integrates
-|zeta|_K over those samples to measure the arc an orbit sweeps, and no
-traced path calls it.
+or ``base_cogeodesic``) that returns only the lanes' end points: for
+f >= 2 the launch directions of a partner search (and each refinement
+round of the relatedness test) and the ladder's limit points, for every
+f the cogeodesic flow, one lane per parameter sample, and on the base
+block glancing continuation's tangential geodesic, one lane per sample
+(see gbb).  The cogeodesic flow keeps the field even on f = 1: it
+returns zeta as well as z at many samples of the boundary flow's
+parameter, acceptance criterion 4 integrates |zeta|_K over those
+samples to measure the arc an orbit sweeps, and no traced path calls
+it.
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
@@ -134,18 +135,19 @@ def _off_chart(spec, what):
     return FlowEscapedError("%s leaves the fiber chart %s" % (what, bounds))
 
 
-def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
-    """(q, p) at the parameter fractions u of cogeodesic lanes.
+def _shoot(field, q0, p0, arc, fixed=(), box=None):
+    """End points (q, p) of cogeodesic lanes, each of shape (n, d).
 
     field(*fixed, state, arc) is the cogeodesic field of an x = 0 metric
     block on the raveled lanes (q, p) of state, scaled lane by lane by
     arc (``MetricEvaluator.fiber_cogeodesic`` with fixed = (y,), or
     ``MetricEvaluator.base_cogeodesic``).  Lane k starts at (q0[k],
     p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
-    broadcast against the n lanes of arc.  All lanes are one ODE in the
-    fraction u in [0, 1], whose state is the ravel of shape (n, 2, d),
-    stepped by DOP853 to _GEO_RTOL and _GEO_ATOL (``ode.rk45`` on arrays).
-    Returns q and p of shape (len(u), n, d).
+    broadcast against the n lanes of arc, so samples along one geodesic
+    are lanes with one start and their own arcs.  All lanes are one ODE
+    in the fraction u in [0, 1], whose state is the ravel of shape (n, 2,
+    d), stepped by DOP853 to _GEO_RTOL and _GEO_ATOL (``ode.rk45`` on an
+    array) to its end at u = 1.
 
     box = (lo, hi), the bounds of a chart (see _chart_box), stops every
     lane that starts inside it at the box's edge: the smallest margin
@@ -158,8 +160,8 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
     finer), so mirror lanes that reach the edge at the same parameter
     as the one that fired, with margins of about 1e-15, go with it
     instead of firing the next call's event at its own start.  A dropped
-    lane has NaN q and p at every fraction past its event.  Without a
-    box, or when no lane reaches the edge, the shot is one rk45 call.
+    lane ends as NaN in q and p.  Without a box, or when no lane reaches
+    the edge, the shot is one rk45 call.
 
     A zero pivot of the block in any lane raises DegenerateMetricError,
     a non-finite lane or a collapsing step IntegrationDivergedError, and
@@ -173,8 +175,7 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
     if not (np.all(np.isfinite(state0)) and np.all(np.isfinite(arc))):
         raise IntegrationDivergedError("non-finite geodesic launch")
     if not arc.any():
-        states = np.broadcast_to(state0, (len(u), n, 2, d))
-        return states[:, :, 0].copy(), states[:, :, 1].copy()
+        return state0[:, 0], state0[:, 1]
 
     def rhs(_, state):
         return field(*fixed, state, arc)
@@ -192,27 +193,22 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
             return np.minimum(q - lo, hi - q).min(axis=1)
         events = ((lambda _, state: margins(state).min(), -1),)
 
-    q, p = np.full((2, len(u), n, d), np.nan)
-    lanes, state, span, at = np.arange(n), state0, 1.0, np.asarray(u, float)
-    done = used = 0
+    q, p = np.full((2, n, d), np.nan)
+    lanes, state, span, used = np.arange(n), state0, 1.0, 0
     with np.errstate(all="ignore"):
         while True:
             try:
                 sol = ode.rk45(rhs, span, state.ravel(), _GEO_RTOL,
-                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events,
-                               t_eval=at)
+                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events)
             except StepLimitError:
                 raise StepLimitError("geodesic shot passed its budget of %d "
                                      "evaluations" % MAX_GEODESIC_STEPS
                                      ) from None
             used += sol.nfev
-            got = sol.y.reshape(-1, lanes.size, 2, d)
-            q[done:done + len(got), lanes] = got[:, :, 0]
-            p[done:done + len(got), lanes] = got[:, :, 1]
-            done += len(got)
-            if sol.event is None or done == len(u):
-                return q, p
             state = sol.y_stop.reshape(-1, 2, d)
+            if sol.event is None or sol.t_stop == span:
+                q[lanes], p[lanes] = state[:, 0], state[:, 1]
+                return q, p
             margin = margins(state)
             keep = margin > _GEO_ATOL + _GEO_RTOL * np.abs(state[:, 0]).max(1)
             keep[np.argmin(margin)] = False
@@ -221,7 +217,6 @@ def _shoot(field, q0, p0, arc, u=(1.0,), fixed=(), box=None):
             lanes, state, arc = lanes[keep], state[keep], arc[keep]
             lo, hi = lo[keep], hi[keep]
             span -= sol.t_stop
-            at = at[len(got):] - sol.t_stop
 
 
 def _shoot_arc(spec, ys, zs, arcs):
@@ -292,21 +287,14 @@ def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
     """Cogeodesic flow of the fiber cometric; returns (z, zeta) samples.
 
     The parameter matches the boundary flow parameter: the fiber arc
-    advances at the constant rate |zeta0|_K.  One lane runs to the most
-    negative and one to the most positive s, sampled on the way.  The
-    lanes are not stopped at the edge of the fiber chart: a boundary
-    orbit sweeps fiber arc pi, which on sphere_edge's polar chart leaves
-    its z_box, and acceptance criterion 4 measures whole orbits.
+    advances at the constant rate |zeta0|_K.  Each sample is one lane of
+    a _shoot from (z0, zeta0) over its own s.  The lanes are not stopped
+    at the edge of the fiber chart: a boundary orbit sweeps fiber arc
+    pi, which on sphere_edge's polar chart leaves its z_box, and
+    acceptance criterion 4 measures whole orbits.
     """
-    s = np.atleast_1d(np.asarray(s_values, float))
-    lo, hi = min(s.min(), 0.0), max(s.max(), 0.0)
-    lane = (s >= 0.0).astype(int)
-    u = s / np.where(lane, hi or 1.0, lo)
-    u_eval = np.unique(u)
-    zs, zetas = _shoot(spec.evaluator().fiber_cogeodesic, z0, zeta0,
-                       [lo, hi], u_eval, (y,))
-    at = np.searchsorted(u_eval, u)
-    return zs[at, lane], zetas[at, lane]
+    return _shoot(spec.evaluator().fiber_cogeodesic, z0, zeta0,
+                  np.atleast_1d(np.asarray(s_values, float)), (y,))
 
 
 def fiber_geodesic_point(spec, y, z0, direction, arc):
@@ -399,7 +387,7 @@ def fiber_limit_points(spec, y, z, xi, zeta):
     moving = m > 0.0
     if np.any(~moving & (xi == 0.0)):
         raise ValueError("fiber limit undefined on radial directions")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arc = np.where(moving, np.where(xi == 0.0, 0.5 * math.pi,
                                         np.arctan(m / xi)), 0.0)
     if spec.f == 1:
@@ -407,7 +395,7 @@ def fiber_limit_points(spec, y, z, xi, zeta):
                                    np.sign(zeta[:, 0]) * arc))[:, None]
     else:
         ends = _shoot(field, z, zeta / np.where(moving, m, 1.0)[:, None], arc,
-                      fixed=(y,), box=_chart_box(spec))[0][-1]
+                      fixed=(y,), box=_chart_box(spec))[0]
     if np.isnan(ends).any():
         raise _off_chart(spec, "fiber limit point")
     return ends
@@ -450,7 +438,7 @@ def _geodesic_ends(spec, y, z0, directions, arc):
     zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]
     return _shoot(ev.fiber_cogeodesic, z0, zetas,
                   np.full(len(zetas), arc), fixed=(y,),
-                  box=_chart_box(spec))[0][-1]
+                  box=_chart_box(spec))[0]
 
 
 def geometric_partners(spec, y, z_bar, n_directions=None):

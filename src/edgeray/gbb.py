@@ -271,14 +271,14 @@ class TangentialPath:
 
 def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
     """Geodesic flow of h(0, y)^{-1} for time delta, reversed for sgn_tau
-    > 0, at TANGENTIAL_SAMPLES steps: one shooter lane on the base block."""
+    > 0, at TANGENTIAL_SAMPLES steps: one shooter lane on the base block
+    per sample, each over its own share of the travel."""
     if not spec.b:
         return TangentialPath(t=np.array([t0, t0 + delta]), y=np.zeros((2, 0)),
                               eta_hat=np.zeros((2, 0)), norm_drift=0.0)
     ev = spec.evaluator()
-    ys, etas = _shoot(ev.base_cogeodesic, y0, eta0, [-delta / sgn_tau],
-                      np.linspace(0.0, 1.0, TANGENTIAL_SAMPLES))
-    ys, etas = ys[:, 0], etas[:, 0]
+    ys, etas = _shoot(ev.base_cogeodesic, y0, eta0,
+                      np.linspace(0.0, -delta / sgn_tau, TANGENTIAL_SAMPLES))
     norms = np.einsum("ni,ni->n", etas, _velocity(ev.base_cogeodesic, ys,
                                                   etas))
     return TangentialPath(t=t0 + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),

@@ -198,8 +198,8 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
             return -max(max(vec[i] - hi, lo - vec[i]) for i, (lo, hi) in box)
         events.append((chart_exit, 0))
 
-    sol = ode.rk45(rhs, s_max, q0.to_vector(), settings.rtol, settings.atol,
-                   MAX_STEPS, events)
+    sol = ode.rk45(rhs, s_max, q0.to_vector().tolist(), settings.rtol,
+                   settings.atol, MAX_STEPS, events)
     if sol.event is None:
         termination = Termination.TIME_LIMIT
     elif sol.event == 0:

@@ -5,15 +5,17 @@ fiber and base geodesics at x = 0) goes through ``rk45``, and every
 scalar root through ``brent``.  ``rk45`` is the step loop of
 ``scipy.integrate.solve_ivp`` (the Hairer-Norsett-Wanner initial step,
 safety factor 0.9, step factors between 0.2 and 10, terminal events
-located on the step interpolant) with one of two of its pairs.  Interior
-rays, and the arc-length lanes of one-dimensional fiber geodesics, step
-on tuples of floats with RK45's Dormand-Prince 5(4) pair, in generated
-straight-line code (``_float_step``) that rounds its stage sums
-differently from scipy.  The cogeodesic shooter's lanes step on arrays
-with DOP853's 8(5,3) pair (Hairer, Norsett & Wanner, Solving Ordinary
-Differential Equations I, sec. II.10) operation for operation as scipy
-does, so they read the same to the last bit; at the shooter's 1e-11 it
-takes a sixth of the steps and half the evaluations of the 5(4) pair.
+located on the step interpolant) with one of two of its pairs, picked
+by the type of the initial state.  Interior rays, and the arc-length
+lanes of one-dimensional fiber geodesics, step on sequences of floats
+with RK45's Dormand-Prince 5(4) pair, in generated straight-line code
+(``_float_step``) that rounds its stage sums differently from scipy,
+and keep every step end and its interpolant.  The cogeodesic shooter's
+lanes step on arrays with DOP853's 8(5,3) pair (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, sec. II.10) operation
+for operation as scipy does, so their end points read the same to the
+last bit; at the shooter's 1e-11 it takes a sixth of the steps and half
+the evaluations of the 5(4) pair.
 ``brent`` is a transcription of the C source of ``scipy.optimize.brentq``.
 edgeray does not import scipy.integrate and scipy.optimize, which took
 most of the time of ``import edgeray``; the tables below are scipy's.
@@ -216,11 +218,10 @@ def _dop853_piece(f, t_old, y_old, h, K, y_new, f_new):
 
 def _dop853_interpolate(piece, t):
     """Dense output of one DOP853 step, (t_old, h, y_old, F), at a scalar
-    t, or at an array of t with one row each."""
+    t."""
     t_old, h, y_old, F = piece
     x = (t - t_old) / h
-    x = x[:, None] if np.ndim(x) else x
-    y = np.zeros(np.shape(x)[:1] + y_old.shape)
+    y = np.zeros_like(y_old)
     for i, f in enumerate(F[::-1]):
         y += f
         y *= 1 - x if i % 2 else x
@@ -229,14 +230,15 @@ def _dop853_interpolate(piece, t):
 
 @dataclass
 class Solution:
-    t: np.ndarray          # step ends from 0, or the t_eval points
-    y: np.ndarray          # states, one row per entry of t
+    """Where rk45 stopped, and on floats also its steps."""
+    t_stop: float          # where the integration stopped: t_end or an
+    y_stop: np.ndarray     # event's root; and the state there
     nfev: int              # evaluations of the field
     event: int = None      # index of the terminal event that fired
-    dense: DenseOutput = None
-    t_stop: float = None       # where the integration stopped: t_end or
-    y_stop: np.ndarray = None  # an event's root; and the state there
     rejected: int = 0      # step attempts the error test rejected
+    t: np.ndarray = None   # on floats only: the step ends from 0,
+    y: np.ndarray = None   # the states there, one row each,
+    dense: DenseOutput = None  # and their interpolant
 
 
 def _initial_step(f, y0, f0, t_end, rtol, atol, floats, order):
@@ -292,27 +294,27 @@ _DP54 = (4, _float_step, lambda f, t, y, h, K, *_: _piece(t, y, h, K),
 _DOP853 = (7, _dop853_step, _dop853_piece, _dop853_interpolate)
 
 
-def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
+def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
     """Integrate dy/dt = fun(t, y) from y(0) = y0 to t = t_end > 0.
 
     The local error of each step is kept below atol + rtol*|y|.  Every
     event is a pair (g, direction): the integration stops at the first
     zero of g(t, y) that g crosses in the given direction (-1 falling,
-    +1 rising, 0 either), and Solution.event is that event's index.
-    Without t_eval (interior rays, arc-length lanes), fun maps a
-    sequence of floats to a tuple, the steps are Dormand-Prince 5(4)
-    (_float_step), and the solution holds every step end and a
-    DenseOutput.  With t_eval (increasing, inside [0, t_end]; the
-    cogeodesic shooter's lanes), fun maps arrays to arrays, the steps
-    are DOP853, and the solution holds the
-    states at those points, interpolated only in steps that hold them
-    (or fire an event), at 3 more evaluations of fun per such step.
-    Either way Solution.t_stop and y_stop say where it stopped.
+    +1 rising, 0 either), located on the step's interpolant, and
+    Solution.event is that event's index.  The type of y0 picks the
+    path.  On a sequence of floats (interior rays, arc-length lanes) fun
+    maps a sequence of floats to a tuple, the steps are Dormand-Prince
+    5(4) (_float_step), and the solution also holds every step end and a
+    DenseOutput.  On an ndarray (the cogeodesic shooter's lanes) fun maps
+    arrays to arrays, the steps are DOP853, and the solution holds only
+    where it stopped.  Either way Solution.t_stop and y_stop say where:
+    at t_end, or at an event's root.
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
     if not t_end > 0.0:
         raise ValueError("integration needs t_end > 0, got %r" % t_end)
+    floats = not isinstance(y0, np.ndarray)
     y0 = np.asarray(y0, float)
     if not np.isfinite(y0).all():
         raise ValueError("initial state must be finite")
@@ -329,18 +331,14 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
         spend(1)
         return fun(t, y)
 
-    t, floats = 0.0, t_eval is None
+    t = 0.0
     order, make_step, make_piece, interpolate = _DP54 if floats else _DOP853
     step, exponent = make_step(y0.size), -1 / (order + 1)
     y = tuple(y0.tolist()) if floats else y0
     fy = f(t, y)
     h_abs = _initial_step(f, y0, np.asarray(fy), t_end, rtol, atol, floats,
                           order)
-    if floats:
-        ts, ys, hs, ks = [t], [y], [], bytearray()   # ks: stage rows
-    else:
-        t_eval = np.asarray(t_eval, float)
-        evals, ys, i_eval = t_eval.tolist(), [], 0
+    ts, ys, hs, ks = [t], [y], [], bytearray()   # floats; ks: stage rows
     g = [event(t, y) for event, _ in events]
     fired = None
     while fired is None and t < t_end:
@@ -372,42 +370,35 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), t_eval=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
             n_rejected += 1
-        taken, piece = (f, t, y, h, K, y_new, f_new), None
-        t, y, fy = t_new, y_new, f_new
         if events:
-            g_new = [event(t, y) for event, _ in events]
+            g_new = [event(t_new, y_new) for event, _ in events]
             active = [i for i, (_, sign) in enumerate(events)
                       if (sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
                       or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)]
             if active:
-                piece = make_piece(*taken)
+                piece = make_piece(f, t, y, h, K, y_new, f_new)
                 roots = [brent(lambda u, i=i: events[i][0](
-                    u, interpolate(piece, u)), piece[0], t, 4 * EPS,
+                    u, interpolate(piece, u)), t, t_new, 4 * EPS,
                     4 * EPS) for i in active]
                 first = min(range(len(active)), key=roots.__getitem__)
                 fired = active[first]
-                t = roots[first]
-                y = interpolate(piece, t)
+                t_new = roots[first]
+                y_new = interpolate(piece, t_new)
             g = g_new
-        if floats:
-            if len(ts) == 1 or ts[-1] != t:    # an event root at the last
-                ts.append(t)                   # step end adds no step
-                ys.append(y)
-                hs.append(h)
-                ks += K
-        elif i_eval < len(evals) and evals[i_eval] <= t:
-            i_new = bisect.bisect_right(evals, t, i_eval)
-            ys.append(interpolate(piece or make_piece(*taken),
-                                  t_eval[i_eval:i_new]))
-            i_eval = i_new
+        t, y, fy = t_new, y_new, f_new
+        # an event root at the last step end adds no step
+        if floats and (len(ts) == 1 or ts[-1] != t):
+            ts.append(t)
+            ys.append(y)
+            hs.append(h)
+            ks += K
     if not floats:
-        states = np.vstack(ys) if ys else np.empty((0, len(y)))
-        return Solution(t=t_eval[:i_eval], y=states, nfev=nfev, event=fired,
-                        t_stop=t, y_stop=np.asarray(y), rejected=n_rejected)
+        return Solution(t_stop=t, y_stop=y, nfev=nfev, event=fired,
+                        rejected=n_rejected)
     states, ks = np.array(ys), np.frombuffer(ks).reshape(len(hs), 7, -1)
-    return Solution(t=np.array(ts), y=states, nfev=nfev, event=fired,
-                    dense=DenseOutput(ts, states, hs, ks), t_stop=t,
-                    y_stop=np.asarray(y), rejected=n_rejected)
+    return Solution(t_stop=t, y_stop=np.asarray(y), nfev=nfev, event=fired,
+                    rejected=n_rejected, t=np.array(ts), y=states,
+                    dense=DenseOutput(ts, states, hs, ks))
 
 
 def brent(f, a, b, xtol, rtol):

@@ -497,7 +497,7 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
              for d in _direction_grid(spec.f, n)]
     ev = spec.evaluator()
     batched = _shoot(ev.fiber_cogeodesic, z_bar, zetas, np.full(n, math.pi),
-                     fixed=(y,))[0][-1]
+                     fixed=(y,))[0]
     single = [_oracle_shot(spec, y, z_bar, zeta, math.pi)[0]
               for zeta in zetas]
     assert batched.shape == (n, spec.f)
@@ -517,7 +517,8 @@ def test_batched_shot_matches_single_geodesics(name, y, z_bar, n):
 def test_shot_lanes_keep_their_own_start_and_arc(name):
     """Lanes with their own y, start point, covector and signed arc (zero
     and negative included) each match an independent solve, in z and
-    zeta, at the end and half way."""
+    zeta, at the end and half way, the half-way points as lanes of half
+    the arc."""
     if name == "coupled":
         spec = make_metric_spec(
             1, 2, h=[["1"]], fiber="torus",
@@ -531,9 +532,13 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
     zs = rng.uniform(0.4, 2.6, (len(arcs), spec.f))
     zetas = rng.uniform(-1.0, 1.0, (len(arcs), spec.f))
     ev = spec.evaluator()
-    got_z, got_zeta = _shoot(ev.fiber_cogeodesic, zs, zetas, arcs,
-                             u=(0.5, 1.0), fixed=(ys,))
-    assert got_z.shape == got_zeta.shape == (2, len(arcs), spec.f)
+    got_z, got_zeta = _shoot(ev.fiber_cogeodesic, np.tile(zs, (2, 1)),
+                             np.tile(zetas, (2, 1)),
+                             np.concatenate((0.5 * arcs, arcs)),
+                             fixed=(np.tile(ys, (2, 1)),))
+    assert got_z.shape == got_zeta.shape == (2 * len(arcs), spec.f)
+    got_z = got_z.reshape(2, len(arcs), spec.f)
+    got_zeta = got_zeta.reshape(2, len(arcs), spec.f)
     for k, arc in enumerate(arcs):
         for i, frac in enumerate((0.5, 1.0)):
             z, zeta = _oracle_shot(spec, ys[k], zs[k], zetas[k], frac * arc)
@@ -546,7 +551,8 @@ def test_shot_lanes_keep_their_own_start_and_arc(name):
 def test_base_shot_lanes_keep_their_own_start_and_arc():
     """On a curved base block, lanes of one shot with their own start,
     covector and signed arc (zero and negative included) each match an
-    independent solve, in y and eta, at the end and half way."""
+    independent solve, in y and eta, at the end and half way, the
+    half-way points as lanes of half the arc."""
     spec = make_metric_spec(2, 1, h=[["1", "0"], ["0", "sin(y1)^2"]],
                             k=[["1"]], fiber="circle(%r)" % (2.0 * math.pi))
     ev = spec.evaluator()
@@ -560,8 +566,12 @@ def test_base_shot_lanes_keep_their_own_start_and_arc():
     etas = np.column_stack((rng.uniform(-0.5, 0.5, len(arcs)),
                             rng.choice((-1.0, 1.0), len(arcs))
                             * rng.uniform(0.3, 0.6, len(arcs))))
-    got_y, got_eta = _shoot(ev.base_cogeodesic, ys, etas, arcs, u=(0.5, 1.0))
-    assert got_y.shape == got_eta.shape == (2, len(arcs), 2)
+    got_y, got_eta = _shoot(ev.base_cogeodesic, np.tile(ys, (2, 1)),
+                            np.tile(etas, (2, 1)),
+                            np.concatenate((0.5 * arcs, arcs)))
+    assert got_y.shape == got_eta.shape == (2 * len(arcs), 2)
+    got_y, got_eta = got_y.reshape(2, len(arcs), 2), got_eta.reshape(
+        2, len(arcs), 2)
 
     def h(y, var=None):
         return _oracle_block(spec.h, y, [], var)
@@ -660,7 +670,7 @@ def test_arc_length_shot_matches_the_cogeodesic_shot(name):
     units = np.array([[1.0 / ev.fiber_speed(y, z)] for y, z
                       in zip(ys.tolist(), zs.tolist())])
     want = _shoot(ev.fiber_cogeodesic, zs[:, None], units, arcs,
-                  fixed=(ys,), box=boundary._chart_box(spec))[0][-1, :, 0]
+                  fixed=(ys,), box=boundary._chart_box(spec))[0][:, 0]
     assert np.array_equal(np.isnan(got), np.isnan(want))
     if name == "chart":
         assert np.isnan(got).tolist() == [1, 0, 0, 0, 1, 0, 0]

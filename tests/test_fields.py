@@ -52,7 +52,8 @@ def _spec(name):
 # np.linalg.solve of the metric and an einsum for the quadratic forms.
 
 def _reference_field(ev, vec):
-    """(p, H) at one state: the Hamilton field as it was written in numpy."""
+    """(p, H, terms) at one state: the Hamilton field as it was written in
+    numpy, and the size of the terms that cancel in its xi' entry."""
     b, f = ev.b, ev.f
     x = vec[1]
     y = vec[2:2 + b]
@@ -76,7 +77,9 @@ def _reference_field(ev, vec):
     out[itau + 1] = -p + tau * tau - float(eta @ w_eta) + 0.5 * x * quad[0]
     out[itau + 2:itau + 2 + b] = eta * w_xi + 0.5 * x * quad[1:1 + b]
     out[itau + 2 + b:] = 0.5 * quad[1 + b:]
-    return p, out
+    terms = (abs(p) + tau * tau + abs(float(eta @ w_eta))
+             + abs(0.5 * x * quad[0]))
+    return p, out, terms
 
 
 def _reference_cogeodesic(matrix, var, ys, zs, p):
@@ -152,12 +155,36 @@ def test_generated_field_matches_the_numpy_field(name, data):
                                        max_size=6)))
     scale = data.draw(st.floats(-3.0, 3.0))
     for vec in rows:
-        want_p, want = _reference_field(ev, vec)
-        p, field = ev.hamilton(vec.tolist(), scale)
-        # p = tau^2 - u.w may cancel: compare it at the size of its terms
-        tau2 = vec[2 + spec.b + spec.f] ** 2
-        _assert_close(p, want_p, tau2 + abs(tau2 - want_p))
-        _assert_close(field, scale * want)
+        _assert_field_close(ev, vec, scale)
+
+
+def _assert_field_close(ev, vec, scale):
+    """p and the scaled field at vec against the reference.  p = tau^2 -
+    u.w and xi' = -p + tau^2 - eta.w_eta + x quad_xi / 2 may cancel:
+    each is compared at the size of its terms, every other entry at the
+    size of the largest."""
+    want_p, want, terms = _reference_field(ev, vec)
+    p, field = ev.hamilton(vec.tolist(), scale)
+    field = np.asarray(field)
+    tau2 = vec[2 + ev.b + ev.f] ** 2
+    _assert_close(p, want_p, tau2 + abs(tau2 - want_p))
+    ixi = 3 + ev.b + ev.f
+    others = np.arange(len(want)) != ixi
+    _assert_close(field[others], scale * want[others],
+                  np.abs(scale * want).max())
+    _assert_close(field[ixi], scale * want[ixi], abs(scale) * terms)
+
+
+def test_cancelling_xi_entry_is_compared_at_the_size_of_its_terms():
+    """At x = 0 on product_edge(1, 1) with xi = 1e-6 and eta = 1.2, xi'
+    = xi^2 = 1e-12 is what is left of terms of size 1: the generated
+    field reads 1.000088900582341e-12, the reference 9.99866855977416e-13,
+    2.2e-16 apart, while the largest entry of the field is 1.2e-6."""
+    ev = builtin_scene("product_edge(1, 1)").spec.evaluator()
+    vec = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1e-6, 1.2, 0.0])
+    _, want, _ = _reference_field(ev, vec)
+    assert np.abs(want).max() == 1.2e-6
+    _assert_field_close(ev, vec, 1.0)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -229,7 +256,7 @@ def test_zero_pivot_reached_mid_shot_is_a_typed_error():
     z0 = np.array([0.0, -1.0])
     zetas = np.array([[0.0, 1.0], [0.0, -1.0]])
     z_end = _shoot(ev.fiber_cogeodesic, z0, zetas, np.ones(2),
-                   fixed=(none,))[0][-1]
+                   fixed=(none,))[0]
     np.testing.assert_allclose(z_end, [[0.0, 0.0], [0.0, -2.0]], atol=1e-9)
     with pytest.raises(DegenerateMetricError, match="in 1 lane"):
         _shoot(ev.fiber_cogeodesic, z0, zetas, np.full(2, 3.0),

@@ -307,12 +307,12 @@ def test_a_division_by_zero_on_floats_fails_the_step():
     assert len(got.t) == len(want.t)
     assert got.nfev == want.nfev == 2 + 6 * (len(got.t) - 1 + got.rejected)
     assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
-    got = ode.rk45(counted(on_arrays), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5,
-                   t_eval=[5.0])
+    got = ode.rk45(counted(on_arrays), 5.0, np.array([1.0, 0.0]), 1e-9,
+                   1e-11, 10 ** 5)
     want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
-                     method="DOP853", t_eval=[5.0], rtol=1e-9, atol=1e-11)
+                     method="DOP853", rtol=1e-9, atol=1e-11)
     assert got.rejected >= 1
-    assert np.array_equal(got.y, want.y.T)
+    assert np.array_equal(got.y_stop, want.y[:, -1])
     assert got.nfev == want.nfev
     assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
 
@@ -321,33 +321,31 @@ def test_a_division_by_zero_on_floats_fails_the_step():
 def test_rejected_steps_are_counted(floats):
     """y' = -y, fifty times faster from t = 1, fails the error test on
     the step across t = 1.  Every step attempt costs six evaluations
-    after the first two on floats, twelve with DOP853 on arrays, where
-    the dense output at t_eval costs three more; so nfev counts the
-    rejected ones too, and interior rays carry their count on the
-    segment."""
+    after the first two on floats, twelve with DOP853 on arrays; so
+    nfev counts the rejected ones too, and interior rays carry their
+    count on the segment."""
     if floats:
         def fun(t, y):
             return tuple(-v if t < 1.0 else -50.0 * v for v in y)
         sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5)
-        steps, cost, dense = len(sol.t) - 1, 6, 0
+        steps, cost = len(sol.t) - 1, 6
     else:
         def fun(t, y):
             return -y if t < 1.0 else -50.0 * y
-        sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5,
-                       t_eval=[3.0])
+        sol = ode.rk45(fun, 3.0, np.array([1.0, 2.0]), 1e-8, 1e-10, 10 ** 5)
         steps = len(solve_ivp(fun, (0.0, 3.0), [1.0, 2.0], method="DOP853",
                               rtol=1e-8, atol=1e-10).t) - 1
-        cost, dense = 12, 3
+        cost = 12
     assert sol.rejected > 0
-    assert sol.nfev == 2 + cost * (steps + sol.rejected) + dense
+    assert sol.nfev == 2 + cost * (steps + sol.rejected)
     spec, q0, s_max = _edge_ray()
     seg = integrate_interior(spec, q0, -1, FlowSettings(), s_max=s_max)
     assert seg.rejected > 0
     assert seg.nfev == 2 + 6 * (len(seg.s) - 1 + seg.rejected)
 
 
-def _solve_ivp_shot(field, q0, p0, arc, u):
-    """_shoot's lanes as one solve_ivp ODE: q, p and nfev."""
+def _solve_ivp_shot(field, q0, p0, arc):
+    """_shoot's lanes as one solve_ivp ODE: their end q, p and nfev."""
     arc = np.asarray(arc, float)
     n, d = arc.size, np.shape(q0)[-1]
     state0 = np.stack((np.broadcast_to(q0, (n, d)),
@@ -357,10 +355,10 @@ def _solve_ivp_shot(field, q0, p0, arc, u):
         return field(state, arc)
 
     sol = solve_ivp(rhs, (0.0, 1.0), state0.ravel(), method="DOP853",
-                    t_eval=u, rtol=boundary._GEO_RTOL,
-                    atol=boundary._GEO_ATOL)
-    states = sol.y.T.reshape(len(u), n, 2, d)
-    return states[:, :, 0], states[:, :, 1], sol.nfev
+                    rtol=boundary._GEO_RTOL, atol=boundary._GEO_ATOL)
+    assert sol.t[-1] == 1.0
+    states = sol.y[:, -1].reshape(n, 2, d)
+    return states[:, 0], states[:, 1], sol.nfev
 
 
 def test_multi_lane_shot_matches_solve_ivp_bitwise():
@@ -372,16 +370,15 @@ def test_multi_lane_shot_matches_solve_ivp_bitwise():
     angles = np.array([0.3, 2.0, 4.4])
     zeta0 = np.stack((np.cos(angles), np.sin(angles) * np.sin(z0[:, 0])), 1)
     arc = [0.7, -1.1, math.pi]
-    u = np.array([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
     calls = []
 
     def counted(*args):
         calls.append(1)
         return ev.fiber_cogeodesic(*args)
-    got = boundary._shoot(counted, z0, zeta0, arc, u, (y,))
-    *want, nfev = _solve_ivp_shot(field, z0, zeta0, arc, u)
+    got = boundary._shoot(counted, z0, zeta0, arc, (y,))
+    *want, nfev = _solve_ivp_shot(field, z0, zeta0, arc)
     for g, w in zip(got, want):
-        assert g.shape == (len(u), 3, 2)
+        assert g.shape == (3, 2)
         assert np.array_equal(g, w)
     assert len(calls) == nfev
 
@@ -401,62 +398,72 @@ _falling.direction = -1
 SPIRAL = dict(fun=_spiral, y0=[1.0, 0.0, 0.5], rtol=1e-9, atol=1e-11)
 
 
-def _solve_ivp_spiral(t_eval=None, events=False):
-    return solve_ivp(t_span=(0.0, 4.0), method="DOP853", t_eval=t_eval,
-                     events=_falling if events else None, **SPIRAL)
+def _solve_ivp_spiral(t_end=4.0, events=False, dense_output=False):
+    return solve_ivp(t_span=(0.0, t_end), method="DOP853",
+                     events=_falling if events else None,
+                     dense_output=dense_output, **SPIRAL)
 
 
-def _rk45_and_solve_ivp(t_eval, events=False):
-    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
-                   SPIRAL["atol"], 10 ** 5, [(_falling, -1)] if events else (),
-                   t_eval)
-    want = _solve_ivp_spiral(t_eval, events)
-    assert np.array_equal(got.t, want.t)
-    assert np.array_equal(got.y, want.y.T)
+def _rk45_spiral(t_end=4.0, events=()):
+    return ode.rk45(_spiral, t_end, np.array(SPIRAL["y0"]), SPIRAL["rtol"],
+                    SPIRAL["atol"], 10 ** 5, events)
+
+
+@pytest.mark.parametrize("t_end", [0.1, 1.0, 4.0])
+def test_array_path_ends_where_solve_ivp_ends(t_end):
+    """On an ndarray rk45 steps with DOP853 and returns only where it
+    stopped: t_stop, y_stop and nfev are solve_ivp's last t, last state
+    and nfev, bit for bit, with no dense output evaluated."""
+    got, want = _rk45_spiral(t_end), _solve_ivp_spiral(t_end)
+    assert got.t_stop == want.t[-1] == t_end
+    assert np.array_equal(got.y_stop, want.y[:, -1])
     assert got.nfev == want.nfev
-    return got, want
+    assert got.event is None
+    assert got.t is got.y is got.dense is None
+
+
+def _rising_at(target):
+    return lambda t, y: t - target, 1
 
 
 @pytest.mark.parametrize("events", [False, True])
 def test_dense_output_matches_solve_ivp_bitwise(events):
-    """Only a step that holds a t_eval point or fires an event forms its
-    dense output, at three more evaluations.  t, y, nfev and the
-    interpolant agree with solve_ivp's DOP853 bit for bit: at step ends
-    and midpoints, at t_eval = 0, at a t_eval point equal to a step end,
-    several inside one step, and with a terminal event that fires on the
-    first step."""
-    ts = _solve_ivp_spiral(events=events).t
+    """An event's root and the state there come from the DOP853
+    interpolant of the step that holds it, which agrees with solve_ivp's
+    dense output bit for bit at scalar t.  An event at each target time
+    stops rk45 there: at t = 0, at step ends and midpoints, several
+    inside one step, at t_end, and inside a first step that a terminal
+    event ends later."""
+    want = _solve_ivp_spiral(events=events, dense_output=True)
+    ts = want.t
     assert len(ts) == 2 if events else len(ts) > 8
-    full, _ = _rk45_and_solve_ivp(
-        np.sort(np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1])))), events)
-    assert len(full.t) == 2 * len(ts) - 1
-    assert full.event == (0 if events else None)
     if events:
-        t_eval = [0.0, 0.3 * ts[1], 0.6 * ts[1], 1.0]
+        te = want.t_events[0][0]
+        targets = [0.0, 0.3 * te, 0.6 * te, 0.9 * te]
+        falling = [(_falling, -1)]
     else:
-        t_eval = np.concatenate(([0.0, ts[2], ts[3]],
-                                 ts[5] + (ts[6] - ts[5]) * np.array(
-                                     [0.1, 0.4, 0.8]), [4.0]))
-    got, _ = _rk45_and_solve_ivp(np.array(t_eval), events)
-    assert len(got.t) == (3 if events else len(t_eval))
+        targets = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]), ts[5] + (
+            ts[6] - ts[5]) * np.array([0.1, 0.4, 0.8]))).tolist()
+        falling = []
+    for target in targets:
+        got = _rk45_spiral(events=falling + [_rising_at(target)])
+        assert got.event == len(falling)
+        assert abs(got.t_stop - target) <= 4 * ode.EPS * max(1.0, target)
+        if target in ts:
+            assert got.t_stop == target
+        assert np.array_equal(got.y_stop, want.sol(got.t_stop))
+        if events:    # one step and its dense output, as solve_ivp's
+            assert got.nfev == want.nfev
 
 
-def test_stop_state_is_returned_with_t_eval():
-    """With t_eval, t_stop and y_stop are where the integration ended: at
-    t_end bit for bit as the last step end, or at an event's root as
-    solve_ivp locates it; t_eval points past the event give no rows."""
-    full = _solve_ivp_spiral()
-    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
-                   SPIRAL["atol"], 10 ** 5, t_eval=[1.0])
-    assert got.t_stop == full.t[-1] == 4.0
-    assert np.array_equal(got.y_stop, full.y[:, -1])
-    got = ode.rk45(_spiral, 4.0, SPIRAL["y0"], SPIRAL["rtol"],
-                   SPIRAL["atol"], 10 ** 5, [(_falling, -1)], t_eval=[3.0])
+def test_event_stop_state_matches_solve_ivp_bitwise():
+    """A terminal event stops the array path at its root as solve_ivp
+    locates it, with the state there bit for bit."""
+    got = _rk45_spiral(events=[(_falling, -1)])
     want = _solve_ivp_spiral(events=True)
     assert got.event == 0
     assert got.t_stop == want.t_events[0][0]
     assert np.array_equal(got.y_stop, want.y_events[0][0])
-    assert got.t.shape == (0,) and got.y.shape == (0, 3)
 
 
 def test_step_below_float_spacing_is_a_typed_failure():
@@ -469,7 +476,7 @@ def test_step_below_float_spacing_is_a_typed_failure():
     with pytest.raises(IntegrationDivergedError,
                        match=re.escape("spacing between numbers at t = %r"
                                        % float(want.t[-1]))):
-        ode.rk45(rhs, 2.0, [1.0], 1e-8, 1e-10, 10 ** 6, t_eval=[2.0])
+        ode.rk45(rhs, 2.0, np.array([1.0]), 1e-8, 1e-10, 10 ** 6)
 
 
 def _count_rk45(monkeypatch):
@@ -551,12 +558,12 @@ def test_evaluation_budget_is_enforced_in_the_integrator():
         calls.append(t)
         return -y
     with pytest.raises(StepLimitError, match="budget of 20"):
-        ode.rk45(rhs, 100.0, [1.0, 2.0], 1e-10, 1e-12, 20, t_eval=[100.0])
+        ode.rk45(rhs, 100.0, np.array([1.0, 2.0]), 1e-10, 1e-12, 20)
     assert len(calls) == 20
-    assert ode.rk45(rhs, 0.1, [1.0, 2.0], 1e-3, 1e-6, 10 ** 4,
-                    t_eval=[0.1]).nfev == solve_ivp(
-        rhs, (0.0, 0.1), [1.0, 2.0], method="DOP853", t_eval=[0.1],
-        rtol=1e-3, atol=1e-6).nfev
+    assert ode.rk45(rhs, 0.1, np.array([1.0, 2.0]), 1e-3, 1e-6,
+                    10 ** 4).nfev == solve_ivp(
+        rhs, (0.0, 0.1), [1.0, 2.0], method="DOP853", rtol=1e-3,
+        atol=1e-6).nfev
 
 
 def test_geodesic_budget_stops_a_partner_search(monkeypatch, capsys):

@@ -100,7 +100,9 @@ _LIMIT_ROWS = st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi),
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @hypothesis.given(a=st.floats(-0.45, 0.45), rows=_LIMIT_ROWS)
+@hypothesis.example(a=0.3, rows=[(1.0, 0.5, 5e-324)])
 def test_perturbed_limit_points_follow_the_arc_length(a, rows):
     """On perturbed_edge(a) a unit fiber geodesic is arc length Phi, so
     the limit point of (z, zeta, xi) is the root of Phi(z') - Phi(z) =
@@ -136,7 +138,9 @@ def test_perturbed_partner_is_arc_pi_away(a, y, z_bar):
 
 
 @hypothesis.settings(max_examples=15, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @hypothesis.given(rho=st.floats(0.2, 3.0), rows=_LIMIT_ROWS)
+@hypothesis.example(rho=1.0, rows=[(1.0, -0.5, -5e-324)])
 def test_flat_cone_limit_points_are_arc_over_rho_away(rho, rows):
     """On product_cone(rho) the limit point is z + sign(zeta) l / rho,
     with l = arctan(m / xi) and m = |zeta| / rho."""
