@@ -31,25 +31,25 @@ approach and continuous across zeta = 0.
 Geodesics at x = 0 are shot in lanes, all lanes of a call one ODE of
 ``ode.rk45``.  On a one-dimensional fiber a unit-speed geodesic is arc
 length: after the signed arc l it ends where dz/dl = kzz^(-1/2) takes
-it, and ``_shoot_arc`` steps those lanes on Python floats with the
-Dormand-Prince 5(4) pair of interior rays, on the generated
-``MetricEvaluator.fiber_speed``.  For f = 1 it shoots the limit points
-of an edge event's whole extrapolation ladder (in arc length itself, one
-step for the ladder's short arcs) and the two arc-pi geodesics of a
-partner search or relatedness test.  Every other geodesic is a lane of
-``_shoot`` (each lane with its own start, covector and signed parameter
-arc), one DOP853 ODE in a normalised parameter on the generated
-cogeodesic field of a metric block (``MetricEvaluator.fiber_cogeodesic``
-or ``base_cogeodesic``) that returns only the lanes' end points: for
-f >= 2 the launch directions of a partner search (and each refinement
-round of the relatedness test) and the ladder's limit points, for every
-f the cogeodesic flow, one lane per parameter sample, and on the base
-block glancing continuation's tangential geodesic, one lane per sample
-(see gbb).  The cogeodesic flow keeps the field even on f = 1: it
-returns zeta as well as z at many samples of the boundary flow's
-parameter, acceptance criterion 4 integrates |zeta|_K over those
-samples to measure the arc an orbit sweeps, and no traced path calls
-it.
+it, and ``_shoot_arc`` steps those lanes on Python floats as interior
+rays step (5(4), then DOP853 once the error sizes the steps), on the
+generated ``MetricEvaluator.fiber_speed``.  For f = 1 it shoots the
+limit points of an edge event's whole extrapolation ladder (in arc
+length itself, one step for the ladder's short arcs) and the two arc-pi
+geodesics of a partner search or relatedness test.  Every other
+geodesic is a lane of ``_shoot`` (each lane with its own start,
+covector and signed parameter arc), one DOP853 ODE in a normalised
+parameter on the generated cogeodesic field of a metric block
+(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``) that
+returns only the lanes' end points: for f >= 2 the launch directions of
+a partner search (and each refinement round of the relatedness test)
+and the ladder's limit points, for every f the cogeodesic flow, one
+lane per parameter sample, and on the base block glancing
+continuation's tangential geodesic, one lane per sample (see gbb).  The
+cogeodesic flow keeps the field even on f = 1: it returns zeta as well
+as z at many samples of the boundary flow's parameter, acceptance
+criterion 4 integrates |zeta|_K over those samples to measure the arc
+an orbit sweeps, and no traced path calls it.
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
@@ -73,7 +73,6 @@ import numpy as np
 from . import ode
 from .errors import (DegenerateMetricError, FlowEscapedError,
                      IntegrationDivergedError, StepLimitError)
-from .phase import EdgePhasePoint
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
@@ -225,7 +224,7 @@ def _shoot_arc(spec, ys, zs, arcs):
     Lane k solves dz/dl = kzz(0, ys[k], z)^(-1/2) (the generated
     ``MetricEvaluator.fiber_speed``) from zs[k] over the signed arc
     arcs[k].  The lanes with a nonzero arc are one ODE of ``ode.rk45`` on
-    floats (Dormand-Prince 5(4)) in t in [0, L], L the longest |arc|,
+    floats in t in [0, L], L the longest |arc|,
     lane k at rate arcs[k] / L: in arc length itself, so the short arcs
     of an event's ladder take one step.  Returns the list of end points.
     Tolerances, chart stops (a stopped lane ends nan), typed errors and
@@ -319,34 +318,6 @@ def boundary_maximal_interval(spec, q):
         return (bound, math.inf) if q.xi < 0.0 else (-math.inf, bound)
     C = math.atan2(q.xi, m)
     return ((-0.5 * math.pi - C) / m, (0.5 * math.pi - C) / m)
-
-
-def boundary_flow(spec, q, s):
-    """Flow q (with q.x = 0) for parameter s along the boundary field.
-
-    (t, x, y) stay frozen; (z, zeta) follow the fiber cogeodesic flow;
-    (tau, xi, eta) follow the secant/tangent closed form.  Raises
-    FlowEscapedError when s is outside the maximal interval.
-    """
-    if q.x != 0.0:
-        raise ValueError("boundary flow requires x = 0")
-    lo, hi = boundary_maximal_interval(spec, q)
-    if not lo < s < hi:
-        raise FlowEscapedError("parameter %.6g outside maximal interval "
-                               "(%.6g, %.6g)" % (s, lo, hi))
-    m = fiber_norm(spec, q.y, q.z, q.zeta)
-    if m == 0.0:
-        factor = 1.0 / (1.0 - q.xi * s)
-        return EdgePhasePoint(t=q.t, x=0.0, y=q.y, z=q.z,
-                              tau=q.tau * factor, xi=q.xi * factor,
-                              eta=q.eta * factor, zeta=q.zeta)
-    C = math.atan2(q.xi, m)
-    phase = m * s + C
-    stretch = 1.0 / (math.cos(phase) / math.cos(C))
-    zs, zetas = fiber_cogeodesic_flow(spec, q.y, q.z, q.zeta, [s])
-    return EdgePhasePoint(t=q.t, x=0.0, y=q.y, z=zs[0],
-                          tau=q.tau * stretch, xi=m * math.tan(phase),
-                          eta=q.eta * stretch, zeta=zetas[0])
 
 
 # --- fiber limit map ----------------------------------------------------

@@ -389,7 +389,7 @@ def _format(node, parent_prec):
 
 # --- source translation and reference evaluation ----------------------
 
-def _to_source(node, call=str):   # call(text) stands for each Call
+def _to_source(node, call=str):   # call(text) binds a Call or squared base
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -400,6 +400,9 @@ def _to_source(node, call=str):   # call(text) stands for each Call
     if isinstance(node, Neg):
         return "(-%s)" % _to_source(node.arg, call)
     if isinstance(node, PowInt):
+        if node.exponent == 2:   # a product, as numpy squares an array
+            base = call(_to_source(node.base, call))
+            return "(%s*%s)" % (base, base)
         return "(%s)**%d" % (_to_source(node.base, call), node.exponent)
     if isinstance(node, Call):
         return call("_%s(%s)" % (node.func, _to_source(node.arg, call)))
@@ -419,7 +422,8 @@ def evaluate(node, x, y, z):
     if isinstance(node, Neg):
         return -evaluate(node.arg, x, y, z)
     if isinstance(node, PowInt):
-        return evaluate(node.base, x, y, z) ** node.exponent
+        base = evaluate(node.base, x, y, z)
+        return base * base if node.exponent == 2 else base ** node.exponent
     if isinstance(node, Call):
         return getattr(math, node.func)(evaluate(node.arg, x, y, z))
     a = evaluate(node.left, x, y, z)

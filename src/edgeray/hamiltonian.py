@@ -32,7 +32,11 @@ the boundary threshold and the chart exit as terminal events) further
 rescales the field by 1/(x|tau|), a positive factor that leaves
 trajectories unchanged while making the parameter advance at unit speed
 in t; the approach to the boundary then costs a bounded parameter
-interval instead of slowing down algebraically.
+interval instead of slowing down algebraically.  A segment starts with
+Dormand-Prince 5(4) steps and goes on with DOP853 once the error test,
+not the growth limit, has sized ``ode.SWITCH_AFTER`` steps in a row: a
+long ray takes a third of the steps, and so has a third of the rows in
+a dump, while short launch probes stay on the cheaper 5(4) pair.
 
 Launch seeds at x = EPS_LAUNCH are first order in x.  If h is constant
 and h', kyy, kyz vanish (b = 0, product edges, sphere_edge), G_yy = h and

@@ -5,17 +5,23 @@ fiber and base geodesics at x = 0) goes through ``rk45``, and every
 scalar root through ``brent``.  ``rk45`` is the step loop of
 ``scipy.integrate.solve_ivp`` (the Hairer-Norsett-Wanner initial step,
 safety factor 0.9, step factors between 0.2 and 10, terminal events
-located on the step interpolant) with one of two of its pairs, picked
-by the type of the initial state.  Interior rays, and the arc-length
-lanes of one-dimensional fiber geodesics, step on sequences of floats
-with RK45's Dormand-Prince 5(4) pair, in generated straight-line code
+located on the step interpolant) with two of its pairs.  Interior rays,
+and the arc-length lanes of one-dimensional fiber geodesics, step on
+sequences of floats, in straight-line code generated from the tableaus
 (``_float_step``) that rounds its stage sums differently from scipy,
-and keep every step end and its interpolant.  The cogeodesic shooter's
-lanes step on arrays with DOP853's 8(5,3) pair (Hairer, Norsett &
-Wanner, Solving Ordinary Differential Equations I, sec. II.10) operation
-for operation as scipy does, so their end points read the same to the
-last bit; at the shooter's 1e-11 it takes a sixth of the steps and half
-the evaluations of the 5(4) pair.
+and keep every step end and its interpolant.  They start with RK45's
+Dormand-Prince 5(4) pair, 6 evaluations a step.  Once SWITCH_AFTER
+accepted steps in a row have been sized by the error test rather than
+by the growth limit MAX_FACTOR, the call goes on with DOP853's 8(5,3)
+pair (Hairer, Norsett & Wanner, Solving Ordinary Differential
+Equations I, sec. II.10), 12 evaluations a step: at rtol 1e-10 it takes
+a third of the steps of the 5(4) pair on a long interior ray, while a
+short segment whose steps grow as fast as the controller allows (a
+launch probe, the short arcs of an event ladder) is cheaper with 5(4).
+The cogeodesic shooter's lanes step on arrays with DOP853 operation for
+operation as scipy does, so their end points read the same to the last
+bit; at the shooter's 1e-11 it takes a sixth of the steps and half the
+evaluations of the 5(4) pair.
 ``brent`` is a transcription of the C source of ``scipy.optimize.brentq``.
 edgeray does not import scipy.integrate and scipy.optimize, which took
 most of the time of ``import edgeray``; the tables below are scipy's.
@@ -38,6 +44,7 @@ EPS = sys.float_info.epsilon
 SAFETY = 0.9           # step-size controller: fraction of the optimal step
 MIN_FACTOR = 0.2       # largest decrease of the step in one attempt
 MAX_FACTOR = 10        # largest increase of the step after one step
+SWITCH_AFTER = 12      # sized 5(4) float steps in a row before DOP853
 BRENT_MAXITER = 100
 
 # Dormand-Prince 5(4) tableau and the coefficients of its quartic dense
@@ -165,21 +172,34 @@ def _interpolate(piece, t):
 
 
 class DenseOutput:
-    """The piecewise quartic interpolant of ``rk45`` float steps.
+    """The piecewise interpolant of ``rk45`` float steps: quartic on the
+    Dormand-Prince 5(4) steps before step ``switch``, of degree 7 on the
+    DOP853 steps from there on.
 
     Called at a scalar t it evaluates the step whose interval holds t;
-    at a step end that is the earlier of the two steps.
+    at a step end that is the earlier of the two steps.  A step's piece
+    is formed when it is first read.  A DOP853 piece needs 3 more stages,
+    evaluated then through fun; ``nfev`` counts them, and Solution.nfev
+    does not, except for the piece of a step that fired an event, which
+    rk45 forms at once to locate the root and hands over in ``cache``.
     """
 
-    def __init__(self, ts, ys, hs, ks):
-        self.ts, self.ys, self.hs, self.ks, self.cache = ts, ys, hs, ks, {}
+    def __init__(self, fun, ts, ys, hs, ks, switch, cache):
+        self.fun, self.ts, self.ys, self.hs, self.ks = fun, ts, ys, hs, ks
+        self.switch, self.cache, self.nfev = switch, cache, 0
 
     def __call__(self, t):
         i = min(max(bisect.bisect_left(self.ts, t), 1), len(self.hs)) - 1
         if i not in self.cache:
-            self.cache[i] = _piece(self.ts[i], self.ys[i], self.hs[i],
-                                   self.ks[i])
-        return _interpolate(self.cache[i], t)
+            args = self.ts[i], self.ys[i], self.hs[i], self.ks[i]
+            if i < self.switch:
+                self.cache[i] = _interpolate, _piece(*args)
+            else:
+                self.nfev += 3   # stage rows 13-15
+                self.cache[i] = _dop853_interpolate, _float_dop853_piece(
+                    self.fun, *args, self.ys[i + 1])
+        interpolate, piece = self.cache[i]
+        return interpolate(piece, t)
 
 
 def _dop853_step(n):
@@ -258,40 +278,79 @@ def _initial_step(f, y0, f0, t_end, rtol, atol, floats, order):
 
 
 @functools.cache
-def _float_step(n):
+def _float_step(n, dop853=False):
     """step(fun, t, y, fy, h, rtol, atol) -> (y_new, f_new, error_norm,
     stage rows as bytes) on tuples of n floats, in straight-line code that
-    sums left to right, over the nonzero tableau entries and components."""
+    sums left to right, over the nonzero tableau entries and components.
+    A Dormand-Prince 5(4) step takes 6 evaluations and keeps its 7 stage
+    rows; with dop853 a DOP853 step takes 12, keeps 13 and has scipy's
+    error norm from E5 and E3."""
+    nodes, a, b = (C853, A853, B853) if dop853 else (C, A, B)
+    stages = len(b)
+
     def row(prefix):    # "k2_0, k2_1, ..", the n names of a row
         return ", ".join("%s%d" % (prefix, j) for j in range(n))
 
     def total(coeffs, j):
         return " + ".join("%r * k%d_%d" % (c, s, j)
                           for s, c in enumerate(coeffs.tolist()) if c)
+
+    def squares(prefix):
+        return " + ".join("%s%d * %s%d" % (prefix, j, prefix, j)
+                          for j in range(n))
     lines = ["%s, = y" % row("y"), "%s, = fy" % row("k0_")] + [
-        "%s, = fun(t + %s * h, (%s,))" % (row("k%d_" % s), C[s], ", ".join(
-            "y%d + (%s) * h" % (j, total(A[s, :s], j)) for j in range(n)))
-        for s in range(1, 6)] + [
-        "n%d = y%d + h * (%s)" % (j, j, total(B, j)) for j in range(n)] + [
+        "%s, = fun(t + %r * h, (%s,))" % (
+            row("k%d_" % s), float(nodes[s]), ", ".join(
+                "y%d + (%s) * h" % (j, total(a[s, :s], j))
+                for j in range(n)))
+        for s in range(1, stages)] + [
+        "n%d = y%d + h * (%s)" % (j, j, total(b, j)) for j in range(n)] + [
         "y_new = (%s,)" % row("n"), "f_new = fun(t + h, y_new)",
-        "%s, = f_new" % row("k6_")] + [
-        "a, b = abs(y%d), abs(n%d)\n    e%d = (%s) * h / (atol + (a if a > b "
-        "else b) * rtol)" % (j, j, j, total(E, j)) for j in range(n)]
-    ns = {"_sqrt": math.sqrt, "_pack": struct.Struct("%dd" % (7 * n)).pack}
+        "%s, = f_new" % row("k%d_" % stages)]
+    scale = "(atol + (a if a > b else b) * rtol)"
+    for j in range(n):
+        lines.append("a, b = abs(y%d), abs(n%d)" % (j, j))
+        if dop853:
+            lines += ["s = " + scale, "e%d = (%s) / s" % (j, total(E5, j)),
+                      "d%d = (%s) / s" % (j, total(E3, j))]
+        else:
+            lines.append("e%d = (%s) * h / %s" % (j, total(E, j), scale))
+    if dop853:
+        lines.append("e, d = %s, %s" % (squares("e"), squares("d")))
+        norm = "h * e / _sqrt((e + 0.01 * d) * %d) if e or d else 0.0" % n
+    else:
+        norm = "_sqrt(%s) / %r" % (squares("e"), n ** 0.5)
+    ns = {"_sqrt": math.sqrt,
+          "_pack": struct.Struct("%dd" % ((stages + 1) * n)).pack}
     exec("def step(fun, t, y, fy, h, rtol, atol):\n    %s\n    return y_new, "
-         "f_new, _sqrt(%s) / %r, _pack(%s)" % (
-             "\n    ".join(lines), " + ".join("e%d * e%d" % (j, j)
-                                             for j in range(n)),
-             n ** 0.5, ", ".join(row("k%d_" % s) for s in range(7))), ns)
+         "f_new, %s, _pack(%s)" % (
+             "\n    ".join(lines), norm,
+             ", ".join(row("k%d_" % s) for s in range(stages + 1))), ns)
     return ns["step"]
 
 
-# The pairs rk45 steps with: the order of the error estimate, step(n) ->
-# step(fun, t, y, fy, h, rtol, atol), piece(f, t_old, y_old, h, K, y_new,
-# f_new) -> the dense output of a step, and interpolate(piece, t).
-_DP54 = (4, _float_step, lambda f, t, y, h, K, *_: _piece(t, y, h, K),
+def _float_dop853_piece(f, t_old, y_old, h, K, y_new, *_):
+    """_dop853_piece of a DOP853 float step from the bytes K of its 13
+    stage rows, the last of them the field at its end; f takes and
+    returns sequences of floats."""
+    rows = np.empty((16, len(y_old)))
+    rows[:N_STAGES + 1] = np.frombuffer(K).reshape(N_STAGES + 1, -1)
+    return _dop853_piece(lambda t, y: f(t, y.tolist()), t_old,
+                         np.asarray(y_old), h, rows, np.asarray(y_new),
+                         rows[N_STAGES])
+
+
+# The pairs rk45 steps with: the order of the error estimate, the
+# evaluations rk45 books for a step before taking it (0 on arrays, whose
+# step calls the counted field), step(n) -> step(fun, t, y, fy, h, rtol,
+# atol), piece(f, t_old, y_old, h, K, y_new, f_new) -> the dense output
+# of a step, and interpolate(piece, t).  Floats start with the 5(4) pair
+# and may switch to DOP853; arrays step with DOP853 on numpy.
+_DP54 = (4, 6, _float_step, lambda f, t, y, h, K, *_: _piece(t, y, h, K),
          _interpolate)
-_DOP853 = (7, _dop853_step, _dop853_piece, _dop853_interpolate)
+_FLOAT_DOP853 = (7, 12, functools.partial(_float_step, dop853=True),
+                 _float_dop853_piece, _dop853_interpolate)
+_DOP853 = (7, 0, _dop853_step, _dop853_piece, _dop853_interpolate)
 
 
 def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
@@ -303,12 +362,18 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
     +1 rising, 0 either), located on the step's interpolant, and
     Solution.event is that event's index.  The type of y0 picks the
     path.  On a sequence of floats (interior rays, arc-length lanes) fun
-    maps a sequence of floats to a tuple, the steps are Dormand-Prince
-    5(4) (_float_step), and the solution also holds every step end and a
-    DenseOutput.  On an ndarray (the cogeodesic shooter's lanes) fun maps
-    arrays to arrays, the steps are DOP853, and the solution holds only
-    where it stopped.  Either way Solution.t_stop and y_stop say where:
-    at t_end, or at an event's root.
+    maps a sequence of floats to a tuple, and the solution also holds
+    every step end and a DenseOutput.  The steps start as Dormand-Prince
+    5(4) (_float_step, 6 evaluations).  After SWITCH_AFTER accepted steps
+    in a row whose growth factor SAFETY * err^(-1/5) stayed below
+    MAX_FACTOR, steps sized by the error test rather than by the growth
+    limit, the call goes on with DOP853 on floats (12 evaluations, order
+    8).  A short call, or one whose steps grow as fast as the controller
+    lets them, stays on the cheaper 5(4) pair.  On an ndarray (the
+    cogeodesic shooter's lanes) fun maps arrays to arrays, the steps are
+    DOP853 as scipy takes them, and the solution holds only where it
+    stopped.  Either way Solution.t_stop and y_stop say where: at t_end,
+    or at an event's root.
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
@@ -332,13 +397,16 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
         return fun(t, y)
 
     t = 0.0
-    order, make_step, make_piece, interpolate = _DP54 if floats else _DOP853
+    pair = _DP54 if floats else _DOP853
+    order, cost, make_step, make_piece, interpolate = pair
     step, exponent = make_step(y0.size), -1 / (order + 1)
     y = tuple(y0.tolist()) if floats else y0
     fy = f(t, y)
     h_abs = _initial_step(f, y0, np.asarray(fy), t_end, rtol, atol, floats,
                           order)
-    ts, ys, hs, ks = [t], [y], [], bytearray()   # floats; ks: stage rows
+    ts, ys, hs, ks = [t], [y], [], []   # floats; ks: stage rows
+    pieces = {}           # floats: an event's piece, by step
+    switch = streak = 0   # floats: the first DOP853 step; sized steps
     g = [event(t, y) for event, _ in events]
     fired = None
     while fired is None and t < t_end:
@@ -353,7 +421,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            spend(6 if floats else 0)   # f counts the array evaluations
+            spend(cost)   # f counts the array evaluations
             try:
                 y_new, f_new, error_norm, K = step(fun if floats else f, t,
                                                    y, fy, h, rtol, atol)
@@ -364,6 +432,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
                     factor = MAX_FACTOR
                 else:
                     factor = min(MAX_FACTOR, SAFETY * error_norm ** exponent)
+                streak = streak + 1 if factor < MAX_FACTOR else 0
                 if n_rejected > tries:
                     factor = min(1, factor)
                 h_abs *= factor
@@ -386,19 +455,30 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
                 y_new = interpolate(piece, t_new)
             g = g_new
         t, y, fy = t_new, y_new, f_new
+        if not floats:
+            continue
         # an event root at the last step end adds no step
-        if floats and (len(ts) == 1 or ts[-1] != t):
+        if len(ts) == 1 or ts[-1] != t:
+            if fired is not None:
+                pieces[len(hs)] = interpolate, piece
             ts.append(t)
             ys.append(y)
             hs.append(h)
-            ks += K
+            ks.append(K)
+        if pair is _DP54:
+            switch = len(hs)
+            if streak == SWITCH_AFTER:
+                pair = _FLOAT_DOP853
+                order, cost, make_step, make_piece, interpolate = pair
+                step, exponent = make_step(y0.size), -1 / (order + 1)
     if not floats:
         return Solution(t_stop=t, y_stop=y, nfev=nfev, event=fired,
                         rejected=n_rejected)
-    states, ks = np.array(ys), np.frombuffer(ks).reshape(len(hs), 7, -1)
+    states = np.array(ys)
     return Solution(t_stop=t, y_stop=np.asarray(y), nfev=nfev, event=fired,
                     rejected=n_rejected, t=np.array(ts), y=states,
-                    dense=DenseOutput(ts, states, hs, ks))
+                    dense=DenseOutput(fun, ts, states, hs, ks, switch,
+                                      pieces))
 
 
 def brent(f, a, b, xtol, rtol):

@@ -318,3 +318,20 @@ def test_fiber_cometric_rejects_non_finite_fiber_metric():
     K = ev.fiber_cometric(np.zeros(0), np.array([0.5]))
     assert np.array_equal(K, np.linalg.inv(_block(
         spec.k, 0.0, np.zeros(0), np.array([0.5]))))
+
+
+def test_a_square_rounds_as_one_product_in_every_instance():
+    """k = z1^2 is generated as one product, as numpy squares an array,
+    and not as a libm pow, which rounds otherwise at some floats: at
+    such z the float Hamilton field and the numpy cogeodesic lanes both
+    divide zeta by the same kzz, bit for bit."""
+    spec = make_metric_spec(b=0, f=1, k=[["z1^2"]], fiber="chart",
+                            z_box=[(0.5, 2.0)])
+    ev = spec.evaluator()
+    zs = [z for z in np.random.default_rng(1).uniform(0.5, 2.0, 20000)
+          .tolist() if 1.0 / z ** 2 != 1.0 / (z * z)]
+    assert len(zs) >= 5
+    for z in zs[:5]:
+        field = ev.hamilton([0.0, 0.5, z, 1.0, 0.3, 1.0], 1.0)[1]
+        lanes = ev.fiber_cogeodesic(np.zeros(0), np.array([z, 1.0]), 1.0)
+        assert field[2] == lanes[0] == 1.0 / (z * z)

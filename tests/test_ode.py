@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis
@@ -15,12 +16,14 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from edgeray import boundary, ode
+from edgeray import boundary, gbb, ode
 from edgeray.cli import main
 from edgeray.errors import IntegrationDivergedError, StepLimitError
-from edgeray.hamiltonian import FlowSettings, Termination, integrate_interior
+from edgeray.hamiltonian import (BoundaryData, FlowSettings, Termination,
+                                 integrate_interior, stable_manifold_launch)
 from edgeray.metric import make_metric_spec, transverse_momentum
 from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene, parse_scene, scenario_rays
@@ -72,13 +75,13 @@ def _interior_problem(spec, q0, direction, settings):
     return rhs, events
 
 
-def _solve_ivp_interior(spec, q0, direction, settings, s_max):
+def _solve_ivp_interior(spec, q0, direction, settings, s_max, method):
     """integrate_interior's ODE and events, handed to solve_ivp."""
     rhs, events = _interior_problem(spec, q0, direction, settings)
     for g, sign in events:
         g.terminal, g.direction = True, sign
     return solve_ivp(lambda s, vec: rhs(s, vec.tolist()), (0.0, s_max),
-                     q0.to_vector(), method="RK45", rtol=settings.rtol,
+                     q0.to_vector(), method=method, rtol=settings.rtol,
                      atol=settings.atol, dense_output=True,
                      events=[g for g, _ in events])
 
@@ -112,15 +115,61 @@ def _reference_step(fun, t, y, fy, h, rtol, atol):
     return y_new, K[-1], math.sqrt(square) / n ** 0.5, K
 
 
+def _reference_dop853_step(fun, t, y, fy, h, rtol, atol):
+    """One DOP853 step on floats, written from scipy's dop853_coefficients,
+    with its error norm |h| e5^2 / sqrt((e5^2 + e3^2 / 100) n) over sums
+    of squares: (y_new, f_new, error_norm, K) with K the 13 stage rows."""
+    dop, n = dop853_coefficients, len(y)
+    K = [tuple(fy)]
+    for s in range(1, dop.N_STAGES):
+        K.append(fun(t + float(dop.C[s]) * h, tuple(
+            y[j] + _total(dop.A[s, :s].tolist(), K, j) * h
+            for j in range(n))))
+    y_new = tuple(y[j] + h * _total(dop.B.tolist(), K, j) for j in range(n))
+    K.append(fun(t + h, y_new))
+    e5 = e3 = 0.0
+    for j in range(n):
+        scale = atol + max(abs(y[j]), abs(y_new[j])) * rtol
+        a = _total(dop.E5.tolist(), K, j) / scale
+        b = _total(dop.E3.tolist(), K, j) / scale
+        e5, e3 = (a * a, b * b) if j == 0 else (e5 + a * a, e3 + b * b)
+    error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
+    return y_new, K[-1], error, K
+
+
 def _interpolate(piece, s):
     t_old, h, y_old, Q = piece
     return h * np.dot(Q, np.cumprod(np.tile((s - t_old) / h, 4))) + y_old
 
 
+def _dp5_dense(t, h, y, K):
+    """scipy's RK45 dense output of a float step from its 7 stage rows."""
+    return functools.partial(_interpolate, (t, h, np.array(y),
+                                            np.array(K).T.dot(RK45.P)))
+
+
+def _dop853_dense(fun, t, h, y, K, y_new):
+    """scipy's DOP853 dense output of a float step from its 13 stage
+    rows: 3 more stages through fun, then Dop853DenseOutput."""
+    dop = dop853_coefficients
+    y, K = np.array(y), np.vstack((K, np.empty((3, len(y)))))
+    for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED):
+        K[s] = fun(t + dop.C[s] * h, (
+            y + np.dot(K[:s].T, dop.A[s, :s]) * h).tolist())
+    dy = np.array(y_new) - y
+    F = np.vstack((dy, h * K[0] - dy, 2 * dy - h * (K[dop.N_STAGES] + K[0]),
+                   h * np.dot(dop.D, K)))
+    return Dop853DenseOutput(t, t + h, y, F)
+
+
 def _float_rk45(fun, t_end, y0, rtol, atol, events):
     """scipy's RK45 with terminal events, its steps taken on floats by
-    _reference_step: (t, states, nfev, the event that fired, rejected
-    step attempts, dense output)."""
+    _reference_step until ode.SWITCH_AFTER accepted steps in a row grew
+    the step by less than the growth limit 10, and by
+    _reference_dop853_step from then on: (t, states, nfev, the event that
+    fired, rejected step attempts, dense output, the first DOP853 step).
+    A DOP853 step's dense output costs 3 evaluations, counted in nfev
+    only where an event fires on the step."""
     y = tuple(y0)
     fy = fun(0.0, y)
     # scipy's initial step, on arrays of the same floats
@@ -133,9 +182,10 @@ def _float_rk45(fun, t_end, y0, rtol, atol, events):
     d2 = np.linalg.norm((f1 - f_arr) / scale) / len(y) ** 0.5 / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
-    h_abs = min(100 * h0, h1, t_end)
+    h_abs = float(min(100 * h0, h1, t_end))
     t, nfev, fired, rejected = 0.0, 2, None, 0
-    ts, ys, pieces = [t], [y], []
+    step, power, cost, in_a_row = _reference_step, -1 / 5, 6, 0
+    ts, ys, pieces, first = [t], [y], [], None
     g = [event(t, y) for event, _ in events]
     while fired is None and t < t_end:
         h_abs = max(h_abs, 10 * abs(math.nextafter(t, math.inf) - t))
@@ -144,38 +194,47 @@ def _float_rk45(fun, t_end, y0, rtol, atol, events):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, err, K = _reference_step(fun, t, y, fy, h, rtol,
-                                                   atol)
-            nfev += 6
+            y_new, f_new, err, K = step(fun, t, y, fy, h, rtol, atol)
+            nfev += cost
             if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err ** (-1 / 5))
+                factor = 10 if err == 0 else min(10, 0.9 * err ** power)
+                in_a_row = in_a_row + 1 if factor < 10 else 0
                 h_abs *= min(1, factor) if retry else factor
                 break
-            h_abs *= max(0.2, 0.9 * err ** (-1 / 5))
+            h_abs *= max(0.2, 0.9 * err ** power)
             retry = True
             rejected += 1
-        piece = (t, h, np.array(y), np.array(K).T.dot(RK45.P))
-        t, y, fy = t_new, y_new, f_new
-        g_new = [event(t, y) for event, _ in events]
-        for i, (event, sign) in enumerate(events):
-            if ((sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
-                    or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)):
-                root = brentq(lambda u: event(u, _interpolate(piece, u)),
-                              piece[0], t, xtol=4 * ode.EPS,
-                              rtol=4 * ode.EPS)
-                if fired is None or root < t:
-                    fired, t = i, root
+        built = functools.cache(
+            functools.partial(_dp5_dense, t, h, y, K)
+            if step is _reference_step
+            else functools.partial(_dop853_dense, fun, t, h, y, K, y_new))
+        pieces.append(built)
+        g_new = [event(t_new, y_new) for event, _ in events]
+        crossed = [i for i, (_, sign) in enumerate(events)
+                   if (sign <= 0 and g[i] >= 0 and g_new[i] <= 0)
+                   or (sign >= 0 and g[i] <= 0 and g_new[i] >= 0)]
+        if crossed and step is _reference_dop853_step:
+            nfev += 3
+        t_old, t, y, fy = t, t_new, y_new, f_new
+        for i in crossed:
+            root = brentq(lambda u, i=i: events[i][0](u, built()(u)), t_old,
+                          t_new, xtol=4 * ode.EPS, rtol=4 * ode.EPS)
+            if fired is None or root < t:
+                fired, t = i, root
         if fired is not None:
-            y = _interpolate(piece, t)
+            y = built()(t)
         g = g_new
         ts.append(t)
         ys.append(y)
-        pieces.append(piece)
+        if step is _reference_step and in_a_row == ode.SWITCH_AFTER:
+            step, power, cost, first = (_reference_dop853_step, -1 / 8, 12,
+                                        len(pieces))
+    first = len(pieces) if first is None else first
 
     def dense(s):
         i = min(max(np.searchsorted(ts, s) - 1, 0), len(pieces) - 1)
-        return _interpolate(pieces[i], s)
-    return np.array(ts), np.array(ys), nfev, fired, rejected, dense
+        return pieces[i]()(s)
+    return np.array(ts), np.array(ys), nfev, fired, rejected, dense, first
 
 
 RAYS = pytest.mark.parametrize("ray, termination", [
@@ -195,14 +254,15 @@ def _inner_points(s):
 def test_interior_integration_matches_a_float_reference_bitwise(
         ray, termination):
     """Interior rays step on floats: s, states, nfev, the event that
-    fired, the rejected step count and the dense output equal a plain
-    Dormand-Prince reference on floats bit for bit."""
+    fired, the rejected step count, the step the integration went on
+    with DOP853 from and the dense output equal a plain reference on
+    floats bit for bit."""
     spec, q0, s_max = ray()
     settings = FlowSettings()
     direction = -1 if q0.tau > 0 else 1
     seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
     rhs, events = _interior_problem(spec, q0, direction, settings)
-    s, states, nfev, fired, rejected, dense = _float_rk45(
+    s, states, nfev, fired, rejected, dense, first = _float_rk45(
         rhs, s_max, q0.to_vector().tolist(), settings.rtol, settings.atol,
         events)
     assert seg.termination is termination
@@ -212,28 +272,108 @@ def test_interior_integration_matches_a_float_reference_bitwise(
     assert np.array_equal(seg.states, states)
     assert seg.nfev == nfev
     assert seg.rejected == rejected
+    assert seg.dense.switch == first
     for u in _inner_points(seg.s):
         assert np.array_equal(seg.dense(u), dense(u))
 
 
 @RAYS
 def test_interior_integration_agrees_with_solve_ivp(ray, termination):
-    """The float steps round their stage sums differently from scipy's
-    BLAS products but take the same steps: the same termination, step
-    count and nfev, and dense output within 1e-12 relative."""
+    """Interior rays solve their ODE to the tolerance asked for: against
+    a tight solve_ivp DOP853 reference (rtol 1e-13, atol 1e-15) the same
+    event fires, and where it fires and the dense output agree within
+    10 rtol relative.  (At rtol 1e-10 the 5(4) pair alone is 3e-10 off
+    on _fan_ray, the mixed run 8e-11.)  A ray that never switches takes
+    the steps of solve_ivp's RK45: the same step count and nfev, and
+    dense output within 1e-12 relative."""
     spec, q0, s_max = ray()
     settings = FlowSettings()
     direction = -1 if q0.tau > 0 else 1
     seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
-    want = _solve_ivp_interior(spec, q0, direction, settings, s_max)
+    want = _solve_ivp_interior(spec, q0, direction, replace(
+        settings, rtol=1e-13, atol=1e-15), s_max, "DOP853")
+    tol = 10 * settings.rtol
     fired = [i for i, t in enumerate(want.t_events) if len(t)]
     assert fired == [i for i in [FIRED[termination]] if i is not None]
     assert seg.termination is termination
+    assert abs(seg.s[-1] - want.t[-1]) <= tol * seg.s[-1]
+    for u in _inner_points(seg.s):
+        u = min(u, want.t[-1])
+        got, ref = seg.dense(u), want.sol(u)
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+    if seg.dense.switch < len(seg.s) - 1:
+        return
+    want = _solve_ivp_interior(spec, q0, direction, settings, s_max, "RK45")
     assert len(seg.s) == len(want.t)
     assert seg.nfev == want.nfev
     for u in _inner_points(seg.s):
         got, ref = seg.dense(u), want.sol(u)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _long_rays(monkeypatch):
+    """_fan_ray, a ray of a perturbed_edge(0.3) point-source fan that
+    stays in the interior for s up to 3, integrated as is and with the
+    5(4) pair alone."""
+    spec, q0, s_max = _fan_ray()
+    direction = -1 if q0.tau > 0 else 1
+    seg = integrate_interior(spec, q0, direction, FlowSettings(), s_max)
+    monkeypatch.setattr(ode, "SWITCH_AFTER", math.inf)
+    return seg, integrate_interior(spec, q0, direction, FlowSettings(),
+                                   s_max)
+
+
+def test_a_long_interior_ray_goes_on_with_dop853(monkeypatch):
+    """A long interior ray switches to DOP853 once its steps are sized
+    by the error test, and takes fewer steps and evaluations than with
+    the 5(4) pair alone."""
+    seg, dp5 = _long_rays(monkeypatch)
+    assert seg.termination is dp5.termination is Termination.TIME_LIMIT
+    assert 0 < seg.dense.switch < len(seg.s) - 1
+    assert dp5.dense.switch == len(dp5.s) - 1
+    assert len(seg.s) < 0.6 * len(dp5.s)
+    assert seg.nfev < dp5.nfev
+
+
+def test_mixed_dense_output_is_continuous_at_every_step_end(monkeypatch):
+    """The dense output of a ray that switched meets the state at every
+    step end from both sides, across the switch from the quartic 5(4)
+    pieces to the DOP853 ones too, to 1e-12 relative; its 3 extra
+    DOP853 stages are evaluated per piece read, and counted there."""
+    seg = _long_rays(monkeypatch)[0]
+    switch = seg.dense.switch
+    assert 0 < switch < len(seg.s) - 1
+    for i in range(1, len(seg.s) - 1):
+        state = seg.states[i]
+        for u in (seg.s[i], math.nextafter(seg.s[i], math.inf)):
+            assert np.abs(seg.dense(u) - state).max() <= 1e-12 * np.abs(
+                state).max()
+    assert seg.dense.nfev == 3 * (len(seg.s) - 1 - switch)
+
+
+def test_newton_probe_segments_stay_on_the_5_4_pair(monkeypatch):
+    """The segments of perturbed_edge(0.3)'s Newton launch probes stay
+    on the 5(4) pair throughout.  The longest take 9 steps: they would
+    switch if SWITCH_AFTER were 8, and pay for DOP853's dense output
+    when the event ladder reads them."""
+    spec = builtin_scene("perturbed_edge(0.3)").spec
+    segments = []
+
+    def recording(*args, **kwargs):
+        segments.append(integrate_interior(*args, **kwargs))
+        return segments[-1]
+    monkeypatch.setattr(gbb, "integrate_interior", recording)
+    for z in (0.5 * math.pi, 1.0, 1.5 * math.pi, 4.0):
+        for eta in (-0.45, 0.0, 0.3):
+            data = BoundaryData(t_bar=0.0, y_bar=np.array([0.1]),
+                                z_bar=np.array([z]), sgn_tau=1,
+                                xi_hat=-math.sqrt(1.0 - eta * eta),
+                                eta_hat=np.array([eta]))
+            stable_manifold_launch(spec, data)
+    assert len(segments) == 12
+    assert max(len(seg.s) - 1 for seg in segments) > 8
+    for seg in segments:
+        assert seg.dense.switch == len(seg.s) - 1
 
 
 def _ripple_spec(b, f):
@@ -253,13 +393,10 @@ def _floats(lo, hi, n):
     return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(tuple)
 
 
-@hypothesis.settings(max_examples=40, deadline=None)
-@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
-def test_float_step_matches_the_reference_bitwise(b, f, data):
-    """The generated float step equals _reference_step bit for bit: the
-    new state, the field there, the error norm and the stage rows."""
+def _draw_step(b, f, data):
+    """A float step's arguments, drawn: (fun, n, t, y, h, rtol, atol) on
+    the Hamilton field of _ripple_spec(b, f) at a drawn scale."""
     hamilton = _ripple_spec(b, f).evaluator().hamilton
-    n = 2 * (2 + b + f)
     scale = data.draw(st.floats(-2.0, 2.0))
 
     def fun(t, vec):
@@ -271,6 +408,15 @@ def test_float_step_matches_the_reference_bitwise(b, f, data):
     t = data.draw(st.floats(0.0, 10.0))
     h = data.draw(st.floats(1e-6, 0.05))
     rtol, atol = data.draw(st.sampled_from([(1e-10, 1e-12), (1e-6, 1e-9)]))
+    return fun, len(y), t, y, h, rtol, atol
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
+def test_float_step_matches_the_reference_bitwise(b, f, data):
+    """The generated float step equals _reference_step bit for bit: the
+    new state, the field there, the error norm and the stage rows."""
+    fun, n, t, y, h, rtol, atol = _draw_step(b, f, data)
     got = ode._float_step(n)(fun, t, y, fun(t, y), h, rtol, atol)
     want = _reference_step(fun, t, y, fun(t, y), h, rtol, atol)
     assert got[:3] == want[:3]
@@ -278,12 +424,84 @@ def test_float_step_matches_the_reference_bitwise(b, f, data):
                           np.array(want[3]))
 
 
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
+def test_float_dop853_step_matches_the_reference_bitwise(b, f, data):
+    """The generated float DOP853 step equals _reference_dop853_step bit
+    for bit: the new state, the field there, the error norm and the 13
+    stage rows.  It is the array step _dop853_step, which sums with
+    BLAS: the state, the field and the stage rows agree within 1e-14
+    relative, and the error norm within the rounding of its sums."""
+    fun, n, t, y, h, rtol, atol = _draw_step(b, f, data)
+    got = ode._float_step(n, dop853=True)(fun, t, y, fun(t, y), h, rtol,
+                                          atol)
+    want = _reference_dop853_step(fun, t, y, fun(t, y), h, rtol, atol)
+    assert got[:3] == want[:3]
+    rows = np.frombuffer(got[3]).reshape(13, n)
+    assert np.array_equal(rows, np.array(want[3]))
+    y_new, f_new, error, K = ode._dop853_step(n)(
+        lambda u, v: fun(u, v.tolist()), t, np.array(y), np.array(fun(t, y)),
+        h, rtol, atol)
+    for mine, numpys in [(got[0], y_new), (got[1], f_new), (rows, K[:13])]:
+        assert np.abs(np.subtract(mine, numpys)).max() <= 1e-14 * np.abs(
+            numpys).max()
+    # The E5 and E3 sums cancel: each may round by 13 eps times the size
+    # of its terms, over the scale, and the norm moves by at most
+    # 3 h / sqrt(n) times the change of those scaled sums.
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    slack = sum(np.linalg.norm(13 * ode.EPS * np.abs(e).dot(np.abs(rows))
+                               / scale) for e in (ode.E5, ode.E3))
+    assert abs(got[2] - error) <= 3 * h * slack / n ** 0.5
+
+
+def _oscillator(t, y):
+    return (y[1], -y[0])
+
+
+def _blowing_up(call, blow_up):
+    """_oscillator, but blow_up(t, y) at the call-th evaluation."""
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return (blow_up if len(calls) == call else _oscillator)(t, y)
+    return field
+
+
+def _divide_by_zero(t, y):
+    raise ZeroDivisionError("float division by zero")
+
+
 def test_a_division_by_zero_on_floats_fails_the_step():
     """Where numpy divides by zero to inf or nan, floats raise
-    ZeroDivisionError; a float step that raises it is rejected as
-    scipy's RK45 rejects a step with an inf in a stage, and the
-    integration goes on.  Array steps reject theirs as scipy's DOP853
-    does, bit for bit."""
+    ZeroDivisionError.  A float step of either pair that raises it is
+    rejected as a step with an inf in a stage is, and the integration
+    goes on: its steps, states, nfev and rejections are those of the
+    float reference whose field returns inf at that evaluation.  Array
+    steps reject theirs as scipy's DOP853 does, bit for bit."""
+    plain = ode.rk45(_oscillator, 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5)
+    switch = plain.dense.switch
+    assert plain.rejected == 0
+    assert 3 < switch < len(plain.t) - 1
+    # the field at the end of the third 5(4) step, and the seventh
+    # evaluation of the first DOP853 step
+    for call in (20, 2 + 6 * switch + 7):
+        got = ode.rk45(_blowing_up(call, _divide_by_zero), 5.0, [1.0, 0.0],
+                       1e-9, 1e-11, 10 ** 5)
+        ts, states, nfev, _, rejected, _, first = _float_rk45(
+            _blowing_up(call, lambda t, y: (math.inf, 0.0)), 5.0,
+            [1.0, 0.0], 1e-9, 1e-11, ())
+        assert got.rejected == rejected == 1
+        assert got.dense.switch == first == switch
+        assert np.array_equal(got.t, ts)
+        assert np.array_equal(got.y, states)
+        assert got.nfev == nfev
+        assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
+
+    def on_arrays(t, y, blow_up):
+        return np.array([math.inf, 0.0]) if blow_up else np.array(
+            [y[1], -y[0]])
+
     def counted(fun):
         calls = []
 
@@ -291,22 +509,6 @@ def test_a_division_by_zero_on_floats_fails_the_step():
             calls.append(t)
             return fun(t, y, len(calls) == 20)
         return field
-
-    def on_floats(t, y, blow_up):
-        if blow_up:
-            raise ZeroDivisionError("float division by zero")
-        return (y[1], -y[0])
-
-    def on_arrays(t, y, blow_up):
-        return np.array([math.inf, 0.0]) if blow_up else np.array(
-            [y[1], -y[0]])
-    got = ode.rk45(counted(on_floats), 5.0, [1.0, 0.0], 1e-9, 1e-11, 10 ** 5)
-    want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
-                     method="RK45", rtol=1e-9, atol=1e-11)
-    assert got.rejected >= 1
-    assert len(got.t) == len(want.t)
-    assert got.nfev == want.nfev == 2 + 6 * (len(got.t) - 1 + got.rejected)
-    assert np.allclose(got.y_stop, [math.cos(5.0), -math.sin(5.0)])
     got = ode.rk45(counted(on_arrays), 5.0, np.array([1.0, 0.0]), 1e-9,
                    1e-11, 10 ** 5)
     want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
@@ -321,26 +523,35 @@ def test_a_division_by_zero_on_floats_fails_the_step():
 def test_rejected_steps_are_counted(floats):
     """y' = -y, fifty times faster from t = 1, fails the error test on
     the step across t = 1.  Every step attempt costs six evaluations
-    after the first two on floats, twelve with DOP853 on arrays; so
-    nfev counts the rejected ones too, and interior rays carry their
-    count on the segment."""
+    after the first two with the 5(4) pair on floats, twelve with
+    DOP853, on floats and on arrays; so nfev counts the rejected ones
+    too, and interior rays carry their count on the segment."""
+    calls = []
     if floats:
         def fun(t, y):
+            calls.append(t)
             return tuple(-v if t < 1.0 else -50.0 * v for v in y)
         sol = ode.rk45(fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, 10 ** 5)
-        steps, cost = len(sol.t) - 1, 6
+        assert sol.nfev == len(calls)
+        ts, _, nfev, _, rejected, _, first = _float_rk45(
+            fun, 3.0, [1.0, 2.0], 1e-8, 1e-10, ())
+        assert np.array_equal(sol.t, ts)
+        assert sol.rejected == rejected
+        assert sol.dense.switch == first < len(ts) - 1
+        assert sol.nfev == nfev
     else:
         def fun(t, y):
+            calls.append(t)
             return -y if t < 1.0 else -50.0 * y
         sol = ode.rk45(fun, 3.0, np.array([1.0, 2.0]), 1e-8, 1e-10, 10 ** 5)
         steps = len(solve_ivp(fun, (0.0, 3.0), [1.0, 2.0], method="DOP853",
                               rtol=1e-8, atol=1e-10).t) - 1
-        cost = 12
+        assert sol.nfev == 2 + 12 * (steps + sol.rejected)
     assert sol.rejected > 0
-    assert sol.nfev == 2 + cost * (steps + sol.rejected)
     spec, q0, s_max = _edge_ray()
     seg = integrate_interior(spec, q0, -1, FlowSettings(), s_max=s_max)
     assert seg.rejected > 0
+    assert seg.dense.switch == len(seg.s) - 1
     assert seg.nfev == 2 + 6 * (len(seg.s) - 1 + seg.rejected)
 
 
