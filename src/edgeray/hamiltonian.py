@@ -132,7 +132,12 @@ def _rescaled_vector(ev, vec, sgn_tau):
 
 @dataclass
 class RaySegment:
-    """One interior integration: samples, termination, conserved checks."""
+    """One interior integration: samples, termination, conserved checks.
+
+    nfev counts the field's evaluations while stepping.  The 3 stages a
+    DOP853 piece of the dense output evaluates when it is first read are
+    counted in dense.nfev instead, except on a step that fired an event.
+    """
 
     spec: object
     direction: int

@@ -172,9 +172,9 @@ def _interpolate(piece, t):
 
 
 class DenseOutput:
-    """The piecewise interpolant of ``rk45`` float steps: quartic on the
-    Dormand-Prince 5(4) steps before step ``switch``, of degree 7 on the
-    DOP853 steps from there on.
+    """The piecewise interpolant of ``rk45`` float steps: quartic on a
+    Dormand-Prince 5(4) step, whose stage bytes hold 7 rows, and of
+    degree 7 on a DOP853 step, whose stage bytes hold 13.
 
     Called at a scalar t it evaluates the step whose interval holds t;
     at a step end that is the earlier of the two steps.  A step's piece
@@ -184,15 +184,22 @@ class DenseOutput:
     rk45 forms at once to locate the root and hands over in ``cache``.
     """
 
-    def __init__(self, fun, ts, ys, hs, ks, switch, cache):
+    def __init__(self, fun, ts, ys, hs, ks, cache):
         self.fun, self.ts, self.ys, self.hs, self.ks = fun, ts, ys, hs, ks
-        self.switch, self.cache, self.nfev = switch, cache, 0
+        self.cache, self.nfev = cache, 0
+
+    @property
+    def switch(self):
+        """The first DOP853 step, or the step count if there is none."""
+        dp5 = 7 * 8 * self.ys.shape[1]
+        return next((i for i, k in enumerate(self.ks) if len(k) != dp5),
+                    len(self.ks))
 
     def __call__(self, t):
         i = min(max(bisect.bisect_left(self.ts, t), 1), len(self.hs)) - 1
         if i not in self.cache:
             args = self.ts[i], self.ys[i], self.hs[i], self.ks[i]
-            if i < self.switch:
+            if len(self.ks[i]) == 7 * 8 * self.ys.shape[1]:
                 self.cache[i] = _interpolate, _piece(*args)
             else:
                 self.nfev += 3   # stage rows 13-15
@@ -405,8 +412,8 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
     h_abs = _initial_step(f, y0, np.asarray(fy), t_end, rtol, atol, floats,
                           order)
     ts, ys, hs, ks = [t], [y], [], []   # floats; ks: stage rows
-    pieces = {}           # floats: an event's piece, by step
-    switch = streak = 0   # floats: the first DOP853 step; sized steps
+    pieces = {}   # floats: an event's piece, by step
+    streak = 0    # floats: sized steps in a row
     g = [event(t, y) for event, _ in events]
     fired = None
     while fired is None and t < t_end:
@@ -465,20 +472,17 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
             ys.append(y)
             hs.append(h)
             ks.append(K)
-        if pair is _DP54:
-            switch = len(hs)
-            if streak == SWITCH_AFTER:
-                pair = _FLOAT_DOP853
-                order, cost, make_step, make_piece, interpolate = pair
-                step, exponent = make_step(y0.size), -1 / (order + 1)
+        if pair is _DP54 and streak == SWITCH_AFTER:
+            pair = _FLOAT_DOP853
+            order, cost, make_step, make_piece, interpolate = pair
+            step, exponent = make_step(y0.size), -1 / (order + 1)
     if not floats:
         return Solution(t_stop=t, y_stop=y, nfev=nfev, event=fired,
                         rejected=n_rejected)
     states = np.array(ys)
     return Solution(t_stop=t, y_stop=np.asarray(y), nfev=nfev, event=fired,
                     rejected=n_rejected, t=np.array(ts), y=states,
-                    dense=DenseOutput(fun, ts, states, hs, ks, switch,
-                                      pieces))
+                    dense=DenseOutput(fun, ts, states, hs, ks, pieces))
 
 
 def brent(f, a, b, xtol, rtol):

@@ -75,15 +75,18 @@ def _interior_problem(spec, q0, direction, settings):
     return rhs, events
 
 
-def _solve_ivp_interior(spec, q0, direction, settings, s_max, method):
-    """integrate_interior's ODE and events, handed to solve_ivp."""
+def _solve_ivp_interior(spec, q0, direction, settings, s_max, method,
+                        s0=0.0, y0=None, **options):
+    """integrate_interior's ODE and events, handed to solve_ivp; from
+    (s0, y0) if given, else from q0 at 0."""
     rhs, events = _interior_problem(spec, q0, direction, settings)
     for g, sign in events:
         g.terminal, g.direction = True, sign
-    return solve_ivp(lambda s, vec: rhs(s, vec.tolist()), (0.0, s_max),
-                     q0.to_vector(), method=method, rtol=settings.rtol,
-                     atol=settings.atol, dense_output=True,
-                     events=[g for g, _ in events])
+    return solve_ivp(lambda s, vec: rhs(s, vec.tolist()), (s0, s_max),
+                     q0.to_vector() if y0 is None else y0, method=method,
+                     rtol=settings.rtol, atol=settings.atol,
+                     dense_output=True, events=[g for g, _ in events],
+                     **options)
 
 
 def _total(coeffs, K, j):
@@ -279,36 +282,65 @@ def test_interior_integration_matches_a_float_reference_bitwise(
 
 @RAYS
 def test_interior_integration_agrees_with_solve_ivp(ray, termination):
-    """Interior rays solve their ODE to the tolerance asked for: against
-    a tight solve_ivp DOP853 reference (rtol 1e-13, atol 1e-15) the same
-    event fires, and where it fires and the dense output agree within
-    10 rtol relative.  (At rtol 1e-10 the 5(4) pair alone is 3e-10 off
-    on _fan_ray, the mixed run 8e-11.)  A ray that never switches takes
-    the steps of solve_ivp's RK45: the same step count and nfev, and
-    dense output within 1e-12 relative."""
+    """Interior rays take the steps of scipy's solvers on either side of
+    the switch to DOP853: up to it those of RK45 from 0, after it those
+    of solve_ivp's DOP853 started at the switch's step end and state with
+    the first DOP853 step, which is the step RK45 would try next.  The
+    step counts are equal, the same event fires, the evaluations add up
+    (DOP853's dense output included) and the dense output agrees within
+    1e-12 relative.  A ray that never switches matches solve_ivp's RK45
+    throughout.  Against a tight solve_ivp
+    DOP853 reference (rtol 1e-13, atol 1e-15) the ray also solves its
+    ODE to the tolerance asked for: where it ends and its dense output
+    agree within 10 rtol relative.  (At rtol 1e-10 the 5(4) pair alone
+    is 3e-10 off on _fan_ray, the mixed run 8e-11.)"""
     spec, q0, s_max = ray()
     settings = FlowSettings()
     direction = -1 if q0.tau > 0 else 1
     seg = integrate_interior(spec, q0, direction, settings, s_max=s_max)
+    switch = seg.dense.switch
+    if switch == len(seg.s) - 1:
+        parts = [_solve_ivp_interior(spec, q0, direction, settings, s_max,
+                                     "RK45")]
+        ends = parts[0].t
+    else:
+        rhs, events = _interior_problem(spec, q0, direction, settings)
+        dp5 = RK45(lambda s, vec: rhs(s, vec.tolist()), 0.0, q0.to_vector(),
+                   s_max, rtol=settings.rtol, atol=settings.atol)
+        dp5_ends, pieces = [0.0], []
+        for _ in range(switch):
+            dp5.step()
+            assert all(g(dp5.t, dp5.y.tolist()) > 0 for g, _ in events)
+            dp5_ends.append(dp5.t)
+            pieces.append(dp5.dense_output())
+        first = seg.s[switch + 1] - seg.s[switch]
+        assert abs(first - dp5.h_abs) <= 1e-6 * first
+        dop853 = _solve_ivp_interior(
+            spec, q0, direction, settings, s_max, "DOP853", s0=seg.s[switch],
+            y0=seg.states[switch], first_step=first)
+        dp5.sol = lambda u: pieces[min(max(np.searchsorted(
+            dp5_ends, u) - 1, 0), len(pieces) - 1)](u)
+        dp5.t_events = [[] for _ in events]
+        parts = [dp5, dop853]
+        ends = np.concatenate((dp5_ends, dop853.t[1:]))
+    fired = [i for i, t in enumerate(parts[-1].t_events) if len(t)]
+    assert fired == [i for i in [FIRED[termination]] if i is not None]
+    assert seg.termination is termination
+    assert len(seg.s) == len(ends)
+    for u in _inner_points(seg.s):
+        ref = parts[-1 if u > seg.s[switch] else 0].sol(u)
+        assert np.abs(seg.dense(u) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert seg.nfev + seg.dense.nfev == sum(
+        p.nfev for p in parts) - (len(parts) - 1)
     want = _solve_ivp_interior(spec, q0, direction, replace(
         settings, rtol=1e-13, atol=1e-15), s_max, "DOP853")
     tol = 10 * settings.rtol
-    fired = [i for i, t in enumerate(want.t_events) if len(t)]
-    assert fired == [i for i in [FIRED[termination]] if i is not None]
-    assert seg.termination is termination
+    assert [i for i, t in enumerate(want.t_events) if len(t)] == fired
     assert abs(seg.s[-1] - want.t[-1]) <= tol * seg.s[-1]
     for u in _inner_points(seg.s):
         u = min(u, want.t[-1])
         got, ref = seg.dense(u), want.sol(u)
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
-    if seg.dense.switch < len(seg.s) - 1:
-        return
-    want = _solve_ivp_interior(spec, q0, direction, settings, s_max, "RK45")
-    assert len(seg.s) == len(want.t)
-    assert seg.nfev == want.nfev
-    for u in _inner_points(seg.s):
-        got, ref = seg.dense(u), want.sol(u)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _long_rays(monkeypatch):
