@@ -92,10 +92,12 @@ def config_float(raw, key):
     return value
 
 
-def config_int(raw, key):
+def config_int(raw, key, least=None):
     """A parsed value as an int; ConfigError naming key if it is not a
-    whole number."""
+    whole number, or is below least."""
     value = config_float(raw, key)
     if not value.is_integer():
         raise ConfigError("%s = %r is not an integer" % (key, raw))
+    if least is not None and value < least:
+        raise ConfigError("%s = %r is below %d" % (key, raw, least))
     return raw if isinstance(raw, int) else int(value)

@@ -28,38 +28,38 @@ after the signed arc
 constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
 
-Geodesics at x = 0 are shot in lanes, all lanes of a call one ODE of
-``ode.rk45``.  On a one-dimensional fiber a unit-speed geodesic is arc
-length: after the signed arc l it ends where dz/dl = kzz^(-1/2) takes
-it, and ``_shoot_arc`` steps those lanes on Python floats as interior
+Geodesics at x = 0 are shot in lanes by one loop, _lanes: all lanes of
+a shot are one ODE of ``ode.rk45``, and it owns the chart stops, the
+restarts and the evaluation budget.  Two field builders feed it.  On a
+one-dimensional fiber a unit-speed geodesic is arc length: after the
+signed arc l it ends where dz/dl = kzz^(-1/2) takes it, and
+``_shoot_arc`` builds those lanes on Python floats, stepped as interior
 rays step (5(4), then DOP853 once the error sizes the steps), on the
-generated ``MetricEvaluator.fiber_speed``.  For f = 1 it shoots the
-limit points of an edge event's whole extrapolation ladder (in arc
-length itself, one step for the ladder's short arcs) and the two arc-pi
-geodesics of a partner search or relatedness test.  Every other
-geodesic is a lane of ``_shoot`` (each lane with its own start,
-covector and signed parameter arc), one DOP853 ODE in a normalised
-parameter on the generated cogeodesic field of a metric block
-(``MetricEvaluator.fiber_cogeodesic`` or ``base_cogeodesic``) that
-returns only the lanes' end points: for f >= 2 the launch directions of
-a partner search (and each refinement round of the relatedness test)
-and the ladder's limit points, for every f the cogeodesic flow, one
-lane per parameter sample, and on the base block glancing
-continuation's tangential geodesic, one lane per sample (see gbb).  The
-cogeodesic flow keeps the field even on f = 1: it returns zeta as well
-as z at many samples of the boundary flow's parameter, acceptance
-criterion 4 integrates |zeta|_K over those samples to measure the arc
-an orbit sweeps, and no traced path calls it.
+generated ``MetricEvaluator.fiber_speed``: for f = 1 the limit points of
+an edge event's whole extrapolation ladder (one step for the ladder's
+short arcs) and the two arc-pi geodesics of a partner search or
+relatedness test.  Every other geodesic is a lane of ``_shoot`` (each
+with its own start, covector and signed parameter arc), stepped by
+DOP853 on an array in a normalised parameter on the generated
+cogeodesic field of a metric block (``MetricEvaluator.fiber_cogeodesic``
+or ``base_cogeodesic``): for f >= 2 the launch directions of a partner
+search (and each refinement round of the relatedness test) and the
+ladder's limit points, for every f the cogeodesic flow, one lane per
+parameter sample, and on the base block glancing continuation's
+tangential geodesic, one lane per sample (see gbb).  The cogeodesic
+flow keeps the field even on f = 1: it returns zeta as well as z at
+many samples of the boundary flow's parameter, acceptance criterion 4
+integrates |zeta|_K over those samples to measure the arc an orbit
+sweeps, and no traced path calls it.
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
-much as an interior ray on an all-chart fiber stops at CHART_EXIT; the
-shot restarts the other lanes, and the MAX_GEODESIC_STEPS budget counts
-the evaluations of all restarts together.  A dropped lane is no
-endpoint (a NaN row of the shot): it gives no partner and an infinite
-relatedness defect, and a fiber limit point off the chart raises
-FlowEscapedError.  The boundary flow, whose orbits sweep fiber arc pi
-across the z_box of sphere_edge, and base shots are not stopped.
+much as an interior ray on an all-chart fiber stops at CHART_EXIT.  A
+dropped lane is no endpoint (a NaN row of the shot): it gives no
+partner and an infinite relatedness defect, and a fiber limit point off
+the chart raises FlowEscapedError.  The boundary flow, whose orbits
+sweep fiber arc pi across the z_box of sphere_edge, and base shots are
+not stopped.
 """
 
 from __future__ import annotations
@@ -134,19 +134,14 @@ def _off_chart(spec, what):
     return FlowEscapedError("%s leaves the fiber chart %s" % (what, bounds))
 
 
-def _shoot(field, q0, p0, arc, fixed=(), box=None):
-    """End points (q, p) of cogeodesic lanes, each of shape (n, d).
+def _lanes(make_rhs, rows, span, d, box, floats):
+    """End rows of lanes that are one ODE of ``ode.rk45`` over [0, span].
 
-    field(*fixed, state, arc) is the cogeodesic field of an x = 0 metric
-    block on the raveled lanes (q, p) of state, scaled lane by lane by
-    arc (``MetricEvaluator.fiber_cogeodesic`` with fixed = (y,), or
-    ``MetricEvaluator.base_cogeodesic``).  Lane k starts at (q0[k],
-    p0[k]) and follows it for the signed parameter arc[k]; q0 and p0
-    broadcast against the n lanes of arc, so samples along one geodesic
-    are lanes with one start and their own arcs.  All lanes are one ODE
-    in the fraction u in [0, 1], whose state is the ravel of shape (n, 2,
-    d), stepped by DOP853 to _GEO_RTOL and _GEO_ATOL (``ode.rk45`` on an
-    array) to its end at u = 1.
+    Row k of rows, shape (n, w), starts lane k, its first d entries the
+    lane's position q.  make_rhs(lanes) is the field of the lanes still
+    running: all for lanes None, else those of the index array lanes.
+    The ODE's state, to _GEO_RTOL and _GEO_ATOL, is the ravel of their
+    rows: floats when floats is true, else an ndarray.
 
     box = (lo, hi), the bounds of a chart (see _chart_box), stops every
     lane that starts inside it at the box's edge: the smallest margin
@@ -159,13 +154,69 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
     finer), so mirror lanes that reach the edge at the same parameter
     as the one that fired, with margins of about 1e-15, go with it
     instead of firing the next call's event at its own start.  A dropped
-    lane ends as NaN in q and p.  Without a box, or when no lane reaches
-    the edge, the shot is one rk45 call.
+    lane ends as a NaN row.  Without a box, or when no lane reaches the
+    edge, the shot is one rk45 call.  More than MAX_GEODESIC_STEPS
+    evaluations, summed over the restarts, raise StepLimitError.
+    """
+    n, w = rows.shape
+    events = ()
+    if box is not None:
+        # lanes that start off the box, and entries past q, are not watched
+        inside = np.all((box[0] <= rows[:, :d]) & (rows[:, :d] <= box[1]),
+                        axis=1)
+        lo, hi = np.full((n, w), -math.inf), np.full((n, w), math.inf)
+        lo[inside, :d], hi[inside, :d] = box
+
+        def margins(state):
+            state = np.reshape(state, (-1, w))
+            return np.minimum(state - lo, hi - state).min(1)
+        events = ((lambda _, state: margins(state).min(), -1),)
+    lanes, state, used = None, rows, 0
+    with np.errstate(all="ignore"):
+        while True:
+            try:
+                sol = ode.rk45(make_rhs(lanes), span, state.ravel().tolist()
+                               if floats else state.ravel(), _GEO_RTOL,
+                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events)
+            except StepLimitError:
+                raise StepLimitError("geodesic shot passed its budget of %d "
+                                     "evaluations" % MAX_GEODESIC_STEPS
+                                     ) from None
+            used += sol.nfev
+            state = sol.y_stop.reshape(-1, w)
+            if sol.event is None or sol.t_stop == span:
+                if lanes is None:
+                    return state
+                ends[lanes] = state
+                return ends
+            if lanes is None:
+                ends, lanes = np.full((n, w), np.nan), np.arange(n)
+            margin = margins(state)
+            keep = margin > _GEO_ATOL + _GEO_RTOL * np.abs(
+                state[:, :d]).max(1)
+            keep[np.argmin(margin)] = False
+            if not keep.any():
+                return ends
+            lanes, state, lo, hi = lanes[keep], state[keep], lo[keep], hi[keep]
+            span -= sol.t_stop
+
+
+def _shoot(field, q0, p0, arc, fixed=(), box=None):
+    """End points (q, p) of cogeodesic lanes, each of shape (n, d).
+
+    field(*fixed, state, arc) is the cogeodesic field of an x = 0 metric
+    block on the raveled lanes (q, p) of state, scaled lane by lane by
+    arc (``MetricEvaluator.fiber_cogeodesic`` with fixed = (y,), y one
+    row or one row per lane, or ``MetricEvaluator.base_cogeodesic``).
+    Lane k starts at (q0[k], p0[k]) and follows it for the signed
+    parameter arc[k]; q0 and p0 broadcast against the n lanes of arc, so
+    samples along one geodesic are lanes with one start and their own
+    arcs.  All lanes are one _lanes ODE on an array (DOP853 steps) in the
+    fraction u in [0, 1], stopped at the edge of box.
 
     A zero pivot of the block in any lane raises DegenerateMetricError,
     a non-finite lane or a collapsing step IntegrationDivergedError, and
-    more than MAX_GEODESIC_STEPS evaluations, summed over the restarts,
-    StepLimitError.
+    more than MAX_GEODESIC_STEPS evaluations StepLimitError.
     """
     arc = np.asarray(arc, float)
     n, d = arc.size, np.shape(q0)[-1]
@@ -176,46 +227,15 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
     if not arc.any():
         return state0[:, 0], state0[:, 1]
 
-    def rhs(_, state):
-        return field(*fixed, state, arc)
+    def make_rhs(lanes):   # a y row per lane follows its lane
+        if lanes is None:
+            return lambda _, state: field(*fixed, state, arc)
+        kept = [v[lanes] if np.ndim(v) == 2 else v for v in fixed]
+        lane_arc = arc[lanes]
+        return lambda _, state: field(*kept, state, lane_arc)
 
-    events = ()
-    if box is not None:
-        # lanes that start off the box are not watched: bounds +-inf
-        inside = np.all((box[0] <= state0[:, 0]) & (state0[:, 0] <= box[1]),
-                        axis=1)[:, None]
-        lo = np.where(inside, box[0], -math.inf)
-        hi = np.where(inside, box[1], math.inf)
-
-        def margins(state):
-            q = state.reshape(-1, 2, d)[:, 0]
-            return np.minimum(q - lo, hi - q).min(axis=1)
-        events = ((lambda _, state: margins(state).min(), -1),)
-
-    q, p = np.full((2, n, d), np.nan)
-    lanes, state, span, used = np.arange(n), state0, 1.0, 0
-    with np.errstate(all="ignore"):
-        while True:
-            try:
-                sol = ode.rk45(rhs, span, state.ravel(), _GEO_RTOL,
-                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events)
-            except StepLimitError:
-                raise StepLimitError("geodesic shot passed its budget of %d "
-                                     "evaluations" % MAX_GEODESIC_STEPS
-                                     ) from None
-            used += sol.nfev
-            state = sol.y_stop.reshape(-1, 2, d)
-            if sol.event is None or sol.t_stop == span:
-                q[lanes], p[lanes] = state[:, 0], state[:, 1]
-                return q, p
-            margin = margins(state)
-            keep = margin > _GEO_ATOL + _GEO_RTOL * np.abs(state[:, 0]).max(1)
-            keep[np.argmin(margin)] = False
-            if not keep.any():
-                return q, p
-            lanes, state, arc = lanes[keep], state[keep], arc[keep]
-            lo, hi = lo[keep], hi[keep]
-            span -= sol.t_stop
+    ends = _lanes(make_rhs, state0.reshape(n, 2 * d), 1.0, d, box, False)
+    return ends[:, :d], ends[:, d:]
 
 
 def _shoot_arc(spec, ys, zs, arcs):
@@ -223,17 +243,17 @@ def _shoot_arc(spec, ys, zs, arcs):
 
     Lane k solves dz/dl = kzz(0, ys[k], z)^(-1/2) (the generated
     ``MetricEvaluator.fiber_speed``) from zs[k] over the signed arc
-    arcs[k].  The lanes with a nonzero arc are one ODE of ``ode.rk45`` on
-    floats in t in [0, L], L the longest |arc|,
-    lane k at rate arcs[k] / L: in arc length itself, so the short arcs
-    of an event's ladder take one step.  Returns the list of end points.
-    Tolerances, chart stops (a stopped lane ends nan), typed errors and
-    the evaluation budget are those of _shoot.
+    arcs[k].  The lanes with a nonzero arc are one _lanes ODE on floats
+    in t in [0, L], L the longest |arc|, lane k at rate arcs[k] / L: in
+    arc length itself, so the short arcs of an event's ladder take one
+    step.  Returns the array of end points.  Tolerances, chart stops (a
+    stopped lane ends nan), typed errors and the evaluation budget are
+    those of _lanes and _shoot.
     """
     zs, arcs = list(map(float, zs)), list(map(float, arcs))
     if not all(map(math.isfinite, zs + arcs)):
         raise IntegrationDivergedError("non-finite geodesic launch")
-    ends = [math.nan if arc else z for z, arc in zip(zs, arcs)]
+    ends = np.array(zs)   # a lane with arc 0 ends where it starts
     lanes = [k for k, arc in enumerate(arcs) if arc]
     if not lanes:
         return ends
@@ -241,45 +261,16 @@ def _shoot_arc(spec, ys, zs, arcs):
     span = max(abs(arcs[k]) for k in lanes)
     rates = [arcs[k] / span for k in lanes]
     ys = [np.asarray(ys[k], float).tolist() for k in lanes]
-    state = [zs[k] for k in lanes]
-    # lanes that start off the chart, and all lanes on a circle, are not
-    # watched
-    box = spec.z_box[0] if spec.fiber.periods[0] is None else ()
-    lo, hi = zip(*[box if box and box[0] <= z <= box[1]
-                   else (-math.inf, math.inf) for z in state])
 
-    def rate(_, state):
-        return tuple([c * speed(y, z) for c, y, z in zip(rates, ys, state)])
+    def make_rhs(kept):
+        c, y = (rates, ys) if kept is None else (
+            [rates[k] for k in kept], [ys[k] for k in kept])
+        return lambda _, state: tuple([ck * speed(yk, z) for ck, yk, z
+                                       in zip(c, y, state)])
 
-    def margins(state):
-        return [min(z - a, b - z) for z, a, b in zip(state, lo, hi)]
-    events = ((lambda _, state: min(margins(state)), -1),) if min(
-        hi) < math.inf else ()
-    used = 0
-    while True:
-        try:
-            with np.errstate(all="ignore"):
-                sol = ode.rk45(rate, span, state, _GEO_RTOL, _GEO_ATOL,
-                               MAX_GEODESIC_STEPS - used, events)
-        except StepLimitError:
-            raise StepLimitError("geodesic shot passed its budget of %d "
-                                 "evaluations" % MAX_GEODESIC_STEPS) from None
-        used += sol.nfev
-        state = sol.y_stop.tolist()
-        if sol.event is None or sol.t_stop == span:
-            for k, z in zip(lanes, state):
-                ends[k] = z
-            return ends
-        margin = margins(state)
-        keep = [m > _GEO_ATOL + _GEO_RTOL * abs(z)
-                for m, z in zip(margin, state)]
-        keep[margin.index(min(margin))] = False
-        lanes, rates, ys, state, lo, hi = (
-            [v for v, kept in zip(column, keep) if kept]
-            for column in (lanes, rates, ys, state, lo, hi))
-        if not lanes:
-            return ends
-        span -= sol.t_stop
+    ends[lanes] = _lanes(make_rhs, ends[lanes, None], span, 1,
+                         _chart_box(spec), True)[:, 0]
+    return ends
 
 
 def fiber_cogeodesic_flow(spec, y, z0, zeta0, s_values):
@@ -362,8 +353,7 @@ def fiber_limit_points(spec, y, z, xi, zeta):
         arc = np.where(moving, np.where(xi == 0.0, 0.5 * math.pi,
                                         np.arctan(m / xi)), 0.0)
     if spec.f == 1:
-        ends = np.array(_shoot_arc(spec, y, z[:, 0],
-                                   np.sign(zeta[:, 0]) * arc))[:, None]
+        ends = _shoot_arc(spec, y, z[:, 0], np.sign(zeta[:, 0]) * arc)[:, None]
     else:
         ends = _shoot(field, z, zeta / np.where(moving, m, 1.0)[:, None], arc,
                       fixed=(y,), box=_chart_box(spec))[0]
@@ -402,8 +392,8 @@ def _geodesic_ends(spec, y, z0, directions, arc):
         signs = np.sign(np.ravel(directions))
         if not signs.all():
             raise ValueError("zero fiber direction")
-        return np.array(_shoot_arc(spec, [y] * len(signs),
-                                   [z0[0]] * len(signs), signs * arc))[:, None]
+        return _shoot_arc(spec, [y] * len(signs), [z0[0]] * len(signs),
+                          signs * arc)[:, None]
     ev = spec.evaluator()
     kzz = ev.edge_matrix(0.0, y, z0)[ev.sz, ev.sz]
     zetas = [fiber_unit_covector(kzz, z0, d) for d in directions]

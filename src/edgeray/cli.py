@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._config import config_float
+from ._config import config_float, config_int
 from .boundary import geometric_partners, is_geometrically_related
 from .errors import ConfigError, EdgeRayError, NumericalError
 from .hamiltonian import linearization_at_radial
@@ -46,7 +46,7 @@ def _load_scene(ref, seed=None):
     else:
         config = builtin_scene(ref)
     if seed is not None:
-        config.seed = seed
+        config.seed = config_int(seed, "--seed", 0)
     return config
 
 

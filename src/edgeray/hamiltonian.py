@@ -79,9 +79,10 @@ class FlowSettings:
         if not (math.isfinite(self.rtol) and self.rtol >= 100 * ode.EPS):
             raise ConfigError("rtol = %r must be finite and at least %.3g"
                               % (self.rtol, 100 * ode.EPS))
-        if not (math.isfinite(self.atol) and self.atol > 0.0):
-            # the step size divides by atol at a zero state component
-            raise ConfigError("atol = %r must be finite and positive"
+        if not (math.isfinite(self.atol) and self.atol >= 1e-100):
+            # the step size divides by atol at a zero state component and
+            # squares the quotient: 1e50 over 1e-100 squares to a float
+            raise ConfigError("atol = %r must be finite and at least 1e-100"
                               % self.atol)
         if not (math.isfinite(self.x_stop) and self.x_stop > 0.0):
             # the integrated field is divided by x

@@ -249,7 +249,7 @@ def scene_from_values(values):
     if "policy" in values:
         config.policy = BranchPolicy.parse(values.pop("policy"))
     if "seed" in values:
-        config.seed = config_int(values.pop("seed"), "seed")
+        config.seed = config_int(values.pop("seed"), "seed", 0)
     if "s_incident" in values:
         config.s_incident = str(values.pop("s_incident"))
         _order("s_incident", OrderBound.parse, config.s_incident)

@@ -781,6 +781,29 @@ def test_limit_point_off_the_chart_is_a_typed_error():
         fiber_geodesic_point(spec, y[0], z[0], np.array([-1.0, 0.0]), 1.0)
 
 
+def test_chart_stop_restarts_lanes_with_their_own_y():
+    """With one y row per lane and a k that reads y, a chart stop restarts
+    the other lanes with their own rows: a limit point off the chart
+    raises FlowEscapedError, and a surviving lane lands where its own
+    one-lane shot does."""
+    spec = make_metric_spec(1, 2, h=[["1"]],
+                            k=[["1 + 0.1*y1^2", "0"], ["0", "1"]],
+                            fiber="chart", z_box=[[-1, 1], [-1, 1]])
+    y = np.array([[0.1], [0.2]])
+    z = np.array([[0.9, 0.0], [0.0, 0.0]])
+    with pytest.raises(FlowEscapedError, match="fiber chart"):
+        boundary.fiber_limit_points(spec, y, z, np.array([0.5, 0.5]),
+                                    np.eye(2))
+    ev, box = spec.evaluator(), boundary._chart_box(spec)
+    zeta, arc = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5])
+    q, p = _shoot(ev.fiber_cogeodesic, z, zeta, arc, fixed=(y,), box=box)
+    assert np.isnan(q[0]).all() and np.isnan(p[0]).all()
+    alone = _shoot(ev.fiber_cogeodesic, z[1:], zeta[1:], arc[1:],
+                   fixed=(y[1:],), box=box)
+    np.testing.assert_allclose(q[1], alone[0][0], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(p[1], alone[1][0], rtol=0.0, atol=1e-9)
+
+
 def test_related_search_on_three_torus():
     """Flat T^3: z1 + (0, 0, pi) is at geodesic distance exactly pi, out
     of the (z1, z2) plane; a point 0.05 beyond it is not."""

@@ -1,11 +1,18 @@
 """Tests for scene files, ray fans, serialization, and the CLI."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from edgeray import cli
 from edgeray.cli import _load_scene, main
@@ -288,7 +295,7 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     ("atol = -1", []), ("atol = nan", []), ("rtol = abc", []),
     ("", ["--x-stop", "-1"]), ("", ["--x-stop", "0"]),
     ("", ["--rtol", "nan"]), ("", ["--rtol", "-1"]),
-    ("", ["--rtol", "1e-15"]), ("atol = 0.0", [])])
+    ("", ["--rtol", "1e-15"]), ("atol = 0.0", []), ("atol = 1e-200", [])])
 def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
                                           args):
     """FlowSettings rejects a tolerance or x_stop the integrator cannot
@@ -301,6 +308,21 @@ def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
     assert main(["trace", str(scene), "--out", str(out_file), *args]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("seed_line, args", [("seed = -1", []),
+                                             ("", ["--seed", "-1"])])
+def test_cli_trace_refuses_a_negative_seed(tmp_path, capsys, seed_line,
+                                           args):
+    """A point source's fan seed must not be negative, from the scene key
+    or the option: exit 2 with one stderr line naming it."""
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("builtin = product_cone(1.0)\norigin = [0.5, 1.0]\n"
+                     "fan_count = 4\nt_span = [0.0, 0.5]\n%s\n" % seed_line)
+    assert main(["trace", str(scene), "--out", str(tmp_path / "rays.csv"),
+                 *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed = -1 is below 0" in err[0]
 
 
 def test_cli_trace_refuses_an_off_characteristic_source(tmp_path, capsys):
@@ -472,6 +494,8 @@ def test_cli_orders(capsys):
     "eigencheck product_cone(1.0) --tol nan",
     "eigencheck product_cone(1.0) --tol inf",
     "eigencheck product_cone(1.0) --tol -1",
+    "eigencheck product_cone(1.0) --seed -1",
+    "validate product_cone(1.0) --seed -1",
     "validate product_edge(1.5,1)", "validate product_edge(1,2.5)",
     "validate product_edge(one,1)"])
 def test_cli_rejects_invalid_arguments(argv, capsys):
@@ -523,3 +547,56 @@ def test_flow_settings_are_what_a_scene_sets():
     names = tuple(f.name for f in dataclasses.fields(FlowSettings))
     assert names == ("rtol", "atol", "x_stop")
     assert set(names) <= set(SCENE_KEYS)
+
+
+# values at or beyond the limit of each drawn setting: 100 EPS is the
+# least rtol and 1e-100 the least atol, x_stop lies below 1e-3 and the
+# origin, t_span increases
+LIMITS = {"seed": [-1, 0, 2 ** 64 - 1], "fan_count": [-1, 0, 1],
+          "rtol": [-1.0, 0.0, 2.2e-14, 2.220446049250313e-14, 0.5],
+          "atol": [-1e-12, 0.0, 5e-324, 9e-101, 1e-100, 1.0],
+          "x_stop": [-1e-4, 0.0, 5e-324, 9.99e-4, 1e-3, 0.5, 2.0],
+          "length": [-0.1, 0.0, 5e-324]}
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(
+    metric=st.one_of(
+        st.floats(0.2, 3.0).map("product_cone(%r)".__mod__),
+        st.floats(-0.49, 0.49).map("perturbed_edge(%r)".__mod__)),
+    x0=st.floats(0.05, 0.9), y0=st.floats(-0.5, 0.5),
+    z0=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-1.0, 1.0),
+    settings=st.fixed_dictionaries({
+        "seed": st.integers(0, 2 ** 32), "fan_count": st.integers(1, 4),
+        "rtol": st.floats(1e-12, 1e-4), "atol": st.floats(1e-14, 1e-8),
+        "x_stop": st.floats(1e-8, 9e-4), "length": st.floats(1e-6, 0.6)}),
+    limit=st.none() | st.sampled_from([(key, value) for key in LIMITS
+                                       for value in LIMITS[key]]))
+def test_cli_trace_fuzzed_point_sources_fail_typed(metric, x0, y0, z0, t0,
+                                                   settings, limit):
+    """``edgeray trace`` of a point source on product_cone(rho), rho in
+    [0.2, 3], or perturbed_edge(a), |a| <= 0.49, at a drawn origin (x0 in
+    [0.05, 0.9]) with t_span = [t0, t0 + length].  The seed, fan_count
+    (at most 4), rtol, atol, x_stop and length (at most 0.6) are drawn
+    inside their limits, and in about half the examples one of them is
+    set to a value of LIMITS instead: the exit code is 0, 2 or 3, exits
+    2 and 3 print exactly one stderr line, and no Python warning is
+    emitted."""
+    settings = dict(settings, **dict([limit] if limit else []))
+    origin = [x0, z0] if metric.startswith("product_cone") else [x0, y0, z0]
+    text = ("builtin = %s\norigin = %r\nt_span = [%r, %r]\n" % (
+        metric, origin, t0, t0 + settings.pop("length"))
+        + "".join("%s = %r\n" % item for item in settings.items()))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        scene = os.path.join(tmp, "scene.cfg")
+        with open(scene, "w") as handle:
+            handle.write(text)
+        code = main(["trace", scene, "--out", os.path.join(tmp, "rays.csv")])
+    assert code in (0, 2, 3), text
+    assert len(err.getvalue().splitlines()) == min(code, 1), text
+    assert not caught, (text, [str(w.message) for w in caught])
