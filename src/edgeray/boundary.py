@@ -29,8 +29,8 @@ constant along the flow over the boundary on either side of the closest
 approach and continuous across zeta = 0.
 
 Geodesics at x = 0 are shot in lanes by one loop, _lanes: all lanes of
-a shot are one ODE of ``ode.rk45``, and it owns the chart stops, the
-restarts and the evaluation budget.  Two field builders feed it.  On a
+a shot are one ODE of one ``ode.rk45`` call, and it owns the chart
+stops and the evaluation budget.  Two field builders feed it.  On a
 one-dimensional fiber a unit-speed geodesic is arc length: after the
 signed arc l it ends where dz/dl = kzz^(-1/2) takes it, and
 ``_shoot_arc`` builds those lanes on Python floats, stepped as interior
@@ -54,12 +54,14 @@ sweeps, and no traced path calls it.
 
 Partner searches and fiber limit points stop each lane at the edge of
 the fiber chart, the z_box of every fiber coordinate without a period,
-much as an interior ray on an all-chart fiber stops at CHART_EXIT.  A
-dropped lane is no endpoint (a NaN row of the shot): it gives no
-partner and an infinite relatedness defect, and a fiber limit point off
-the chart raises FlowEscapedError.  The boundary flow, whose orbits
-sweep fiber arc pi across the z_box of sphere_edge, and base shots are
-not stopped.
+much as an interior ray on an all-chart fiber stops at CHART_EXIT: a
+lane found past the edge at the end of a step drops out of the running
+integration, and the others go on without a restart.  A dropped lane
+is no endpoint (a NaN row of the shot): it gives no partner and an
+infinite relatedness defect, and a fiber limit point off the chart
+raises FlowEscapedError.  The boundary flow, whose orbits sweep fiber
+arc pi across the z_box of sphere_edge, and base shots are not
+stopped.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ import numpy as np
 
 from . import ode
 from .errors import (DegenerateMetricError, FlowEscapedError,
-                     IntegrationDivergedError, StepLimitError)
+                     IntegrationDivergedError)
 
 _GEO_RTOL = 1e-11
 _GEO_ATOL = 1e-13
-MAX_GEODESIC_STEPS = 20000  # field evaluations per shot, all restarts
+MAX_GEODESIC_STEPS = 20000  # field evaluations per shot, one rk45 call
 RELATED_GRID = 64      # launch directions of the relatedness test's first grid
 _CAP_LANES = 64        # about this many launch directions per refinement round
 _CAP_ROUNDS = 40
@@ -144,22 +146,15 @@ def _lanes(make_rhs, rows, span, d, box, floats):
     rows: floats when floats is true, else an ndarray.
 
     box = (lo, hi), the bounds of a chart (see _chart_box), stops every
-    lane that starts inside it at the box's edge: the smallest margin
-    of those lanes to the box is a terminal event, and when it fires the
-    lanes at the edge, and always the one with the smallest margin, are
-    dropped; the others restart from the event.  A lane is at the edge
-    when its margin is at most _GEO_ATOL + _GEO_RTOL * max|q|, the error
-    the integrator allows a step of the lane: the state at the event's
-    root is known no better (brent's 4 EPS in the parameter is far
-    finer), so mirror lanes that reach the edge at the same parameter
-    as the one that fired, with margins of about 1e-15, go with it
-    instead of firing the next call's event at its own start.  A dropped
-    lane ends as a NaN row.  Without a box, or when no lane reaches the
-    edge, the shot is one rk45 call.  More than MAX_GEODESIC_STEPS
-    evaluations, summed over the restarts, raise StepLimitError.
+    lane that starts inside it at the box's edge: a lane whose margin to
+    the box is at most 0 at the end of a step leaves the integration
+    there (rk45's prune) and ends as a NaN row, while the others go on
+    in the same call at the step size it has reached.  A shot is one
+    rk45 call, and more than MAX_GEODESIC_STEPS evaluations raise
+    StepLimitError.
     """
     n, w = rows.shape
-    events = ()
+    alive, prune = np.arange(n), None
     if box is not None:
         # lanes that start off the box, and entries past q, are not watched
         inside = np.all((box[0] <= rows[:, :d]) & (rows[:, :d] <= box[1]),
@@ -167,38 +162,21 @@ def _lanes(make_rhs, rows, span, d, box, floats):
         lo, hi = np.full((n, w), -math.inf), np.full((n, w), math.inf)
         lo[inside, :d], hi[inside, :d] = box
 
-        def margins(state):
+        def prune(state):
+            nonlocal alive, lo, hi
             state = np.reshape(state, (-1, w))
-            return np.minimum(state - lo, hi - state).min(1)
-        events = ((lambda _, state: margins(state).min(), -1),)
-    lanes, state, used = None, rows, 0
+            keep = np.minimum(state - lo, hi - state).min(1) > 0.0
+            if keep.all():
+                return None
+            alive, lo, hi = alive[keep], lo[keep], hi[keep]
+            return np.repeat(keep, w), make_rhs(alive)
     with np.errstate(all="ignore"):
-        while True:
-            try:
-                sol = ode.rk45(make_rhs(lanes), span, state.ravel().tolist()
-                               if floats else state.ravel(), _GEO_RTOL,
-                               _GEO_ATOL, MAX_GEODESIC_STEPS - used, events)
-            except StepLimitError:
-                raise StepLimitError("geodesic shot passed its budget of %d "
-                                     "evaluations" % MAX_GEODESIC_STEPS
-                                     ) from None
-            used += sol.nfev
-            state = sol.y_stop.reshape(-1, w)
-            if sol.event is None or sol.t_stop == span:
-                if lanes is None:
-                    return state
-                ends[lanes] = state
-                return ends
-            if lanes is None:
-                ends, lanes = np.full((n, w), np.nan), np.arange(n)
-            margin = margins(state)
-            keep = margin > _GEO_ATOL + _GEO_RTOL * np.abs(
-                state[:, :d]).max(1)
-            keep[np.argmin(margin)] = False
-            if not keep.any():
-                return ends
-            lanes, state, lo, hi = lanes[keep], state[keep], lo[keep], hi[keep]
-            span -= sol.t_stop
+        sol = ode.rk45(make_rhs(None), span, rows.ravel().tolist() if floats
+                       else rows.ravel(), _GEO_RTOL, _GEO_ATOL,
+                       MAX_GEODESIC_STEPS, prune=prune)
+    ends = np.full((n, w), np.nan)
+    ends[alive] = sol.y_stop.reshape(-1, w)
+    return ends
 
 
 def _shoot(field, q0, p0, arc, fixed=(), box=None):

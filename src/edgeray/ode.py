@@ -360,7 +360,7 @@ _FLOAT_DOP853 = (7, 12, functools.partial(_float_step, dop853=True),
 _DOP853 = (7, 0, _dop853_step, _dop853_piece, _dop853_interpolate)
 
 
-def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
+def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
     """Integrate dy/dt = fun(t, y) from y(0) = y0 to t = t_end > 0.
 
     The local error of each step is kept below atol + rtol*|y|.  Every
@@ -380,7 +380,12 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
     cogeodesic shooter's lanes) fun maps arrays to arrays, the steps are
     DOP853 as scipy takes them, and the solution holds only where it
     stopped.  Either way Solution.t_stop and y_stop say where: at t_end,
-    or at an event's root.
+    or at an event's root.  prune(y), if given, runs at every accepted
+    step end and returns None or (keep, fun): the integration goes on
+    with the entries y[keep] of the state, the field fun of those
+    entries, the same step size and the field at the step end of the
+    kept entries, and it stops where no entry is left.  Once it prunes,
+    the solution holds only where it stopped, also on floats.
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
@@ -415,7 +420,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
     pieces = {}   # floats: an event's piece, by step
     streak = 0    # floats: sized steps in a row
     g = [event(t, y) for event, _ in events]
-    fired = None
+    fired, whole = None, floats   # whole: every step end is kept
     while fired is None and t < t_end:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -462,10 +467,18 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
                 y_new = interpolate(piece, t_new)
             g = g_new
         t, y, fy = t_new, y_new, f_new
-        if not floats:
-            continue
+        cut = prune(y) if prune else None
+        if cut is not None:
+            (keep, fun), whole = cut, False
+            y, fy = np.asarray(y)[keep], np.asarray(fy)[keep]
+            if not y.size:
+                break
+            step = make_step(y.size)
+            if floats:
+                y, fy = y.tolist(), fy.tolist()
+            g = [event(t, y) for event, _ in events]
         # an event root at the last step end adds no step
-        if len(ts) == 1 or ts[-1] != t:
+        if whole and (len(ts) == 1 or ts[-1] != t):
             if fired is not None:
                 pieces[len(hs)] = interpolate, piece
             ts.append(t)
@@ -475,10 +488,10 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=()):
         if pair is _DP54 and streak == SWITCH_AFTER:
             pair = _FLOAT_DOP853
             order, cost, make_step, make_piece, interpolate = pair
-            step, exponent = make_step(y0.size), -1 / (order + 1)
-    if not floats:
-        return Solution(t_stop=t, y_stop=y, nfev=nfev, event=fired,
-                        rejected=n_rejected)
+            step, exponent = make_step(len(y)), -1 / (order + 1)
+    if not whole:
+        return Solution(t_stop=t, y_stop=np.asarray(y), nfev=nfev,
+                        event=fired, rejected=n_rejected)
     states = np.array(ys)
     return Solution(t_stop=t, y_stop=np.asarray(y), nfev=nfev, event=fired,
                     rejected=n_rejected, t=np.array(ts), y=states,

@@ -781,9 +781,9 @@ def test_limit_point_off_the_chart_is_a_typed_error():
         fiber_geodesic_point(spec, y[0], z[0], np.array([-1.0, 0.0]), 1.0)
 
 
-def test_chart_stop_restarts_lanes_with_their_own_y():
-    """With one y row per lane and a k that reads y, a chart stop restarts
-    the other lanes with their own rows: a limit point off the chart
+def test_chart_stop_keeps_each_lane_on_its_own_y():
+    """With one y row per lane and a k that reads y, the lanes that go on
+    after a chart stop keep their own rows: a limit point off the chart
     raises FlowEscapedError, and a surviving lane lands where its own
     one-lane shot does."""
     spec = make_metric_spec(1, 2, h=[["1"]],

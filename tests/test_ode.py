@@ -541,10 +541,11 @@ def test_a_division_by_zero_on_floats_fails_the_step():
             calls.append(t)
             return fun(t, y, len(calls) == 20)
         return field
-    got = ode.rk45(counted(on_arrays), 5.0, np.array([1.0, 0.0]), 1e-9,
-                   1e-11, 10 ** 5)
-    want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
-                     method="DOP853", rtol=1e-9, atol=1e-11)
+    with np.errstate(invalid="ignore"):   # the inf in a stage's sums
+        got = ode.rk45(counted(on_arrays), 5.0, np.array([1.0, 0.0]), 1e-9,
+                       1e-11, 10 ** 5)
+        want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
+                         method="DOP853", rtol=1e-9, atol=1e-11)
     assert got.rejected >= 1
     assert np.array_equal(got.y_stop, want.y[:, -1])
     assert got.nfev == want.nfev
@@ -722,18 +723,30 @@ def test_step_below_float_spacing_is_a_typed_failure():
         ode.rk45(rhs, 2.0, np.array([1.0]), 1e-8, 1e-10, 10 ** 6)
 
 
-def _count_rk45(monkeypatch):
+def _count_rk45(monkeypatch, drops=None):
     """Patch ode.rk45 to record the field evaluations of every call,
-    also of a call that raises; returns the list of per-call counts."""
+    also of a call that raises and of the fields its prune hands over;
+    returns the list of per-call counts.  Each prune that drops lanes
+    appends to drops, if given, the number of entries it drops."""
     rk45, counts = ode.rk45, []
 
-    def counted(fun, *args, **kwargs):
+    def counted(fun, *args, prune=None, **kwargs):
         counts.append(0)
 
-        def f(t, y):
-            counts[-1] += 1
-            return fun(t, y)
-        return rk45(f, *args, **kwargs)
+        def count(fun):
+            def f(t, y):
+                counts[-1] += 1
+                return fun(t, y)
+            return f
+
+        def pruning(y):
+            cut = prune(y)
+            if cut is None:
+                return None
+            if drops is not None:
+                drops.append(int(np.sum(~cut[0])))
+            return cut[0], count(cut[1])
+        return rk45(count(fun), *args, prune=prune and pruning, **kwargs)
     monkeypatch.setattr(ode, "rk45", counted)
     return counts
 
@@ -758,40 +771,89 @@ def test_relatedness_lane_toward_the_sphere_pole_stops_at_the_chart(
                                            ((1.8, 5.0), 785)])
 def test_mirror_lanes_leave_the_chart_together(monkeypatch, z_bar, before):
     """Mirror lanes of a sphere_edge partner search reach the chart's
-    edge at one parameter.  They are dropped together, so no restarted
-    rk45 call stops at its own start; the search finds the antipode and
-    takes fewer evaluations than the `before` it took when a mirror lane
-    left at a margin of about 1e-15 restarted alone."""
+    edge in one step, and leave the integration together at its end:
+    every prune drops whole pairs of lanes (4 entries (z, zeta) each).
+    The search is one rk45 call, finds the antipode, and takes fewer
+    evaluations than the `before` it took when a chart stop ended the
+    call and restarted the other lanes."""
     spec = builtin_scene("sphere_edge").spec
-    counts = _count_rk45(monkeypatch)
-    counted, stops = ode.rk45, []
-
-    def stopping(*args, **kwargs):
-        sol = counted(*args, **kwargs)
-        stops.append(sol.t_stop)
-        return sol
-    monkeypatch.setattr(ode, "rk45", stopping)
+    drops = []
+    counts = _count_rk45(monkeypatch, drops)
     pts = boundary.geometric_partners(spec, [0.0], list(z_bar))
-    assert len(stops) > 1
-    assert min(stops) > 1e-6
-    assert sum(counts) < before
+    assert len(counts) == 1
+    assert counts[0] < before
+    assert drops and all(dropped % 8 == 0 for dropped in drops)
     assert len(pts) == 1
     anti = np.array([math.pi - z_bar[0], z_bar[1] + math.pi])
     assert np.abs(spec.fiber.coordinate_delta(pts[0], anti)).max() < 1e-10
 
 
-def test_geodesic_budget_is_summed_over_restarts(monkeypatch):
+def test_geodesic_budget_covers_the_one_call_of_a_shot(monkeypatch):
     """From z1 = 1.2 on sphere_edge, lanes of the partner search leave
-    the chart and the shot restarts; a budget of 400 evaluations runs
-    out in the sixth rk45 call, after exactly 400 evaluations of the
-    field over all six."""
+    the chart and drop out of the running call; a budget of 400
+    evaluations runs out in that one rk45 call, after lanes have left,
+    and after exactly 400 evaluations of the field."""
     spec = builtin_scene("sphere_edge").spec
     monkeypatch.setattr(boundary, "MAX_GEODESIC_STEPS", 400)
-    counts = _count_rk45(monkeypatch)
+    drops = []
+    counts = _count_rk45(monkeypatch, drops)
     with pytest.raises(StepLimitError, match="budget of 400 evaluations"):
         boundary.geometric_partners(spec, [0.0], [1.2, 0.4])
-    assert len(counts) > 1
-    assert sum(counts) == 400
+    assert len(counts) == 1
+    assert drops
+    assert counts[0] == 400
+
+
+def _oscillators(rates, floats):
+    """The field of lanes (u, v)' = w (v, -u), one rate w per lane."""
+    rates = np.asarray(rates, float)
+
+    def field(t, y):
+        lanes = np.reshape(y, (-1, 2))
+        out = (rates[:, None] * lanes[:, ::-1] * [1.0, -1.0]).ravel()
+        return tuple(out.tolist()) if floats else out
+    return field
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_pruned_lanes_leave_the_running_integration(monkeypatch, floats):
+    """prune drops at a step end the lanes whose u is negative, and the
+    others go on in the same call: the lane from (-1, 0) leaves at the
+    first step end, the one at rate 3 once u = cos 3t turns, and the
+    lane at rate 0.1 ends on (cos 1, -sin 1).  On floats the switch to
+    DOP853 steps the pruned state, not y0; the solution holds where it
+    stopped only.  A call whose lanes all leave stops there, here at
+    the end of its first step."""
+    sizes = []
+    pair = ode._FLOAT_DOP853
+    monkeypatch.setattr(ode, "_FLOAT_DOP853", (
+        *pair[:2], lambda n: sizes.append(n) or pair[2](n), *pair[3:]))
+
+    def run(rates, y0):
+        rates, alive = np.asarray(rates), [np.arange(len(rates))]
+
+        def prune(y):
+            keep = np.reshape(y, (-1, 2))[:, 0] >= 0.0
+            if keep.all():
+                return None
+            alive[0] = alive[0][keep]
+            return np.repeat(keep, 2), _oscillators(rates[alive[0]], floats)
+        sol = ode.rk45(_oscillators(rates, floats), 10.0,
+                       y0 if floats else np.array(y0), 1e-10, 1e-12, 10 ** 5,
+                       prune=prune)
+        return sol, alive[0]
+    sol, alive = run([0.1, 1.0, 3.0], [1.0, 0.0, -1.0, 0.0, 1.0, 0.0])
+    assert alive.tolist() == [0]
+    assert sol.t_stop == 10.0
+    assert sol.t is None and sol.y is None and sol.dense is None
+    np.testing.assert_allclose(sol.y_stop, [math.cos(1.0), -math.sin(1.0)],
+                               rtol=0.0, atol=1e-9)
+    if floats:
+        assert sizes and max(sizes) < 6
+    sol, alive = run([1.0, 2.0], [-1.0, 0.0, -0.5, 0.0])
+    assert alive.size == 0 and sol.y_stop.size == 0
+    assert 0.0 < sol.t_stop < 10.0
+    assert sol.nfev == 2 + (6 if floats else 12)   # one step
 
 
 def test_evaluation_budget_is_enforced_in_the_integrator():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from edgeray.boundary import (fiber_limit_points, geometric_partners,
+from edgeray.boundary import (_direction_grid, _geodesic_ends,
+                              fiber_limit_points, geometric_partners,
                               is_geometrically_related)
+from edgeray.metric import make_metric_spec
 from edgeray.scenes import builtin_scene
 
 SPHERE = builtin_scene("sphere_edge").spec
@@ -94,6 +96,10 @@ def _limit_arc(m, xi):
     return math.atan(m / xi) if xi else 0.5 * math.pi
 
 
+def _floats(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+
 _LIMIT_ROWS = st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi),
                                  st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)),
                        min_size=1, max_size=7)
@@ -152,3 +158,45 @@ def test_flat_cone_limit_points_are_arc_over_rho_away(rho, rows):
     want = [zk + np.sign(zetak) * _limit_arc(abs(zetak) / rho, xik) / rho
             for zk, zetak, xik in rows]
     np.testing.assert_allclose(got[:, 0], want, rtol=0.0, atol=1e-9)
+
+
+def test_flat_chart_drops_exactly_the_lanes_whose_line_leaves_the_box():
+    """With k = I on the chart z_box = [[-4, 4], [-2.5, 2.5]] the arc-pi
+    geodesics from (0.3, -0.2) are straight: the shot drops (NaN)
+    exactly the lanes whose endpoint z_bar + pi d lies off the box, the
+    nearest of them 5.4e-3 from its edge, and every other lane ends on
+    that endpoint."""
+    spec = make_metric_spec(0, 2, k=[["1", "0"], ["0", "1"]], fiber="chart",
+                            z_box=[[-4, 4], [-2.5, 2.5]])
+    z_bar = np.array([0.3, -0.2])
+    directions = np.array(_direction_grid(2, 64))
+    want = z_bar + math.pi * directions
+    lo, hi = np.array(spec.z_box, float).T
+    margin = np.minimum(want - lo, hi - want).min(axis=1)
+    assert np.abs(margin).min() > 5e-3
+    off = margin < 0.0
+    assert off.sum() == 26
+    got = _geodesic_ends(spec, np.zeros(0), z_bar, directions, math.pi)
+    assert np.array_equal(np.isnan(got).any(axis=1), off)
+    assert np.isnan(got[off]).all()
+    np.testing.assert_allclose(got[~off], want[~off], rtol=0.0, atol=1e-12)
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(rows=st.lists(st.tuples(
+    st.floats(-1.0, 1.0), _floats(0.0, 2.0 * math.pi, 3),
+    _floats(-2.0, 2.0, 3), st.floats(-3.0, 3.0)), min_size=1, max_size=5))
+def test_flat_three_torus_limit_points_are_straight(rows):
+    """On product_edge(1, 3), k = I on the torus T^3, the limit point of
+    (y, z, zeta, xi) is z + l K zeta / m modulo the periods, with
+    m = |zeta|_K and l = arctan(m / xi): every row of one batch."""
+    hypothesis.assume(all(max(map(abs, zeta)) > 1e-3 for _, _, zeta, _
+                          in rows))
+    spec = builtin_scene("product_edge(1, 3)").spec
+    y, z, zeta, xi = (np.array(column, float) for column in zip(*rows))
+    got = fiber_limit_points(spec, y[:, None], z, xi, zeta)
+    kinv = np.linalg.inv(np.eye(3))
+    for (_, zk, zetak, xik), end in zip(rows, got):
+        m = math.sqrt(zetak @ kinv @ zetak)
+        want = zk + _limit_arc(m, xik) * (kinv @ zetak) / m
+        assert _gap(spec, end, want) < 1e-9
