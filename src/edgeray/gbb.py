@@ -36,8 +36,8 @@ from .boundary import (_shoot, _velocity, fiber_limit_points,
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
-from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
-                    normalize_cosphere, split_state)
+from .phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
+                    classify_boundary, split_state)
 
 N_LADDER = 7
 LADDER_RATIO = 1.6
@@ -88,25 +88,15 @@ def fan(n):
 
 
 @dataclass(frozen=True)
-class BoundaryEvent:
-    """Extrapolated data of a boundary interaction."""
+class BoundaryEvent(BoundaryData):
+    """Extrapolated data of a boundary interaction: the incoming slow data
+    (sgn(xi_hat) = sgn_tau) with the event's class and fit quality."""
 
     branch_id: str
     boundary_class: BoundaryClass
-    t_bar: float
-    y_bar: np.ndarray
-    z_bar: np.ndarray
-    sgn_tau: int
-    xi_hat: float            # incoming-signed: sgn(xi_hat) = sgn_tau
-    eta_hat: np.ndarray
     margin: float            # 1 - |eta_hat|^2 in the base cometric
     char_defect: float       # |xi_hat^2 + |eta_hat|^2 - 1|
     residual: float          # worst extrapolation-fit residual
-
-    def data(self):
-        return BoundaryData(t_bar=self.t_bar, y_bar=self.y_bar,
-                            z_bar=self.z_bar, sgn_tau=self.sgn_tau,
-                            xi_hat=self.xi_hat, eta_hat=self.eta_hat)
 
     def outgoing(self, z):
         """Outgoing boundary data at fiber point z: the event's slow data
@@ -189,10 +179,9 @@ def detect_boundary_event(spec, segment, branch_id="0"):
     eta_hat = row[2 + b:2 + 2 * b]
     z_bar = spec.fiber.wrap(row[2 + 2 * b:])
     sgn_tau = 1 if tau[-1] > 0 else -1
-    probe = EdgePhasePoint(t=t_bar, x=0.0, y=y_bar, z=z_bar,
-                           tau=float(sgn_tau), xi=xi_hat, eta=eta_hat,
-                           zeta=np.zeros(f))
-    cls, margin = classify_boundary(spec, normalize_cosphere(probe))
+    cls, margin = classify_boundary(spec, CospherePoint(
+        t=t_bar, x=0.0, y=y_bar, z=z_bar, sgn_tau=sgn_tau, xi_hat=xi_hat,
+        eta_hat=eta_hat, zeta_hat=np.zeros(f), sigma=1.0))
     char_defect = abs(xi_hat * xi_hat - margin)
     if cls == BoundaryClass.HYPERBOLIC and not char_defect <= 1e-4:
         raise IllConditionedEventError(
@@ -210,9 +199,8 @@ def detect_boundary_event(spec, segment, branch_id="0"):
 
 @dataclass(frozen=True)
 class BranchLaunch:
-    data: BoundaryData
+    data: BoundaryData       # data.z_bar is the branch's fiber point
     kind: str
-    fiber_point: np.ndarray
 
 
 def _fan_points(spec, z_bar, n):
@@ -242,8 +230,7 @@ def branch_hyperbolic(spec, event, policy):
         raise ValueError("branching applies to hyperbolic events only")
 
     def launch(z_point, kind):
-        return BranchLaunch(data=event.outgoing(z_point), kind=kind,
-                            fiber_point=np.asarray(z_point, float))
+        return BranchLaunch(data=event.outgoing(z_point), kind=kind)
 
     if policy.kind == "same_fiber":
         return [launch(event.z_bar, BranchKind.DIFFRACTED)]
@@ -414,23 +401,20 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
             tangential, re_data = continue_glancing(
                 spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar))
             branch.tangential = tangential
-            launches = [BranchLaunch(data=re_data, kind=BranchKind.GLANCING,
-                                     fiber_point=re_data.z_bar)]
+            launches = [BranchLaunch(data=re_data, kind=BranchKind.GLANCING)]
         for i, launch in enumerate(launches):
             child_id = "%s.%d" % (bid, i)
             child = GbbBranch(branch_id=child_id, kind=launch.kind,
-                              parent_id=bid, fiber_point=launch.fiber_point)
+                              parent_id=bid, fiber_point=launch.data.z_bar)
+            path.branches[child_id] = child
+            branch.children.append(child_id)
             try:
                 child.seed = stable_manifold_launch(
                     spec, launch.data, settings,
                     newton=launch.kind != BranchKind.GLANCING)
             except LaunchFailedError as err:
                 child.note = "launch failed: %s" % err
-                path.branches[child_id] = child
-                branch.children.append(child_id)
                 continue
-            path.branches[child_id] = child
-            branch.children.append(child_id)
             if child.seed.t <= t1:
                 queue.append(child_id)
             else:

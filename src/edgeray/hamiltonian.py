@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,21 +69,22 @@ FD_STEP = 1e-6         # central-difference step of the radial linearization
 class FlowSettings:
     """What a scene sets: integrator tolerances and the height x_stop at
     which an interior ray is handed to the edge machinery.  Values the
-    integrator cannot use raise ConfigError."""
+    integrator cannot use raise ConfigError, and so do tolerances that
+    leave the drift gate (|p|/tau^2 <= P_DRIFT_MAX) no room."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     x_stop: float = 1e-4
 
     def __post_init__(self):
-        if not (math.isfinite(self.rtol) and self.rtol >= 100 * ode.EPS):
-            raise ConfigError("rtol = %r must be finite and at least %.3g"
-                              % (self.rtol, 100 * ode.EPS))
-        if not (math.isfinite(self.atol) and self.atol >= 1e-100):
+        if not 100 * ode.EPS <= self.rtol < P_DRIFT_MAX:
+            raise ConfigError("rtol = %r must be at least %.3g and below %.1g"
+                              % (self.rtol, 100 * ode.EPS, P_DRIFT_MAX))
+        if not 1e-100 <= self.atol < P_DRIFT_MAX:
             # the step size divides by atol at a zero state component and
             # squares the quotient: 1e50 over 1e-100 squares to a float
-            raise ConfigError("atol = %r must be finite and at least 1e-100"
-                              % self.atol)
+            raise ConfigError("atol = %r must be at least 1e-100 and below "
+                              "%.1g" % (self.atol, P_DRIFT_MAX))
         if not (math.isfinite(self.x_stop) and self.x_stop > 0.0):
             # the integrated field is divided by x
             raise ConfigError("x_stop = %r must be finite and positive"
@@ -298,25 +299,18 @@ class BoundaryData:
                 else RayEnd.OUTGOING)
 
 
-def _seed_from_data(spec, data):
-    sgn_io = 1.0 if data.io == RayEnd.INCOMING else -1.0
-    t_seed = data.t_bar - sgn_io * EPS_LAUNCH / abs(data.xi_hat)
-    H = spec.evaluator().base_cometric(data.y_bar, data.z_bar)
-    if spec.b:
-        dydt = -(H @ data.eta_hat) / data.sgn_tau
-        y_seed = data.y_bar + (t_seed - data.t_bar) * dydt
-    else:
-        y_seed = data.y_bar
+def _seed(spec, data, t, y, z):
+    """Seed at (t, EPS_LAUNCH, y, z) with the covector of data: zeta = 0,
+    and xi solved from p = 0 with the sign of data.xi_hat."""
     zeta = np.zeros(spec.f)
     try:
-        xi = transverse_momentum(spec, EPS_LAUNCH, y_seed, data.z_bar,
-                                 float(data.sgn_tau), data.eta_hat, zeta,
+        xi = transverse_momentum(spec, EPS_LAUNCH, y, z, float(data.sgn_tau),
+                                 data.eta_hat, zeta,
                                  sign=math.copysign(1.0, data.xi_hat))
     except ValueError as err:
         raise LaunchFailedError(str(err))
-    return EdgePhasePoint(t=t_seed, x=EPS_LAUNCH, y=y_seed,
-                          z=data.z_bar, tau=float(data.sgn_tau), xi=xi,
-                          eta=data.eta_hat, zeta=zeta)
+    return EdgePhasePoint(t, EPS_LAUNCH, y, z, float(data.sgn_tau), xi,
+                          data.eta_hat, zeta)
 
 
 def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
@@ -334,25 +328,24 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
     if data.xi_hat == 0.0:
         raise LaunchFailedError("xi_hat = 0: glancing data cannot seed a "
                                 "transversal ray")
-    seed = _seed_from_data(spec, data)
+    sgn_io = 1.0 if data.io == RayEnd.INCOMING else -1.0
+    t = data.t_bar - sgn_io * EPS_LAUNCH / abs(data.xi_hat)
+    y = data.y_bar
+    if spec.b:
+        H = spec.evaluator().base_cometric(data.y_bar, data.z_bar)
+        y = y + (t - data.t_bar) * (-(H @ data.eta_hat) / data.sgn_tau)
+    seed = _seed(spec, data, t, y, data.z_bar)
     if not newton or spec.evaluator().seed_exact:
         return seed
     # Newton pass: probe toward the edge, extrapolate the limiting data
     # of the seeded ray, and subtract the measured position defect.
     from .gbb import backward_event
     try:
-        readoff = backward_event(spec, seed, settings).data()
+        readoff = backward_event(spec, seed, settings)
     except (IntegrationDivergedError, IllConditionedEventError,
             StepLimitError, FlowEscapedError) as err:
         raise LaunchFailedError("seed probe failed: %s" % err)
-    dt = readoff.t_bar - data.t_bar
-    dy = readoff.y_bar - data.y_bar
-    dz = spec.fiber.coordinate_delta(readoff.z_bar, data.z_bar)
-    corrected = replace(seed, t=seed.t - dt, y=seed.y - dy, z=seed.z - dz)
-    try:
-        xi = transverse_momentum(spec, corrected.x, corrected.y, corrected.z,
-                                 corrected.tau, corrected.eta, corrected.zeta,
-                                 sign=math.copysign(1.0, data.xi_hat))
-    except ValueError as err:
-        raise LaunchFailedError(str(err))
-    return replace(corrected, xi=xi)
+    return _seed(spec, data, seed.t - (readoff.t_bar - data.t_bar),
+                 seed.y - (readoff.y_bar - data.y_bar),
+                 seed.z - spec.fiber.coordinate_delta(readoff.z_bar,
+                                                      data.z_bar))

@@ -171,7 +171,8 @@ def _require_symmetric(matrix, key):
 
 def make_metric_spec(b, f, h=None, hprime=None, k=None, kyy=None, kyz=None,
                      fiber=None, x_max=1.0, y_box=None, z_box=None):
-    """Build a metric spec from matrices of expression strings (or ASTs)."""
+    """Build a metric spec from matrices (lists of rows) whose entries are
+    expression texts or numbers, each parsed from its str()."""
     if b < 0 or f < 1:
         raise DimensionError("need b >= 0 and f >= 1, got b=%d f=%d" % (b, f))
     if k is None:

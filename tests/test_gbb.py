@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgeray import gbb
 from edgeray.errors import (ConfigError, DegenerateMetricError,
-                            IllConditionedEventError)
+                            IllConditionedEventError, LaunchFailedError)
 from edgeray.gbb import (
     GEOMETRIC_ONLY,
     SAME_FIBER,
@@ -82,7 +82,7 @@ def test_event_extrapolation_matches_flat_closed_form():
     assert event.margin == pytest.approx(1.0 - (eta[0] / tau) ** 2, abs=1e-9)
     assert event.char_defect < 1e-9
     assert event.residual < 1e-7
-    assert event.data().io.value == "incoming"
+    assert event.io.value == "incoming"
 
 
 @pytest.mark.parametrize("nan_in", ["residual", "values", "margin"])
@@ -190,7 +190,7 @@ def test_geometric_branching_uses_arc_pi_partners():
                                  GEOMETRIC_ONLY)
     assert len(launches) == 1
     assert launches[0].kind == BranchKind.GEOMETRIC
-    delta = one.fiber.coordinate_delta(launches[0].fiber_point,
+    delta = one.fiber.coordinate_delta(launches[0].data.z_bar,
                                        np.array([0.3 + math.pi]))
     assert abs(float(delta[0])) < 1e-9
     # radius-2 circle: both orientations survive deduplication
@@ -209,18 +209,18 @@ def test_fan_branching_is_anchored_and_uniform():
     assert all(l.kind == BranchKind.DIFFRACTED for l in launches)
     want = [0.3 + 2.0 * math.pi * i / 6 for i in range(6)]
     for launch, w in zip(launches, want):
-        delta = spec.fiber.coordinate_delta(launch.fiber_point,
+        delta = spec.fiber.coordinate_delta(launch.data.z_bar,
                                             np.array([w]))
         assert abs(float(delta[0])) < 1e-12
     single = branch_hyperbolic(spec, event, fan(1))
     assert len(single) == 1
-    np.testing.assert_array_equal(single[0].fiber_point, event.z_bar)
+    np.testing.assert_array_equal(single[0].data.z_bar, event.z_bar)
     # a chart fiber spreads the fan over its z_box, ends included
     chart = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
                              z_box=((-1.5, 2.5),))
     for n, want in ((1, [-1.5]), (5, [-1.5, -0.5, 0.5, 1.5, 2.5])):
         launches = branch_hyperbolic(chart, event, fan(n))
-        assert [float(l.fiber_point[0]) for l in launches] == want
+        assert [float(l.data.z_bar[0]) for l in launches] == want
 
 
 def test_fan_branching_two_dimensional_fiber():
@@ -233,7 +233,7 @@ def test_fan_branching_two_dimensional_fiber():
                           margin=0.64, char_defect=0.0, residual=0.0)
     launches = branch_hyperbolic(spec, event, fan(4))
     assert len(launches) == 4
-    pts = np.array([l.fiber_point for l in launches])
+    pts = np.array([l.data.z_bar for l in launches])
     assert len({tuple(np.round(p, 9)) for p in pts}) == 4
     lo, hi = spec.z_box[0]
     assert np.all(pts[:, 0] >= lo - 1e-12)
@@ -406,6 +406,46 @@ def test_trace_budget_truncates(monkeypatch):
     path = trace_gbb(spec, q0, (0.0, 1.2), policy=SAME_FIBER)
     assert path.truncated
     assert path.branches["0.0"].segment is None
+
+
+def test_trace_keeps_children_that_do_not_launch_or_re_enter_late(
+        monkeypatch):
+    """Every child joins its parent's tree before its launch.  A child
+    whose launch raises LaunchFailedError keeps its fiber point and a
+    "launch failed" note and is never integrated; the other children
+    of the fan trace on.  A child seeded after t_span ends notes
+    "re-entry beyond t_span" and is not integrated either."""
+    spec = builtin_scene("product_cone(1.0)").spec
+    q0 = EdgePhasePoint(t=0.0, x=0.5, y=np.zeros(0), z=np.array([1.0]),
+                        tau=1.0, xi=1.0, eta=np.zeros(0), zeta=np.zeros(1))
+    launch = gbb.stable_manifold_launch
+    calls = []
+
+    def third_fails(spec, data, *args, **kwargs):
+        calls.append(data)
+        if len(calls) == 3:
+            raise LaunchFailedError("no root")
+        return launch(spec, data, *args, **kwargs)
+    monkeypatch.setattr(gbb, "stable_manifold_launch", third_fails)
+    path = trace_gbb(spec, q0, (0.0, 1.2), policy=fan(4))
+    root = path.branches["0"]
+    assert root.children == ["0.0", "0.1", "0.2", "0.3"]
+    failed = path.branches["0.2"]
+    np.testing.assert_array_equal(failed.fiber_point, calls[2].z_bar)
+    assert failed.fiber_point[0] == pytest.approx(1.0 + math.pi, abs=1e-9)
+    assert failed.note == "launch failed: no root"
+    assert failed.seed is None and failed.segment is None
+    for child_id in ("0.0", "0.1", "0.3"):
+        assert path.branches[child_id].segment is not None
+    monkeypatch.setattr(gbb, "stable_manifold_launch", launch)
+    # the event is at t = 0.5 and outgoing seeds start at 0.501
+    late = trace_gbb(spec, q0, (0.0, 0.5005), policy=fan(4))
+    assert late.branches["0"].children == ["0.0", "0.1", "0.2", "0.3"]
+    for child_id in late.branches["0"].children:
+        child = late.branches[child_id]
+        assert child.note == "re-entry beyond t_span"
+        assert child.seed.t > 0.5005 and child.segment is None
+        assert child.fiber_point is not None
 
 
 def test_trace_validates_spans():

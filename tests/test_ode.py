@@ -456,27 +456,42 @@ def test_float_step_matches_the_reference_bitwise(b, f, data):
                           np.array(want[3]))
 
 
-@hypothesis.settings(max_examples=40, deadline=None)
-@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
-def test_float_dop853_step_matches_the_reference_bitwise(b, f, data):
+def _check_dop853_step(fun, n, t, y, h, rtol, atol):
     """The generated float DOP853 step equals _reference_dop853_step bit
     for bit: the new state, the field there, the error norm and the 13
     stage rows.  It is the array step _dop853_step, which sums with
     BLAS: the state, the field and the stage rows agree within 1e-14
-    relative, and the error norm within the rounding of its sums."""
-    fun, n, t, y, h, rtol, atol = _draw_step(b, f, data)
-    got = ode._float_step(n, dop853=True)(fun, t, y, fun(t, y), h, rtol,
-                                          atol)
+    relative, and the error norm within the rounding of its sums.
+
+    At a field scale near 1e-156 the E5 squares can underflow to 0 and
+    the norm read 0/0: on floats the step raises ZeroDivisionError, as
+    the reference does, and numpy's norm is nan.  Where one norm is 0/0,
+    the other is 0/0 too or reads the underflowed E5 sum, below
+    h sqrt(float_info.min).  Returns whether the float step raised, and
+    numpy's norm."""
+    with np.errstate(invalid="ignore"):      # numpy's 0/0
+        y_new, f_new, error, K = ode._dop853_step(n)(
+            lambda u, v: fun(u, v.tolist()), t, np.array(y),
+            np.array(fun(t, y)), h, rtol, atol)
+    underflow = h * math.sqrt(sys.float_info.min)
+    try:
+        got = ode._float_step(n, dop853=True)(fun, t, y, fun(t, y), h,
+                                              rtol, atol)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _reference_dop853_step(fun, t, y, fun(t, y), h, rtol, atol)
+        assert math.isnan(error) or error <= underflow
+        return True, error
     want = _reference_dop853_step(fun, t, y, fun(t, y), h, rtol, atol)
     assert got[:3] == want[:3]
     rows = np.frombuffer(got[3]).reshape(13, n)
     assert np.array_equal(rows, np.array(want[3]))
-    y_new, f_new, error, K = ode._dop853_step(n)(
-        lambda u, v: fun(u, v.tolist()), t, np.array(y), np.array(fun(t, y)),
-        h, rtol, atol)
     for mine, numpys in [(got[0], y_new), (got[1], f_new), (rows, K[:13])]:
         assert np.abs(np.subtract(mine, numpys)).max() <= 1e-14 * np.abs(
             numpys).max()
+    if math.isnan(error):
+        assert got[2] <= underflow
+        return False, error
     # The E5 and E3 sums cancel: each may round by 13 eps times the size
     # of its terms, over the scale, and the norm moves by at most
     # 3 h / sqrt(n) times the change of those scaled sums.
@@ -484,6 +499,28 @@ def test_float_dop853_step_matches_the_reference_bitwise(b, f, data):
     slack = sum(np.linalg.norm(13 * ode.EPS * np.abs(e).dot(np.abs(rows))
                                / scale) for e in (ode.E5, ode.E3))
     assert abs(got[2] - error) <= 3 * h * slack / n ** 0.5
+    return False, error
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(b=st.integers(0, 3), f=st.integers(1, 3), data=st.data())
+def test_float_dop853_step_matches_the_reference_bitwise(b, f, data):
+    """_check_dop853_step on drawn steps, field scales near 0 included."""
+    _check_dop853_step(*_draw_step(b, f, data))
+
+
+def test_float_dop853_step_with_an_underflowed_error_estimate():
+    """At field scale 1.06e-156 the float DOP853 norm is 0/0: the step
+    raises ZeroDivisionError, as the reference does, and numpy's norm
+    is nan, so both reject the step."""
+    hamilton = _ripple_spec(1, 1).evaluator().hamilton
+
+    def fun(t, vec):
+        return hamilton(vec, 1.06e-156)[1]
+    y = (-0.9, 0.7, -0.3, 0.2, 0.6, -0.4, 0.1, 0.3)
+    raised, error = _check_dop853_step(fun, len(y), 8.4, y, 0.02, 1e-10,
+                                       1e-12)
+    assert raised and math.isnan(error)
 
 
 def _oscillator(t, y):

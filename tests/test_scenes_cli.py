@@ -18,7 +18,7 @@ from edgeray import cli
 from edgeray.cli import _load_scene, main
 from edgeray.errors import ConfigError, DimensionError
 from edgeray.hamiltonian import FlowSettings, integrate_interior
-from edgeray.metric import VALIDATION_SAMPLES
+from edgeray.metric import VALIDATION_SAMPLES, transverse_momentum
 from edgeray.phase import EdgePhasePoint
 from edgeray.rays_io import dump_columns, serialize_dump
 from edgeray.run import run_scenario
@@ -295,11 +295,13 @@ def test_cli_trace_rejects_x_stop_at_or_above_launch_height(tmp_path,
     ("atol = -1", []), ("atol = nan", []), ("rtol = abc", []),
     ("", ["--x-stop", "-1"]), ("", ["--x-stop", "0"]),
     ("", ["--rtol", "nan"]), ("", ["--rtol", "-1"]),
-    ("", ["--rtol", "1e-15"]), ("atol = 0.0", []), ("atol = 1e-200", [])])
+    ("", ["--rtol", "1e-15"]), ("atol = 0.0", []), ("atol = 1e-200", []),
+    ("rtol = 1e-6", []), ("atol = 1e-6", [])])
 def test_cli_trace_refuses_bad_tolerances(tmp_path, capsys, scene_line,
                                           args):
     """FlowSettings rejects a tolerance or x_stop the integrator cannot
-    use, whether a scene key or an option sets it: exit 2, no dump."""
+    use, or a tolerance at the drift gate's 1e-6, whether a scene key or
+    an option sets it: exit 2, no dump."""
     scene = tmp_path / "scene.cfg"
     scene.write_text("builtin = product_cone(1.0)\n"
                      "source = [0.0, 0.5, 0.3, 1.0, 1.0, 0.0]\n"
@@ -497,7 +499,9 @@ def test_cli_orders(capsys):
     "eigencheck product_cone(1.0) --seed -1",
     "validate product_cone(1.0) --seed -1",
     "validate product_edge(1.5,1)", "validate product_edge(1,2.5)",
-    "validate product_edge(one,1)"])
+    "validate product_edge(one,1)",
+    "trace product_cone(1.0) --rtol 1e-6",
+    "trace product_cone(1.0) --rtol 1e-4"])
 def test_cli_rejects_invalid_arguments(argv, capsys):
     """An argument a command cannot use is a config error: exit 2 with
     one line on stderr, not a traceback."""
@@ -549,12 +553,14 @@ def test_flow_settings_are_what_a_scene_sets():
     assert set(names) <= set(SCENE_KEYS)
 
 
-# values at or beyond the limit of each drawn setting: 100 EPS is the
-# least rtol and 1e-100 the least atol, x_stop lies below 1e-3 and the
-# origin, t_span increases
+# values at or beyond the limit of each drawn setting: rtol lies in
+# [100 EPS, 1e-6) and atol in [1e-100, 1e-6), x_stop lies below 1e-3 and
+# the origin, t_span increases
 LIMITS = {"seed": [-1, 0, 2 ** 64 - 1], "fan_count": [-1, 0, 1],
-          "rtol": [-1.0, 0.0, 2.2e-14, 2.220446049250313e-14, 0.5],
-          "atol": [-1e-12, 0.0, 5e-324, 9e-101, 1e-100, 1.0],
+          "rtol": [-1.0, 0.0, 2.2e-14, 2.220446049250313e-14, 9.99e-7,
+                   1e-6, 1e-5, 1e-4, 0.5],
+          "atol": [-1e-12, 0.0, 5e-324, 9e-101, 1e-100, 9.99e-7, 1e-6,
+                   1.0],
           "x_stop": [-1e-4, 0.0, 5e-324, 9.99e-4, 1e-3, 0.5, 2.0],
           "length": [-0.1, 0.0, 5e-324]}
 
@@ -568,7 +574,8 @@ LIMITS = {"seed": [-1, 0, 2 ** 64 - 1], "fan_count": [-1, 0, 1],
     z0=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-1.0, 1.0),
     settings=st.fixed_dictionaries({
         "seed": st.integers(0, 2 ** 32), "fan_count": st.integers(1, 4),
-        "rtol": st.floats(1e-12, 1e-4), "atol": st.floats(1e-14, 1e-8),
+        "rtol": st.floats(1e-12, 1e-6, exclude_max=True),
+        "atol": st.floats(1e-14, 1e-8),
         "x_stop": st.floats(1e-8, 9e-4), "length": st.floats(1e-6, 0.6)}),
     limit=st.none() | st.sampled_from([(key, value) for key in LIMITS
                                        for value in LIMITS[key]]))
@@ -584,9 +591,16 @@ def test_cli_trace_fuzzed_point_sources_fail_typed(metric, x0, y0, z0, t0,
     emitted."""
     settings = dict(settings, **dict([limit] if limit else []))
     origin = [x0, z0] if metric.startswith("product_cone") else [x0, y0, z0]
-    text = ("builtin = %s\norigin = %r\nt_span = [%r, %r]\n" % (
-        metric, origin, t0, t0 + settings.pop("length"))
+    _assert_trace_fails_typed(
+        "builtin = %s\norigin = %r\nt_span = [%r, %r]\n" % (
+            metric, origin, t0, t0 + settings.pop("length"))
         + "".join("%s = %r\n" % item for item in settings.items()))
+
+
+def _assert_trace_fails_typed(text):
+    """``edgeray trace`` of a scene text, in process: the exit code is 0,
+    2 or 3, exits 2 and 3 print exactly one stderr line, and no Python
+    warning is emitted."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             warnings.catch_warnings(record=True) as caught, \
@@ -600,3 +614,49 @@ def test_cli_trace_fuzzed_point_sources_fail_typed(metric, x0, y0, z0, t0,
     assert code in (0, 2, 3), text
     assert len(err.getvalue().splitlines()) == min(code, 1), text
     assert not caught, (text, [str(w.message) for w in caught])
+
+
+@hypothesis.settings(max_examples=30, deadline=2000)
+@hypothesis.given(
+    metric=st.one_of(
+        st.floats(0.2, 3.0).map("product_cone(%r)".__mod__),
+        st.floats(-0.49, 0.49).map("perturbed_edge(%r)".__mod__),
+        st.just("sphere_edge")),
+    policy=st.sampled_from(
+        ["same_fiber", "geometric", "fan(1)", "fan(2)", "fan(4)"]),
+    t0=st.floats(-1.0, 1.0), x0=st.floats(0.05, 0.6),
+    y=st.floats(-0.5, 0.5), z=st.tuples(st.floats(0.3, math.pi - 0.3),
+                                        st.floats(0.0, 2.0 * math.pi)),
+    sgn_tau=st.sampled_from([-1.0, 1.0]), eta=st.floats(-0.9, 0.9),
+    zeta=st.just((0.0, 0.0)) | st.tuples(st.floats(-0.5, 0.5),
+                                         st.floats(-0.5, 0.5)),
+    off=st.none() | st.floats(-2.0, 2.0), length=st.floats(1e-3, 0.8))
+def test_cli_trace_fuzzed_source_rays_fail_typed(metric, policy, t0, x0, y,
+                                                 z, sgn_tau, eta, zeta, off,
+                                                 length):
+    """``edgeray trace`` of one ``source`` ray on product_cone(rho), rho in
+    [0.2, 3], perturbed_edge(a), |a| <= 0.49, or sphere_edge (chart
+    z1 in [0.4, pi - 0.4]; z1 is drawn from [0.3, pi - 0.3]), under
+    same_fiber, geometric or fan(1, 2, 4), with t_span = [t0, t0 +
+    length], length at most 0.8.  The source is at t0 and x0 in [0.05,
+    0.6] with tau = sgn_tau, eta drawn and zeta drawn or 0 (a ray with
+    zeta != 0 may turn before the edge); its xi puts it on the
+    characteristic set (solved from p = 0, moving toward the edge), or
+    is the drawn ``off`` value.  The contract of
+    _assert_trace_fails_typed holds, within a wall-time cap of 2 s per
+    example."""
+    spec = builtin_scene(metric).spec
+    ys, zs = [y] * spec.b, list(z[:spec.f])
+    etas, zetas = [eta] * spec.b, list(zeta[:spec.f])
+    xi = off
+    if off is None:
+        try:
+            xi = transverse_momentum(spec, x0, np.array(ys), np.array(zs),
+                                     sgn_tau, np.array(etas),
+                                     np.array(zetas), sign=sgn_tau)
+        except ValueError:       # no real root: an off-characteristic ray
+            xi = 0.0
+    source = [t0, x0, *ys, *zs, sgn_tau, xi, *etas, *zetas]
+    _assert_trace_fails_typed(
+        "builtin = %s\nsource = %r\nt_span = [%r, %r]\npolicy = %s\n"
+        % (metric, [float(v) for v in source], t0, t0 + length, policy))
