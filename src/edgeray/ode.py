@@ -23,8 +23,7 @@ operation as scipy does, so their end points read the same to the last
 bit; at the shooter's 1e-11 it takes a sixth of the steps and half the
 evaluations of the 5(4) pair.
 ``brent`` is a transcription of the C source of ``scipy.optimize.brentq``.
-edgeray does not import scipy.integrate and scipy.optimize, which took
-most of the time of ``import edgeray``; the tables below are scipy's.
+edgeray imports no scipy at all; the tables below are scipy's.
 """
 
 from __future__ import annotations

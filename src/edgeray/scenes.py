@@ -14,19 +14,20 @@ files are plain key = value text; builtin scenes are referenced by name:
     sphere_edge            b=1 edge with a round 2-sphere fiber
 
 The point-source fan launches rays at unit time frequency uniformly
-over covector directions using a seeded low-discrepancy sequence, so a
-scene is reproducible from its text alone.
+over covector directions by scipy's seeded scrambled Sobol sequence
+(``_sobol``; 2**30 rays, 1 + b + f <= 32), so a scene is reproducible
+from its text alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _sobol
 from ._config import config_float, config_int, parse_value, split_statements
 from .errors import ConfigError, DegenerateMetricError, DimensionError
 from .gbb import SAME_FIBER, BranchPolicy
@@ -51,8 +52,10 @@ class PointSource:
 
     def __post_init__(self):
         set_float_arrays(self, "origin")
-        if self.fan_count < 1:
-            raise ConfigError("fan_count must be at least 1")
+        if not 1 <= self.fan_count <= 2 ** _sobol.BITS:
+            raise ConfigError("fan_count must lie in [1, 2**%d]" % _sobol.BITS)
+        if self.origin.size > _sobol.MAX_DIM:
+            raise ConfigError("a fan needs 1 + b + f <= %d" % _sobol.MAX_DIM)
 
 
 @dataclass
@@ -302,9 +305,7 @@ def blow_down(x, y, z):
     (x, y, z) -> (x cos z, x sin z, y); interior geodesics map to
     straight lines and the edge x = 0 collapses onto the y-axis.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
+    x, y, z = (np.asarray(a, float) for a in (x, y, z))
     return np.stack((x * np.cos(z), x * np.sin(z), y), axis=-1)
 
 
@@ -320,15 +321,9 @@ def fan_directions(dim, count, seed):
     """Low-discrepancy unit directions in R^dim, deterministic per seed."""
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    # scipy.stats is slow to import and only fans need it
-    from scipy.stats import norm, qmc
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        # fan counts need not be powers of two; balance is irrelevant here
-        warnings.simplefilter("ignore", UserWarning)
-        raw = sampler.random(count)
+    raw = np.clip(_sobol.sobol(dim, count, seed), 1e-12, 1.0 - 1e-12)
     # Map to Gaussians, then normalize: uniform on the Euclidean sphere.
-    gauss = norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
+    gauss = np.array([[_sobol.ndtri(u) for u in row] for row in raw.tolist()])
     norms = np.linalg.norm(gauss, axis=1)
     norms[norms == 0.0] = 1.0
     return gauss / norms[:, None]
@@ -352,8 +347,7 @@ def scenario_rays(config):
         raise DegenerateMetricError(
             "metric is not positive definite at the point-source origin %s "
             "(smallest eigenvalue %.3g)" % (o.tolist(), low))
-    dirs = fan_directions(1 + spec.b + spec.f, config.source.fan_count,
-                          config.seed)
+    dirs = fan_directions(o.size, config.source.fan_count, config.seed)
     rays = []
     for v in dirs:
         u = v / math.sqrt(float(v @ Ginv @ v))

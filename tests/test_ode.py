@@ -27,6 +27,7 @@ from edgeray.hamiltonian import (BoundaryData, FlowSettings, Termination,
 from edgeray.metric import make_metric_spec, transverse_momentum
 from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene, parse_scene, scenario_rays
+from test_scenes_cli import scipy_fan_directions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -959,17 +960,43 @@ def test_dop853_tables_are_scipys():
         assert mine.tobytes() == scipys.tobytes()
 
 
+# the fan the CI traces twice, and a fan in 1 + b + f = 4 dimensions
+NO_SCIPY_FANS = {
+    "perturbed_fan": "builtin = perturbed_edge(0.3)\norigin = [0.5, 0.1, 1.0]"
+                     "\nfan_count = 4\nseed = 3\nt_span = [0.0, 3.0]\n",
+    "sphere_fan": "builtin = sphere_edge\norigin = [0.6, 0.1, 1.2, 0.4]\n"
+                  "fan_count = 5\nseed = 7\nt_span = [0.0, 0.5]\n"}
+
+
 def test_a_trace_loads_no_scipy(tmp_path):
-    """A point-source-free trace runs in a process that never imports
-    scipy: every ODE and root is solved in edgeray.ode."""
+    """Traces run in a process in which any scipy import fails: every ODE
+    and root is solved in edgeray.ode, and point-source fans draw scipy's
+    Sobol directions, bit for bit, in edgeray._sobol."""
+    for name, text in NO_SCIPY_FANS.items():
+        (tmp_path / (name + ".cfg")).write_text(text)
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "from edgeray.cli import main\n"
-            "assert main(['trace', 'sphere_edge', '--out', sys.argv[1]]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))\n")
+            "from edgeray.scenes import fan_directions, parse_scene\n"
+            "assert main(['trace', 'sphere_edge', '--out', 'rays.csv']) == 0\n"
+            "for name in sys.argv[1:]:\n"
+            "    assert main(['trace', name + '.cfg', '--out',\n"
+            "                 name + '.csv']) == 0\n"
+            "    c = parse_scene(open(name + '.cfg').read())\n"
+            "    dirs = fan_directions(c.source.origin.size,\n"
+            "                          c.source.fan_count, c.seed)\n"
+            "    print(name, dirs.tobytes().hex())\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code,
-                          str(tmp_path / "rays.csv")], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *NO_SCIPY_FANS],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True)
+    printed = dict(line.split() for line in out.stdout.splitlines()
+                   if line.startswith(tuple(NO_SCIPY_FANS)))
+    assert sorted(printed) == sorted(NO_SCIPY_FANS)
+    for name, text in NO_SCIPY_FANS.items():
+        assert (tmp_path / (name + ".csv")).stat().st_size > 0
+        c = parse_scene(text)
+        want = scipy_fan_directions(c.source.origin.size, c.source.fan_count,
+                                    c.seed)
+        assert printed[name] == want.tobytes().hex()
     assert (tmp_path / "rays.csv").stat().st_size > 0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from edgeray import cli
+from edgeray import _sobol, cli
 from edgeray.cli import _load_scene, main
 from edgeray.errors import ConfigError, DimensionError
 from edgeray.hamiltonian import FlowSettings, integrate_interior
@@ -131,6 +131,59 @@ def test_fan_directions_deterministic_unit_vectors():
     assert np.max(np.abs(a - c)) > 1e-3
     d = fan_directions(1, 5, seed=0)
     np.testing.assert_array_equal(d, [[1.0], [-1.0], [1.0], [-1.0], [1.0]])
+
+
+def scipy_fan_directions(dim, count, seed):
+    """fan_directions as scipy gives it: scrambled Sobol points through
+    norm.ppf, normalized."""
+    from scipy.stats import norm, qmc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # count not 2**m
+        raw = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+    gauss = norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(gauss, axis=1)
+    norms[norms == 0.0] = 1.0
+    return gauss / norms[:, None]
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(dim=st.integers(2, 32), count=st.integers(1, 64),
+                  seed=st.integers(0, 2 ** 64 - 1))
+@hypothesis.example(dim=3, count=16, seed=0)
+@hypothesis.example(dim=32, count=64, seed=2 ** 64 - 1)
+def test_fan_directions_are_scipys_bit_for_bit(dim, count, seed):
+    assert np.array_equal(fan_directions(dim, count, seed),
+                          scipy_fan_directions(dim, count, seed))
+
+
+def test_ndtri_is_scipys_on_both_sides_of_each_branch():
+    """Around the clip limits, the centre, y = exp(-2) and 1 - exp(-2)
+    (central or tail rational) and exp(-32) (x = 8: the far-tail one)."""
+    from scipy.special import ndtri
+    ys = [y for p in (1e-12, 1.0 - 1e-12, 0.5, math.exp(-2.0),
+                      1.0 - math.exp(-2.0), math.exp(-32.0))
+          for y in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0))]
+    assert (np.array([_sobol.ndtri(float(y)) for y in ys]).tobytes()
+            == ndtri(ys).tobytes())
+
+
+def test_fan_limits_are_config_errors(tmp_path):
+    """A fan of more than 2**30 rays, or in more than 32 dimensions
+    1 + b + f, is a ConfigError (exit 2) before anything is drawn."""
+    PointSource(origin=np.ones(32), fan_count=2 ** 30)
+    with pytest.raises(ConfigError, match=r"^fan_count must lie in \[1, 2"):
+        PointSource(origin=np.ones(2), fan_count=2 ** 30 + 1)
+    with pytest.raises(ConfigError, match=r"1 \+ b \+ f <= 32"):
+        PointSource(origin=np.ones(33))
+    origin = "origin = [%s]\n" % ", ".join(["0.5"] * 33)
+    for text in ["builtin = product_cone(1.0)\norigin = [0.5, 0.1]\n"
+                 "fan_count = %d\n" % (2 ** 30 + 1),
+                 "builtin = product_edge(16, 16)\n" + origin]:
+        scene = tmp_path / "scene.cfg"
+        scene.write_text(text)
+        assert main(["trace", str(scene), "--out",
+                     str(tmp_path / "rays.csv")]) == 2
+    assert not (tmp_path / "rays.csv").exists()
 
 
 def test_scenario_rays_are_characteristic():
