@@ -1,8 +1,8 @@
 """Broken bicharacteristics: boundary events, branching, path assembly.
 
 An interior ray that reaches the boundary-approach threshold is
-extrapolated to x = 0 on a geometric ladder of cross sections (a
-Richardson-style polynomial fit in x), producing the slow data
+extrapolated to x = 0 by a quadratic fit in x over a ladder of cross
+sections placed in s from xi_hat, with no root search, for the slow data
 (t_bar, y_bar, sgn tau, xi_hat, eta_hat) and the limiting fiber point
 z_bar from the fiber limit map.  Hyperbolic events (|eta_hat|_h < 1)
 branch into outgoing rays sharing the slow data with the magnitude of
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hamiltonian, ode
+from . import hamiltonian
 from .boundary import (_shoot, _velocity, fiber_limit_points,
                        geometric_partners)
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
@@ -107,7 +107,7 @@ class BoundaryEvent(BoundaryData):
 
 
 def _ladder_parameters(segment):
-    """Parameter values of the final monotone descent crossing the ladder."""
+    """Ladder rungs in s on the final descent, where |dx/ds| ~ |xi_hat|."""
     x = segment.x
     s = segment.s
     end = len(x) - 1
@@ -121,14 +121,14 @@ def _ladder_parameters(segment):
             "segment descends only by factor %.3g before the boundary "
             "threshold; no room to extrapolate" % (x[top] / x_end))
     ratio = min(LADDER_RATIO, (x_avail / x_end) ** (1.0 / (N_LADDER - 1)))
-    rungs = x_end * ratio ** np.arange(N_LADDER)
-    dense = segment.dense
-    out = [s[end]]
-    for xj in rungs[1:]:
-        lo, hi = s[top], s[end]
-        out.append(ode.brent(lambda u: dense(u)[1] - xj, lo, hi,
-                             1e-14, 1e-15))
-    return np.array(out), rungs
+    q = segment.point(end)
+    out = s[end] - x_end * (ratio ** np.arange(N_LADDER) - 1.0) / abs(
+        q.xi / q.tau)
+    if not out[-1] > s[top]:
+        raise IllConditionedEventError(
+            "ladder reaches back to s=%.3g, before the final descent "
+            "starts at s=%.3g" % (out[-1], s[top]))
+    return out
 
 
 def _extrapolate(xs, values, scales):
@@ -155,9 +155,8 @@ def detect_boundary_event(spec, segment, branch_id="0"):
         raise ValueError("event detection requires a BoundaryApproach "
                          "segment, got %s" % segment.termination.value)
     b, f = spec.b, spec.f
-    s_ladder, x_ladder = _ladder_parameters(segment)
-    states = np.array([segment.dense(s) for s in s_ladder])
-    t, _, y, z, tau, xi, eta, zeta = split_state(states, b, f)
+    states = np.array([segment.dense(s) for s in _ladder_parameters(segment)])
+    t, x_ladder, y, z, tau, xi, eta, zeta = split_state(states, b, f)
     abs_tau = np.abs(tau)
     ups = fiber_limit_points(spec, y, z, xi, zeta)
     # Unwrap the fiber-limit sequence so the fit sees a continuous curve.

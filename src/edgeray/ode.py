@@ -290,7 +290,7 @@ def _float_step(n, dop853=False):
     sums left to right, over the nonzero tableau entries and components.
     A Dormand-Prince 5(4) step takes 6 evaluations and keeps its 7 stage
     rows; with dop853 a DOP853 step takes 12, keeps 13 and has scipy's
-    error norm from E5 and E3."""
+    error norm from E5 and E3, 0 where the E5 squares sum to 0."""
     nodes, a, b = (C853, A853, B853) if dop853 else (C, A, B)
     stages = len(b)
 
@@ -323,7 +323,7 @@ def _float_step(n, dop853=False):
             lines.append("e%d = (%s) * h / %s" % (j, total(E, j), scale))
     if dop853:
         lines.append("e, d = %s, %s" % (squares("e"), squares("d")))
-        norm = "h * e / _sqrt((e + 0.01 * d) * %d) if e or d else 0.0" % n
+        norm = "h * e / _sqrt((e + 0.01 * d) * %d) if e else 0.0" % n
     else:
         norm = "_sqrt(%s) / %r" % (squares("e"), n ** 0.5)
     ns = {"_sqrt": math.sqrt,

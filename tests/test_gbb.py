@@ -30,11 +30,12 @@ from edgeray.hamiltonian import (
     BoundaryData,
     FlowSettings,
     RayEnd,
+    RaySegment,
     Termination,
     integrate_interior,
     stable_manifold_launch,
 )
-from edgeray.metric import make_metric_spec
+from edgeray.metric import make_metric_spec, transverse_momentum
 from edgeray.phase import BoundaryClass, EdgePhasePoint
 from edgeray.scenes import builtin_scene
 
@@ -158,6 +159,43 @@ def test_event_extrapolation_needs_descent_room():
     assert segment.termination == Termination.BOUNDARY_APPROACH
     with pytest.raises(IllConditionedEventError):
         detect_boundary_event(spec, segment)
+
+
+def test_event_ladder_must_fit_in_the_final_descent():
+    """The ladder's rungs sit |x - x_end| / |xi_hat_end| before the end
+    in s.  Where x falls faster along the final descent than |xi_hat_end|
+    carries it, the deepest rung lands before the descent starts, and
+    the event fails rather than read rungs off the segment before it."""
+    spec = builtin_scene("product_cone(1.0)").spec
+    s = np.linspace(0.0, 0.1, 6)
+    x = np.linspace(0.5, 0.01, 6)
+    ones, zeros = np.ones(6), np.zeros(6)
+    states = np.column_stack((s, x, ones, ones, ones, zeros))
+    segment = RaySegment(
+        spec=spec, direction=-1, s=s, states=states,
+        termination=Termination.BOUNDARY_APPROACH,
+        dense=lambda u: np.array([np.interp(u, s, c) for c in states.T]))
+    with pytest.raises(IllConditionedEventError,
+                       match="before the final descent"):
+        detect_boundary_event(spec, segment)
+
+
+@pytest.mark.parametrize("xi_hat", [1e-5, 3e-5])
+def test_glancing_event_of_a_flat_grazing_ray(xi_hat):
+    """A ray on the flat product edge with margin xi_hat^2 below
+    phase.TOL_G glances, at the smallest |xi_hat| any event has: the
+    ladder's rungs then spread over s ~ x0 / xi_hat, and t_bar is the
+    straight line's x0 / xi."""
+    spec = builtin_scene("product_edge(1, 1)").spec
+    x0, eta = 0.01, np.array([math.sqrt(1.0 - xi_hat * xi_hat)])
+    xi = transverse_momentum(spec, x0, np.zeros(1), np.zeros(1), 1.0, eta,
+                             np.zeros(1), sign=1.0)
+    q0 = EdgePhasePoint(t=0.0, x=x0, y=np.zeros(1), z=np.zeros(1), tau=1.0,
+                        xi=xi, eta=eta, zeta=np.zeros(1))
+    path = trace_gbb(spec, q0, (0.0, 1.2 * x0 / xi_hat))
+    event = path.branches[path.root_id].event
+    assert event.boundary_class == BoundaryClass.GLANCING
+    assert event.t_bar == pytest.approx(x0 / xi, rel=1e-6)
 
 
 def test_branch_policy_parsing():

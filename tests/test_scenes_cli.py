@@ -618,13 +618,17 @@ LIMITS = {"seed": [-1, 0, 2 ** 64 - 1], "fan_count": [-1, 0, 1],
           "length": [-0.1, 0.0, 5e-324]}
 
 
-@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.settings(max_examples=30, deadline=2000)
 @hypothesis.given(
     metric=st.one_of(
         st.floats(0.2, 3.0).map("product_cone(%r)".__mod__),
-        st.floats(-0.49, 0.49).map("perturbed_edge(%r)".__mod__)),
-    x0=st.floats(0.05, 0.9), y0=st.floats(-0.5, 0.5),
-    z0=st.floats(0.0, 2.0 * math.pi), t0=st.floats(-1.0, 1.0),
+        st.floats(-0.49, 0.49).map("perturbed_edge(%r)".__mod__),
+        st.tuples(st.integers(0, 2), st.integers(1, 3)).map(
+            "product_edge(%d, %d)".__mod__),
+        st.just("blowup_curve_r3")),
+    x0=st.floats(0.05, 0.9), y=st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+    z=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+    t0=st.floats(-1.0, 1.0),
     settings=st.fixed_dictionaries({
         "seed": st.integers(0, 2 ** 32), "fan_count": st.integers(1, 4),
         "rtol": st.floats(1e-12, 1e-6, exclude_max=True),
@@ -632,18 +636,20 @@ LIMITS = {"seed": [-1, 0, 2 ** 64 - 1], "fan_count": [-1, 0, 1],
         "x_stop": st.floats(1e-8, 9e-4), "length": st.floats(1e-6, 0.6)}),
     limit=st.none() | st.sampled_from([(key, value) for key in LIMITS
                                        for value in LIMITS[key]]))
-def test_cli_trace_fuzzed_point_sources_fail_typed(metric, x0, y0, z0, t0,
+def test_cli_trace_fuzzed_point_sources_fail_typed(metric, x0, y, z, t0,
                                                    settings, limit):
     """``edgeray trace`` of a point source on product_cone(rho), rho in
-    [0.2, 3], or perturbed_edge(a), |a| <= 0.49, at a drawn origin (x0 in
-    [0.05, 0.9]) with t_span = [t0, t0 + length].  The seed, fan_count
-    (at most 4), rtol, atol, x_stop and length (at most 0.6) are drawn
-    inside their limits, and in about half the examples one of them is
-    set to a value of LIMITS instead: the exit code is 0, 2 or 3, exits
-    2 and 3 print exactly one stderr line, and no Python warning is
-    emitted."""
+    [0.2, 3], perturbed_edge(a), |a| <= 0.49, product_edge(b, f), b <= 2
+    and f <= 3, or blowup_curve_r3, at a drawn origin of 1 + b + f
+    entries (x0 in [0.05, 0.9]) with t_span = [t0, t0 + length].  The
+    seed, fan_count (at most 4), rtol, atol, x_stop and length (at most
+    0.6) are drawn inside their limits, and in about half the examples
+    one of them is set to a value of LIMITS instead: the exit code is 0,
+    2 or 3, exits 2 and 3 print exactly one stderr line, and no Python
+    warning is emitted, within a wall-time cap of 2 s per example."""
     settings = dict(settings, **dict([limit] if limit else []))
-    origin = [x0, z0] if metric.startswith("product_cone") else [x0, y0, z0]
+    spec = builtin_scene(metric).spec
+    origin = [x0, *y[:spec.b], *z[:spec.f]]
     _assert_trace_fails_typed(
         "builtin = %s\norigin = %r\nt_span = [%r, %r]\n" % (
             metric, origin, t0, t0 + settings.pop("length"))
