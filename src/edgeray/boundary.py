@@ -190,7 +190,9 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
     parameter arc[k]; q0 and p0 broadcast against the n lanes of arc, so
     samples along one geodesic are lanes with one start and their own
     arcs.  All lanes are one _lanes ODE on an array (DOP853 steps) in the
-    fraction u in [0, 1], stopped at the edge of box.
+    fraction u in [0, 1], stopped at the edge of box.  The field writes
+    a step's rows in place, and the step checks them once (ode.rk45's
+    in_place).
 
     A zero pivot of the block in any lane raises DegenerateMetricError,
     a non-finite lane or a collapsing step IntegrationDivergedError, and
@@ -206,11 +208,15 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
         return state0[:, 0], state0[:, 1]
 
     def make_rhs(lanes):   # a y row per lane follows its lane
-        if lanes is None:
-            return lambda _, state: field(*fixed, state, arc)
-        kept = [v[lanes] if np.ndim(v) == 2 else v for v in fixed]
-        lane_arc = arc[lanes]
-        return lambda _, state: field(*kept, state, lane_arc)
+        kept, lane_arc = fixed, arc
+        if lanes is not None:
+            kept = [v[lanes] if np.ndim(v) == 2 else v for v in fixed]
+            lane_arc = arc[lanes]
+
+        def rhs(_, state, out=None):
+            return field(*kept, state, lane_arc, out)
+        rhs.in_place = True
+        return rhs
 
     ends = _lanes(make_rhs, state0.reshape(n, 2 * d), 1.0, d, box, False)
     return ends[:, :d], ends[:, d:]

@@ -476,9 +476,11 @@ def _generate_cogeodesic(matrix, var):
     then a state, the ravel of lanes (var, p) of shape (lanes, 2, n),
     and arc, scalar or per lane, and returns arc times d/ds of (var, p),
     (w, (1/2) w.dM.w) with w = M^{-1} p from _symmetric_solve and dM the
-    partials of M along var, in the layout of state.  Only nonzero
-    entries are written, and _finite types the lanes a zero pivot or an
-    overflow leaves inf or nan in.
+    partials of M along var, in the layout of state, each row one
+    np.multiply by arc.  Only the rows of state the entries read are
+    sliced.  The result is a new array that _finite checks: it types the
+    lanes a zero pivot or an overflow leaves inf or nan in; or, given
+    out, it is written into out and not checked (ode._dop853_step).
     """
     n = len(matrix)
     src = _Source()
@@ -494,23 +496,28 @@ def _generate_cogeodesic(matrix, var):
 
     m = entries(None)
     partials = [entries(a) for a in range(n)]
-    lines = ["    out = _empty(state.shape)"]
+    lines = ["    checked = out is None\n    if checked:\n"
+             "      out = _empty(state.shape)"]
     w, pivots = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines)
     rows = w + ["0.5 * (%s)" % _quadratic(dm, w) if dm else "0.0"
                 for dm in partials]
-    lines += ["    out[%d::%d] = (%s) * arc" % (k, 2 * n, row)
+    lines += ["    _multiply(%s, arc, out=out[%d::%d])" % (row, k, 2 * n)
               for k, row in enumerate(rows)]
-    lines.append("    return _finite(%s)" % ", ".join(
+    lines.append("    return _finite(%s) if checked else out" % ", ".join(
         ["out"] + [d for d in pivots if not (_is_number(d) and float(d))]))
     fixed = ["y"] if var == "z" else []   # k reads y, h reads no z
-    head = "%s_cogeodesic(%s)" % ("fiber" if fixed else "base",
-                                  ", ".join(fixed + ["state", "arc"]))
-    views = ["(%s)" % "".join("state[%d::%d], " % (k, 2 * n) for k in ks)
-             for ks in (range(n), range(n, 2 * n))]
+    head = "%s_cogeodesic(%s)" % ("fiber" if fixed else "base", ", ".join(
+        fixed + ["state", "arc", "out=None"]))
+    body = "\n".join(src.body + lines)   # only rows it reads are sliced
+    views = ["(%s)" % "".join("state[%d::%d], " % (first + k, 2 * n) if
+                              "%s[%d]" % (name, k) in body else "None, "
+                              for k in range(n))
+             for name, first in ((var, 0), ("p", n))]
     start = "    x, %s = 0.0, %s" % (", ".join(fixed + [var, "p"]), ", ".join(
-        ["_asarray(y).T"] * len(fixed) + views))
+        ["_asarray(y).T" if "y[" in body else "None"] * len(fixed) + views))
     return src.define(head, start, "\n".join(lines), np, _empty=np.empty,
-                      _asarray=np.asarray, _finite=_finite)
+                      _asarray=np.asarray, _multiply=np.multiply,
+                      _finite=_finite)
 
 
 def _generate_fiber_speed(k):
@@ -539,10 +546,11 @@ class MetricEvaluator:
     ``hamilton(state, scale)`` returns (p, scale * H), the symbol and
     the flow field of the hamiltonian module at one phase point (floats),
     as a float and a tuple.
-    ``fiber_cogeodesic(y, state, arc)`` returns arc times the cogeodesic
-    field of kzz^{-1}, d/ds of (z, zeta), on the raveled lanes (n, 2, f)
-    of state, and ``base_cogeodesic(state, arc)`` that of h^{-1}, d/ds
-    of (y, eta) (see _generate_cogeodesic).  For f = 1 only,
+    ``fiber_cogeodesic(y, state, arc, out=None)`` returns arc times the
+    cogeodesic field of kzz^{-1}, d/ds of (z, zeta), on the raveled
+    lanes (n, 2, f) of state, and ``base_cogeodesic(state, arc,
+    out=None)`` that of h^{-1}, d/ds of (y, eta), checked, or written
+    into out unchecked (see _generate_cogeodesic).  For f = 1 only,
     ``fiber_speed(y, z1)`` returns kzz(0, y, z1)^(-1/2) on floats, the
     rate dz/dl of a unit-speed fiber geodesic, generated on first use,
     so a trace that never reaches the edge does not build it.  The blocks

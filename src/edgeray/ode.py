@@ -210,24 +210,40 @@ class DenseOutput:
 
 def _dop853_step(n):
     """A DOP853 step on arrays, as scipy takes it: (y_new, f_new,
-    error_norm, K), with K the stage rows, reused from step to step."""
+    error_norm, K), with K the stage rows, reused from step to step, the
+    field at the step's end the 12th stage, and the error norm 0 where
+    the E5 squares sum to 0, as on floats.  Given check, the checked
+    field that fun books, fun(t, y, out) writes each row into K
+    unchecked, and the rows are checked once: where one is not finite,
+    also when fun raises before the step is whole, check evaluates the
+    first such stage again, unbooked, to raise its error."""
     K = np.empty((16, n))
     stages = [(float(C853[s]), K[:s].T, A853[s, :s])
-              for s in range(1, N_STAGES)]
-    k_step, k_error = K[:N_STAGES].T, K[:N_STAGES + 1].T
+              for s in range(1, N_STAGES + 1)]
+    k_error = K[:N_STAGES + 1].T
 
-    def step(fun, t, y, fy, h, rtol, atol):
+    def step(fun, t, y, fy, h, rtol, atol, check=None):
         K[0] = fy
-        for s, (c, k, a) in enumerate(stages, 1):
-            K[s] = fun(t + c * h, y + np.dot(k, a) * h)
-        y_new = y + h * np.dot(k_step, B853)
-        K[N_STAGES] = f_new = fun(t + h, y_new)
+        nodes = []   # (t, y) of each stage evaluated
+        try:
+            for s, (c, k, a) in enumerate(stages, 1):
+                node = t + c * h, y + np.dot(k, a) * h
+                if check:
+                    fun(*node, K[s])
+                else:
+                    K[s] = fun(*node)
+                nodes.append(node)
+        finally:
+            rows = K[1:1 + len(nodes)]
+            if check and not np.isfinite(rows).all():
+                check(*nodes[np.isfinite(rows).all(1).argmin()])
+        y_new, f_new = nodes[-1][1], K[N_STAGES].copy()
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5, e3 = np.dot(k_error, E5) / scale, np.dot(k_error, E3) / scale
         # the squares of np.linalg.norm, as scipy takes them
         e5, e3 = np.sqrt(e5.dot(e5)) ** 2, np.sqrt(e3.dot(e3)) ** 2
         return y_new, f_new, float(abs(h) * e5 / np.sqrt(
-            (e5 + 0.01 * e3) * n) if e5 or e3 else 0.0), K
+            (e5 + 0.01 * e3) * n) if e5 else 0.0), K
     return step
 
 
@@ -378,8 +394,10 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
     lets them, stays on the cheaper 5(4) pair.  On an ndarray (the
     cogeodesic shooter's lanes) fun maps arrays to arrays, the steps are
     DOP853 as scipy takes them, and the solution holds only where it
-    stopped.  Either way Solution.t_stop and y_stop say where: at t_end,
-    or at an event's root.  prune(y), if given, runs at every accepted
+    stopped; a fun whose attribute in_place is true writes a step's rows
+    unchecked, fun(t, y, out), and the step checks them once
+    (_dop853_step).  Either way Solution.t_stop and y_stop say where: at
+    t_end, or at an event's root.  prune(y), if given, runs at every accepted
     step end and returns None or (keep, fun): the integration goes on
     with the entries y[keep] of the state, the field fun of those
     entries, the same step size and the field at the step end of the
@@ -403,9 +421,9 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
                                  "evaluations" % max_nfev)
         nfev += count
 
-    def f(t, y):
+    def f(t, y, *out):
         spend(1)
-        return fun(t, y)
+        return fun(t, y, *out)
 
     t = 0.0
     pair = _DP54 if floats else _DOP853
@@ -434,8 +452,10 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
             h_abs = abs(h)
             spend(cost)   # f counts the array evaluations
             try:
-                y_new, f_new, error_norm, K = step(fun if floats else f, t,
-                                                   y, fy, h, rtol, atol)
+                y_new, f_new, error_norm, K = step(
+                    fun, t, y, fy, h, rtol, atol) if floats else step(
+                    f, t, y, fy, h, rtol, atol,
+                    fun if getattr(fun, "in_place", False) else None)
             except ZeroDivisionError:   # on floats, where numpy has inf
                 error_norm = math.inf   # or nan: the step fails its test
             if error_norm < 1:

@@ -278,6 +278,44 @@ def test_zero_pivot_outranks_an_overflowing_lane():
                np.ones((2, 1)), np.ones(2), fixed=(none,))
 
 
+@pytest.mark.parametrize("k11, z2, stage, error, message", [
+    ("exp(-exp(50*z2))", -0.69, 10, DegenerateMetricError,
+     "metric not invertible: zero pivot in 2 lane(s)"),
+    ("exp(-exp(50*z2))", -0.7350680562, 12, DegenerateMetricError,
+     "metric not invertible: zero pivot in 2 lane(s)"),
+    ("1 + exp(exp(50*z2))", -0.69, 10, IntegrationDivergedError,
+     "geodesic lanes left the finite range of the metric"),
+    ("1 + exp(exp(50*z2))", -0.7360908353, 12, IntegrationDivergedError,
+     "geodesic lanes left the finite range of the metric")],
+    ids=["zero_pivot_at_a_stage", "zero_pivot_at_the_step_end",
+         "overflow_at_a_stage", "overflow_at_the_step_end"])
+def test_rows_written_in_place_raise_the_checked_error(k11, z2, stage, error,
+                                                       message):
+    """A DOP853 step of the shooter writes its rows unchecked and checks
+    them once.  Two lanes run along z2 at zeta1 = 0 toward where k11
+    underflows to a zero pivot (exp(-exp(50 z2))) or its partial
+    overflows with no zero pivot (1 + exp(exp(50 z2))).  The first row
+    that is not finite is an interior stage (10) or the field at the
+    step's end (12); later stages run on nan.  The shot raises what the
+    field checked at every evaluation raised: the class and the message,
+    lane count included."""
+    k = [[k11, "0"], ["0", "1 - 0.3*z2"]]
+    ev = make_metric_spec(0, 2, k=k, fiber="chart").evaluator()
+    finite = []   # per in-place row, whether it is finite
+
+    def field(y, state, arc, out=None):
+        got = ev.fiber_cogeodesic(y, state, arc, out)
+        if out is not None:
+            finite.append(bool(np.isfinite(out).all()))
+        return got
+    with pytest.raises(error) as raised:
+        _shoot(field, np.array([0.0, z2]), np.array([[0.0, 1.0]] * 2),
+               np.ones(2), fixed=(np.zeros(0),))
+    assert str(raised.value) == message
+    assert finite.index(False) % 12 + 1 == stage
+    assert len(finite) % 12 == 0   # the step ran to its end
+
+
 def test_division_by_zero_in_the_scalar_field_is_a_typed_error():
     """k = 1/z1 divides by zero at z1 = 0 on Python floats: the scalar
     field raises DegenerateMetricError, not ZeroDivisionError."""

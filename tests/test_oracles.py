@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from edgeray.boundary import (_direction_grid, _geodesic_ends,
-                              fiber_limit_points, geometric_partners,
-                              is_geometrically_related)
+                              boundary_maximal_interval,
+                              fiber_cogeodesic_flow, fiber_limit_points,
+                              geometric_partners, is_geometrically_related)
 from edgeray.metric import make_metric_spec
+from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene
 
 SPHERE = builtin_scene("sphere_edge").spec
@@ -200,3 +202,52 @@ def test_flat_three_torus_limit_points_are_straight(rows):
         m = math.sqrt(zetak @ kinv @ zetak)
         want = zk + _limit_arc(m, xik) * (kinv @ zetak) / m
         assert _gap(spec, end, want) < 1e-9
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_flat_torus_partners_are_pi_away(f):
+    """On product_edge(1, f), k = I on the torus T^f, the arc-pi set of
+    z_bar is the flat sphere of radius pi around it: every partner lies
+    at flat distance pi from z_bar modulo the period lattice (each
+    coordinate of the shortest wrap at most pi), one of them is related
+    to z_bar, and the point 0.01 further out along the same line is
+    not, its defect 0.01."""
+    spec = builtin_scene("product_edge(1, %d)" % f).spec
+    y, z_bar = np.array([0.3]), np.linspace(0.4, 5.9, f)
+    partners = geometric_partners(spec, y, z_bar)
+    assert len(partners) == 64
+    for end in partners:
+        gap = spec.fiber.coordinate_delta(end, z_bar)
+        assert abs(np.linalg.norm(gap) - math.pi) < 1e-9
+    end = partners[5]
+    res = is_geometrically_related(spec, y, z_bar, end)
+    assert res.related and res.distance < 1e-9
+    gap = spec.fiber.coordinate_delta(end, z_bar)
+    off = spec.fiber.wrap(end + 0.01 * gap / math.pi)
+    res = is_geometrically_related(spec, y, z_bar, off)
+    assert not res.related and abs(res.distance - 0.01) < 1e-6
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_flat_torus_boundary_interval_sweeps_arc_pi(f):
+    """Criterion 4 on product_edge(1, f): over the maximal interval of
+    the boundary flow through q, the fiber cogeodesic flow runs the
+    straight line z + s zeta (k = I) with zeta fixed, and its length,
+    |zeta| times the interval's width, is pi."""
+    spec = builtin_scene("product_edge(1, %d)" % f).spec
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        zeta = rng.normal(size=f)
+        q = EdgePhasePoint(t=0.0, x=0.0, y=np.array([0.2]),
+                           z=rng.uniform(0.0, 2.0 * math.pi, f), tau=1.0,
+                           xi=float(rng.normal()), eta=np.array([0.5]),
+                           zeta=zeta)
+        lo, hi = boundary_maximal_interval(spec, q)
+        ss = np.linspace(lo, hi, 9)
+        zs, zetas = fiber_cogeodesic_flow(spec, q.y, q.z, zeta, ss)
+        np.testing.assert_allclose(zetas, np.tile(zeta, (9, 1)), rtol=0.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(zs, q.z + ss[:, None] * zeta, rtol=0.0,
+                                   atol=1e-9)
+        arc = np.linalg.norm(np.diff(zs, axis=0), axis=1).sum()
+        assert abs(arc - math.pi) < 1e-9

@@ -680,26 +680,30 @@ def _assert_trace_fails_typed(text):
     metric=st.one_of(
         st.floats(0.2, 3.0).map("product_cone(%r)".__mod__),
         st.floats(-0.49, 0.49).map("perturbed_edge(%r)".__mod__),
-        st.just("sphere_edge")),
+        st.just("sphere_edge"),
+        st.tuples(st.integers(0, 2), st.integers(1, 3)).map(
+            "product_edge(%d, %d)".__mod__),
+        st.just("blowup_curve_r3")),
     policy=st.sampled_from(
         ["same_fiber", "geometric", "fan(1)", "fan(2)", "fan(4)"]),
     t0=st.floats(-1.0, 1.0), x0=st.floats(0.05, 0.6),
     y=st.floats(-0.5, 0.5), z=st.tuples(st.floats(0.3, math.pi - 0.3),
-                                        st.floats(0.0, 2.0 * math.pi)),
+                                        *[st.floats(0.0, 2.0 * math.pi)] * 2),
     sgn_tau=st.sampled_from([-1.0, 1.0]), eta=st.floats(-0.9, 0.9),
-    zeta=st.just((0.0, 0.0)) | st.tuples(st.floats(-0.5, 0.5),
-                                         st.floats(-0.5, 0.5)),
+    zeta=st.just((0.0, 0.0, 0.0)) | st.tuples(*[st.floats(-0.5, 0.5)] * 3),
     off=st.none() | st.floats(-2.0, 2.0), length=st.floats(1e-3, 0.8))
 def test_cli_trace_fuzzed_source_rays_fail_typed(metric, policy, t0, x0, y,
                                                  z, sgn_tau, eta, zeta, off,
                                                  length):
     """``edgeray trace`` of one ``source`` ray on product_cone(rho), rho in
-    [0.2, 3], perturbed_edge(a), |a| <= 0.49, or sphere_edge (chart
-    z1 in [0.4, pi - 0.4]; z1 is drawn from [0.3, pi - 0.3]), under
+    [0.2, 3], perturbed_edge(a), |a| <= 0.49, sphere_edge (chart
+    z1 in [0.4, pi - 0.4]; z1 is drawn from [0.3, pi - 0.3]),
+    product_edge(b, f), b <= 2 and f <= 3, or blowup_curve_r3, under
     same_fiber, geometric or fan(1, 2, 4), with t_span = [t0, t0 +
     length], length at most 0.8.  The source is at t0 and x0 in [0.05,
-    0.6] with tau = sgn_tau, eta drawn and zeta drawn or 0 (a ray with
-    zeta != 0 may turn before the edge); its xi puts it on the
+    0.6] with tau = sgn_tau, one drawn y and eta for every base
+    coordinate, the first f of three drawn z, and zeta drawn or 0 (a ray
+    with zeta != 0 may turn before the edge); its xi puts it on the
     characteristic set (solved from p = 0, moving toward the edge), or
     is the drawn ``off`` value.  The contract of
     _assert_trace_fails_typed holds, within a wall-time cap of 2 s per
