@@ -191,8 +191,7 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
     samples along one geodesic are lanes with one start and their own
     arcs.  All lanes are one _lanes ODE on an array (DOP853 steps) in the
     fraction u in [0, 1], stopped at the edge of box.  The field writes
-    a step's rows in place, and the step checks them once (ode.rk45's
-    in_place).
+    a step's rows in place, and the step checks them once (ode.rk45).
 
     A zero pivot of the block in any lane raises DegenerateMetricError,
     a non-finite lane or a collapsing step IntegrationDivergedError, and
@@ -212,11 +211,7 @@ def _shoot(field, q0, p0, arc, fixed=(), box=None):
         if lanes is not None:
             kept = [v[lanes] if np.ndim(v) == 2 else v for v in fixed]
             lane_arc = arc[lanes]
-
-        def rhs(_, state, out=None):
-            return field(*kept, state, lane_arc, out)
-        rhs.in_place = True
-        return rhs
+        return lambda _, state, out=None: field(*kept, state, lane_arc, out)
 
     ends = _lanes(make_rhs, state0.reshape(n, 2 * d), 1.0, d, box, False)
     return ends[:, :d], ends[:, d:]

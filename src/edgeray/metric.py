@@ -477,10 +477,10 @@ def _generate_cogeodesic(matrix, var):
     and arc, scalar or per lane, and returns arc times d/ds of (var, p),
     (w, (1/2) w.dM.w) with w = M^{-1} p from _symmetric_solve and dM the
     partials of M along var, in the layout of state, each row one
-    np.multiply by arc.  Only the rows of state the entries read are
-    sliced.  The result is a new array that _finite checks: it types the
-    lanes a zero pivot or an overflow leaves inf or nan in; or, given
-    out, it is written into out and not checked (ode._dop853_step).
+    np.multiply by arc.  The result is a new array that _finite checks:
+    it types the lanes a zero pivot or an overflow leaves inf or nan in;
+    or, given out, it is written into out and not checked
+    (ode._dop853_step checks a step's rows once).
     """
     n = len(matrix)
     src = _Source()
@@ -508,13 +508,10 @@ def _generate_cogeodesic(matrix, var):
     fixed = ["y"] if var == "z" else []   # k reads y, h reads no z
     head = "%s_cogeodesic(%s)" % ("fiber" if fixed else "base", ", ".join(
         fixed + ["state", "arc", "out=None"]))
-    body = "\n".join(src.body + lines)   # only rows it reads are sliced
-    views = ["(%s)" % "".join("state[%d::%d], " % (first + k, 2 * n) if
-                              "%s[%d]" % (name, k) in body else "None, "
-                              for k in range(n))
-             for name, first in ((var, 0), ("p", n))]
+    views = ["(%s)" % "".join("state[%d::%d], " % (k, 2 * n) for k in ks)
+             for ks in (range(n), range(n, 2 * n))]
     start = "    x, %s = 0.0, %s" % (", ".join(fixed + [var, "p"]), ", ".join(
-        ["_asarray(y).T" if "y[" in body else "None"] * len(fixed) + views))
+        ["_asarray(y).T"] * len(fixed) + views))
     return src.define(head, start, "\n".join(lines), np, _empty=np.empty,
                       _asarray=np.asarray, _multiply=np.multiply,
                       _finite=_finite)

@@ -212,30 +212,27 @@ def _dop853_step(n):
     """A DOP853 step on arrays, as scipy takes it: (y_new, f_new,
     error_norm, K), with K the stage rows, reused from step to step, the
     field at the step's end the 12th stage, and the error norm 0 where
-    the E5 squares sum to 0, as on floats.  Given check, the checked
-    field that fun books, fun(t, y, out) writes each row into K
-    unchecked, and the rows are checked once: where one is not finite,
-    also when fun raises before the step is whole, check evaluates the
-    first such stage again, unbooked, to raise its error."""
+    the E5 squares sum to 0, as on floats.  fun(t, y, out) writes each
+    row into K unchecked, and the rows are checked once: where one is
+    not finite, also when fun raises before the step is whole,
+    check(t, y), the checked field that fun books, evaluates the first
+    such stage again, unbooked, to raise its error."""
     K = np.empty((16, n))
     stages = [(float(C853[s]), K[:s].T, A853[s, :s])
               for s in range(1, N_STAGES + 1)]
     k_error = K[:N_STAGES + 1].T
 
-    def step(fun, t, y, fy, h, rtol, atol, check=None):
+    def step(fun, t, y, fy, h, rtol, atol, check):
         K[0] = fy
         nodes = []   # (t, y) of each stage evaluated
         try:
             for s, (c, k, a) in enumerate(stages, 1):
                 node = t + c * h, y + np.dot(k, a) * h
-                if check:
-                    fun(*node, K[s])
-                else:
-                    K[s] = fun(*node)
+                fun(*node, K[s])
                 nodes.append(node)
         finally:
             rows = K[1:1 + len(nodes)]
-            if check and not np.isfinite(rows).all():
+            if not np.isfinite(rows).all():
                 check(*nodes[np.isfinite(rows).all(1).argmin()])
         y_new, f_new = nodes[-1][1], K[N_STAGES].copy()
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -392,17 +389,17 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
     limit, the call goes on with DOP853 on floats (12 evaluations, order
     8).  A short call, or one whose steps grow as fast as the controller
     lets them, stays on the cheaper 5(4) pair.  On an ndarray (the
-    cogeodesic shooter's lanes) fun maps arrays to arrays, the steps are
-    DOP853 as scipy takes them, and the solution holds only where it
-    stopped; a fun whose attribute in_place is true writes a step's rows
-    unchecked, fun(t, y, out), and the step checks them once
-    (_dop853_step).  Either way Solution.t_stop and y_stop say where: at
-    t_end, or at an event's root.  prune(y), if given, runs at every accepted
-    step end and returns None or (keep, fun): the integration goes on
-    with the entries y[keep] of the state, the field fun of those
-    entries, the same step size and the field at the step end of the
-    kept entries, and it stops where no entry is left.  Once it prunes,
-    the solution holds only where it stopped, also on floats.
+    cogeodesic shooter's lanes) fun(t, y) maps arrays to arrays, checked,
+    and fun(t, y, out) writes the same into out unchecked; the steps are
+    DOP853 as scipy takes them, each writing its rows in place and
+    checking them once (_dop853_step), and the solution holds only where
+    it stopped.  Either way Solution.t_stop and y_stop say where: at
+    t_end, or at an event's root.  prune(y), if given, runs at every
+    accepted step end and returns None or (keep, fun): the integration
+    goes on with the entries y[keep] of the state, the field fun of
+    those entries, the same step size and the field at the step end of
+    the kept entries, and it stops where no entry is left.  Once it
+    prunes, the solution holds only where it stopped, also on floats.
     Raises StepLimitError before evaluation max_nfev + 1 of fun, and
     IntegrationDivergedError when the step falls below float spacing.
     """
@@ -454,8 +451,7 @@ def rk45(fun, t_end, y0, rtol, atol, max_nfev, events=(), prune=None):
             try:
                 y_new, f_new, error_norm, K = step(
                     fun, t, y, fy, h, rtol, atol) if floats else step(
-                    f, t, y, fy, h, rtol, atol,
-                    fun if getattr(fun, "in_place", False) else None)
+                    f, t, y, fy, h, rtol, atol, fun)
             except ZeroDivisionError:   # on floats, where numpy has inf
                 error_norm = math.inf   # or nan: the step fails its test
             if error_norm < 1:

@@ -458,6 +458,16 @@ def test_float_step_matches_the_reference_bitwise(b, f, data):
                           np.array(want[3]))
 
 
+def _in_rows(fun):
+    """An array field fun(t, y) as rk45 and _dop853_step take one:
+    called with out, it writes its value into out."""
+    def field(t, y, out=None):
+        if out is None:
+            return fun(t, y)
+        out[...] = fun(t, y)
+    return field
+
+
 def _check_dop853_step(fun, n, t, y, h, rtol, atol):
     """The generated float DOP853 step equals _reference_dop853_step bit
     for bit: the new state, the field there, the error norm and the 13
@@ -469,9 +479,9 @@ def _check_dop853_step(fun, n, t, y, h, rtol, atol):
     numpy's norm is then 0; the float norm is at most
     h sqrt(float_info.min), and 0 where its own E5 squares sum to 0.
     Returns the float norm and numpy's."""
+    field = _in_rows(lambda u, v: fun(u, v.tolist()))
     y_new, f_new, error, K = ode._dop853_step(n)(
-        lambda u, v: fun(u, v.tolist()), t, np.array(y),
-        np.array(fun(t, y)), h, rtol, atol)
+        field, t, np.array(y), np.array(fun(t, y)), h, rtol, atol, field)
     got = ode._float_step(n, dop853=True)(fun, t, y, fun(t, y), h, rtol,
                                           atol)
     want = _reference_dop853_step(fun, t, y, fun(t, y), h, rtol, atol)
@@ -570,8 +580,8 @@ def test_a_division_by_zero_on_floats_fails_the_step():
             return fun(t, y, len(calls) == 20)
         return field
     with np.errstate(invalid="ignore"):   # the inf in a stage's sums
-        got = ode.rk45(counted(on_arrays), 5.0, np.array([1.0, 0.0]), 1e-9,
-                       1e-11, 10 ** 5)
+        got = ode.rk45(_in_rows(counted(on_arrays)), 5.0,
+                       np.array([1.0, 0.0]), 1e-9, 1e-11, 10 ** 5)
         want = solve_ivp(counted(on_arrays), (0.0, 5.0), [1.0, 0.0],
                          method="DOP853", rtol=1e-9, atol=1e-11)
     assert got.rejected >= 1
@@ -604,7 +614,8 @@ def test_rejected_steps_are_counted(floats):
         def fun(t, y):
             calls.append(t)
             return -y if t < 1.0 else -50.0 * y
-        sol = ode.rk45(fun, 3.0, np.array([1.0, 2.0]), 1e-8, 1e-10, 10 ** 5)
+        sol = ode.rk45(_in_rows(fun), 3.0, np.array([1.0, 2.0]), 1e-8,
+                       1e-10, 10 ** 5)
         steps = len(solve_ivp(fun, (0.0, 3.0), [1.0, 2.0], method="DOP853",
                               rtol=1e-8, atol=1e-10).t) - 1
         assert sol.nfev == 2 + 12 * (steps + sol.rejected)
@@ -677,8 +688,8 @@ def _solve_ivp_spiral(t_end=4.0, events=False, dense_output=False):
 
 
 def _rk45_spiral(t_end=4.0, events=()):
-    return ode.rk45(_spiral, t_end, np.array(SPIRAL["y0"]), SPIRAL["rtol"],
-                    SPIRAL["atol"], 10 ** 5, events)
+    return ode.rk45(_in_rows(_spiral), t_end, np.array(SPIRAL["y0"]),
+                    SPIRAL["rtol"], SPIRAL["atol"], 10 ** 5, events)
 
 
 @pytest.mark.parametrize("t_end", [0.1, 1.0, 4.0])
@@ -748,7 +759,8 @@ def test_step_below_float_spacing_is_a_typed_failure():
     with pytest.raises(IntegrationDivergedError,
                        match=re.escape("spacing between numbers at t = %r"
                                        % float(want.t[-1]))):
-        ode.rk45(rhs, 2.0, np.array([1.0]), 1e-8, 1e-10, 10 ** 6)
+        ode.rk45(_in_rows(rhs), 2.0, np.array([1.0]), 1e-8, 1e-10,
+                 10 ** 6)
 
 
 def _count_rk45(monkeypatch, drops=None):
@@ -762,7 +774,6 @@ def _count_rk45(monkeypatch, drops=None):
         counts.append(0)
 
         def count(fun):
-            @functools.wraps(fun)   # a lane field's in-place rows too
             def f(t, y, *out):
                 counts[-1] += 1
                 return fun(t, y, *out)
@@ -841,7 +852,7 @@ def _oscillators(rates, floats):
         lanes = np.reshape(y, (-1, 2))
         out = (rates[:, None] * lanes[:, ::-1] * [1.0, -1.0]).ravel()
         return tuple(out.tolist()) if floats else out
-    return field
+    return field if floats else _in_rows(field)
 
 
 @pytest.mark.parametrize("floats", [False, True])
@@ -892,9 +903,10 @@ def test_evaluation_budget_is_enforced_in_the_integrator():
         calls.append(t)
         return -y
     with pytest.raises(StepLimitError, match="budget of 20"):
-        ode.rk45(rhs, 100.0, np.array([1.0, 2.0]), 1e-10, 1e-12, 20)
+        ode.rk45(_in_rows(rhs), 100.0, np.array([1.0, 2.0]), 1e-10, 1e-12,
+                 20)
     assert len(calls) == 20
-    assert ode.rk45(rhs, 0.1, np.array([1.0, 2.0]), 1e-3, 1e-6,
+    assert ode.rk45(_in_rows(rhs), 0.1, np.array([1.0, 2.0]), 1e-3, 1e-6,
                     10 ** 4).nfev == solve_ivp(
         rhs, (0.0, 0.1), [1.0, 2.0], method="DOP853", rtol=1e-3,
         atol=1e-6).nfev
