@@ -393,17 +393,16 @@ def geometric_partners(spec, y, z_bar, n_directions=None):
         n_directions = 2 if spec.f == 1 else 64
     y = np.atleast_1d(np.asarray(y, float))
     z_bar = np.atleast_1d(np.asarray(z_bar, float))
-    out = []
-    for z_end in _geodesic_ends(spec, y, z_bar,
-                                _direction_grid(spec.f, n_directions),
-                                math.pi):
-        if np.isnan(z_end).any():
-            continue
-        z_end = spec.fiber.wrap(z_end)
-        if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
-                   < DEDUP_TOL for seen in out):
-            out.append(z_end)
-    return out
+    ends = _geodesic_ends(spec, y, z_bar,
+                          _direction_grid(spec.f, n_directions), math.pi)
+    ends = spec.fiber.wrap(ends[~np.isnan(ends).any(axis=1)])
+    close = np.max(np.abs(spec.fiber.coordinate_delta(
+        ends[:, None], ends[None])), axis=-1) < DEDUP_TOL
+    kept = []
+    for i, row in enumerate(close.tolist()):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return list(ends[kept])
 
 
 def _cap(center, radius, m):
@@ -440,14 +439,14 @@ def is_geometrically_related(spec, y, z1, z2):
     f = spec.f
 
     def defects(directions):
-        gaps = [float(np.linalg.norm(spec.fiber.coordinate_delta(z, z2)))
-                for z in _geodesic_ends(spec, y, z1, directions, math.pi)]
-        return [math.inf if math.isnan(gap) else gap for gap in gaps]
+        gaps = np.linalg.norm(spec.fiber.coordinate_delta(
+            _geodesic_ends(spec, y, z1, directions, math.pi), z2), axis=-1)
+        return np.where(np.isnan(gaps), math.inf, gaps)
 
     grid = np.array(_direction_grid(f, RELATED_GRID))
     grid_defects = defects(grid)
     i = int(np.argmin(grid_defects))
-    best_dir, best = grid[i], grid_defects[i]
+    best_dir, best = grid[i], float(grid_defects[i])
     if f > 1 and best < math.inf:
         others = np.delete(grid, i, axis=0) @ best_dir
         radius = float(np.arccos(np.clip(others.max(), -1.0, 1.0)))
@@ -459,7 +458,7 @@ def is_geometrically_related(spec, y, z1, z2):
             cap_defects = defects(cap)
             j = int(np.argmin(cap_defects))
             if cap_defects[j] < best:
-                best_dir, best = cap[j], cap_defects[j]
+                best_dir, best = cap[j], float(cap_defects[j])
                 if rim[j]:
                     continue
             radius /= m

@@ -15,10 +15,11 @@ fiber point of each outgoing branch depends on the policy:
   * fan(n)        -- n fiber points sampled uniformly over the fiber
                      (the whole diffracted front), anchored at z_bar.
 
-Glancing events (|eta_hat|_h = 1) continue along the tangential flow
-d/dt - (geodesic flow of h(0,y) on the unit base cosphere), shot as one
-lane of the boundary shooter on the base block, then re-enter the
-interior with an infinitesimal outgoing xi_hat.
+Glancing events (|eta_hat|_h = 1) end their branch: it travels in the
+edge along the tangential flow d/dt - (geodesic flow of h(0,y) on the
+unit base cosphere), shot as one lane of the boundary shooter on the
+base block, and launches no child.  That flow keeps |eta_hat|_h = 1, so
+the travel never reaches a hyperbolic point where a branch could leave.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ LADDER_RATIO = 1.6
 GLANCING_INTERVAL = 0.5   # tangential travel of a glancing continuation
 EVENT_FIT_TOL = 1e-5      # largest ladder-fit residual of an edge event
 BRANCH_BUDGET = 64        # interior segments a traced tree may integrate
-GLANCING_XI = 1e-6        # outgoing |xi_hat| of a glancing re-entry
 TANGENTIAL_SAMPLES = 33   # samples of a glancing continuation's travel
 
 
@@ -52,7 +52,6 @@ class BranchKind:
     INCIDENT = "incident"
     DIFFRACTED = "diffracted"
     GEOMETRIC = "geometric"
-    GLANCING = "glancing"
 
 
 @dataclass(frozen=True)
@@ -255,49 +254,28 @@ class TangentialPath:
     norm_drift: float        # worst deviation of |eta_hat|_h from 1
 
 
-def _tangential_flow(spec, t0, y0, eta0, sgn_tau, delta):
-    """Geodesic flow of h(0, y)^{-1} for time delta, reversed for sgn_tau
-    > 0, at TANGENTIAL_SAMPLES steps: one shooter lane on the base block
-    per sample, each over its own share of the travel."""
-    if not spec.b:
-        return TangentialPath(t=np.array([t0, t0 + delta]), y=np.zeros((2, 0)),
-                              eta_hat=np.zeros((2, 0)), norm_drift=0.0)
-    ev = spec.evaluator()
-    ys, etas = _shoot(ev.base_cogeodesic, y0, eta0,
-                      np.linspace(0.0, -delta / sgn_tau, TANGENTIAL_SAMPLES))
-    norms = np.einsum("ni,ni->n", etas, _velocity(ev.base_cogeodesic, ys,
-                                                  etas))
-    return TangentialPath(t=t0 + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),
-                          y=ys, eta_hat=etas,
-                          norm_drift=float(np.max(np.abs(norms - 1.0))))
-
-
 def continue_glancing(spec, event, delta):
-    """Tangential travel for parameter delta, then a grazing re-entry.
+    """Tangential travel of a glancing event for time delta.
 
-    Returns (TangentialPath, BoundaryData): the re-entry uses an
-    infinitesimal outgoing xi_hat with eta_hat rescaled back onto the
-    unit cosphere, realizing one admissible continuation of the
-    tangency.
+    The geodesic flow of h(0, y)^{-1} from the event's unit eta_hat,
+    reversed for sgn_tau > 0, at TANGENTIAL_SAMPLES steps: one shooter
+    lane on the base block per sample, each over its own share of the
+    travel.
     """
     if event.boundary_class != BoundaryClass.GLANCING:
         raise ValueError("glancing continuation applies to glancing events")
     ev = spec.evaluator()
-
-    def unit(y, eta):   # onto the unit base cosphere (b = 0: stays empty)
-        return eta / math.sqrt(float(eta @ ev.base_cometric(y, event.z_bar)
-                                     @ eta))
-
-    path = _tangential_flow(spec, event.t_bar, event.y_bar,
-                            unit(event.y_bar, event.eta_hat), event.sgn_tau,
-                            delta)
-    xi_re = -event.sgn_tau * GLANCING_XI
-    data = BoundaryData(t_bar=event.t_bar + delta, y_bar=path.y[-1],
-                        z_bar=event.z_bar, sgn_tau=event.sgn_tau,
-                        xi_hat=xi_re,
-                        eta_hat=unit(path.y[-1], path.eta_hat[-1])
-                        * math.sqrt(1.0 - xi_re * xi_re))
-    return path, data
+    eta0 = event.eta_hat / math.sqrt(float(
+        event.eta_hat @ ev.base_cometric(event.y_bar, event.z_bar)
+        @ event.eta_hat))
+    ys, etas = _shoot(ev.base_cogeodesic, event.y_bar, eta0,
+                      np.linspace(0.0, -delta / event.sgn_tau,
+                                  TANGENTIAL_SAMPLES))
+    norms = np.einsum("ni,ni->n", etas, _velocity(ev.base_cogeodesic, ys,
+                                                  etas))
+    return TangentialPath(
+        t=event.t_bar + np.linspace(0.0, delta, TANGENTIAL_SAMPLES),
+        y=ys, eta_hat=etas, norm_drift=float(np.max(np.abs(norms - 1.0))))
 
 
 # --- path assembly ---------------------------------------------------------
@@ -394,23 +372,19 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
             continue
         event = detect_boundary_event(spec, segment, branch_id=bid)
         branch.event = event
-        if event.boundary_class == BoundaryClass.HYPERBOLIC:
-            launches = branch_hyperbolic(spec, event, policy)
-        else:
-            tangential, re_data = continue_glancing(
+        if event.boundary_class != BoundaryClass.HYPERBOLIC:
+            branch.tangential = continue_glancing(
                 spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar))
-            branch.tangential = tangential
-            launches = [BranchLaunch(data=re_data, kind=BranchKind.GLANCING)]
-        for i, launch in enumerate(launches):
+            continue
+        for i, launch in enumerate(branch_hyperbolic(spec, event, policy)):
             child_id = "%s.%d" % (bid, i)
             child = GbbBranch(branch_id=child_id, kind=launch.kind,
                               parent_id=bid, fiber_point=launch.data.z_bar)
             path.branches[child_id] = child
             branch.children.append(child_id)
             try:
-                child.seed = stable_manifold_launch(
-                    spec, launch.data, settings,
-                    newton=launch.kind != BranchKind.GLANCING)
+                child.seed = stable_manifold_launch(spec, launch.data,
+                                                    settings)
             except LaunchFailedError as err:
                 child.note = "launch failed: %s" % err
                 continue
@@ -494,7 +468,7 @@ def lipschitz_check(path, settings=FlowSettings()):
         event = branch.event
         for child_id in branch.children:
             child = path.branches[child_id]
-            if child.seed is None or child.kind == BranchKind.GLANCING:
+            if child.seed is None:
                 continue
             fiber_jumps.append(float(np.max(np.abs(
                 spec.fiber.coordinate_delta(child.fiber_point,

@@ -313,7 +313,7 @@ def _seed(spec, data, t, y, z):
                           data.eta_hat, zeta)
 
 
-def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
+def stable_manifold_launch(spec, data, settings=FlowSettings()):
     """Interior seed at x = EPS_LAUNCH on the ray with the given edge data.
 
     The ray is incoming or outgoing as data.io says.  The seed is built
@@ -322,8 +322,6 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
     module notes), one Newton correction follows: the seed is integrated
     toward the boundary, its leading-order boundary data are read off,
     and the position defect is subtracted.
-    Set newton=False for grazing data, where the probe geometry
-    degenerates and the leading-order seed is used as is.
     """
     if data.xi_hat == 0.0:
         raise LaunchFailedError("xi_hat = 0: glancing data cannot seed a "
@@ -335,7 +333,7 @@ def stable_manifold_launch(spec, data, settings=FlowSettings(), newton=True):
         H = spec.evaluator().base_cometric(data.y_bar, data.z_bar)
         y = y + (t - data.t_bar) * (-(H @ data.eta_hat) / data.sgn_tau)
     seed = _seed(spec, data, t, y, data.z_bar)
-    if not newton or spec.evaluator().seed_exact:
+    if spec.evaluator().seed_exact:
         return seed
     # Newton pass: probe toward the edge, extrapolate the limiting data
     # of the seeded ray, and subtract the measured position defect.

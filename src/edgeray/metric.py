@@ -81,18 +81,20 @@ class FiberTopology:
         return "torus"
 
     def wrap(self, z):
+        """z with its periodic coordinates (last axis) taken mod period."""
         z = np.array(z, dtype=float)
         for a, period in enumerate(self.periods):
             if period is not None:
-                z[a] = z[a] % period
+                z[..., a] = z[..., a] % period
         return z
 
     def coordinate_delta(self, z1, z2):
-        """Signed per-coordinate difference z1 - z2, shortest wrap."""
+        """Signed per-coordinate difference z1 - z2 (last axis, broadcast),
+        shortest wrap."""
         d = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
         for a, period in enumerate(self.periods):
             if period is not None:
-                d[a] = (d[a] + period / 2.0) % period - period / 2.0
+                d[..., a] = (d[..., a] + period / 2.0) % period - period / 2.0
         return d
 
 

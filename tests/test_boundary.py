@@ -331,6 +331,42 @@ def test_geometric_partners_sphere_antipode():
     assert float(np.max(np.abs(delta))) < 1e-6
 
 
+def _pairwise_loop_partners(spec, y, z_bar):
+    """Reference deduplication: keep each wrapped end point that is not
+    within DEDUP_TOL of a kept one, compared one pair at a time."""
+    out = []
+    directions = _direction_grid(spec.f, 2 if spec.f == 1 else 64)
+    for z_end in boundary._geodesic_ends(spec, y, z_bar, directions,
+                                         math.pi):
+        if np.isnan(z_end).any():
+            continue
+        z_end = spec.fiber.wrap(z_end)
+        if not any(np.max(np.abs(spec.fiber.coordinate_delta(z_end, seen)))
+                   < boundary.DEDUP_TOL for seen in out):
+            out.append(z_end)
+    return out
+
+
+@pytest.mark.parametrize("name, y, z_bar", [
+    ("product_edge(1, 2)", [0.1], [0.3, 1.1]),
+    ("product_edge(1, 3)", [0.1], [0.3, 1.1, 2.0]),
+    ("product_edge(2, 2)", [0.1, 0.2], [0.3, 1.1]),
+    ("sphere_edge", [0.0], [1.2, 0.4]),
+    ("product_cone(2.0)", [], [0.7]),
+])
+def test_partner_dedup_matches_the_pairwise_loop(name, y, z_bar):
+    """One pairwise closeness matrix keeps the same partners, in the same
+    order and bit for bit, as comparing each end point with every kept
+    one."""
+    spec = builtin_scene(name).spec
+    y, z_bar = np.array(y, float), np.array(z_bar, float)
+    got = geometric_partners(spec, y, z_bar)
+    want = _pairwise_loop_partners(spec, y, z_bar)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_related_matches_quadrature_on_perturbed_circle():
     """f = 1 membership agrees with the arc-length quadrature oracle."""
     a = 0.4

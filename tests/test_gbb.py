@@ -16,7 +16,6 @@ from edgeray.gbb import (
     BoundaryEvent,
     BranchKind,
     BranchPolicy,
-    _tangential_flow,
     backward_event,
     branch_hyperbolic,
     continue_glancing,
@@ -180,22 +179,36 @@ def test_event_ladder_must_fit_in_the_final_descent():
         detect_boundary_event(spec, segment)
 
 
-@pytest.mark.parametrize("xi_hat", [1e-5, 3e-5])
-def test_glancing_event_of_a_flat_grazing_ray(xi_hat):
+@pytest.mark.parametrize("x0, xi_hat",
+                         [(0.01, 1e-5), (0.01, 3e-5), (0.2, 1e-5),
+                          (0.2, 3e-5)],
+                         ids=["1e-05", "3e-05", "0.2-1e-05", "0.2-3e-05"])
+def test_glancing_event_of_a_flat_grazing_ray(x0, xi_hat):
     """A ray on the flat product edge with margin xi_hat^2 below
     phase.TOL_G glances, at the smallest |xi_hat| any event has: the
     ladder's rungs then spread over s ~ x0 / xi_hat, and t_bar is the
-    straight line's x0 / xi."""
+    straight line's x0 / xi.  The glancing branch ends there: it travels
+    GLANCING_INTERVAL along the edge, on the straight line of the flat
+    base, and launches no child."""
     spec = builtin_scene("product_edge(1, 1)").spec
-    x0, eta = 0.01, np.array([math.sqrt(1.0 - xi_hat * xi_hat)])
+    eta = np.array([math.sqrt(1.0 - xi_hat * xi_hat)])
     xi = transverse_momentum(spec, x0, np.zeros(1), np.zeros(1), 1.0, eta,
                              np.zeros(1), sign=1.0)
     q0 = EdgePhasePoint(t=0.0, x=x0, y=np.zeros(1), z=np.zeros(1), tau=1.0,
                         xi=xi, eta=eta, zeta=np.zeros(1))
     path = trace_gbb(spec, q0, (0.0, 1.2 * x0 / xi_hat))
-    event = path.branches[path.root_id].event
+    assert path.branch_ids() == ["0"]
+    root = path.branches[path.root_id]
+    event = root.event
     assert event.boundary_class == BoundaryClass.GLANCING
     assert event.t_bar == pytest.approx(x0 / xi, rel=1e-6)
+    travel = root.tangential
+    assert travel.t[-1] == pytest.approx(event.t_bar + gbb.GLANCING_INTERVAL,
+                                         abs=1e-12)
+    # dy/dt = -eta_hat for sgn_tau = 1 on the flat base
+    np.testing.assert_allclose(travel.y[:, 0],
+                               event.y_bar[0] - (travel.t - event.t_bar),
+                               atol=1e-12)
 
 
 def test_branch_policy_parsing():
@@ -291,8 +304,7 @@ def test_branching_rejects_non_hyperbolic_events():
 
 
 def test_glancing_continuation_flat_base():
-    """Flat base: the tangential flow is a straight line at unit speed
-    and the re-entry keeps the slow data with a grazing exit momentum."""
+    """Flat base: the tangential flow is a straight line at unit speed."""
     spec = builtin_scene("product_edge(1, 1)").spec
     event = BoundaryEvent(branch_id="0",
                           boundary_class=BoundaryClass.GLANCING,
@@ -301,26 +313,21 @@ def test_glancing_continuation_flat_base():
                           eta_hat=np.array([1.0]), margin=0.0,
                           char_defect=0.0, residual=0.0)
     delta = 0.4
-    path, data = continue_glancing(spec, event, delta)
+    path = continue_glancing(spec, event, delta)
     assert path.t[0] == pytest.approx(0.1)
     assert path.t[-1] == pytest.approx(0.1 + delta)
     # dy/dt = -eta_hat for sgn_tau = 1 on the flat base
     np.testing.assert_allclose(path.y[:, 0], 0.2 - (path.t - 0.1),
                                atol=1e-12)
     assert path.norm_drift < 1e-12
-    assert data.t_bar == pytest.approx(0.1 + delta)
-    assert data.y_bar[0] == pytest.approx(0.2 - delta, abs=1e-12)
-    np.testing.assert_array_equal(data.z_bar, event.z_bar)
-    assert data.xi_hat == pytest.approx(-gbb.GLANCING_XI)
-    assert data.io.value == "outgoing"
-    assert data.eta_hat[0] ** 2 + data.xi_hat ** 2 == pytest.approx(1.0)
+    assert path.y[-1, 0] == pytest.approx(0.2 - delta, abs=1e-12)
     with pytest.raises(ValueError):
         continue_glancing(spec, _hyperbolic_event([0.3], b=1), delta)
 
 
 def test_glancing_continuation_of_zero_travel():
-    """delta = 0 travels nowhere: the re-entry is at the event's y_bar with
-    a unit eta_hat and grazing xi_hat."""
+    """delta = 0 travels nowhere: the path stays at the event's y_bar with
+    its unit eta_hat."""
     spec = builtin_scene("product_edge(1, 1)").spec
     event = BoundaryEvent(branch_id="0",
                           boundary_class=BoundaryClass.GLANCING,
@@ -328,17 +335,12 @@ def test_glancing_continuation_of_zero_travel():
                           z_bar=np.array([0.7]), sgn_tau=-1, xi_hat=0.0,
                           eta_hat=np.array([-1.0]), margin=0.0,
                           char_defect=0.0, residual=0.0)
-    path, data = continue_glancing(spec, event, 0.0)
+    path = continue_glancing(spec, event, 0.0)
     np.testing.assert_array_equal(path.t, 0.1)
     np.testing.assert_array_equal(path.y, 0.2)
     np.testing.assert_array_equal(path.eta_hat, -1.0)
     assert path.norm_drift == 0.0
-    assert data.t_bar == 0.1
-    np.testing.assert_array_equal(data.y_bar, event.y_bar)
-    np.testing.assert_array_equal(data.z_bar, event.z_bar)
-    assert data.xi_hat == pytest.approx(gbb.GLANCING_XI)
-    assert data.eta_hat[0] ** 2 + data.xi_hat ** 2 == pytest.approx(1.0)
-    assert data.eta_hat[0] < 0.0
+    np.testing.assert_array_equal(path.y[-1], event.y_bar)
 
 
 def test_glancing_continuation_curved_base_great_circle():
@@ -352,22 +354,20 @@ def test_glancing_continuation_curved_base_great_circle():
                           z_bar=np.array([0.3]), sgn_tau=1, xi_hat=0.0,
                           eta_hat=np.array([0.0, 1.0]), margin=0.0,
                           char_defect=0.0, residual=0.0)
-    path, data = continue_glancing(spec, event, 0.8)
+    path = continue_glancing(spec, event, 0.8)
     np.testing.assert_allclose(path.y[:, 0], 0.5 * math.pi, atol=1e-10)
     np.testing.assert_allclose(path.y[:, 1], -(path.t - 0.0), atol=1e-10)
     assert path.norm_drift < 1e-10
-    assert data.y_bar[1] == pytest.approx(-0.8, abs=1e-10)
+    assert path.y[-1, 1] == pytest.approx(-0.8, abs=1e-10)
 
 
 def test_singular_base_block_is_a_typed_error():
-    """h = y1 is singular at y = 0: the base cometric, the tangential flow
-    and the glancing continuation raise DegenerateMetricError."""
+    """h = y1 is singular at y = 0: the base cometric and the glancing
+    continuation raise DegenerateMetricError."""
     spec = make_metric_spec(1, 1, h=[["y1"]], k=[["1"]])
     y0, eta0 = np.zeros(1), np.array([1.0])
     with pytest.raises(DegenerateMetricError):
         spec.evaluator().base_cometric(y0, np.zeros(1))
-    with pytest.raises(DegenerateMetricError):
-        _tangential_flow(spec, 0.0, y0, eta0, 1, 0.4)
     event = BoundaryEvent(branch_id="0",
                           boundary_class=BoundaryClass.GLANCING,
                           t_bar=0.0, y_bar=y0, z_bar=np.array([0.3]),

@@ -1,5 +1,6 @@
-"""Accuracy oracles for the x = 0 shooter that do not depend on the
-integrator: fibers whose arc-pi partners are known in closed form."""
+"""Accuracy oracles that do not depend on the integrator: fibers whose
+arc-pi partners are known in closed form, and rays of the flat cone
+product_cone(rho), which develop into straight lines of the plane."""
 
 import math
 
@@ -13,6 +14,8 @@ from edgeray.boundary import (_direction_grid, _geodesic_ends,
                               boundary_maximal_interval,
                               fiber_cogeodesic_flow, fiber_limit_points,
                               geometric_partners, is_geometrically_related)
+from edgeray.gbb import GEOMETRIC_ONLY, SAME_FIBER, trace_gbb
+from edgeray.hamiltonian import integrate_interior
 from edgeray.metric import make_metric_spec
 from edgeray.phase import EdgePhasePoint
 from edgeray.scenes import builtin_scene
@@ -83,6 +86,88 @@ def test_flat_cone_partners_merge_when_one_over_rho_is_an_integer(rho,
     assert _gap(spec, want[0], np.array(
         [z_bar + (math.pi if round(1.0 / rho) % 2 else 0.0)])) < 1e-12
     _check_cone(rho, z_bar)
+
+
+def _cone_ray(rho, x0, z0, tau, zeta):
+    """Incoming point of product_cone(rho) on the characteristic set p =
+    tau^2 - xi^2 - zeta^2 / rho^2 = 0, sgn(xi) = sgn(tau)."""
+    xi = math.copysign(math.sqrt(tau * tau - (zeta / rho) ** 2), tau)
+    return EdgePhasePoint(t=0.0, x=x0, y=np.zeros(0), z=np.array([z0]),
+                          tau=tau, xi=xi, eta=np.zeros(0),
+                          zeta=np.array([zeta]))
+
+
+_CONE_RAYS = dict(rho=st.floats(0.2, 3.0), x0=st.floats(0.1, 1.0),
+                  z0=st.floats(0.0, 2.0 * math.pi),
+                  tau=st.floats(0.5, 2.0), sgn_tau=st.sampled_from([1, -1]))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(ratio=st.floats(0.01, 0.95),
+                  sgn_zeta=st.sampled_from([1, -1]), **_CONE_RAYS)
+def test_flat_cone_ray_turns_at_its_closed_form_height(rho, x0, z0, tau,
+                                                       sgn_tau, ratio,
+                                                       sgn_zeta):
+    """tau/x and zeta are conserved, so an interior ray with zeta != 0
+    turns where xi = 0, at x = x0 |zeta| / (rho |tau|): the closest
+    approach of a straight line in the developed cone, reached within
+    travel x0.  Read off the dense output at the root of xi."""
+    spec = builtin_scene("product_cone(%r)" % rho).spec
+    zeta = sgn_zeta * ratio * rho * tau
+    tau *= sgn_tau
+    segment = integrate_interior(spec, _cone_ray(rho, x0, z0, tau, zeta),
+                                 -sgn_tau, s_max=2.0 * x0)
+    xi = segment.states[:, 4]    # rows (t, x, z, tau, xi, zeta)
+    i = int(np.flatnonzero(np.sign(xi) != sgn_tau)[0])
+    s_turn = brentq(lambda s: segment.dense(s)[4], segment.s[i - 1],
+                    segment.s[i], xtol=1e-15)
+    assert segment.dense(s_turn)[1] == pytest.approx(
+        x0 * abs(zeta) / (rho * abs(tau)), rel=0.0, abs=1e-10)
+
+
+@hypothesis.settings(max_examples=15, deadline=None)
+@hypothesis.given(**_CONE_RAYS)
+def test_flat_cone_radial_child_runs_straight_out(rho, x0, z0, tau,
+                                                  sgn_tau):
+    """A radial ray (zeta = 0) reaches the tip at t_bar = x0, and its
+    same_fiber child leaves along x = |t - t_bar| with z fixed at the
+    event's fiber point."""
+    spec = builtin_scene("product_cone(%r)" % rho).spec
+    path = trace_gbb(spec, _cone_ray(rho, x0, z0, sgn_tau * tau, 0.0),
+                     (0.0, 2.0 * x0), SAME_FIBER)
+    assert path.branch_ids() == ["0", "0.0"]
+    event = path.branches["0"].event
+    assert event.t_bar == pytest.approx(x0, rel=0.0, abs=1e-12)
+    child = path.branches["0.0"].segment
+    np.testing.assert_allclose(child.x, np.abs(child.t - event.t_bar),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(child.states[:, 2], event.z_bar[0])
+
+
+@hypothesis.settings(max_examples=15, deadline=None)
+@hypothesis.given(**_CONE_RAYS)
+@hypothesis.example(rho=1.0, x0=0.5, z0=0.3, tau=1.0, sgn_tau=1)
+@hypothesis.example(rho=0.5, x0=0.5, z0=4.0, tau=1.0, sgn_tau=-1)
+@hypothesis.example(rho=1.0 / 3.0, x0=0.5, z0=0.0, tau=1.0, sgn_tau=1)
+def test_flat_cone_geometric_children_are_pi_over_rho_away(rho, x0, z0,
+                                                           tau, sgn_tau):
+    """Under the geometric policy the children of a radial ray sit at
+    z_bar +- pi/rho mod 2 pi, one child when 1/rho is an integer, and
+    each runs radially out at its own fiber point."""
+    gap = abs(math.remainder(2.0 * math.pi / rho, 2.0 * math.pi))
+    hypothesis.assume(gap < 1e-12 or gap > 1e-4)
+    spec, want = _cone_partners(rho, z0)
+    path = trace_gbb(spec, _cone_ray(rho, x0, z0, sgn_tau * tau, 0.0),
+                     (0.0, 2.0 * x0), GEOMETRIC_ONLY)
+    children = path.branches["0"].children
+    assert len(children) == len(want) == (1 if gap < 1e-12 else 2)
+    for w in want:
+        assert min(_gap(spec, path.branches[c].fiber_point, w)
+                   for c in children) < 1e-9
+    for c in children:
+        child = path.branches[c]
+        np.testing.assert_array_equal(child.segment.states[:, 2],
+                                      child.fiber_point[0])
 
 
 def _arc_root(a, z, arc):

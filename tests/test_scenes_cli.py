@@ -723,3 +723,45 @@ def test_cli_trace_fuzzed_source_rays_fail_typed(metric, policy, t0, x0, y,
     _assert_trace_fails_typed(
         "builtin = %s\nsource = %r\nt_span = [%r, %r]\npolicy = %s\n"
         % (metric, [float(v) for v in source], t0, t0 + length, policy))
+
+
+@hypothesis.settings(max_examples=8, deadline=2000)
+@hypothesis.given(
+    b=st.integers(1, 2), f=st.integers(1, 3), x0=st.floats(0.005, 0.2),
+    xi_hat=st.floats(5e-6, 3e-5),
+    direction=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    z=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+    sgn_tau=st.sampled_from([-1.0, 1.0]), span=st.floats(1.05, 3.0))
+def test_cli_trace_fuzzed_glancing_rays_end_in_the_edge(b, f, x0, xi_hat,
+                                                        direction, z,
+                                                        sgn_tau, span):
+    """``edgeray trace`` of one grazing ``source`` ray on the flat
+    product_edge(b, f), b in {1, 2} and f <= 3: x0 in [0.005, 0.2],
+    |xi_hat| in [5e-6, 3e-5] (margin xi_hat^2 below phase.TOL_G), a
+    drawn eta_hat direction with |eta_hat|^2 = 1 - xi_hat^2, zeta = 0 and
+    either sign of tau, over a t_span of 1.05 to 3 times the straight
+    line's x0 / |xi_hat|.  The trace exits 0 with one glancing event,
+    and the glancing branch ends there: the ray has one branch."""
+    norm = math.hypot(*direction[:b])
+    hypothesis.assume(norm > 0.1)
+    spec = builtin_scene("product_edge(%d, %d)" % (b, f)).spec
+    etas = [math.sqrt(1.0 - xi_hat * xi_hat) * d / norm
+            for d in direction[:b]]
+    xi = transverse_momentum(spec, x0, np.zeros(b), np.array(z[:f]),
+                             sgn_tau, np.array(etas), np.zeros(f),
+                             sign=sgn_tau)
+    source = [0.0, x0, *[0.0] * b, *z[:f], sgn_tau, xi, *etas, *[0.0] * f]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out):
+        scene = os.path.join(tmp, "scene.cfg")
+        with open(scene, "w") as handle:
+            handle.write("builtin = product_edge(%d, %d)\nsource = %r\n"
+                         "t_span = [0.0, %r]\n"
+                         % (b, f, [float(v) for v in source],
+                            span * x0 / xi_hat))
+        code = main(["trace", scene, "--out", os.path.join(tmp, "rays.csv")])
+    text = out.getvalue()
+    assert code == 0, text
+    assert text.count("glancing at") == 1, text
+    assert "ray 0: 1 branches" in text, text
