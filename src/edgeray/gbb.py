@@ -20,6 +20,10 @@ edge along the tangential flow d/dt - (geodesic flow of h(0,y) on the
 unit base cosphere), shot as one lane of the boundary shooter on the
 base block, and launches no child.  That flow keeps |eta_hat|_h = 1, so
 the travel never reaches a hyperbolic point where a branch could leave.
+
+A traced event is hyperbolic or glancing: elliptic points
+(|eta_hat|_h > 1) carry no characteristic covector, so a fit that lands
+on one is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .boundary import (_shoot, _velocity, fiber_limit_points,
 from .errors import ConfigError, IllConditionedEventError, LaunchFailedError
 from .hamiltonian import (BoundaryData, FlowSettings, Termination,
                           integrate_interior, stable_manifold_launch)
-from .phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
-                    classify_boundary, split_state)
+from .phase import (BoundaryClass, EdgePhasePoint, classify_boundary,
+                    split_state)
 
 N_LADDER = 7
 LADDER_RATIO = 1.6
@@ -147,8 +151,8 @@ def detect_boundary_event(spec, segment, branch_id="0"):
     """Extrapolate a boundary-approaching segment to x = 0 and classify.
 
     Raises IllConditionedEventError when the fit residuals exceed
-    EVENT_FIT_TOL, the extrapolated data are not finite, or they are off
-    the characteristic set.
+    EVENT_FIT_TOL, the extrapolated data are not finite, off the
+    characteristic set or elliptic.
     """
     if segment.termination != Termination.BOUNDARY_APPROACH:
         raise ValueError("event detection requires a BoundaryApproach "
@@ -177,14 +181,15 @@ def detect_boundary_event(spec, segment, branch_id="0"):
     eta_hat = row[2 + b:2 + 2 * b]
     z_bar = spec.fiber.wrap(row[2 + 2 * b:])
     sgn_tau = 1 if tau[-1] > 0 else -1
-    cls, margin = classify_boundary(spec, CospherePoint(
-        t=t_bar, x=0.0, y=y_bar, z=z_bar, sgn_tau=sgn_tau, xi_hat=xi_hat,
-        eta_hat=eta_hat, zeta_hat=np.zeros(f), sigma=1.0))
+    cls, margin = classify_boundary(spec, y_bar, z_bar, eta_hat)
     char_defect = abs(xi_hat * xi_hat - margin)
-    if cls == BoundaryClass.HYPERBOLIC and not char_defect <= 1e-4:
+    if not char_defect <= 1e-4:
         raise IllConditionedEventError(
             "extrapolated event misses the characteristic set by %.3g"
             % char_defect)
+    if cls == BoundaryClass.ELLIPTIC:
+        raise IllConditionedEventError(
+            "extrapolated event is elliptic: margin %.3g" % margin)
     return BoundaryEvent(branch_id=branch_id, boundary_class=cls,
                          t_bar=float(t_bar), y_bar=y_bar, z_bar=z_bar,
                          sgn_tau=sgn_tau, xi_hat=float(xi_hat),
@@ -194,12 +199,6 @@ def detect_boundary_event(spec, segment, branch_id="0"):
 
 
 # --- branching -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchLaunch:
-    data: BoundaryData       # data.z_bar is the branch's fiber point
-    kind: str
-
 
 def _fan_points(spec, z_bar, n):
     """n fiber points spread uniformly over the fiber, anchored at z_bar."""
@@ -219,26 +218,19 @@ def _fan_points(spec, z_bar, n):
 
 
 def branch_hyperbolic(spec, event, policy):
-    """Outgoing launch data for a hyperbolic event under a branch policy.
-
-    All launches share the event's slow data; xi_hat keeps its magnitude
-    with the sign flipped to the outgoing convention.
-    """
+    """(kind, fiber points) of a hyperbolic event's outgoing branches
+    under a branch policy; each launches from event.outgoing(z)."""
     if event.boundary_class != BoundaryClass.HYPERBOLIC:
         raise ValueError("branching applies to hyperbolic events only")
-
-    def launch(z_point, kind):
-        return BranchLaunch(data=event.outgoing(z_point), kind=kind)
-
     if policy.kind == "same_fiber":
-        return [launch(event.z_bar, BranchKind.DIFFRACTED)]
+        return BranchKind.DIFFRACTED, [event.z_bar]
     if policy.kind == "geometric":
         partners = geometric_partners(spec, event.y_bar, event.z_bar)
         partners.sort(key=lambda z: tuple(np.round(z, 9)))
-        return [launch(z, BranchKind.GEOMETRIC) for z in partners]
+        return BranchKind.GEOMETRIC, partners
     if policy.kind == "fan":
-        return [launch(z, BranchKind.DIFFRACTED)
-                for z in _fan_points(spec, event.z_bar, policy.n)]
+        return BranchKind.DIFFRACTED, _fan_points(spec, event.z_bar,
+                                                  policy.n)
     raise ConfigError("unknown branch policy %r" % (policy,))
 
 
@@ -297,7 +289,6 @@ class GbbBranch:
 @dataclass
 class GbbPath:
     spec: object
-    policy: BranchPolicy
     branches: dict
     root_id: str = "0"
     truncated: bool = False
@@ -348,7 +339,7 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
                           "EPS_LAUNCH = %.6g of outgoing rays"
                           % (settings.x_stop, hamiltonian.EPS_LAUNCH))
     root = GbbBranch(branch_id="0", kind=BranchKind.INCIDENT, seed=q0)
-    path = GbbPath(spec=spec, policy=policy, branches={"0": root})
+    path = GbbPath(spec=spec, branches={"0": root})
     queue = deque(["0"])
     used = 0
     while queue:
@@ -376,15 +367,16 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
             branch.tangential = continue_glancing(
                 spec, event, min(GLANCING_INTERVAL, t1 - event.t_bar))
             continue
-        for i, launch in enumerate(branch_hyperbolic(spec, event, policy)):
+        kind, points = branch_hyperbolic(spec, event, policy)
+        for i, z in enumerate(points):
             child_id = "%s.%d" % (bid, i)
-            child = GbbBranch(branch_id=child_id, kind=launch.kind,
-                              parent_id=bid, fiber_point=launch.data.z_bar)
+            child = GbbBranch(branch_id=child_id, kind=kind, parent_id=bid,
+                              fiber_point=z)
             path.branches[child_id] = child
             branch.children.append(child_id)
             try:
-                child.seed = stable_manifold_launch(spec, launch.data,
-                                                    settings)
+                child.seed = stable_manifold_launch(
+                    spec, event.outgoing(z), settings)
             except LaunchFailedError as err:
                 child.note = "launch failed: %s" % err
                 continue

@@ -142,7 +142,6 @@ class RaySegment:
     """
 
     spec: object
-    direction: int
     s: np.ndarray               # flow parameter, |dt/ds| = 1, from 0
     states: np.ndarray          # (n, 2*(2+b+f)) rows in to_vector order
     termination: Termination
@@ -217,9 +216,9 @@ def integrate_interior(spec, q0, direction, settings=FlowSettings(),
         termination = Termination.BOUNDARY_APPROACH
     else:
         termination = Termination.CHART_EXIT
-    segment = RaySegment(spec=spec, direction=direction, s=sol.t,
-                         states=sol.y, termination=termination,
-                         dense=sol.dense, nfev=sol.nfev, rejected=sol.rejected)
+    segment = RaySegment(spec=spec, s=sol.t, states=sol.y,
+                         termination=termination, dense=sol.dense,
+                         nfev=sol.nfev, rejected=sol.rejected)
     segment.p_rel = segment.conserved_log()["p_rel"]
     rel = np.abs(segment.p_rel)
     if not rel.max() <= P_DRIFT_MAX:

@@ -258,7 +258,6 @@ class Nonfocusing:
 class BranchOrder:
     sup_order: OrderBound
     rule: str
-    eps_loss: bool = False
 
 
 @dataclass

@@ -122,18 +122,12 @@ def normalize_cosphere(q):
         sigma=1.0 / scale)
 
 
-def boundary_margin(spec, q):
-    """tau_hat^2 - |eta_hat|^2 in the x = 0 base cometric (= 1 - |eta_hat|^2)."""
-    H = spec.evaluator().base_cometric(q.y, q.z)
-    return 1.0 - float(q.eta_hat @ H @ q.eta_hat)
-
-
-def classify_boundary(spec, q):
-    """Classify a boundary point (x = 0) by the slow-data margin; a
-    margin that is not finite raises NumericalError."""
-    if q.x != 0.0:
-        raise ValueError("classification applies to boundary points (x = 0)")
-    margin = boundary_margin(spec, q)
+def classify_boundary(spec, y, z, eta_hat):
+    """Classify the boundary point over (y, z) with base covector eta_hat
+    by its margin 1 - |eta_hat|^2 in the x = 0 base cometric; returns
+    (class, margin), and a margin that is not finite raises NumericalError."""
+    H = spec.evaluator().base_cometric(y, z)
+    margin = 1.0 - float(eta_hat @ H @ eta_hat)
     if not np.isfinite(margin):
         raise NumericalError("boundary margin %r is not finite" % margin)
     if margin > TOL_G:

@@ -49,9 +49,7 @@ def build_dump(spec, traced):
             segment = branch.segment
             if segment is None:
                 continue
-            order = ""
-            if record is not None and branch_id in record.per_branch:
-                order = str(record.per_branch[branch_id].sup_order)
+            order = str(record.per_branch[branch_id].sup_order)
             p_rel = segment.p_rel
             for i, s in enumerate(segment.s):
                 row = [ray_id, branch_id, branch.kind, float(s)]

@@ -91,11 +91,9 @@ def summary_text(result):
                                z_txt, abs(event.xi_hat)))
         for bid in path.branch_ids():
             branch = path.branches[bid]
-            order = ""
-            if r.record is not None and bid in r.record.per_branch:
-                entry = r.record.per_branch[bid]
-                order = "  order %s (%s)" % (entry.sup_order, entry.rule)
+            entry = r.record.per_branch[bid]
             note = "  note: %s" % branch.note if branch.note else ""
-            lines.append("  branch %s [%s]%s%s"
-                         % (bid, branch.kind, order, note))
+            lines.append("  branch %s [%s]  order %s (%s)%s"
+                         % (bid, branch.kind, entry.sup_order, entry.rule,
+                            note))
     return "\n".join(lines) + "\n"

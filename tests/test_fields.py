@@ -231,7 +231,7 @@ def test_zero_pivot_is_a_typed_error():
                        xi=0.6, eta=none, zeta=np.array([0.8]))
     with pytest.raises(DegenerateMetricError):
         hamilton_field(spec, q)
-    segment = RaySegment(spec=spec, direction=-1, s=np.zeros(2),
+    segment = RaySegment(spec=spec, s=np.zeros(2),
                          states=np.stack((q.to_vector(), q.to_vector())),
                          termination=Termination.TIME_LIMIT)
     segment.states[0, 2] = 0.5

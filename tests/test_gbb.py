@@ -85,12 +85,13 @@ def test_event_extrapolation_matches_flat_closed_form():
     assert event.io.value == "incoming"
 
 
-@pytest.mark.parametrize("nan_in", ["residual", "values", "margin"])
+@pytest.mark.parametrize("nan_in", ["residual", "values", "margin",
+                                    "glancing_margin"])
 def test_event_extrapolation_fails_closed_on_nan(monkeypatch, nan_in):
     """A NaN fit residual, NaN extrapolated data with a zero residual, or a
-    NaN slow-data margin of a hyperbolic event (so a NaN defect from the
-    characteristic set), raises IllConditionedEventError: no gate lets a
-    NaN through."""
+    NaN slow-data margin of a hyperbolic or a glancing event (so a NaN
+    defect from the characteristic set), raises IllConditionedEventError:
+    no gate lets a NaN through."""
     spec = builtin_scene("product_edge(1, 1)").spec
     q0 = _flat_incoming(spec, 0.2, 0.6, [0.1], [2.0], 0.9, np.array([0.5]))
     segment = integrate_interior(spec, q0, direction=-1, s_max=5.0)
@@ -104,8 +105,10 @@ def test_event_extrapolation_fails_closed_on_nan(monkeypatch, nan_in):
             extrapolate(*args)[0] * math.nan, 0.0))
         match = "non-finite event data"
     else:
-        monkeypatch.setattr(gbb, "classify_boundary", lambda spec, q: (
-            BoundaryClass.HYPERBOLIC, math.nan))
+        cls = (BoundaryClass.HYPERBOLIC if nan_in == "margin"
+               else BoundaryClass.GLANCING)
+        monkeypatch.setattr(gbb, "classify_boundary",
+                            lambda *args: (cls, math.nan))
         match = "characteristic set by nan"
     with pytest.raises(IllConditionedEventError, match=match):
         detect_boundary_event(spec, segment)
@@ -171,7 +174,7 @@ def test_event_ladder_must_fit_in_the_final_descent():
     ones, zeros = np.ones(6), np.zeros(6)
     states = np.column_stack((s, x, ones, ones, ones, zeros))
     segment = RaySegment(
-        spec=spec, direction=-1, s=s, states=states,
+        spec=spec, s=s, states=states,
         termination=Termination.BOUNDARY_APPROACH,
         dense=lambda u: np.array([np.interp(u, s, c) for c in states.T]))
     with pytest.raises(IllConditionedEventError,
@@ -225,53 +228,54 @@ def test_branch_policy_parsing():
 def test_same_fiber_branching_flips_normal_momentum():
     spec = builtin_scene("product_cone(1.0)").spec
     event = _hyperbolic_event([0.3])
-    launches = branch_hyperbolic(spec, event, SAME_FIBER)
-    assert len(launches) == 1
-    launch = launches[0]
-    assert launch.kind == BranchKind.DIFFRACTED
-    assert launch.data.xi_hat == -event.xi_hat
-    assert launch.data.t_bar == event.t_bar
-    np.testing.assert_array_equal(launch.data.z_bar, event.z_bar)
-    assert launch.data.io.value == "outgoing"
+    kind, points = branch_hyperbolic(spec, event, SAME_FIBER)
+    assert kind == BranchKind.DIFFRACTED
+    assert len(points) == 1
+    data = event.outgoing(points[0])
+    assert data.xi_hat == -event.xi_hat
+    assert data.t_bar == event.t_bar
+    np.testing.assert_array_equal(data.z_bar, event.z_bar)
+    assert data.io.value == "outgoing"
 
 
 def test_geometric_branching_uses_arc_pi_partners():
     one = builtin_scene("product_cone(1.0)").spec
-    launches = branch_hyperbolic(one, _hyperbolic_event([0.3]),
-                                 GEOMETRIC_ONLY)
-    assert len(launches) == 1
-    assert launches[0].kind == BranchKind.GEOMETRIC
-    delta = one.fiber.coordinate_delta(launches[0].data.z_bar,
+    event = _hyperbolic_event([0.3])
+    kind, points = branch_hyperbolic(one, event, GEOMETRIC_ONLY)
+    assert kind == BranchKind.GEOMETRIC
+    assert len(points) == 1
+    delta = one.fiber.coordinate_delta(event.outgoing(points[0]).z_bar,
                                        np.array([0.3 + math.pi]))
     assert abs(float(delta[0])) < 1e-9
     # radius-2 circle: both orientations survive deduplication
     two = make_metric_spec(0, 1, k=[["4"]],
                            fiber="circle(%r)" % (2.0 * math.pi))
-    launches = branch_hyperbolic(two, _hyperbolic_event([0.3]),
-                                 GEOMETRIC_ONLY)
-    assert len(launches) == 2
+    kind, points = branch_hyperbolic(two, event, GEOMETRIC_ONLY)
+    assert kind == BranchKind.GEOMETRIC
+    assert len(points) == 2
 
 
 def test_fan_branching_is_anchored_and_uniform():
     spec = builtin_scene("product_cone(1.0)").spec
     event = _hyperbolic_event([0.3])
-    launches = branch_hyperbolic(spec, event, fan(6))
-    assert len(launches) == 6
-    assert all(l.kind == BranchKind.DIFFRACTED for l in launches)
+    kind, points = branch_hyperbolic(spec, event, fan(6))
+    assert kind == BranchKind.DIFFRACTED
+    assert len(points) == 6
     want = [0.3 + 2.0 * math.pi * i / 6 for i in range(6)]
-    for launch, w in zip(launches, want):
-        delta = spec.fiber.coordinate_delta(launch.data.z_bar,
+    for z, w in zip(points, want):
+        delta = spec.fiber.coordinate_delta(event.outgoing(z).z_bar,
                                             np.array([w]))
         assert abs(float(delta[0])) < 1e-12
-    single = branch_hyperbolic(spec, event, fan(1))
+    kind, single = branch_hyperbolic(spec, event, fan(1))
     assert len(single) == 1
-    np.testing.assert_array_equal(single[0].data.z_bar, event.z_bar)
+    np.testing.assert_array_equal(event.outgoing(single[0]).z_bar,
+                                  event.z_bar)
     # a chart fiber spreads the fan over its z_box, ends included
     chart = make_metric_spec(0, 1, k=[["1"]], fiber="chart",
                              z_box=((-1.5, 2.5),))
     for n, want in ((1, [-1.5]), (5, [-1.5, -0.5, 0.5, 1.5, 2.5])):
-        launches = branch_hyperbolic(chart, event, fan(n))
-        assert [float(l.data.z_bar[0]) for l in launches] == want
+        kind, points = branch_hyperbolic(chart, event, fan(n))
+        assert [float(event.outgoing(z).z_bar[0]) for z in points] == want
 
 
 def test_fan_branching_two_dimensional_fiber():
@@ -282,9 +286,10 @@ def test_fan_branching_two_dimensional_fiber():
                           z_bar=np.array([1.0, 0.5]), sgn_tau=1,
                           xi_hat=0.8, eta_hat=np.array([0.6]),
                           margin=0.64, char_defect=0.0, residual=0.0)
-    launches = branch_hyperbolic(spec, event, fan(4))
-    assert len(launches) == 4
-    pts = np.array([l.data.z_bar for l in launches])
+    kind, points = branch_hyperbolic(spec, event, fan(4))
+    assert kind == BranchKind.DIFFRACTED
+    assert len(points) == 4
+    pts = np.array([event.outgoing(z).z_bar for z in points])
     assert len({tuple(np.round(p, 9)) for p in pts}) == 4
     lo, hi = spec.z_box[0]
     assert np.all(pts[:, 0] >= lo - 1e-12)

@@ -207,7 +207,7 @@ def test_singular_metric_is_a_typed_error():
                        tau=1.0, xi=0.6, eta=np.zeros(0), zeta=np.array([0.8]))
     with pytest.raises(DegenerateMetricError):
         hamilton_field(spec, q)
-    segment = RaySegment(spec=spec, direction=-1, s=np.zeros(1),
+    segment = RaySegment(spec=spec, s=np.zeros(1),
                          states=q.to_vector()[None, :],
                          termination=Termination.TIME_LIMIT)
     with pytest.raises(DegenerateMetricError):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from edgeray.errors import NumericalError
 from edgeray.phase import (BoundaryClass, CospherePoint, EdgePhasePoint,
-                           boundary_margin, classify_boundary,
-                           normalize_cosphere, split_state)
+                           classify_boundary, normalize_cosphere,
+                           split_state)
 from edgeray.metric import transverse_momentum
 from edgeray.scenes import builtin_scene
 
@@ -88,41 +88,31 @@ def test_scaling_is_fiber_dilation():
 def test_classification_trichotomy():
     spec = builtin_scene("product_edge(1,1)").spec
     def probe(eta):
-        return CospherePoint(t=0.0, x=0.0, y=np.zeros(1), z=np.zeros(1),
-                             sgn_tau=1, xi_hat=0.0,
-                             eta_hat=np.array([eta]),
-                             zeta_hat=np.zeros(1), sigma=0.0)
-    cls, margin = classify_boundary(spec, probe(0.3))
+        return classify_boundary(spec, np.zeros(1), np.zeros(1),
+                                 np.array([eta]))
+    cls, margin = probe(0.3)
     assert cls is BoundaryClass.HYPERBOLIC and margin > 0
-    cls, margin = classify_boundary(spec, probe(1.0))
+    cls, margin = probe(1.0)
     assert cls is BoundaryClass.GLANCING
     assert margin == pytest.approx(0.0, abs=1e-12)
-    cls, margin = classify_boundary(spec, probe(1.2))
+    cls, margin = probe(1.2)
     assert cls is BoundaryClass.ELLIPTIC and margin < 0
-    with pytest.raises(ValueError):
-        classify_boundary(spec, CospherePoint(
-            t=0.0, x=0.1, y=np.zeros(1), z=np.zeros(1), sgn_tau=1,
-            xi_hat=0.0, eta_hat=np.zeros(1), zeta_hat=np.zeros(1),
-            sigma=0.0))
     # a NaN margin is a numerical failure, not a glancing point
     with pytest.raises(NumericalError, match="margin nan is not finite"):
-        classify_boundary(spec, probe(math.nan))
+        probe(math.nan)
 
 
 def test_margin_uses_base_cometric():
     # sphere base h = diag(1, sin^2 y1): |eta|^2 = eta1^2 + eta2^2/sin^2
-    spec_text = builtin_scene("sphere_edge").spec
-    # use a curved-base custom spec instead
     from edgeray.metric import make_metric_spec
     spec = make_metric_spec(b=2, f=1, h=[["1", "0"], ["0", "sin(y1)^2"]],
                             k=[["1"]], fiber="circle(6.283185307179586)",
                             y_box=[(0.3, 2.8), (-5.0, 5.0)])
     y = np.array([1.0, 0.0])
     s = math.sin(1.0)
-    q = CospherePoint(t=0.0, x=0.0, y=y, z=np.zeros(1), sgn_tau=1,
-                      xi_hat=0.0, eta_hat=np.array([0.0, 0.5 * s]),
-                      zeta_hat=np.zeros(1), sigma=0.0)
-    assert boundary_margin(spec, q) == pytest.approx(1.0 - 0.25)
+    cls, margin = classify_boundary(spec, y, np.zeros(1),
+                                    np.array([0.0, 0.5 * s]))
+    assert margin == pytest.approx(1.0 - 0.25)
 
 
 def test_characteristic_membership():

@@ -765,3 +765,55 @@ def test_cli_trace_fuzzed_glancing_rays_end_in_the_edge(b, f, x0, xi_hat,
     assert code == 0, text
     assert text.count("glancing at") == 1, text
     assert "ray 0: 1 branches" in text, text
+
+
+ELLIPTIC_SCENE = """b = 1
+f = 1
+h = [[exp(0.3*y1)]]
+k = [[1 + 0.1*sin(z1)]]
+source = [0.0, 0.013978673078859583, 0.179415305695242, 0.881410809176006, \
+1.0, 0.0006192113421664407, -1.0272775053583572, 0.0]
+t_span = [0.0, 50.0]
+"""
+
+
+def test_cli_trace_elliptic_event_is_a_typed_failure(tmp_path, capsys):
+    """The ladder fit of this grazing ray lands at margin -2.92e-5 with
+    xi_hat^2 = 3.8e-7: on the characteristic set to the 1e-4 of the
+    defect check, but elliptic, where no ray reaches the edge.  The trace
+    exits 3 with one stderr line that says so."""
+    scene = tmp_path / "elliptic.cfg"
+    scene.write_text(ELLIPTIC_SCENE)
+    code = main(["trace", str(scene), "--out", str(tmp_path / "rays.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [
+        "numerical failure: extrapolated event is elliptic: margin -2.92e-05"]
+
+
+@hypothesis.settings(max_examples=8, deadline=2000)
+@hypothesis.given(
+    c=st.tuples(*[st.just(0.0) | st.floats(-0.3, 0.3)] * 4),
+    x0=st.floats(0.005, 0.05), y=st.floats(-0.5, 0.5),
+    z=st.floats(-math.pi, math.pi), sgn_tau=st.sampled_from([-1.0, 1.0]),
+    xi_hat=st.floats(1e-6, 1e-2), sgn_eta=st.sampled_from([-1.0, 1.0]))
+def test_cli_trace_fuzzed_custom_metrics_fail_typed(c, x0, y, z, sgn_tau,
+                                                    xi_hat, sgn_eta):
+    """``edgeray trace`` of one grazing or oblique ``source`` ray on a
+    custom b = 1, f = 1 metric with h = exp(c1 y1), hprime = c2 y1, kyy =
+    c3 and k = 1 + c4 sin(z1), each c 0 or drawn from [-0.3, 0.3]: the
+    source at x0 in [0.005, 0.05] moves toward the edge with |xi_hat| in
+    [1e-6, 1e-2], zeta = 0 and |eta_hat| = sqrt(1 - xi_hat^2) in the
+    cometric there (xi solved from p = 0), over t_span = [0, 50].  The
+    contract of _assert_trace_fails_typed holds."""
+    metric = ("b = 1\nf = 1\nh = [[exp((%r)*y1)]]\nhprime = [[(%r)*y1]]\n"
+              "kyy = [[(%r)]]\nk = [[1 + (%r)*sin(z1)]]\n" % c)
+    spec = parse_scene(metric).spec
+    ys, zs = np.array([y]), np.array([z])
+    eta_eta = spec.evaluator().dual_matrix(x0, ys, zs)[1, 1]
+    eta = sgn_eta * math.sqrt((1.0 - xi_hat * xi_hat) / eta_eta)
+    xi = transverse_momentum(spec, x0, ys, zs, sgn_tau, np.array([eta]),
+                             np.zeros(1), sign=sgn_tau)
+    source = [0.0, x0, y, z, sgn_tau, float(xi), eta, 0.0]
+    _assert_trace_fails_typed(metric + "source = %r\nt_span = [0.0, 50.0]\n"
+                              % source)
