@@ -322,6 +322,9 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
         raise ConfigError("t_span must be increasing")
     if q0.t < t0:
         raise ConfigError("launch point starts before t_span")
+    if not q0.t < t1:
+        raise ConfigError("launch point t = %.6g is not before the end of "
+                          "t_span = [%.6g, %.6g]" % (q0.t, t0, t1))
     if not q0.x > settings.x_stop:
         raise ConfigError("launch point x = %.6g is not above x_stop = %.6g"
                           % (q0.x, settings.x_stop))
@@ -349,13 +352,9 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
         bid = queue.popleft()
         branch = path.branches[bid]
         seed = branch.seed
-        s_max = t1 - seed.t
-        if s_max <= 0.0:
-            branch.note = "launched outside t_span"
-            continue
         direction = -1 if seed.tau > 0 else 1
         segment = integrate_interior(spec, seed, direction, settings,
-                                     s_max=s_max)
+                                     s_max=t1 - seed.t)
         used += 1
         branch.segment = segment
         if segment.termination != Termination.BOUNDARY_APPROACH:
@@ -380,7 +379,7 @@ def trace_gbb(spec, q0, t_span, policy=SAME_FIBER, settings=FlowSettings()):
             except LaunchFailedError as err:
                 child.note = "launch failed: %s" % err
                 continue
-            if child.seed.t <= t1:
+            if child.seed.t < t1:
                 queue.append(child_id)
             else:
                 child.note = "re-entry beyond t_span"

@@ -57,7 +57,8 @@ from .errors import (ConfigError, FlowEscapedError, IllConditionedEventError,
                      IntegrationDivergedError, LaunchFailedError,
                      StepLimitError)
 from .metric import transverse_momentum
-from .phase import EdgePhasePoint, set_float_arrays, split_state
+from .phase import (CospherePoint, EdgePhasePoint, set_float_arrays,
+                    split_state)
 
 EPS_LAUNCH = 1e-3      # height x at which outgoing rays are seeded
 P_DRIFT_MAX = 1e-6     # largest |p|/tau^2 an interior segment may carry
@@ -115,17 +116,14 @@ def rescaled_field(spec, q):
     radial points (x = 0, zeta_hat = 0, sigma = 0 on the characteristic
     set).
     """
-    ev = spec.evaluator()
-    return _rescaled_vector(ev, q.to_vector(), q.sgn_tau)
-
-
-def _rescaled_vector(ev, vec, sgn_tau):
     # The field at tau = sgn_tau, pushed through the gauge change: sigma
     # and the hatted covector scale by -w_xi, which keeps it exact at
     # sigma = 0.
-    isig = 2 + ev.b + ev.f
-    out = np.array(ev.hamilton(vec[:isig].tolist() + [float(sgn_tau)]
-                               + vec[isig + 1:].tolist(), 1.0)[1])
+    vec, sgn_tau = q.to_vector(), q.sgn_tau
+    isig = 2 + spec.b + spec.f
+    out = np.array(spec.evaluator().hamilton(
+        vec[:isig].tolist() + [float(sgn_tau)] + vec[isig + 1:].tolist(),
+        1.0)[1])
     w_xi = out[isig] * sgn_tau
     out[isig] = -vec[isig] * w_xi
     out[isig + 1:] -= vec[isig + 1:] * w_xi
@@ -247,7 +245,6 @@ def linearization_at_radial(spec, q):
     scale direction and the fiber covector), 0 (multiplicity 2b + f + 2),
     and +xi_hat (multiplicity 1, the normal direction).
     """
-    ev = spec.evaluator()
     vec = q.to_vector()
     n = len(vec)
     L = np.empty((n, n))
@@ -256,8 +253,9 @@ def linearization_at_radial(spec, q):
         vm = vec.copy()
         vp[j] += FD_STEP
         vm[j] -= FD_STEP
-        L[:, j] = (_rescaled_vector(ev, vp, q.sgn_tau)
-                   - _rescaled_vector(ev, vm, q.sgn_tau)) / (2.0 * FD_STEP)
+        fp, fm = (rescaled_field(spec, CospherePoint.from_vector(
+            v, spec.b, spec.f, q.sgn_tau)) for v in (vp, vm))
+        L[:, j] = (fp - fm) / (2.0 * FD_STEP)
     eig = np.linalg.eigvals(L)
     order = np.argsort(eig.real)
     eig = eig[order]

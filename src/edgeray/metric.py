@@ -190,13 +190,7 @@ def make_metric_spec(b, f, h=None, hprime=None, k=None, kyy=None, kyz=None,
     _require_symmetric(hp, "hprime")
     _require_symmetric(km, "k")
     _require_symmetric(kyym, "kyy")
-    if fiber is None:
-        fiber = FiberTopology((2.0 * math.pi,) * f)
-    elif not isinstance(fiber, FiberTopology):
-        fiber = _parse_fiber(fiber, f)
-    elif len(fiber.periods) != f:
-        raise DimensionError("fiber topology lists %d periods for f=%d"
-                             % (len(fiber.periods), f))
+    fiber = _parse_fiber("torus" if fiber is None else fiber, f)
     if y_box is None:
         y_box = tuple((-1.0, 1.0) for _ in range(b))
     if z_box is None:
@@ -357,28 +351,22 @@ def _is_number(text):
     return True
 
 
-def _symmetric_solve(a, rhs, lines):
+def _symmetric_solve(a, rhs, src):
     """Names of w = A^{-1} rhs and of the pivots d_j, solved by an
     unrolled LDL^T factorization.
 
     a maps (i, j), i <= j, to the source of each entry of the symmetric
     matrix A that is not identically zero, and rhs lists the sources of
-    the right-hand side; the statements are appended to lines.  Factor
-    entries that stay zero are never formed, so a diagonal A costs one
-    division per entry (none by a literal 1.0).  There is no pivoting:
-    the metric blocks are positive definite, and a zero pivot d_j leaves
-    inf or nan in w_j (ZeroDivisionError on floats).
+    the right-hand side; pivots, factors and solution are locals of
+    src.  Factor entries that stay zero are never formed, so a diagonal
+    A costs one division per entry (none by a literal 1.0).  There is no
+    pivoting: the metric blocks are positive definite, and a zero pivot
+    d_j leaves inf or nan in w_j (ZeroDivisionError on floats).
     """
     n = len(rhs)
 
     def over(num, pivot):
         return num if pivot == "1.0" else "%s / %s" % (num, pivot)
-
-    def let(name, text):
-        if text.isidentifier() or _is_number(text):
-            return text
-        lines.append("    %s = %s" % (name, text))
-        return name
 
     def minus(head, terms):   # head - terms[0] - ..., left to right
         if head is None:
@@ -391,22 +379,22 @@ def _symmetric_solve(a, rhs, lines):
     for j in range(n):
         d = minus(a.get((j, j)), ["%s * %s" % low[j, k]
                                   for k in range(j) if (j, k) in low])
-        pivots.append(let("d%d" % j, d or "0.0"))
+        pivots.append(src.local(d or "0.0"))
         for i in range(j + 1, n):
             e = minus(a.get((j, i)),
                       ["%s * %s" % (low[i, k][1], low[j, k][0])
                        for k in range(j) if (i, k) in low and (j, k) in low])
             if e is not None:
-                e = let("e%d_%d" % (i, j), e)
-                low[i, j] = (let("l%d_%d" % (i, j), over(e, pivots[j])), e)
+                e = src.local(e)
+                low[i, j] = (src.local(over(e, pivots[j])), e)
     forward = []
     for i in range(n):
-        forward.append(let("g%d" % i, minus(rhs[i], [
+        forward.append(src.local(minus(rhs[i], [
             "%s * %s" % (low[i, k][0], forward[k])
             for k in range(i) if (i, k) in low])))
     w = [None] * n
     for i in reversed(range(n)):
-        w[i] = let("w%d" % i, minus(over(forward[i], pivots[i]), [
+        w[i] = src.local(minus(over(forward[i], pivots[i]), [
             "%s * %s" % (low[k, i][0], w[k])
             for k in range(i + 1, n) if (k, i) in low]))
     return w, pivots
@@ -441,7 +429,7 @@ def _generate_hamilton(b, f, entries, src):
                 if vv == v and 1 <= i <= j}
 
     lines, quad = [], []
-    w = _symmetric_solve(block(0), u, lines)[0]
+    w = _symmetric_solve(block(0), u, src)[0]
     for v in range(nv):
         form = _quadratic(block(1 + v), w)
         if form:
@@ -500,7 +488,7 @@ def _generate_cogeodesic(matrix, var):
     partials = [entries(a) for a in range(n)]
     lines = ["    checked = out is None\n    if checked:\n"
              "      out = _empty(state.shape)"]
-    w, pivots = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], lines)
+    w, pivots = _symmetric_solve(m, ["p[%d]" % i for i in range(n)], src)
     rows = w + ["0.5 * (%s)" % _quadratic(dm, w) if dm else "0.0"
                 for dm in partials]
     lines += ["    _multiply(%s, arc, out=out[%d::%d])" % (row, k, 2 * n)

@@ -304,18 +304,15 @@ def annotate_path(path, s_incident, nonfocusing=None, clean_flags=None):
         if branch.kind == "incident":
             record.per_branch[bid] = BranchOrder(s_in, "incident data")
             continue
-        diffractive = apply_diffractive(s_in)
         if nonfocusing is None:
-            record.per_branch[bid] = BranchOrder(diffractive, "diffractive")
+            record.per_branch[bid] = BranchOrder(apply_diffractive(s_in),
+                                                 "diffractive")
             continue
         parent = path.branches.get(branch.parent_id)
         event = parent.event if parent is not None else None
         clean = _branch_clean(spec, event, branch, clean_flags, partners)
-        if clean:
-            bound = apply_geometric(nonfocusing.space_order, True, s_in)
-            record.per_branch[bid] = BranchOrder(bound,
-                                                 "nonfocusing improvement")
-        else:
-            record.per_branch[bid] = BranchOrder(diffractive,
-                                                 "diffractive (dirty partner)")
+        record.per_branch[bid] = BranchOrder(
+            apply_geometric(nonfocusing.space_order, clean, s_in),
+            "nonfocusing improvement" if clean
+            else "diffractive (dirty partner)")
     return record

@@ -76,40 +76,10 @@ class SceneConfig:
 
 # --- builtin scenes -------------------------------------------------------
 
-def _cone_metric(rho):
-    if rho <= 0:
-        raise ConfigError("cone radius must be positive")
-    return make_metric_spec(0, 1, k=[["%r" % (rho * rho)]], fiber="circle(%r)"
-                            % (2.0 * math.pi))
-
-
 def _product_edge_metric(b, f):
     h = [["1" if i == j else "0" for j in range(b)] for i in range(b)]
     k = [["1" if i == j else "0" for j in range(f)] for i in range(f)]
     return make_metric_spec(b, f, h=h if b else None, k=k, fiber="torus")
-
-
-def _blowup_metric():
-    return make_metric_spec(1, 1, h=[["1"]], k=[["1"]],
-                            fiber="circle(%r)" % (2.0 * math.pi))
-
-
-def _perturbed_metric(a):
-    if abs(a) >= 0.5:
-        raise ConfigError("perturbation amplitude must stay below 0.5")
-    return make_metric_spec(
-        1, 1, h=[["1"]],
-        hprime=[["%r*sin(z1)" % a]],
-        k=[["(1+(%r)*sin(z1))^2" % a]],
-        fiber="circle(%r)" % (2.0 * math.pi))
-
-
-def _sphere_metric():
-    return make_metric_spec(
-        1, 2, h=[["1"]],
-        k=[["1", "0"], ["0", "sin(z1)^2"]],
-        fiber="torus(none, %r)" % (2.0 * math.pi),
-        z_box=((0.4, math.pi - 0.4), (0.0, 2.0 * math.pi)))
 
 
 def _radial_source(spec, x0, y=None, z=None):
@@ -122,8 +92,12 @@ def _radial_source(spec, x0, y=None, z=None):
 
 
 def _scene_product_cone(rho=1.0):
-    spec = _cone_metric(float(rho))
-    return SceneConfig(name="product_cone(%r)" % float(rho), spec=spec,
+    rho = float(rho)
+    if rho <= 0:
+        raise ConfigError("cone radius must be positive")
+    spec = make_metric_spec(0, 1, k=[["%r" % (rho * rho)]],
+                            fiber="circle(%r)" % (2.0 * math.pi))
+    return SceneConfig(name="product_cone(%r)" % rho, spec=spec,
                        source=_radial_source(spec, 0.9), t_span=(0.0, 1.7))
 
 
@@ -136,23 +110,33 @@ def _scene_product_edge(b=1, f=1):
 
 
 def _scene_blowup():
-    spec = _blowup_metric()
+    # the flat product edge with b = f = 1: its torus fiber is the circle
+    # of period 2 pi
     source = EdgePhasePoint(t=0.0, x=0.8, y=np.array([0.0]),
                             z=np.array([0.0]), tau=1.0, xi=0.8,
                             eta=np.array([0.6]), zeta=np.array([0.0]))
-    return SceneConfig(name="blowup_curve_r3", spec=spec, source=source,
-                       t_span=(0.0, 1.9), policy=BranchPolicy("geometric"))
+    return SceneConfig(name="blowup_curve_r3", spec=_product_edge_metric(1, 1),
+                       source=source, t_span=(0.0, 1.9),
+                       policy=BranchPolicy("geometric"))
 
 
 def _scene_perturbed(a=0.05):
-    spec = _perturbed_metric(float(a))
-    return SceneConfig(name="perturbed_edge(%r)" % float(a), spec=spec,
+    a = float(a)
+    if abs(a) >= 0.5:
+        raise ConfigError("perturbation amplitude must stay below 0.5")
+    spec = make_metric_spec(1, 1, h=[["1"]], hprime=[["%r*sin(z1)" % a]],
+                            k=[["(1+(%r)*sin(z1))^2" % a]],
+                            fiber="circle(%r)" % (2.0 * math.pi))
+    return SceneConfig(name="perturbed_edge(%r)" % a, spec=spec,
                        source=_radial_source(spec, 0.5, z=[0.7]),
                        t_span=(0.0, 0.95))
 
 
 def _scene_sphere():
-    spec = _sphere_metric()
+    spec = make_metric_spec(
+        1, 2, h=[["1"]], k=[["1", "0"], ["0", "sin(z1)^2"]],
+        fiber="torus(none, %r)" % (2.0 * math.pi),
+        z_box=((0.4, math.pi - 0.4), (0.0, 2.0 * math.pi)))
     return SceneConfig(name="sphere_edge", spec=spec,
                        source=_radial_source(spec, 0.8, z=[1.2, 0.4]),
                        t_span=(0.0, 1.5))
@@ -319,8 +303,6 @@ def blow_down_segment(segment):
 
 def fan_directions(dim, count, seed):
     """Low-discrepancy unit directions in R^dim, deterministic per seed."""
-    if dim == 1:
-        return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
     raw = np.clip(_sobol.sobol(dim, count, seed), 1e-12, 1.0 - 1e-12)
     # Map to Gaussians, then normalize: uniform on the Euclidean sphere.
     gauss = np.array([[_sobol.ndtri(u) for u in row] for row in raw.tolist()])

